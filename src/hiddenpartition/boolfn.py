@@ -143,11 +143,6 @@ class FourierSpectrum:
             if abs(v) > tol
         }
 
-    def level_weights(self) -> np.ndarray:
-        """Sum of squared coefficients per level |S| = 0..t."""
-        levels = np.bitwise_count(np.arange(2**self.t, dtype=np.uint64))
-        return np.bincount(levels.astype(np.int64), weights=self.values**2, minlength=self.t + 1)
-
 
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     """Exact spectrum: coeff[S] = 2^-t sum_x f(x) chi_S(x)."""

@@ -30,7 +30,7 @@ import numpy as np
 from .boolfn import BooleanFunction, fourier_transform, pure_high_degree
 from .instances import PartitionInstance, PartitionParams
 from .rng import coin, fisher_yates
-from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial
+from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial, sign_degree
 
 
 class UnsupportedFunctionError(ValueError):
@@ -50,6 +50,7 @@ class ProtocolOutcome:
     guess: int
     statistic: float
     message_bits: int
+    m: int  # samples or copies sent
 
 
 def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
@@ -68,6 +69,27 @@ def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
     value = (t / (alpha * beta)) ** 2 * math.log(1 / epsilon) / 2
     # tiny slack so float noise cannot bump an exact integer to its successor
     return max(1, math.ceil(value - 1e-9))
+
+
+def protocol_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
+    """Maximum-bias sign polynomial of degree <= min(degree, t), the
+    witness a sampled-bits (degree 1) or quantum (degree 2) run decides
+    from; the guard of both protocols."""
+    degree = min(degree, f.t)
+    try:
+        return best_sign_polynomial(f, degree)
+    except BelowSignDegreeError as exc:
+        actual, _ = sign_degree(f)
+        raise UnsupportedFunctionError(f"sdeg(f) = {actual} > {degree}") from exc
+
+
+def decide(statistic: float, tie_rng: Optional[np.random.Generator]) -> int:
+    """sgn(statistic); a fair coin from tie_rng (+1 without one) on 0."""
+    if statistic > 0:
+        return 1
+    if statistic < 0:
+        return -1
+    return coin(tie_rng) if tie_rng is not None else 1
 
 
 def alice_sample(
@@ -119,13 +141,8 @@ def bob_decide(
         0.0,
     )
     x_stat = float(terms.sum())
-    if x_stat > 0:
-        guess = 1
-    elif x_stat < 0:
-        guess = -1
-    else:
-        guess = coin(tie_rng) if tie_rng is not None else 1
-    return ProtocolOutcome(guess, x_stat, message_cost_bits(len(msg.indices), params.n))
+    m = len(msg.indices)
+    return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, message_cost_bits(m, params.n), m)
 
 
 def run_classical(
@@ -142,18 +159,11 @@ def run_classical(
     repeated trials skip the LP.
     """
     if poly is None:
-        poly = _degree_one_witness(f)
+        poly = protocol_witness(f, 1)
     params = instance.params
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
     msg = alice_sample(instance.x, m, rng)
     return bob_decide(msg, instance.sigma, instance.w, poly, params, tie_rng)
-
-
-def _degree_one_witness(f: BooleanFunction) -> SignPolynomial:
-    try:
-        return best_sign_polynomial(f, 1)
-    except BelowSignDegreeError as exc:
-        raise UnsupportedFunctionError("sdeg(f) > 1") from exc
 
 
 def level_one_slots(f: BooleanFunction) -> dict[int, float]:
@@ -202,12 +212,5 @@ def run_uniform_phd1(
             sign = 1 if level1[k] > 0 else -1
             statistic = float(sign * instance.x[i - 1] * instance.w[j - 1])
             break
-    if statistic > 0:
-        guess = 1
-    elif statistic < 0:
-        guess = -1
-    else:
-        guess = coin(tie_rng) if tie_rng is not None else 1
-    return ProtocolOutcome(
-        guess, statistic, message_cost_bits(sample_count, params.n)
-    )
+    cost = message_cost_bits(sample_count, params.n)
+    return ProtocolOutcome(decide(statistic, tie_rng), statistic, cost, sample_count)

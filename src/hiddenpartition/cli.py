@@ -4,12 +4,14 @@ Subcommands: analyze, run-classical, run-quantum, run-uniform, reduce,
 hardness.  All randomness flows from the single --seed flag through named
 streams, so identical invocations produce byte-identical output.  Exit
 code 2 marks a guard rejection (wrong sign-degree / pure high degree for
-the requested protocol).
+the requested protocol) or an invalid parameter; either is reported as one
+"guard rejection: ..." line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +19,7 @@ from typing import Optional
 
 from . import boolfn
 from .boolfn import BooleanFunction
-from .classical import UnsupportedFunctionError
+from .classical import protocol_witness
 from .experiments import run_protocol_trials, write_csv, write_jsonl
 from .hardness import (
     full_cube,
@@ -33,7 +35,7 @@ from .instances import PartitionParams
 from .quantum import block_multilinear_matrix, matrix_audit_record, unitary_dilation
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import fisher_yates, stream
-from .signpoly import BelowSignDegreeError, best_sign_polynomial, sign_degree
+from .signpoly import best_sign_polynomial, sign_degree
 
 CSV_COLUMNS_HELP = (
     "CSV columns: record, trial, b, guess, correct, statistic, cost_bits for "
@@ -115,10 +117,20 @@ def load_function(args) -> tuple[BooleanFunction, str]:
     return boolfn.function_from_spec(spec), args.function
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """Yield stdout, or the file at ``path`` opened for writing."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+
+
+def _write_json(path: Optional[str], doc: dict, indent: Optional[int] = None) -> None:
+    with _output(path) as out:
+        json.dump(doc, out, indent=indent, sort_keys=True)
+        out.write("\n")
 
 
 def cmd_analyze(args) -> int:
@@ -139,7 +151,7 @@ def cmd_analyze(args) -> int:
         "alpha_upper_bound": boolfn.alpha_upper_bound(f),
     }
     if sdeg <= 2:
-        poly = best_sign_polynomial(f, min(2, f.t))
+        poly = witness if sdeg == min(2, f.t) else protocol_witness(f, 2)
         report["block_matrix_norm"] = block_multilinear_matrix(poly).spectral_norm
     else:
         report["block_matrix_norm"] = None
@@ -153,13 +165,7 @@ def cmd_analyze(args) -> int:
             report["reduction"] = gadget_to_json(find_gadget(sym))
         except NoGadgetError:
             report["reduction"] = "NAE-odd: no gadget"
-    out, close = _open_out(args.out)
-    try:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(args.out, report, indent=2)
     return 0
 
 
@@ -178,29 +184,15 @@ def cmd_run(args, protocol: str) -> int:
         kwargs["sample_count"] = args.samples
     else:
         kwargs["epsilon"] = args.epsilon
-    try:
-        records, summary = run_protocol_trials(
-            protocol, f, label, params, args.trials, args.seed, **kwargs
-        )
-    except (UnsupportedFunctionError, BelowSignDegreeError) as exc:
-        print(f"guard rejection: {exc}", file=sys.stderr)
-        return 2
-    if protocol == "quantum" and getattr(args, "dump_matrix", None):
-        poly = best_sign_polynomial(f, min(2, f.t))
-        matrix = block_multilinear_matrix(poly)
-        record = matrix_audit_record(matrix, unitary_dilation(matrix))
-        with open(args.dump_matrix, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-            handle.write("\n")
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            write_csv(out, records, summary)
-        else:
-            write_jsonl(out, records, summary)
-    finally:
-        if close:
-            out.close()
+    records, summary = run_protocol_trials(
+        protocol, f, label, params, args.trials, args.seed, **kwargs
+    )
+    if protocol == "quantum" and args.dump_matrix:
+        matrix = block_multilinear_matrix(protocol_witness(f, 2))
+        _write_json(args.dump_matrix, matrix_audit_record(matrix, unitary_dilation(matrix)))
+    write = write_csv if args.format == "csv" else write_jsonl
+    with _output(args.out) as out:
+        write(out, records, summary)
     return 0
 
 
@@ -208,13 +200,8 @@ def cmd_reduce(args) -> int:
     f, label = load_function(args)
     sym = boolfn.symmetric_spec_of(f)
     if sym is None:
-        print("guard rejection: function is not symmetric", file=sys.stderr)
-        return 2
-    try:
-        report = verify_reduction(sym, args.n, args.sigmas, stream(args.seed, "reduce"))
-    except ValueError as exc:  # fewer than two sign changes, bad n, ...
-        print(f"guard rejection: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("function is not symmetric")
+    report = verify_reduction(sym, args.n, args.sigmas, stream(args.seed, "reduce"))
     doc = {
         "function": label,
         "status": report.status,
@@ -222,33 +209,17 @@ def cmd_reduce(args) -> int:
         "cases": report.cases,
         "counterexample": report.counterexample,
     }
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(args.out, doc)
     return 0
 
 
 def cmd_hardness(args) -> int:
     f, label = load_function(args)
     params = PartitionParams(args.n, f.t, args.alpha)
-    try:
-        doc = _hardness_report(args, f, params)
-    except ValueError as exc:  # module precondition (size cap, unbalanced f, ...)
-        print(f"guard rejection: {exc}", file=sys.stderr)
-        return 2
+    doc = _hardness_report(args, f, params)
     doc["function"] = label
     doc["params"] = {"n": params.n, "t": params.t, "alpha": str(params.alpha)}
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(args.out, doc)
     return 0
 
 
@@ -320,7 +291,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "reduce": cmd_reduce,
         "hardness": cmd_hardness,
     }
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except ValueError as exc:  # guard rejection or invalid parameter
+        print(f"guard rejection: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,17 +17,10 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
-from .classical import (
-    ProtocolOutcome,
-    UnsupportedFunctionError,
-    level_one_slots,
-    run_classical,
-    run_uniform_phd1,
-)
+from .classical import level_one_slots, protocol_witness, run_classical, run_uniform_phd1
 from .instances import PartitionParams, generate_instance
 from .quantum import run_quantum
 from .rng import coin, stream
-from .signpoly import BelowSignDegreeError, best_sign_polynomial, sign_degree
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
@@ -111,12 +104,13 @@ def run_protocol_trials(
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    if trials < 1:
+        raise ValueError("trial count must be positive")
     runner = _make_runner(protocol, f, epsilon, sample_count)
 
     records: list[TrialRecord] = []
     successes = 0
     total_cost = 0
-    m_used: Optional[int] = None
     for trial in range(trials):
         inst_rng = stream(seed, "instance", trial)
         b = coin(inst_rng)
@@ -127,8 +121,6 @@ def run_protocol_trials(
         correct = outcome.guess == b
         successes += int(correct)
         total_cost += outcome.message_bits
-        if m_used is None and epsilon is not None:
-            m_used = _message_count(protocol, outcome, params)
         records.append(
             TrialRecord(trial, b, outcome.guess, correct, outcome.statistic, outcome.message_bits)
         )
@@ -142,14 +134,14 @@ def run_protocol_trials(
         alpha=str(params.alpha),
         epsilon=epsilon,
         per_run_guarantee=None if epsilon is None else 1 - 2 * epsilon,
-        m=m_used,
+        m=None if epsilon is None else outcome.m,  # the same in every trial
         samples=sample_count,
         trials=trials,
         successes=successes,
-        success_rate=successes / trials if trials else 0.0,
+        success_rate=successes / trials,
         wilson_low=low,
         wilson_high=high,
-        mean_cost_bits=total_cost / trials if trials else 0.0,
+        mean_cost_bits=total_cost / trials,
         seed=seed,
     )
     return records, summary
@@ -168,23 +160,11 @@ def _make_runner(
         return lambda inst, rng, tie: run_uniform_phd1(f, inst, sample_count, rng, tie)
     if epsilon is None:
         raise ValueError(f"{protocol} protocol needs epsilon")
-    budget = 1 if protocol == "classical" else min(2, f.t)
-    try:
-        poly = best_sign_polynomial(f, budget)
-    except BelowSignDegreeError as exc:
-        actual, _ = sign_degree(f)
-        raise UnsupportedFunctionError(f"sdeg(f) = {actual} > {budget}") from exc
     if protocol == "classical":
+        poly = protocol_witness(f, 1)
         return lambda inst, rng, tie: run_classical(f, inst, epsilon, rng, tie, poly)
+    poly = protocol_witness(f, 2)
     return lambda inst, rng, tie: run_quantum(f, inst, epsilon, rng, tie, poly)
-
-
-def _message_count(protocol: str, outcome: ProtocolOutcome, params: PartitionParams) -> int:
-    from .quantum import qubits_per_copy
-
-    if protocol == "quantum":
-        return outcome.message_bits // qubits_per_copy(params)
-    return outcome.message_bits // (math.ceil(math.log2(params.n)) + 1)
 
 
 # ---------------------------------------------------------------------------

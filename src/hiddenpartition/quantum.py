@@ -30,14 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction, all_points
-from .classical import (
-    ProtocolOutcome,
-    UnsupportedFunctionError,
-    required_samples,
-)
+from .classical import ProtocolOutcome, decide, protocol_witness, required_samples
 from .instances import PartitionInstance, PartitionParams, permute_rows
-from .rng import coin
-from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial
+from .signpoly import SignPolynomial
 
 IDENTITY_TOL = 1e-10
 STATEVECTOR_MAX_ARITY = 10
@@ -106,8 +101,7 @@ def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
     if np.max(np.abs(reproduced - expected)) > IDENTITY_TOL:
         raise RuntimeError("bilinear lift failed to reproduce the polynomial")
 
-    a.setflags(write=False)
-    return BlockMatrix(t, a, float(np.linalg.norm(a, 2)))
+    return BlockMatrix.from_entries(a)
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def run_quantum(
     beta / (||A|| (t+1)), matching the statistic's expectation scale.
     """
     if poly is None:
-        poly = _degree_two_witness(f)
+        poly = protocol_witness(f, 2)
     a = block_multilinear_matrix(poly)
     params = instance.params
     effective_bias = poly.bias / (a.spectral_norm * (a.t + 1))
@@ -239,20 +233,7 @@ def run_quantum(
         active, outcome_signs * w_arr[np.minimum(j, len(w_arr) - 1)], 0.0
     )
     x_stat = float(contributions.sum())
-    if x_stat > 0:
-        guess = 1
-    elif x_stat < 0:
-        guess = -1
-    else:
-        guess = coin(tie_rng) if tie_rng is not None else 1
-    return ProtocolOutcome(guess, x_stat, m * qubits_per_copy(params))
-
-
-def _degree_two_witness(f: BooleanFunction) -> SignPolynomial:
-    try:
-        return best_sign_polynomial(f, min(2, f.t))
-    except BelowSignDegreeError as exc:
-        raise UnsupportedFunctionError("sdeg(f) > 2") from exc
+    return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, m * qubits_per_copy(params), m)
 
 
 def matrix_audit_record(a: BlockMatrix, dilation: Optional[Dilation] = None) -> dict:

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from hiddenpartition.experiments import (
 )
 from hiddenpartition.boolfn import dictator
 from hiddenpartition.instances import PartitionParams
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(args):
@@ -223,3 +227,49 @@ def test_cli_hardness_u_and_tvd(tmp_path):
     ) == 0
     doc = json.loads(out.read_text())
     assert doc["mean"] == 0.0  # full cube
+
+
+GOLDEN_RUN_ARGS = ("--n", "24", "--alpha", "1/2", "--trials", "5", "--seed", "7")
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["run-classical", "--named", "majority", "--t", "3", "--epsilon", "0.1"],
+         "run_classical_majority_t3.csv"),
+        (["run-quantum", "--named", "parity", "--t", "2", "--epsilon", "0.1",
+          "--format", "jsonl"],
+         "run_quantum_parity_t2.jsonl"),
+        (["run-uniform", "--named", "dictator", "--t", "4", "--samples", "8"],
+         "run_uniform_dictator_t4.csv"),
+    ],
+)
+def test_cli_run_matches_golden(tmp_path, args, golden):
+    out = tmp_path / golden
+    assert run_cli([*args, *GOLDEN_RUN_ARGS, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "7"],
+                     id="run-n-not-multiple-of-t"),
+        pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "24",
+                      "--epsilon", "0.7"], id="epsilon-out-of-range"),
+        pytest.param(["run-uniform", "--named", "dictator", "--t", "4", "--n", "24",
+                      "--samples", "0"], id="zero-samples"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "7"],
+                     id="hardness-n-not-multiple-of-t"),
+        pytest.param(["analyze", "--named", "majority", "--t", "4"], id="even-majority"),
+        pytest.param(["analyze", "--named", "parity", "--t", "17"], id="arity-over-cap"),
+        pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "24",
+                      "--trials", "0"], id="zero-trials"),
+    ],
+)
+def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard rejection: ")
+    assert captured.err.count("\n") == 1
