@@ -99,9 +99,7 @@ def alice_sample(
     if m < 1:
         raise ValueError("sample count must be positive")
     idx = rng.integers(1, len(x) + 1, size=m)
-    return SampleMessage(
-        tuple(int(i) for i in idx), tuple(int(x[i - 1]) for i in idx)
-    )
+    return SampleMessage(tuple(idx.tolist()), tuple(np.asarray(x)[idx - 1].tolist()))
 
 
 def message_cost_bits(m: int, n: int) -> int:
@@ -146,20 +144,14 @@ def bob_decide(
 
 
 def run_classical(
-    f: BooleanFunction,
     instance: PartitionInstance,
+    poly: SignPolynomial,
     epsilon: float,
     rng: np.random.Generator,
     tie_rng: Optional[np.random.Generator] = None,
-    poly: Optional[SignPolynomial] = None,
 ) -> ProtocolOutcome:
-    """Full sampled-bits run; requires sdeg(f) <= 1.
-
-    ``poly`` may carry a precomputed degree-1 maximum-bias witness so
-    repeated trials skip the LP.
-    """
-    if poly is None:
-        poly = protocol_witness(f, 1)
+    """Full sampled-bits run from a degree-1 witness, the one
+    ``protocol_witness(f, 1)`` returns when sdeg(f) <= 1."""
     params = instance.params
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
     msg = alice_sample(instance.x, m, rng)
@@ -185,13 +177,14 @@ def level_one_slots(f: BooleanFunction) -> dict[int, float]:
 
 
 def run_uniform_phd1(
-    f: BooleanFunction,
     instance: PartitionInstance,
+    slots: dict[int, float],
     sample_count: int,
     rng: np.random.Generator,
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
-    """Uniform-distribution sender for phdeg(f) <= 1.
+    """Uniform-distribution sender for phdeg(f) <= 1, decoding from the
+    nonzero level-1 coefficients ``level_one_slots(f)`` returns.
 
     Alice sends a uniform index subset of the given size; Bob scans it for
     the first index whose slot carries a nonzero level-1 coefficient
@@ -199,17 +192,16 @@ def run_uniform_phd1(
     sgn(level-1 coefficient) * x_i * w_{j(i)}; a fair coin if no index
     qualifies.
     """
-    level1 = level_one_slots(f)
     params = instance.params
     if not 1 <= sample_count <= params.n:
         raise ValueError("subset size must lie in [1, n]")
-    indices = [int(i) for i in fisher_yates(params.n, rng)[:sample_count]]
+    indices = fisher_yates(params.n, rng)[:sample_count].tolist()
 
     statistic = 0.0
     for i in indices:
         j, k = block_and_slot(instance.sigma[i - 1], params.t)
-        if j <= params.active_blocks and k in level1:
-            sign = 1 if level1[k] > 0 else -1
+        if j <= params.active_blocks and k in slots:
+            sign = 1 if slots[k] > 0 else -1
             statistic = float(sign * instance.x[i - 1] * instance.w[j - 1])
             break
     cost = message_cost_bits(sample_count, params.n)

@@ -251,7 +251,7 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
         for case in range(args.cases):
             rng = stream(args.seed, "hardness", "rhat", case)
             message_set = random_message_set(n, size, rng)
-            sigma = tuple(int(v) for v in fisher_yates(n, rng))
+            sigma = fisher_yates(n, rng)
             for v_mask in range(1, 2**params.active_blocks):
                 v_blocks = [j + 1 for j in range(params.active_blocks) if (v_mask >> j) & 1]
                 delta = abs(
@@ -267,8 +267,8 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
     violations = 0
     for case in range(args.cases):
         rng = stream(args.seed, "hardness", "u", case)
-        sigma = tuple(int(v) for v in fisher_yates(n, rng))
-        w = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, size=params.active_blocks))
+        sigma = fisher_yates(n, rng)
+        w = 1 - 2 * rng.integers(0, 2, size=params.active_blocks)
         mask = int(rng.integers(0, 2**n))
         positions = [i + 1 for i in range(n) if (mask >> i) & 1]
         delta = abs(

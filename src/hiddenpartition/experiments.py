@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .boolfn import BooleanFunction
 from .classical import level_one_slots, protocol_witness, run_classical, run_uniform_phd1
 from .instances import PartitionParams, generate_instance
-from .quantum import run_quantum
+from .quantum import block_multilinear_matrix, run_quantum
 from .rng import coin, stream
 
 PROTOCOLS = ("classical", "quantum", "uniform")
@@ -156,15 +156,16 @@ def _make_runner(
     if protocol == "uniform":
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
-        level_one_slots(f)  # reject disqualified functions before any trial
-        return lambda inst, rng, tie: run_uniform_phd1(f, inst, sample_count, rng, tie)
+        slots = level_one_slots(f)
+        return lambda inst, rng, tie: run_uniform_phd1(inst, slots, sample_count, rng, tie)
     if epsilon is None:
         raise ValueError(f"{protocol} protocol needs epsilon")
     if protocol == "classical":
         poly = protocol_witness(f, 1)
-        return lambda inst, rng, tie: run_classical(f, inst, epsilon, rng, tie, poly)
+        return lambda inst, rng, tie: run_classical(inst, poly, epsilon, rng, tie)
     poly = protocol_witness(f, 2)
-    return lambda inst, rng, tie: run_quantum(f, inst, epsilon, rng, tie, poly)
+    matrix = block_multilinear_matrix(poly)
+    return lambda inst, rng, tie: run_quantum(inst, poly, matrix, epsilon, rng, tie)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from .instances import PartitionParams, b_map_rows
 from .rng import fisher_yates
 
 FORMULA_TOL = 1e-10
+# Largest string length any routine here enumerates (induced_distributions);
+# message sets are refused above it before their 2^n-sized draw is made.
+MAX_MESSAGE_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,8 @@ class MessageSet:
 
 
 def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
+    if n > MAX_MESSAGE_BITS:
+        raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
     if not 1 <= size <= 2**n:
         raise ValueError("size out of range")
     masks = rng.choice(2**n, size=size, replace=False)
@@ -76,6 +81,8 @@ def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSe
 
 
 def full_cube(n: int) -> MessageSet:
+    if n > MAX_MESSAGE_BITS:
+        raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
     return MessageSet(n, frozenset(range(2**n)))
 
 
@@ -96,8 +103,8 @@ def induced_distributions(
 ) -> InducedDistributions:
     """Distributions of the promise string and its complement when Alice's
     string is uniform over the message set."""
-    if params.n > 20:
-        raise ValueError("exhaustive enumeration capped at n <= 20")
+    if params.n > MAX_MESSAGE_BITS:
+        raise ValueError(f"exhaustive enumeration capped at n <= {MAX_MESSAGE_BITS}")
     if message_set.n != params.n:
         raise ValueError("dimension mismatch")
     length = params.active_blocks

@@ -59,30 +59,50 @@ class PartitionParams:
         return self.active_blocks * self.t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionInstance:
-    """One full problem input; ``b`` is set on generated instances only."""
+    """One full problem input; ``b`` is set on generated instances only.
+
+    ``x``, ``sigma`` and ``w`` are stored as read-only int64 copies of
+    whatever sequences or arrays they are given.
+    """
 
     params: PartitionParams
-    x: tuple[int, ...]
-    sigma: tuple[int, ...]
-    w: tuple[int, ...]
+    x: np.ndarray
+    sigma: np.ndarray
+    w: np.ndarray
     b: Optional[int] = None
 
     def __post_init__(self) -> None:
         n = self.params.n
-        if len(self.x) != n:
+        x, sigma, w = (np.asarray(v) for v in (self.x, self.sigma, self.w))
+        if x.shape != (n,):
             raise ValueError("x length mismatch")
-        if any(v not in (-1, 1) for v in self.x):
+        if np.any(np.abs(x) != 1):
             raise ValueError("x entries must be +-1")
-        if len(self.sigma) != n or sorted(self.sigma) != list(range(1, n + 1)):
+        if sigma.shape != (n,) or not np.array_equal(np.sort(sigma), np.arange(1, n + 1)):
             raise ValueError("sigma must be a bijection on [n]")
-        if len(self.w) != self.params.active_blocks:
+        if w.shape != (self.params.active_blocks,):
             raise ValueError("w length must be alpha*n/t")
-        if any(v not in (-1, 1) for v in self.w):
+        if np.any(np.abs(w) != 1):
             raise ValueError("w entries must be +-1")
         if self.b is not None and self.b not in (-1, 1):
             raise ValueError("b must be +-1 when present")
+        for name, value in (("x", x), ("sigma", sigma), ("w", w)):
+            value = value.astype(np.int64)  # a copy, even of an int64 array
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PartitionInstance):
+            return NotImplemented
+        return (
+            self.params == other.params
+            and self.b == other.b
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.sigma, other.sigma)
+            and np.array_equal(self.w, other.w)
+        )
 
 
 def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
@@ -107,11 +127,6 @@ def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_permutations(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
-    """(sigma o tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[tau[i] - 1] for i in range(len(tau)))
-
-
 def _blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
     """Row-encoding indices for a (..., t) array of +-1 block values."""
     t = blocks.shape[-1]
@@ -124,6 +139,8 @@ def b_map_rows(
     f: BooleanFunction, xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
     """Vectorised block map: (N, n) strings -> (N, active_blocks) values."""
+    if f.t != params.t:
+        raise ValueError(f"function arity {f.t} != block size {params.t}")
     permuted = permute_rows(np.asarray(sigma), np.asarray(xs, dtype=np.int64))
     active = permuted[:, : params.active_len]
     blocks = active.reshape(active.shape[0], params.active_blocks, params.t)
@@ -137,8 +154,6 @@ def b_map(
     params: PartitionParams,
 ) -> tuple[int, ...]:
     """z_j = f(block j of sigma(x)) for the first alpha*n/t blocks."""
-    if f.t != params.t:
-        raise ValueError(f"function arity {f.t} != block size {params.t}")
     if len(x) != params.n:
         raise ValueError("x length mismatch")
     result = b_map_rows(f, np.asarray(x, dtype=np.int64)[None, :], sigma, params)
@@ -155,28 +170,17 @@ def generate_instance(
     w = b * B_f(x, sigma) so the promise holds with hidden bit b."""
     if b not in (-1, 1):
         raise ValueError("b must be +-1")
-    if f.t != params.t:
-        raise ValueError(f"function arity {f.t} != block size {params.t}")
     x = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
     sigma = fisher_yates(params.n, rng)
-    z = b_map(f, x, sigma, params)
-    w = tuple(b * zj for zj in z)
-    return PartitionInstance(
-        params,
-        tuple(int(v) for v in x),
-        tuple(int(v) for v in sigma),
-        w,
-        b,
-    )
+    w = b * b_map_rows(f, x[None, :], sigma, params)[0]
+    return PartitionInstance(params, x, sigma, w, b)
 
 
 def verify_promise(f: BooleanFunction, instance: PartitionInstance) -> Optional[int]:
     """The hidden bit if z o w is constant, else None (promise violated)."""
-    z = b_map(f, instance.x, instance.sigma, instance.params)
-    products = {zj * wj for zj, wj in zip(z, instance.w)}
-    if len(products) == 1:
-        return products.pop()
-    return None
+    z = b_map_rows(f, instance.x[None, :], instance.sigma, instance.params)[0]
+    products = np.unique(z * instance.w)
+    return int(products[0]) if len(products) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +194,9 @@ def instance_to_json(instance: PartitionInstance) -> dict:
         "t": instance.params.t,
         "alpha_num": instance.params.alpha.numerator,
         "alpha_den": instance.params.alpha.denominator,
-        "x": list(instance.x),
-        "sigma": list(instance.sigma),
-        "w": list(instance.w),
+        "x": instance.x.tolist(),
+        "sigma": instance.sigma.tolist(),
+        "w": instance.w.tolist(),
     }
     if instance.b is not None:
         doc["b"] = instance.b
@@ -206,9 +210,5 @@ def instance_from_json(doc: dict) -> PartitionInstance:
         Fraction(int(doc["alpha_num"]), int(doc["alpha_den"])),
     )
     return PartitionInstance(
-        params,
-        tuple(int(v) for v in doc["x"]),
-        tuple(int(v) for v in doc["sigma"]),
-        tuple(int(v) for v in doc["w"]),
-        int(doc["b"]) if "b" in doc else None,
+        params, doc["x"], doc["sigma"], doc["w"], int(doc["b"]) if "b" in doc else None
     )

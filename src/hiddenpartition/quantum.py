@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, all_points
-from .classical import ProtocolOutcome, decide, protocol_witness, required_samples
+from .boolfn import all_points
+from .classical import ProtocolOutcome, decide, required_samples
 from .instances import PartitionInstance, PartitionParams, permute_rows
 from .signpoly import SignPolynomial
 
@@ -196,14 +196,15 @@ def qubits_per_copy(params: PartitionParams) -> int:
 
 
 def run_quantum(
-    f: BooleanFunction,
     instance: PartitionInstance,
+    poly: SignPolynomial,
+    matrix: BlockMatrix,
     epsilon: float,
     rng: np.random.Generator,
     tie_rng: Optional[np.random.Generator] = None,
-    poly: Optional[SignPolynomial] = None,
 ) -> ProtocolOutcome:
-    """Full protocol run; requires sdeg(f) <= 2.
+    """Full protocol run from a degree-2 witness (``protocol_witness(f, 2)``,
+    which exists when sdeg(f) <= 2) and its ``block_multilinear_matrix``.
 
     Per copy: a block index is drawn from the uniform measurement
     distribution, the Hadamard-test outcome is drawn from its exact
@@ -212,25 +213,19 @@ def run_quantum(
     Chernoff sample formula with the bias replaced by
     beta / (||A|| (t+1)), matching the statistic's expectation scale.
     """
-    if poly is None:
-        poly = protocol_witness(f, 2)
-    a = block_multilinear_matrix(poly)
     params = instance.params
-    effective_bias = poly.bias / (a.spectral_norm * (a.t + 1))
+    effective_bias = poly.bias / (matrix.spectral_norm * (matrix.t + 1))
     m = required_samples(params.t, params.alpha, effective_bias, epsilon)
 
-    permuted = permute_rows(
-        np.asarray(instance.sigma), np.asarray(instance.x, dtype=np.int64)[None, :]
-    )[0]
+    permuted = permute_rows(instance.sigma, instance.x[None, :])[0]
     blocks = permuted.reshape(params.num_blocks, params.t)
-    probs0 = hadamard_test_probs(a, blocks)
+    probs0 = hadamard_test_probs(matrix, blocks)
 
     j = rng.integers(0, params.num_blocks, size=m)
     outcome_signs = np.where(rng.random(m) < probs0[j], 1.0, -1.0)
     active = j < params.active_blocks
-    w_arr = np.asarray(instance.w, dtype=np.float64)
     contributions = np.where(
-        active, outcome_signs * w_arr[np.minimum(j, len(w_arr) - 1)], 0.0
+        active, outcome_signs * instance.w[np.minimum(j, len(instance.w) - 1)], 0.0
     )
     x_stat = float(contributions.sum())
     return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, m * qubits_per_copy(params), m)

@@ -170,18 +170,11 @@ def reduce_instance(
     params = instance.params
     if params.t != 2:
         raise ValueError("reduction starts from block size 2 (parity pairs)")
-    xs = np.asarray(instance.x, dtype=np.int64)[None, :]
-    x_f = extended_string_rows(xs, gadget)[0]
+    x_f = extended_string_rows(instance.x[None, :], gadget)[0]
     sigma_f = extended_permutation(instance.sigma, gadget)
     w_sign = -1 if gadget.flipped else 1
     new_params = PartitionParams(params.n * gadget.t // 2, gadget.t, params.alpha)
-    return PartitionInstance(
-        new_params,
-        tuple(int(v) for v in x_f),
-        tuple(int(v) for v in sigma_f),
-        tuple(w_sign * v for v in instance.w),
-        instance.b,
-    )
+    return PartitionInstance(new_params, x_f, sigma_f, w_sign * instance.w, instance.b)
 
 
 @dataclass(frozen=True)

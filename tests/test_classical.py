@@ -11,7 +11,9 @@ from hiddenpartition.classical import (
     alice_sample,
     block_and_slot,
     bob_decide,
+    level_one_slots,
     message_cost_bits,
+    protocol_witness,
     required_samples,
     run_classical,
     run_uniform_phd1,
@@ -120,10 +122,8 @@ def test_message_cost_grows_logarithmically():
 
 
 def test_run_classical_guard():
-    params = PartitionParams(8, 2, Fraction(1))
-    instance = generate_instance(parity(2), params, 1, stream(0, "i"))
     with pytest.raises(UnsupportedFunctionError):
-        run_classical(parity(2), instance, 0.1, stream(0, "p"))
+        protocol_witness(parity(2), 1)
 
 
 def test_run_classical_dictator_success_rate():
@@ -146,9 +146,7 @@ def test_expected_statistic_sign_and_magnitude():
     for trial in range(12000):
         rng = stream(77, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        outcome = run_classical(
-            f, instance, epsilon, stream(77, "protocol", trial), poly=poly
-        )
+        outcome = run_classical(instance, poly, epsilon, stream(77, "protocol", trial))
         stats.append(outcome.statistic)
     stats = np.asarray(stats)
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
@@ -159,21 +157,20 @@ def test_expected_statistic_sign_and_magnitude():
 
 
 def test_run_uniform_guard_parity():
-    params = PartitionParams(8, 2, Fraction(1))
-    instance = generate_instance(parity(2), params, 1, stream(1, "i"))
     with pytest.raises(UnsupportedFunctionError):
-        run_uniform_phd1(parity(2), instance, 4, stream(1, "p"))
+        level_one_slots(parity(2))
 
 
 def test_run_uniform_dictator_exact_on_hit():
     f = dictator(4)
+    slots = level_one_slots(f)
     params = PartitionParams(40, 4, Fraction(1, 2))
     for trial in range(200):
         rng = stream(5, "instance", trial)
         b = 1 if trial % 2 else -1
         instance = generate_instance(f, params, b, rng)
         outcome = run_uniform_phd1(
-            f, instance, 40, stream(5, "protocol", trial), stream(5, "tie", trial)
+            instance, slots, 40, stream(5, "protocol", trial), stream(5, "tie", trial)
         )
         if outcome.statistic != 0.0:
             assert outcome.guess == b
@@ -182,12 +179,13 @@ def test_run_uniform_dictator_exact_on_hit():
 def test_run_uniform_majority_conditional_success():
     # conditional success on a hit is 3/4 for majority on 3 bits
     f = majority(3)
+    slots = level_one_slots(f)
     params = PartitionParams(30, 3, Fraction(1))
     hits = correct_hits = 0
     for trial in range(4000):
         rng = stream(13, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        outcome = run_uniform_phd1(f, instance, 10, stream(13, "protocol", trial))
+        outcome = run_uniform_phd1(instance, slots, 10, stream(13, "protocol", trial))
         if outcome.statistic != 0.0:
             hits += 1
             correct_hits += int(outcome.guess == 1)

@@ -265,6 +265,8 @@ def test_cli_run_matches_golden(tmp_path, args, golden):
         pytest.param(["analyze", "--named", "parity", "--t", "17"], id="arity-over-cap"),
         pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "24",
                       "--trials", "0"], id="zero-trials"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
+                      "--n", "30"], id="message-set-over-cap"),
     ],
 )
 def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):

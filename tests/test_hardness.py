@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hiddenpartition.boolfn import and_fn, parity, row_of_point
 from hiddenpartition.hardness import (
+    MAX_MESSAGE_BITS,
     MessageSet,
     compose_blocks,
     decompose_blocks,
@@ -40,6 +41,13 @@ def test_message_set_validation():
         MessageSet(3, frozenset())
     with pytest.raises(ValueError):
         MessageSet(3, frozenset({8}))
+
+
+def test_message_sets_over_the_cap_are_refused_before_drawing():
+    with pytest.raises(ValueError):
+        random_message_set(MAX_MESSAGE_BITS + 1, 1, stream(0, "ms"))
+    with pytest.raises(ValueError):
+        full_cube(MAX_MESSAGE_BITS + 1)
 
 
 def test_characteristic_spectrum_parseval():

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +12,6 @@ from hiddenpartition.instances import (
     PartitionParams,
     apply_permutation,
     b_map,
-    compose_permutations,
     generate_instance,
     instance_from_json,
     instance_to_json,
@@ -60,17 +60,6 @@ def test_apply_permutation_errors():
         apply_permutation((1, 2), (1, -1, 1))
     with pytest.raises(ValueError):
         apply_permutation((1, 1, 3), (1, -1, 1))
-
-
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31))
-def test_permutation_composition(n, seed):
-    rng = stream(seed, "compose")
-    sigma = tuple(int(v) for v in fisher_yates(n, rng))
-    tau = tuple(int(v) for v in fisher_yates(n, rng))
-    x = tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=n))
-    assert apply_permutation(compose_permutations(sigma, tau), x) == apply_permutation(
-        sigma, apply_permutation(tau, x)
-    )
 
 
 def test_b_map_parity_blocks():
@@ -150,6 +139,24 @@ def test_instance_validation():
         PartitionInstance(params, (1, 1, 1, 1), (1, 2, 3, 4), (1,))
     with pytest.raises(ValueError):
         PartitionInstance(params, (1, 1, 1, 1), (1, 2, 3, 4), (1, 1), b=2)
+    with pytest.raises(ValueError):
+        PartitionInstance(params, (1, 1, 1, 1), (0, 1, 2, 3), (1, 1))
+    with pytest.raises(ValueError):
+        PartitionInstance(params, (1, 1, 1, 1), (1, 2, 3, 5), (1, 1))
+    with pytest.raises(ValueError):
+        PartitionInstance(params, ((1, 1), (1, 1), (1, 1), (1, 1)), (1, 2, 3, 4), (1, 1))
+
+
+def test_instance_fields_are_read_only_int64_copies():
+    params = PartitionParams(4, 2, Fraction(1))
+    x = [1, -1, 1, 1]
+    instance = PartitionInstance(params, x, [2, 1, 4, 3], [1, -1])
+    for field in (instance.x, instance.sigma, instance.w):
+        assert isinstance(field, np.ndarray) and field.dtype == np.int64
+        with pytest.raises(ValueError):
+            field[0] = -field[0]
+    x[0] = -1
+    assert instance.x.tolist() == [1, -1, 1, 1]
 
 
 def test_generation_is_deterministic_golden():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenpartition.boolfn import all_points, dictator, make_symmetric, parity, SymmetricSpec
-from hiddenpartition.classical import UnsupportedFunctionError
+from hiddenpartition.classical import UnsupportedFunctionError, protocol_witness
 from hiddenpartition.experiments import run_protocol_trials
-from hiddenpartition.instances import PartitionParams, generate_instance
+from hiddenpartition.instances import PartitionParams
 from hiddenpartition.quantum import (
     BlockMatrix,
     block_multilinear_matrix,
@@ -17,11 +17,9 @@ from hiddenpartition.quantum import (
     povm_block_distribution,
     quadratic_form,
     qubits_per_copy,
-    run_quantum,
     statevector_oracle,
     unitary_dilation,
 )
-from hiddenpartition.rng import stream
 from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
 
 
@@ -191,10 +189,8 @@ def test_qubit_accounting():
 
 def test_run_quantum_guard_sdeg3():
     f = make_symmetric(SymmetricSpec(3, (0, 1, 2), 1))
-    params = PartitionParams(12, 3, Fraction(1))
-    instance = generate_instance(f, params, 1, stream(2, "i"))
     with pytest.raises(UnsupportedFunctionError):
-        run_quantum(f, instance, 0.1, stream(2, "p"))
+        protocol_witness(f, 2)
 
 
 def test_run_quantum_parity_success():

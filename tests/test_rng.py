@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,14 @@ def test_fisher_yates_uniform_smoke():
         for slot, image in enumerate(perm):
             counts[slot, image - 1] += 1
     assert np.all(np.abs(counts / 4000 - 0.25) < 0.05)
+
+
+def test_fisher_yates_pinned_at_n3000():
+    perm = fisher_yates(3000, stream(1, "fy"))
+    assert perm.dtype == np.int64
+    assert hashlib.sha256(perm.tobytes()).hexdigest() == (
+        "6eeca32e02198ec627ee3f39d87d3a506ba9ffdf6d8c95c1eb29ab6ea55786ae"
+    )
 
 
 def test_fisher_yates_rejects_nonpositive():
