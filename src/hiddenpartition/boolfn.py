@@ -48,7 +48,7 @@ def all_points(t: int) -> np.ndarray:
     """(2^t, t) matrix whose row r is the point encoded by r."""
     rows = np.arange(2**t, dtype=np.int64)
     bits = (rows[:, None] >> np.arange(t)) & 1
-    return (1 - 2 * bits).astype(np.int64)
+    return 1 - 2 * bits
 
 
 def hamming_weight(x: Sequence[int]) -> int:
@@ -346,16 +346,19 @@ def function_from_spec(spec: Mapping) -> BooleanFunction:
       {"kind": "named", "name": NAME, "t": T}
     """
     kind = spec.get("kind")
-    if kind == "truth_table":
-        return BooleanFunction(int(spec["t"]), tuple(int(v) for v in spec["values"]))
-    if kind == "symmetric":
-        return make_symmetric(
-            SymmetricSpec(
-                int(spec["t"]),
-                tuple(int(v) for v in spec["thresholds"]),
-                int(spec.get("leading_sign", 1)),
+    try:
+        if kind == "truth_table":
+            return BooleanFunction(int(spec["t"]), tuple(int(v) for v in spec["values"]))
+        if kind == "symmetric":
+            return make_symmetric(
+                SymmetricSpec(
+                    int(spec["t"]),
+                    tuple(int(v) for v in spec["thresholds"]),
+                    int(spec.get("leading_sign", 1)),
+                )
             )
-        )
-    if kind == "named":
-        return named_function(str(spec["name"]), int(spec["t"]))
+        if kind == "named":
+            return named_function(str(spec["name"]), int(spec["t"]))
+    except KeyError as exc:
+        raise ValueError(f"{kind} function spec is missing key {exc.args[0]!r}") from None
     raise ValueError(f"unknown function spec kind {kind!r}")

@@ -24,11 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, fourier_transform, walsh_hadamard
+from .boolfn import BooleanFunction, all_points, fourier_transform, walsh_hadamard
 from .instances import PartitionParams, b_map_rows
 from .rng import fisher_yates
 
@@ -38,18 +38,26 @@ FORMULA_TOL = 1e-10
 MAX_MESSAGE_BITS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MessageSet:
-    """Nonempty set of strings, stored as row-encoded bitmasks."""
+    """Nonempty set of strings, stored as a sorted, unique, read-only int64
+    array of row-encoded bitmasks (converted once from whatever iterable or
+    array it is given)."""
 
     n: int
-    members: frozenset[int]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.members:
+        members = self.members
+        if not isinstance(members, np.ndarray):  # a set, list or other iterable
+            members = np.fromiter(members, dtype=np.int64)
+        members = np.unique(members.astype(np.int64, copy=False))
+        if members.size == 0:
             raise ValueError("message set must be nonempty")
-        if any(not 0 <= m < 2**self.n for m in self.members):
+        if members[0] < 0 or members[-1] >= 2**self.n:
             raise ValueError("member out of range")
+        members.setflags(write=False)
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -57,7 +65,7 @@ class MessageSet:
     def indicator(self) -> np.ndarray:
         """0/1 characteristic vector over all 2^n rows."""
         g = np.zeros(2**self.n)
-        g[sorted(self.members)] = 1.0
+        g[self.members] = 1.0
         return g
 
     def characteristic_spectrum(self) -> np.ndarray:
@@ -66,8 +74,7 @@ class MessageSet:
 
     def points(self) -> np.ndarray:
         """(|A|, n) matrix of +-1 member strings, in sorted mask order."""
-        masks = np.array(sorted(self.members), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(self.n)) & 1
+        bits = (self.members[:, None] >> np.arange(self.n)) & 1
         return 1 - 2 * bits
 
 
@@ -76,14 +83,13 @@ def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSe
         raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
     if not 1 <= size <= 2**n:
         raise ValueError("size out of range")
-    masks = rng.choice(2**n, size=size, replace=False)
-    return MessageSet(n, frozenset(int(m) for m in masks))
+    return MessageSet(n, rng.choice(2**n, size=size, replace=False))
 
 
 def full_cube(n: int) -> MessageSet:
     if n > MAX_MESSAGE_BITS:
         raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
-    return MessageSet(n, frozenset(range(2**n)))
+    return MessageSet(n, np.arange(2**n))
 
 
 @dataclass(frozen=True)
@@ -169,122 +175,72 @@ def r_hat_bruteforce(
     f: BooleanFunction,
     message_set: MessageSet,
     sigma: Sequence[int],
-    v_blocks: Iterable[int],
     params: PartitionParams,
-) -> float:
-    """Coefficient of chi_V in r_sigma, straight from the histograms."""
-    v_mask = _block_set_mask(v_blocks, params.active_blocks)
+) -> np.ndarray:
+    """Every Fourier coefficient of r_sigma, straight from the histograms:
+    entry V (bit j-1 for block j) is the coefficient of chi_V."""
     dists = induced_distributions(f, message_set, sigma, params)
-    r = dists.p - dists.q
-    zmasks = np.arange(2**dists.length, dtype=np.uint64)
-    chi = 1 - 2 * (np.bitwise_count(zmasks & np.uint64(v_mask)).astype(np.int64) % 2)
-    return float((r * chi).sum() / 2**dists.length)
+    return walsh_hadamard(dists.p - dists.q) / 2**dists.length
 
 
 def r_hat_formula(
     f: BooleanFunction,
     message_set: MessageSet,
     sigma: Sequence[int],
-    v_blocks: Iterable[int],
     params: PartitionParams,
-) -> float:
-    """Closed form: zero for even |V|; otherwise
-    2^(n+1)/(|A| 2^len) * sum over subset tuples (T_1..T_k) of
-    prod f^(T_i) * g^(sigma^-1(V bullet T))."""
-    v_sorted = sorted(set(int(v) for v in v_blocks))
-    if any(not 1 <= v <= params.active_blocks for v in v_sorted):
-        raise ValueError("V must be a set of active block indices")
-    k = len(v_sorted)
-    if k % 2 == 0:
-        return 0.0
+) -> np.ndarray:
+    """Closed form of every coefficient, indexed like r_hat_bruteforce:
+    zero for even |V|; otherwise
+    2^(n+1)/(|A| 2^len) * sum over subset tuples (T_v)_{v in V} of
+    prod f^(T_v) * g^(sigma^-1(V bullet T))."""
     if params.n > 12 or params.t > 4:
         raise ValueError("closed-form sum capped at n <= 12, t <= 4")
-
-    n, t = params.n, params.t
+    n, t, length = params.n, params.t, params.active_blocks
     fhat = fourier_transform(f)
     support = [(mask, c) for mask, c in enumerate(fhat.values) if c != 0.0]
-    ghat = message_set.characteristic_spectrum()
+    ghat = message_set.characteristic_spectrum().tolist()
     inverse = _inverse_permutation(sigma)
 
-    # per block v and per subset-of-[t] mask: the sigma^-1 image as an n-bit mask
-    placed = {}
-    for v in v_sorted:
-        base = (v - 1) * t
-        images = [0] * 2**t
-        for tmask in range(2**t):
-            mask = 0
-            m = tmask
-            while m:
-                i = (m & -m).bit_length()  # slot index, 1-based
-                mask |= 1 << (inverse[base + i] - 1)
-                m &= m - 1
-            images[tmask] = mask
-        placed[v] = images
+    # placed[j][tmask]: the sigma^-1 image of slots tmask of block j+1, as an n-bit mask
+    preimage_bits = 1 << (inverse[1 : length * t + 1].reshape(length, t) - 1)
+    slot_bits = (np.arange(2**t)[:, None] >> np.arange(t)) & 1
+    placed = (preimage_bits @ slot_bits.T).tolist()
 
-    total = 0.0
-    for assignment in itertools.product(support, repeat=k):
-        coeff = 1.0
-        gmask = 0
-        for v, (tmask, c) in zip(v_sorted, assignment):
-            coeff *= c
-            gmask |= placed[v][tmask]
-        total += coeff * ghat[gmask]
-    scale = 2 ** (n + 1) / (len(message_set) * 2**params.active_blocks)
-    return float(scale * total)
-
-
-def _block_set_mask(v_blocks: Iterable[int], active_blocks: int) -> int:
-    mask = 0
-    for v in v_blocks:
-        if not 1 <= v <= active_blocks:
-            raise ValueError("V must be a set of active block indices")
-        mask |= 1 << (v - 1)
-    return mask
+    scale = 2 ** (n + 1) / (len(message_set) * 2**length)
+    spectrum = np.zeros(2**length)
+    for v_mask in range(1, 2**length):
+        blocks = [j for j in range(length) if (v_mask >> j) & 1]
+        if len(blocks) % 2 == 0:
+            continue
+        total = 0.0
+        for assignment in itertools.product(support, repeat=len(blocks)):
+            coeff = 1.0
+            gmask = 0
+            for j, (tmask, c) in zip(blocks, assignment):
+                coeff *= c
+                gmask |= placed[j][tmask]
+            total += coeff * ghat[gmask]
+        spectrum[v_mask] = scale * total
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
-# The correlation u(sigma, w, S) and its block decomposition
+# The correlation u(sigma, w, S), with S a position bitmask (bit i-1 for i)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Split of a position set V into per-block slot subsets."""
-
-    v: frozenset[int]
-    blocks: tuple[frozenset[int], ...]
-    nonempty: tuple[tuple[int, frozenset[int]], ...]  # (block index, slots)
-
-
-def decompose_blocks(positions: Iterable[int], n: int, t: int) -> BlockDecomposition:
-    v = frozenset(int(p) for p in positions)
-    if any(not 1 <= p <= n for p in v):
-        raise ValueError("positions must lie in [n]")
-    blocks = []
-    nonempty = []
-    for j in range(1, n // t + 1):
-        lo = (j - 1) * t
-        slots = frozenset(p - lo for p in v if lo < p <= lo + t)
-        blocks.append(slots)
-        if slots:
-            nonempty.append((j, slots))
-    return BlockDecomposition(v, tuple(blocks), tuple(nonempty))
-
-
-def compose_blocks(blocks: Sequence[Iterable[int]], t: int) -> frozenset[int]:
-    """Inverse of decompose_blocks: position the per-block subsets."""
-    positions = set()
-    for j, slots in enumerate(blocks, start=1):
-        for k in slots:
-            positions.add((j - 1) * t + k)
-    return frozenset(positions)
+def _positions_in(s_mask: int, n: int) -> np.ndarray:
+    """Boolean (n,) array marking the positions of S = s_mask."""
+    if not 0 <= s_mask < 2**n:
+        raise ValueError(f"S must be a bitmask of positions in [n], 0 <= S < 2^{n}")
+    return ((s_mask >> np.arange(n)) & 1) == 1
 
 
 def u_bruteforce(
     f: BooleanFunction,
     sigma: Sequence[int],
     w: Sequence[int],
-    positions: Iterable[int],
+    s_mask: int,
     params: PartitionParams,
 ) -> float:
     """Definitional sum over all strings:
@@ -292,22 +248,17 @@ def u_bruteforce(
     if params.n > 12:
         raise ValueError("brute force capped at n <= 12")
     n = params.n
-    s_mask = 0
-    for p in positions:
-        if not 1 <= p <= n:
-            raise ValueError("positions must lie in [n]")
-        s_mask |= 1 << (p - 1)
+    in_s = _positions_in(s_mask, n)
 
-    rows = np.arange(2**n, dtype=np.int64)
-    xs = 1 - 2 * ((rows[:, None] >> np.arange(n)) & 1)
+    xs = all_points(n)
     zs = b_map_rows(f, xs, sigma, params)
     zbits = (1 - zs) // 2
-    zmasks = zbits @ (1 << np.arange(params.active_blocks, dtype=np.int64))
-    w_bits = np.asarray([(1 - wi) // 2 for wi in w], dtype=np.int64)
-    w_mask = int(w_bits @ (1 << np.arange(len(w_bits), dtype=np.int64)))
+    block_weights = 1 << np.arange(params.active_blocks, dtype=np.int64)
+    zmasks = zbits @ block_weights
+    w_mask = int(((1 - np.asarray(w, dtype=np.int64)) // 2) @ block_weights)
     full = 2**params.active_blocks - 1
 
-    chi = 1 - 2 * (np.bitwise_count(rows.astype(np.uint64) & np.uint64(s_mask)).astype(np.int64) % 2)
+    chi = xs[:, in_s].prod(axis=1)
     indicator = (zmasks == w_mask).astype(np.float64) - (zmasks == (full ^ w_mask)).astype(np.float64)
     p_x = 1 / 2**n
     p_sigma = 1 / math.factorial(n)
@@ -318,29 +269,30 @@ def u_formula(
     f: BooleanFunction,
     sigma: Sequence[int],
     w: Sequence[int],
-    positions: Iterable[int],
+    s_mask: int,
     params: PartitionParams,
 ) -> float:
     """Closed form: zero unless sigma(S) sits inside the active prefix and
     has an odd number of nonempty blocks; otherwise
     p_sigma / 2^len * prod over nonempty blocks of f^(U_j) w_j."""
+    n, t = params.n, params.t
+    in_s = _positions_in(s_mask, n)
     fhat = fourier_transform(f)
     if abs(fhat.coefficient(0)) > 1e-12:
         raise ValueError("closed form requires a balanced function (zero mean)")
-    sigma = np.asarray(sigma, dtype=np.int64)
-    image = {int(sigma[p - 1]) for p in positions}
-    if any(p > params.active_len for p in image):
+    image = np.asarray(sigma, dtype=np.int64)[in_s]
+    if np.any(image > params.active_len):
         return 0.0
-    decomposition = decompose_blocks(image, params.n, params.t)
-    if len(decomposition.nonempty) % 2 == 0:
+    slot_masks = [0] * params.active_blocks  # U_j as a subset-of-[t] mask
+    for p in image.tolist():
+        slot_masks[(p - 1) // t] |= 1 << ((p - 1) % t)
+    nonempty = [j for j, mask in enumerate(slot_masks) if mask]
+    if len(nonempty) % 2 == 0:
         return 0.0
-    p_sigma = 1 / math.factorial(params.n)
+    p_sigma = 1 / math.factorial(n)
     value = p_sigma / 2**params.active_blocks
-    for j, slots in decomposition.nonempty:
-        mask = 0
-        for k in slots:
-            mask |= 1 << (k - 1)
-        value *= fhat.coefficient(mask) * w[j - 1]
+    for j in nonempty:
+        value *= fhat.coefficient(slot_masks[j]) * w[j]
     return float(value)
 
 

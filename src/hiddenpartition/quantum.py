@@ -97,8 +97,7 @@ def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
     points = all_points(t)
     lifted = np.hstack([np.ones((points.shape[0], 1)), points.astype(np.float64)])
     reproduced = np.einsum("ri,ij,rj->r", lifted, a, lifted)
-    expected = np.array([p.evaluate(tuple(row)) for row in points])
-    if np.max(np.abs(reproduced - expected)) > IDENTITY_TOL:
+    if np.max(np.abs(reproduced - p.evaluate_all())) > IDENTITY_TOL:
         raise RuntimeError("bilinear lift failed to reproduce the polynomial")
 
     return BlockMatrix.from_entries(a)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import SymmetricSpec, make_symmetric, sign_changes, weight_profile
+from .boolfn import SymmetricSpec, all_points, make_symmetric, sign_changes, weight_profile
 from .instances import (
     PartitionInstance,
     PartitionParams,
@@ -237,8 +237,7 @@ def verify_reduction(
     except NoGadgetError:
         return ReductionReport("no-gadget", None, 0, None)
 
-    rows = np.arange(2**n_small, dtype=np.int64)
-    xs = 1 - 2 * ((rows[:, None] >> np.arange(n_small)) & 1)
+    xs = all_points(n_small)
 
     sigmas = [np.arange(1, n_small + 1, dtype=np.int64)]
     if rng is not None:

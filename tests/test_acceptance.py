@@ -262,13 +262,12 @@ def test_c09_r_hat_formula_vs_bruteforce():
             rng = stream(909, name, case)
             ms = random_message_set(8, int(rng.integers(1, 257)), rng)
             sigma = tuple(int(v) for v in fisher_yates(8, rng))
+            formula = r_hat_formula(f, ms, sigma, params)
+            brute = r_hat_bruteforce(f, ms, sigma, params)
             for v_mask in range(1, 2**params.active_blocks):
-                v = [j + 1 for j in range(params.active_blocks) if (v_mask >> j) & 1]
-                formula = r_hat_formula(f, ms, sigma, v, params)
-                brute = r_hat_bruteforce(f, ms, sigma, v, params)
-                worst = max(worst, abs(formula - brute))
-                if len(v) % 2 == 0:
-                    assert formula == 0.0
+                worst = max(worst, abs(formula[v_mask] - brute[v_mask]))
+                if v_mask.bit_count() % 2 == 0:
+                    assert formula[v_mask] == 0.0
                 cases += 1
     assert worst <= 1e-10
     report("C09 r-hat", f"{cases} (f, A, sigma, V) cases, max discrepancy {worst:.2e}")
@@ -285,22 +284,21 @@ def test_c10_u_formula_vs_bruteforce():
         sigma = tuple(int(v) for v in fisher_yates(8, rng))
         w = tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=params.active_blocks))
         mask = int(rng.integers(0, 2**8))
-        positions = [i + 1 for i in range(8) if (mask >> i) & 1]
-        cases.append((sigma, w, positions))
+        cases.append((sigma, w, mask))
     # engineered nonzero and zero cases on top of the random sweep
     rng = stream(1010, "u", "engineered")
     for _ in range(10):
         sigma = tuple(int(v) for v in fisher_yates(8, rng))
-        inverse = {image: i + 1 for i, image in enumerate(sigma)}
+        bit = {image: 1 << i for i, image in enumerate(sigma)}  # position sigma^-1(image)
         w = tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=2))
-        cases.append((sigma, w, [inverse[1], inverse[2]]))  # one full active block
-        cases.append((sigma, w, [inverse[1], inverse[2], inverse[3], inverse[4]]))
-        cases.append((sigma, w, [inverse[5], inverse[6]]))  # outside active prefix
-    for sigma, w, positions in cases:
-        formula = u_formula(f, sigma, w, positions, params)
-        brute = u_bruteforce(f, sigma, w, positions, params)
+        cases.append((sigma, w, bit[1] | bit[2]))  # one full active block
+        cases.append((sigma, w, bit[1] | bit[2] | bit[3] | bit[4]))
+        cases.append((sigma, w, bit[5] | bit[6]))  # outside active prefix
+    for sigma, w, mask in cases:
+        formula = u_formula(f, sigma, w, mask, params)
+        brute = u_bruteforce(f, sigma, w, mask, params)
         worst = max(worst, abs(formula - brute))
-        image = {sigma[p - 1] for p in positions}
+        image = {sigma[i] for i in range(8) if (mask >> i) & 1}
         if any(p > params.active_len for p in image):
             assert formula == 0.0
             zero_outside += 1

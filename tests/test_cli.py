@@ -251,6 +251,19 @@ def test_cli_run_matches_golden(tmp_path, args, golden):
 
 
 @pytest.mark.parametrize(
+    "check, n, flag, count",
+    [("rhat", 8, "--cases", 5), ("u", 8, "--cases", 50),
+     ("tvd", 8, "--sigmas", 10), ("kkl", 8, "--cases", 10)],
+)
+def test_cli_hardness_matches_golden(tmp_path, check, n, flag, count):
+    golden = f"hardness_{check}.json"
+    out = tmp_path / golden
+    assert run_cli(["hardness", "--named", "parity", "--t", "2", "--check", check,
+                    "--n", str(n), flag, str(count), "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
     "args",
     [
         pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "7"],
@@ -267,10 +280,28 @@ def test_cli_run_matches_golden(tmp_path, args, golden):
                       "--trials", "0"], id="zero-trials"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
                       "--n", "30"], id="message-set-over-cap"),
+        pytest.param(["analyze", "--named", "parity"], id="named-without-t"),
+        pytest.param(["analyze", "--function", "{tmp}/missing.json"], id="missing-function-file"),
+        pytest.param(["analyze", "--function", "{tmp}/spec-without-t.json"],
+                     id="function-spec-without-t"),
     ],
 )
 def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
+    (tmp_path / "spec-without-t.json").write_text(
+        json.dumps({"kind": "truth_table", "values": [1, -1, -1, 1]})
+    )
+    args = [arg.format(tmp=tmp_path) for arg in args]
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+    assert_one_guard_rejection(capsys)
+
+
+def test_cli_unwritable_out_is_a_guard_rejection(tmp_path, capsys):
+    assert run_cli(["run-classical", "--named", "majority", "--t", "3", "--n", "24",
+                    "--trials", "2", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert_one_guard_rejection(capsys)
+
+
+def assert_one_guard_rejection(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("guard rejection: ")

@@ -9,8 +9,6 @@ from hiddenpartition.boolfn import and_fn, parity, row_of_point
 from hiddenpartition.hardness import (
     MAX_MESSAGE_BITS,
     MessageSet,
-    compose_blocks,
-    decompose_blocks,
     expected_tvd,
     full_cube,
     induced_distributions,
@@ -41,6 +39,21 @@ def test_message_set_validation():
         MessageSet(3, frozenset())
     with pytest.raises(ValueError):
         MessageSet(3, frozenset({8}))
+
+
+@pytest.mark.parametrize(
+    "members",
+    [frozenset({9, 2, 5}), [9, 2, 5, 2, 9], np.array([9, 5, 2], dtype=np.int32)],
+    ids=["frozenset", "list-with-duplicates", "array"],
+)
+def test_message_set_members_are_a_sorted_read_only_int64_array(members):
+    ms = MessageSet(4, members)
+    assert ms.members.dtype == np.int64
+    assert ms.members.tolist() == [2, 5, 9]
+    assert not ms.members.flags.writeable
+    assert len(ms) == 3
+    if isinstance(members, np.ndarray):
+        assert members.flags.writeable  # the caller's array is not frozen
 
 
 def test_message_sets_over_the_cap_are_refused_before_drawing():
@@ -137,9 +150,10 @@ def test_expected_tvd_trend_with_set_size():
 def test_r_hat_even_sets_are_zero():
     rng = stream(2, "rhat")
     ms = random_message_set(4, 5, rng)
-    assert r_hat_formula(parity(2), ms, IDENTITY_4, [], PARAMS_4) == 0.0
-    assert r_hat_formula(parity(2), ms, IDENTITY_4, [1, 2], PARAMS_4) == 0.0
-    assert r_hat_bruteforce(parity(2), ms, IDENTITY_4, [1, 2], PARAMS_4) == pytest.approx(
+    formula = r_hat_formula(parity(2), ms, IDENTITY_4, PARAMS_4)
+    assert formula[0b00] == 0.0
+    assert formula[0b11] == 0.0
+    assert r_hat_bruteforce(parity(2), ms, IDENTITY_4, PARAMS_4)[0b11] == pytest.approx(
         0.0, abs=1e-15
     )
 
@@ -147,10 +161,10 @@ def test_r_hat_even_sets_are_zero():
 def test_r_hat_half_cube_example():
     members = frozenset(m for m in range(16) if not (m & 1))  # x_1 = +1
     ms = MessageSet(4, members)
-    for v in ([1], [2]):
-        formula = r_hat_formula(parity(2), ms, IDENTITY_4, v, PARAMS_4)
-        brute = r_hat_bruteforce(parity(2), ms, IDENTITY_4, v, PARAMS_4)
-        assert abs(formula - brute) <= 1e-12
+    formula = r_hat_formula(parity(2), ms, IDENTITY_4, PARAMS_4)
+    brute = r_hat_bruteforce(parity(2), ms, IDENTITY_4, PARAMS_4)
+    for v_mask in (0b01, 0b10):  # V = {1}, V = {2}
+        assert abs(formula[v_mask] - brute[v_mask]) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,38 +176,19 @@ def test_r_hat_formula_matches_bruteforce(seed):
     ms = random_message_set(8, int(rng.integers(1, 257)), rng)
     sigma = random_sigma(8, rng)
     v_mask = int(rng.integers(1, 2**params.active_blocks))
-    v = [j + 1 for j in range(params.active_blocks) if (v_mask >> j) & 1]
-    formula = r_hat_formula(f, ms, sigma, v, params)
-    brute = r_hat_bruteforce(f, ms, sigma, v, params)
+    formula = r_hat_formula(f, ms, sigma, params)[v_mask]
+    brute = r_hat_bruteforce(f, ms, sigma, params)[v_mask]
     assert abs(formula - brute) <= 1e-10
 
 
-def test_r_hat_guards():
-    ms = MessageSet(4, frozenset({0}))
-    with pytest.raises(ValueError):
-        r_hat_formula(parity(2), ms, IDENTITY_4, [5], PARAMS_4)
-
-
-# --- block decomposition -------------------------------------------------------
-
-
-def test_decompose_blocks_round_trip():
-    rng = stream(3, "dec")
-    n, t = 12, 3
-    for _ in range(50):
-        mask = int(rng.integers(0, 2**n))
-        positions = frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
-        if not positions:
-            continue
-        decomposition = decompose_blocks(positions, n, t)
-        assert compose_blocks(decomposition.blocks, t) == positions
-        for j, slots in decomposition.nonempty:
-            assert slots and all(1 <= k <= t for k in slots)
-
-
-def test_decompose_blocks_bounds():
-    with pytest.raises(ValueError):
-        decompose_blocks({13}, 12, 3)
+def test_r_hat_formula_cap():
+    at_cap = PartitionParams(12, 4, Fraction(1))
+    spectrum = r_hat_formula(parity(4), MessageSet(12, {0}), tuple(range(1, 13)), at_cap)
+    assert spectrum.shape == (2**at_cap.active_blocks,)
+    for n, t in ((14, 2), (10, 5)):
+        with pytest.raises(ValueError, match="capped"):
+            r_hat_formula(parity(t), MessageSet(n, {0}), tuple(range(1, n + 1)),
+                          PartitionParams(n, t, Fraction(1)))
 
 
 # --- u correlation --------------------------------------------------------------
@@ -202,10 +197,10 @@ def test_decompose_blocks_bounds():
 def test_u_example_full_block():
     params = PARAMS_4
     w = (1, 1)
-    value = u_bruteforce(parity(2), IDENTITY_4, w, [1, 2], params)
+    value = u_bruteforce(parity(2), IDENTITY_4, w, 0b0011, params)
     expected = (1 / math.factorial(4)) / 4  # p_sigma / 2^2 * |f^({1,2})|
     assert value == pytest.approx(expected, abs=1e-15)
-    assert u_formula(parity(2), IDENTITY_4, w, [1, 2], params) == pytest.approx(
+    assert u_formula(parity(2), IDENTITY_4, w, 0b0011, params) == pytest.approx(
         expected, abs=1e-15
     )
 
@@ -214,21 +209,29 @@ def test_u_zero_outside_active_prefix():
     params = PartitionParams(4, 2, Fraction(1, 2))
     # sigma sends position 1 to 3, outside the active prefix [2]
     sigma = (3, 1, 2, 4)
-    assert u_formula(parity(2), sigma, (1,), [1], params) == 0.0
-    assert u_bruteforce(parity(2), sigma, (1,), [1], params) == pytest.approx(0.0, abs=1e-18)
+    assert u_formula(parity(2), sigma, (1,), 0b0001, params) == 0.0
+    assert u_bruteforce(parity(2), sigma, (1,), 0b0001, params) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_u_zero_even_nonempty_blocks():
     params = PARAMS_4
-    value = u_formula(parity(2), IDENTITY_4, (1, -1), [1, 2, 3, 4], params)
+    value = u_formula(parity(2), IDENTITY_4, (1, -1), 0b1111, params)
     assert value == 0.0
-    brute = u_bruteforce(parity(2), IDENTITY_4, (1, -1), [1, 2, 3, 4], params)
+    brute = u_bruteforce(parity(2), IDENTITY_4, (1, -1), 0b1111, params)
     assert brute == pytest.approx(0.0, abs=1e-18)
 
 
 def test_u_requires_balanced_function():
     with pytest.raises(ValueError):
-        u_formula(and_fn(2), IDENTITY_4, (1, 1), [1], PARAMS_4)
+        u_formula(and_fn(2), IDENTITY_4, (1, 1), 0b0001, PARAMS_4)
+
+
+@pytest.mark.parametrize("s_mask", [2**4, -1])
+def test_u_rejects_masks_outside_the_positions(s_mask):
+    with pytest.raises(ValueError):
+        u_formula(parity(2), IDENTITY_4, (1, 1), s_mask, PARAMS_4)
+    with pytest.raises(ValueError):
+        u_bruteforce(parity(2), IDENTITY_4, (1, 1), s_mask, PARAMS_4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,9 +242,8 @@ def test_u_formula_matches_bruteforce(seed):
     sigma = random_sigma(8, rng)
     w = tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=params.active_blocks))
     mask = int(rng.integers(0, 2**8))
-    positions = [i + 1 for i in range(8) if (mask >> i) & 1]
-    formula = u_formula(parity(2), sigma, w, positions, params)
-    brute = u_bruteforce(parity(2), sigma, w, positions, params)
+    formula = u_formula(parity(2), sigma, w, mask, params)
+    brute = u_bruteforce(parity(2), sigma, w, mask, params)
     assert abs(formula - brute) <= 1e-12
 
 
@@ -251,11 +253,11 @@ def test_u_sign_matches_bruteforce_on_constructed_case():
     rng = stream(9, "ucase")
     sigma = random_sigma(8, rng)
     inverse = {image: i + 1 for i, image in enumerate(sigma)}
-    positions = [inverse[1], inverse[2]]  # sigma(S) = {1, 2} = block 1
+    s_mask = (1 << (inverse[1] - 1)) | (1 << (inverse[2] - 1))  # sigma(S) = {1, 2} = block 1
     for w1 in (1, -1):
         w = (w1, 1)
-        formula = u_formula(parity(2), sigma, w, positions, params)
-        brute = u_bruteforce(parity(2), sigma, w, positions, params)
+        formula = u_formula(parity(2), sigma, w, s_mask, params)
+        brute = u_bruteforce(parity(2), sigma, w, s_mask, params)
         assert formula == pytest.approx(brute, abs=1e-18)
         assert formula != 0.0
 

@@ -1,0 +1,41 @@
+"""The experiment scripts run end to end and are deterministic per seed."""
+
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return result.stdout
+
+
+@pytest.mark.parametrize(
+    "name, args, header, rows",
+    [
+        ("protocol_sweep.py",
+         ("--protocol", "classical", "--named", "majority", "--t", "3",
+          "--trials", "5", "--sizes", "6", "12"),
+         ["n", "trials", "success_rate", "wilson_low", "wilson_high", "mean_cost_bits"], 2),
+        ("tvd_trend.py", ("--n", "6", "--sigmas", "3"),
+         ["set_size_log2", "mean_tvd", "stderr"], 5),  # log2 |A| = 2..6
+    ],
+)
+def test_script_writes_a_deterministic_csv(name, args, header, rows):
+    first = run_script(name, *args)
+    table = list(csv.reader(io.StringIO(first)))
+    assert table[0] == header
+    assert len(table) == 1 + rows
+    assert run_script(name, *args) == first
