@@ -345,6 +345,8 @@ def function_from_spec(spec: Mapping) -> BooleanFunction:
       {"kind": "symmetric", "t": T, "thresholds": [...], "leading_sign": +-1}
       {"kind": "named", "name": NAME, "t": T}
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a function spec must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
     try:
         if kind == "truth_table":

@@ -138,8 +138,10 @@ def cmd_analyze(args) -> int:
     f, label = load_function(args)
     spec = boolfn.fourier_transform(f)
     phdeg = boolfn.pure_high_degree(spec)
-    sdeg, _ = sign_degree(f)
-    witness = best_sign_polynomial(f, sdeg)
+    sym = boolfn.symmetric_spec_of(f)
+    sdeg, witness = sign_degree(f)
+    if sym is None:  # the dense degree search's witness need not have the best bias
+        witness = best_sign_polynomial(f, sdeg)
     report = {
         "function": label,
         "t": f.t,
@@ -152,11 +154,11 @@ def cmd_analyze(args) -> int:
         "alpha_upper_bound": boolfn.alpha_upper_bound(f),
     }
     if sdeg <= 2:
-        poly = witness if sdeg == min(2, f.t) else protocol_witness(f, 2)
+        # the dense witness run-quantum decides from, solved once
+        poly = witness if sym is None and sdeg == min(2, f.t) else protocol_witness(f, 2)
         report["block_matrix_norm"] = block_multilinear_matrix(poly).spectral_norm
     else:
         report["block_matrix_norm"] = None
-    sym = boolfn.symmetric_spec_of(f)
     if sym is None:
         report["reduction"] = "not symmetric: no reduction"
     elif boolfn.sign_changes(sym) < 2:
@@ -225,6 +227,10 @@ def cmd_hardness(args) -> int:
 
 
 def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
+    for flag, count in (("--cases", args.cases), ("--sigmas", args.sigmas),
+                        ("--set-size", args.set_size)):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     n = params.n
     if args.check == "kkl":
         deltas = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -232,21 +238,21 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
         worst = float("inf")
         for case in range(args.cases):
             rng = stream(args.seed, "hardness", "kkl", case)
-            size = args.set_size or int(rng.integers(1, 2**n + 1))
+            size = int(rng.integers(1, 2**n + 1)) if args.set_size is None else args.set_size
             report = kkl_check(random_message_set(n, size, rng), deltas)
             violations += report.violations
             worst = min(worst, min(report.margins))
         return {"check": "kkl", "cases": args.cases, "violations": violations,
                 "min_margin": worst}
     if args.check == "tvd":
-        size = args.set_size or 2 ** (n - 1)
+        size = 2 ** (n - 1) if args.set_size is None else args.set_size
         rng = stream(args.seed, "hardness", "tvd")
         message_set = full_cube(n) if size >= 2**n else random_message_set(n, size, rng)
         estimate = expected_tvd(f, message_set, params, args.sigmas, rng)
         return {"check": "tvd", "cases": args.sigmas, "set_size": size,
                 "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
     if args.check == "rhat":
-        size = args.set_size or 2 ** (n - 1)
+        size = 2 ** (n - 1) if args.set_size is None else args.set_size
         worst = 0.0
         violations = 0
         for case in range(args.cases):

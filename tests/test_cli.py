@@ -284,12 +284,21 @@ def test_cli_hardness_matches_golden(tmp_path, check, n, flag, count):
         pytest.param(["analyze", "--function", "{tmp}/missing.json"], id="missing-function-file"),
         pytest.param(["analyze", "--function", "{tmp}/spec-without-t.json"],
                      id="function-spec-without-t"),
+        pytest.param(["analyze", "--function", "{tmp}/spec-not-an-object.json"],
+                     id="spec-not-an-object"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
+                      "--n", "8", "--sigmas", "0"], id="zero-sigmas"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "rhat",
+                      "--n", "8", "--cases", "-3"], id="negative-cases"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
+                      "--n", "8", "--set-size", "0"], id="zero-set-size"),
     ],
 )
 def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
     (tmp_path / "spec-without-t.json").write_text(
         json.dumps({"kind": "truth_table", "values": [1, -1, -1, 1]})
     )
+    (tmp_path / "spec-not-an-object.json").write_text(json.dumps([1, 2]))
     args = [arg.format(tmp=tmp_path) for arg in args]
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
     assert_one_guard_rejection(capsys)

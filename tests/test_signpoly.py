@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiddenpartition import boolfn, signpoly
 from hiddenpartition.boolfn import (
     BooleanFunction,
+    SymmetricSpec,
     all_points,
     dictator,
     fourier_transform,
@@ -16,12 +18,17 @@ from hiddenpartition.boolfn import (
 from hiddenpartition.signpoly import (
     BelowSignDegreeError,
     SignPolynomial,
+    _dense_sign_degree,
     best_sign_polynomial,
     monomial_masks,
     sign_degree,
 )
 
 from conftest import all_symmetric_specs, random_table
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called where it must not be")
 
 
 def exhaustively_valid(f: BooleanFunction, p: SignPolynomial) -> bool:
@@ -99,6 +106,56 @@ def test_sign_degree_symmetric_small():
             assert d == sign_changes(spec), spec
             if not f.is_constant:
                 assert exhaustively_valid(f, p), spec
+
+
+BIAS_AGREEMENT_TOL = 1e-9
+
+
+def test_reduced_sign_degree_matches_dense_search():
+    # Every symmetric f with t <= 6 takes the reduced Hamming-weight LP in
+    # sign_degree; the dense degree search and the dense max-bias LP at
+    # the same degree are its reference.
+    for t in range(1, 7):
+        for spec in all_symmetric_specs(t):
+            f = make_symmetric(spec)
+            d, p = sign_degree(f)
+            assert d == _dense_sign_degree(f)[0], spec
+            assert exhaustively_valid(f, p), spec
+            best = best_sign_polynomial(f, d)
+            assert abs(p.bias - best.bias) <= BIAS_AGREEMENT_TOL, spec
+
+
+@pytest.mark.parametrize(
+    "t, thresholds",
+    [
+        (12, (5,)),
+        (12, (0, 11)),
+        (12, (2, 3, 7, 10)),
+        (12, tuple(range(12))),
+        (16, (7,)),
+        (16, (0, 15)),
+        (16, (1, 4, 8, 9, 13)),
+        (16, tuple(range(7))),  # clustered flips: bias ~1e-6 at the sign-degree
+        (16, tuple(range(16))),
+    ],
+)
+def test_sign_degree_at_max_arity(monkeypatch, t, thresholds):
+    # sign_degree must not consult the sign-change count it is checked against
+    monkeypatch.setattr(boolfn, "sign_changes", must_not_run)
+    f = make_symmetric(SymmetricSpec(t, thresholds, -1))
+    d, p = sign_degree(f)
+    assert d == len(thresholds)
+    assert p.degree == d
+    assert exhaustively_valid(f, p)
+
+
+def test_dense_lp_over_the_byte_limit_is_refused_from_its_shape(monkeypatch):
+    monkeypatch.setattr(signpoly, "_chi_matrix", must_not_run)
+    monkeypatch.setattr(signpoly, "linprog", must_not_run)
+    f = random_table(14, np.random.default_rng(14))
+    assert boolfn.symmetric_spec_of(f) is None
+    with pytest.raises(ValueError, match="MiB limit"):
+        best_sign_polynomial(f, 14)
 
 
 @settings(max_examples=40, deadline=None)
