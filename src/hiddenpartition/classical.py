@@ -123,8 +123,8 @@ def bob_decide(
     if poly.degree > 1:
         raise ValueError("decision statistic needs a degree <= 1 polynomial")
     t = params.t
-    alpha0 = poly.coefficient(0)
-    linear = np.array([poly.coefficient(1 << k) for k in range(t)])
+    alpha0 = poly.coeffs[0]
+    linear = poly.coeffs[1 << np.arange(t)]
 
     idx = np.asarray(msg.indices, dtype=np.int64)
     bits = np.asarray(msg.bits, dtype=np.float64)
@@ -158,27 +158,25 @@ def run_classical(
     return bob_decide(msg, instance.sigma, instance.w, poly, params, tie_rng)
 
 
-def level_one_slots(f: BooleanFunction) -> dict[int, float]:
-    """Nonzero level-1 coefficients, keyed by slot; the uniform sender's
-    guard (raises unless phdeg(f) <= 1 with level-1 mass to decode from)."""
+def level_one_slots(f: BooleanFunction) -> np.ndarray:
+    """Level-1 coefficients by 0-based slot, 0.0 where |c| <= 1e-12; the
+    uniform sender's guard (raises unless phdeg(f) <= 1 with level-1 mass
+    to decode from)."""
     if f.is_constant:
         raise UnsupportedFunctionError("constant function")
     spec = fourier_transform(f)
     if pure_high_degree(spec) >= 2:
         raise UnsupportedFunctionError("phdeg(f) >= 2")
-    level1 = {
-        k: spec.coefficient(1 << (k - 1))
-        for k in range(1, f.t + 1)
-        if abs(spec.coefficient(1 << (k - 1))) > 1e-12
-    }
-    if not level1:
+    level1 = spec.values[1 << np.arange(f.t)]
+    level1 = np.where(np.abs(level1) > 1e-12, level1, 0.0)
+    if not level1.any():
         raise UnsupportedFunctionError("no level-1 Fourier mass to decode from")
     return level1
 
 
 def run_uniform_phd1(
     instance: PartitionInstance,
-    slots: dict[int, float],
+    slots: np.ndarray,
     sample_count: int,
     rng: np.random.Generator,
     tie_rng: Optional[np.random.Generator] = None,
@@ -200,8 +198,8 @@ def run_uniform_phd1(
     statistic = 0.0
     for i in indices:
         j, k = block_and_slot(instance.sigma[i - 1], params.t)
-        if j <= params.active_blocks and k in slots:
-            sign = 1 if slots[k] > 0 else -1
+        if j <= params.active_blocks and slots[k - 1] != 0:
+            sign = 1 if slots[k - 1] > 0 else -1
             statistic = float(sign * instance.x[i - 1] * instance.w[j - 1])
             break
     cost = message_cost_bits(sample_count, params.n)

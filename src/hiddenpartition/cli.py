@@ -36,7 +36,7 @@ from .instances import PartitionParams
 from .quantum import block_multilinear_matrix, matrix_audit_record, unitary_dilation
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import fisher_yates, stream
-from .signpoly import best_sign_polynomial, sign_degree
+from .signpoly import sign_degree
 
 CSV_COLUMNS_HELP = (
     "CSV columns: record, trial, b, guess, correct, statistic, cost_bits for "
@@ -140,8 +140,6 @@ def cmd_analyze(args) -> int:
     phdeg = boolfn.pure_high_degree(spec)
     sym = boolfn.symmetric_spec_of(f)
     sdeg, witness = sign_degree(f)
-    if sym is None:  # the dense degree search's witness need not have the best bias
-        witness = best_sign_polynomial(f, sdeg)
     report = {
         "function": label,
         "t": f.t,

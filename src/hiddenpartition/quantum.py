@@ -82,17 +82,10 @@ def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
         raise ValueError(f"polynomial degree {p.degree} > 2")
     t = p.t
     a = np.zeros((t + 1, t + 1))
-    for mask, c in p.coeffs.items():
-        idx = [i + 1 for i in range(t) if (mask >> i) & 1]
-        if len(idx) == 0:
-            a[0, 0] += c
-        elif len(idx) == 1:
-            a[0, idx[0]] += c / 2
-            a[idx[0], 0] += c / 2
-        else:
-            i, j = idx
-            a[i, j] += c / 2
-            a[j, i] += c / 2
+    a[0, 0] = p.coeffs[0]
+    a[0, 1:] = a[1:, 0] = p.coeffs[1 << np.arange(t)] / 2
+    i, j = np.triu_indices(t, 1)
+    a[i + 1, j + 1] = a[j + 1, i + 1] = p.coeffs[(1 << i) | (1 << j)] / 2
 
     points = all_points(t)
     lifted = np.hstack([np.ones((points.shape[0], 1)), points.astype(np.float64)])

@@ -232,6 +232,8 @@ def verify_reduction(
     """
     if n_small > 10 or n_small % 2 != 0:
         raise ValueError("n_small must be even and at most 10")
+    if sigma_samples < 1:
+        raise ValueError("sigma_samples must be at least 1")
     try:
         gadget = find_gadget(spec)
     except NoGadgetError:

@@ -51,21 +51,13 @@ from hiddenpartition.reduction import (
     verify_reduction,
 )
 from hiddenpartition.rng import fisher_yates, stream
-from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial, sign_degree
+from hiddenpartition.signpoly import best_sign_polynomial, sign_degree
 
-from conftest import all_symmetric_specs, random_table
+from conftest import all_symmetric_specs, random_degree2_poly, random_table
 
 
 def report(criterion: str, detail: str) -> None:
     print(f"[PASS] {criterion}: {detail}")
-
-
-def random_degree2_poly(t: int, rng: np.random.Generator) -> SignPolynomial:
-    masks = [m for m in range(2**t) if int(m).bit_count() <= 2]
-    coeffs = dict(zip(masks, rng.normal(size=len(masks))))
-    poly = SignPolynomial(t, {m: float(c) for m, c in coeffs.items()}, 2, 0.0)
-    peak = float(np.abs(poly.evaluate_all()).max())
-    return SignPolynomial(t, {m: float(c) / peak for m, c in coeffs.items()}, 2, 0.0)
 
 
 @pytest.fixture(scope="module")

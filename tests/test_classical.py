@@ -23,6 +23,8 @@ from hiddenpartition.instances import PartitionParams, generate_instance
 from hiddenpartition.rng import stream
 from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
 
+from conftest import poly_from_terms
+
 
 def test_required_samples_examples():
     assert required_samples(2, Fraction(1, 2), 1.0, 1 / 3) == 9
@@ -62,7 +64,7 @@ def test_block_and_slot():
 
 
 def dictator_poly(t: int) -> SignPolynomial:
-    return SignPolynomial(t, {1: 1.0}, 1, 1.0)
+    return poly_from_terms(t, {1: 1.0}, 1.0)
 
 
 def test_bob_decide_dictator_single_hit():
@@ -110,7 +112,7 @@ def test_bob_decide_order_invariant():
 
 def test_bob_decide_rejects_quadratic():
     params = PartitionParams(4, 2, Fraction(1))
-    quad = SignPolynomial(2, {0b11: 1.0}, 2, 1.0)
+    quad = poly_from_terms(2, {0b11: 1.0}, 1.0)
     with pytest.raises(ValueError):
         bob_decide(SampleMessage((1,), (1,)), (1, 2, 3, 4), (1, 1), quad, params)
 

@@ -292,6 +292,10 @@ def test_cli_hardness_matches_golden(tmp_path, check, n, flag, count):
                       "--n", "8", "--cases", "-3"], id="negative-cases"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
                       "--n", "8", "--set-size", "0"], id="zero-set-size"),
+        pytest.param(["reduce", "--named", "nae", "--t", "4", "--n", "8", "--sigmas", "0"],
+                     id="reduce-zero-sigmas"),
+        pytest.param(["reduce", "--named", "nae", "--t", "4", "--n", "8", "--sigmas", "-3"],
+                     id="reduce-negative-sigmas"),
     ],
 )
 def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):

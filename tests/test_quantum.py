@@ -20,17 +20,9 @@ from hiddenpartition.quantum import (
     statevector_oracle,
     unitary_dilation,
 )
-from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
+from hiddenpartition.signpoly import best_sign_polynomial
 
-
-def random_degree2_poly(t: int, rng: np.random.Generator) -> SignPolynomial:
-    """Random normalised multilinear polynomial of degree <= 2."""
-    masks = [m for m in range(2**t) if int(m).bit_count() <= 2]
-    coeffs = {m: float(c) for m, c in zip(masks, rng.normal(size=len(masks)))}
-    poly = SignPolynomial(t, coeffs, 2, 0.0)
-    peak = float(np.abs(poly.evaluate_all()).max())
-    coeffs = {m: c / peak for m, c in coeffs.items()}
-    return SignPolynomial(t, coeffs, 2, 0.0)
+from conftest import poly_from_terms, poly_value, random_degree2_poly
 
 
 # --- bilinear lift -----------------------------------------------------------
@@ -45,7 +37,7 @@ def test_parity2_matrix():
 
 
 def test_linear_matrix():
-    p = SignPolynomial(1, {0b1: 1.0}, 1, 1.0)
+    p = poly_from_terms(1, {0b1: 1.0}, 1.0)
     a = block_multilinear_matrix(p)
     assert a.entries[0, 1] == pytest.approx(0.5)
     assert a.entries[1, 0] == pytest.approx(0.5)
@@ -54,14 +46,14 @@ def test_linear_matrix():
 
 
 def test_constant_matrix():
-    p = SignPolynomial(2, {0: 0.5}, 0, 0.5)
+    p = poly_from_terms(2, {0: 0.5}, 0.5)
     a = block_multilinear_matrix(p)
     assert a.entries[0, 0] == pytest.approx(0.5)
     assert a.spectral_norm == pytest.approx(0.5)
 
 
 def test_degree_guard():
-    p = SignPolynomial(3, {0b111: 1.0}, 3, 1.0)
+    p = poly_from_terms(3, {0b111: 1.0}, 1.0)
     with pytest.raises(ValueError):
         block_multilinear_matrix(p)
 
@@ -73,7 +65,7 @@ def test_quadratic_form_reproduces_polynomial(t, seed):
     a = block_multilinear_matrix(poly)
     for point in all_points(t):
         assert quadratic_form(a, tuple(point)) == pytest.approx(
-            poly.evaluate(tuple(point)), abs=1e-10
+            poly_value(poly, tuple(point)), abs=1e-10
         )
 
 
@@ -135,7 +127,7 @@ def test_hadamard_prob_parity2():
 
 
 def test_hadamard_prob_zero_value():
-    p = SignPolynomial(2, {0b01: 0.5, 0b10: 0.5}, 1, 0.0)  # p(1,-1) = 0
+    p = poly_from_terms(2, {0b01: 0.5, 0b10: 0.5}, 0.0)  # p(1,-1) = 0
     a = block_multilinear_matrix(p)
     assert hadamard_test_prob(a, (1, -1)) == pytest.approx(0.5, abs=1e-12)
     assert statevector_oracle(a, (1, -1)) == pytest.approx(0.5, abs=1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hiddenpartition import boolfn, signpoly
 from hiddenpartition.boolfn import (
@@ -14,9 +14,11 @@ from hiddenpartition.boolfn import (
     parity,
     pure_high_degree,
     sign_changes,
+    walsh_hadamard,
 )
 from hiddenpartition.signpoly import (
     BelowSignDegreeError,
+    LpSolverError,
     SignPolynomial,
     _dense_sign_degree,
     best_sign_polynomial,
@@ -24,7 +26,7 @@ from hiddenpartition.signpoly import (
     sign_degree,
 )
 
-from conftest import all_symmetric_specs, random_table
+from conftest import all_symmetric_specs, poly_from_terms, poly_value, random_table
 
 
 def must_not_run(*args, **kwargs):
@@ -70,7 +72,7 @@ def test_majority3_best_bias_at_degree_one():
     assert p.bias == pytest.approx(1 / 3, abs=1e-7)
     assert exhaustively_valid(majority(3), p)
     # the symmetric witness (x1+x2+x3)/3 achieves the same value
-    witness = SignPolynomial(3, {0b001: 1 / 3, 0b010: 1 / 3, 0b100: 1 / 3}, 1, 1 / 3)
+    witness = poly_from_terms(3, {0b001: 1 / 3, 0b010: 1 / 3, 0b100: 1 / 3}, 1 / 3)
     margins = np.asarray(majority(3).table) * witness.evaluate_all()
     assert margins.min() == pytest.approx(p.bias, abs=1e-9)
 
@@ -94,7 +96,7 @@ def test_constant_function_degree_zero():
     d, p = sign_degree(f)
     assert d == 0
     assert p.bias == 1.0
-    assert p.evaluate((1, -1)) == -1.0
+    assert poly_value(p, (1, -1)) == -1.0
 
 
 def test_sign_degree_symmetric_small():
@@ -123,6 +125,49 @@ def test_reduced_sign_degree_matches_dense_search():
             assert exhaustively_valid(f, p), spec
             best = best_sign_polynomial(f, d)
             assert abs(p.bias - best.bias) <= BIAS_AGREEMENT_TOL, spec
+
+
+def relabelled(f: BooleanFunction, perm, flips: int, sign: int) -> BooleanFunction:
+    """sign * f with coordinate i moved to perm[i], then the inputs in the
+    bitmask ``flips`` negated."""
+    rows = np.arange(2**f.t)
+    source = np.zeros_like(rows)
+    for i, j in enumerate(perm):
+        source |= ((rows >> i) & 1) << j
+    table = sign * np.asarray(f.table)[source ^ flips]
+    return BooleanFunction(f.t, tuple(int(v) for v in table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31))
+def test_sign_degree_invariant_under_cube_symmetries(t, seed):
+    # the dense degree search on non-symmetric f; an image may be symmetric
+    rng = np.random.default_rng(seed)
+    f = random_table(t, rng)
+    assume(boolfn.symmetric_spec_of(f) is None)
+    d, p = sign_degree(f)
+    images = {
+        "permuted coordinates": relabelled(f, rng.permutation(t), 0, 1),
+        "negated f": relabelled(f, range(t), 0, -1),
+        "negated inputs": relabelled(f, range(t), int(rng.integers(1, 2**t)), 1),
+    }
+    for name, g in images.items():
+        dg, pg = sign_degree(g)
+        assert dg == d, name
+        assert abs(pg.bias - p.bias) <= BIAS_AGREEMENT_TOL, name
+
+
+def test_certificate_refuses_a_margin_below_the_rounding_bound():
+    # p = x_1 + a x_2 sign-represents the dictator x_1 for every a < 1; at
+    # a = 1 - 2^-52 its float64 margins are positive but under the bound
+    fvals = np.asarray(dictator(2).table, dtype=np.float64)
+    a = 1 - 2.0**-52
+    coeff = np.array([0.0, 1.0, a, 0.0])
+    assert (fvals * walsh_hadamard(coeff)).min() > 0
+    with pytest.raises(LpSolverError, match="rounding bound"):
+        signpoly._certified(fvals, coeff)
+    p = signpoly._certified(fvals, np.array([0.0, 1.0, 0.5, 0.0]))
+    assert p.bias == pytest.approx(1 / 3, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -180,4 +225,4 @@ def test_evaluate_matches_evaluate_all():
     p = best_sign_polynomial(majority(3), 1)
     values = p.evaluate_all()
     for r, point in enumerate(all_points(3)):
-        assert p.evaluate(tuple(point)) == pytest.approx(values[r], abs=1e-12)
+        assert poly_value(p, tuple(point)) == pytest.approx(values[r], abs=1e-12)
