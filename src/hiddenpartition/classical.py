@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier_transform, pure_high_degree
 from .instances import PartitionInstance, PartitionParams
-from .rng import coin, fisher_yates
+from .rng import coin
 from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial, sign_degree
 
 
@@ -37,12 +37,29 @@ class UnsupportedFunctionError(ValueError):
     """The function does not meet the protocol's degree guard."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMessage:
-    """Indices (1-based) Alice sampled and the corresponding bits of x."""
+    """Indices (1-based) Alice sampled and the corresponding bits of x,
+    stored as read-only int64 copies of whatever sequences or arrays they
+    are given."""
 
-    indices: tuple[int, ...]
-    bits: tuple[int, ...]
+    indices: np.ndarray
+    bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("indices", "bits"):
+            value = np.asarray(getattr(self, name)).astype(np.int64)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        if self.indices.shape != self.bits.shape or self.indices.ndim != 1:
+            raise ValueError("indices and bits must be equal-length sequences")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleMessage):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices) and np.array_equal(
+            self.bits, other.bits
+        )
 
 
 @dataclass(frozen=True)
@@ -92,50 +109,41 @@ def decide(statistic: float, tie_rng: Optional[np.random.Generator]) -> int:
     return coin(tie_rng) if tie_rng is not None else 1
 
 
-def alice_sample(
-    x: Sequence[int], m: int, rng: np.random.Generator
-) -> SampleMessage:
-    """m i.i.d. uniform indices of x, drawn with replacement."""
+def alice_sample(x: np.ndarray, m: int, rng: np.random.Generator) -> SampleMessage:
+    """m i.i.d. uniform indices of x (an int64 array), drawn with replacement."""
     if m < 1:
         raise ValueError("sample count must be positive")
     idx = rng.integers(1, len(x) + 1, size=m)
-    return SampleMessage(tuple(idx.tolist()), tuple(np.asarray(x)[idx - 1].tolist()))
+    return SampleMessage(idx, x[idx - 1])
 
 
 def message_cost_bits(m: int, n: int) -> int:
     return m * (math.ceil(math.log2(n)) + 1)
 
 
-def block_and_slot(position: int, t: int) -> tuple[int, int]:
-    """j = ceil(pos/t) and k = ((pos-1) mod t) + 1 for a 1-based position."""
-    return (position + t - 1) // t, (position - 1) % t + 1
-
-
 def bob_decide(
     msg: SampleMessage,
-    sigma: Sequence[int],
-    w: Sequence[int],
+    sigma: np.ndarray,
+    w: np.ndarray,
     poly: SignPolynomial,
     params: PartitionParams,
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
-    """Fold the sampled bits into X and guess its sign (fair coin on X=0)."""
+    """Fold the sampled bits into X and guess its sign (fair coin on X=0);
+    sigma and w are int64 arrays, as a ``PartitionInstance`` holds them."""
     if poly.degree > 1:
         raise ValueError("decision statistic needs a degree <= 1 polynomial")
     t = params.t
     alpha0 = poly.coeffs[0]
     linear = poly.coeffs[1 << np.arange(t)]
 
-    idx = np.asarray(msg.indices, dtype=np.int64)
-    bits = np.asarray(msg.bits, dtype=np.float64)
-    positions = np.asarray(sigma, dtype=np.int64)[idx - 1]
+    positions = sigma[msg.indices - 1]
     j = (positions + t - 1) // t
     k = (positions - 1) % t  # 0-based slot
     active = j <= params.active_blocks
-    w_arr = np.asarray(w, dtype=np.float64)
     terms = np.where(
         active,
-        (linear[k] * bits + alpha0 / t) * w_arr[np.minimum(j, len(w_arr)) - 1],
+        (linear[k] * msg.bits + alpha0 / t) * w[np.minimum(j, len(w)) - 1],
         0.0,
     )
     x_stat = float(terms.sum())
@@ -177,30 +185,31 @@ def level_one_slots(f: BooleanFunction) -> np.ndarray:
 def run_uniform_phd1(
     instance: PartitionInstance,
     slots: np.ndarray,
-    sample_count: int,
-    rng: np.random.Generator,
+    subset: np.ndarray,
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
     """Uniform-distribution sender for phdeg(f) <= 1, decoding from the
     nonzero level-1 coefficients ``level_one_slots(f)`` returns.
 
-    Alice sends a uniform index subset of the given size; Bob scans it for
-    the first index whose slot carries a nonzero level-1 coefficient
-    inside an active block and outputs
+    Alice sends ``subset``, a uniform index subset (1-based int64 indices
+    in the order drawn, e.g. the first entries of a ``fisher_yates``
+    permutation); Bob takes the first index whose slot carries a nonzero
+    level-1 coefficient inside an active block and outputs
     sgn(level-1 coefficient) * x_i * w_{j(i)}; a fair coin if no index
     qualifies.
     """
     params = instance.params
-    if not 1 <= sample_count <= params.n:
+    if not 1 <= len(subset) <= params.n:
         raise ValueError("subset size must lie in [1, n]")
-    indices = fisher_yates(params.n, rng)[:sample_count].tolist()
+    positions = instance.sigma[subset - 1]
+    j = (positions + params.t - 1) // params.t
+    coeffs = slots[(positions - 1) % params.t]
+    hits = np.flatnonzero((j <= params.active_blocks) & (coeffs != 0))
 
     statistic = 0.0
-    for i in indices:
-        j, k = block_and_slot(instance.sigma[i - 1], params.t)
-        if j <= params.active_blocks and slots[k - 1] != 0:
-            sign = 1 if slots[k - 1] > 0 else -1
-            statistic = float(sign * instance.x[i - 1] * instance.w[j - 1])
-            break
-    cost = message_cost_bits(sample_count, params.n)
-    return ProtocolOutcome(decide(statistic, tie_rng), statistic, cost, sample_count)
+    if hits.size:
+        first = hits[0]
+        sign = 1 if coeffs[first] > 0 else -1
+        statistic = float(sign * instance.x[subset[first] - 1] * instance.w[j[first] - 1])
+    cost = message_cost_bits(len(subset), params.n)
+    return ProtocolOutcome(decide(statistic, tie_rng), statistic, cost, len(subset))

@@ -5,6 +5,11 @@ experiment seed: "instance" (hidden bit, x, sigma), "protocol" (the
 sender/decider), and "tiebreak" (zero-statistic coin flips).  Records are
 written in trial order, so identical configurations produce byte-identical
 output.
+
+Trials run in chunks: a chunk's instances are generated together, their
+shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
+index subsets.  Since every trial draws only from its own streams, the
+output does not depend on where the chunks are cut.
 """
 
 from __future__ import annotations
@@ -18,11 +23,18 @@ from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
 from .classical import level_one_slots, protocol_witness, run_classical, run_uniform_phd1
-from .instances import PartitionParams, generate_instance
+from .instances import PartitionParams, generate_instances
 from .quantum import block_multilinear_matrix, run_quantum
-from .rng import coin, stream
+from .rng import coin, fisher_yates_rows, stream
 
 PROTOCOLS = ("classical", "quantum", "uniform")
+
+# Bound on a chunk's arrays, all counted together: per trial, x, sigma (as
+# the shuffle's (n, T) array, its flat swap indices and the permuted
+# strings), the instance's own copies of x and sigma, and for run-uniform
+# the subsets' shuffle; CHUNK_ARRAYS length-n int64 arrays in all.
+CHUNK_BYTES = 16 * 2**20
+CHUNK_ARRAYS = 8
 
 TRIAL_FIELDS = ("record", "trial", "b", "guess", "correct", "statistic", "cost_bits")
 SUMMARY_FIELDS = (
@@ -106,24 +118,29 @@ def run_protocol_trials(
         raise ValueError(f"unknown protocol {protocol!r}")
     if trials < 1:
         raise ValueError("trial count must be positive")
-    runner = _make_runner(protocol, f, epsilon, sample_count)
+    runner = _make_runner(protocol, f, params, epsilon, sample_count)
+    chunk = max(1, CHUNK_BYTES // (CHUNK_ARRAYS * 8 * params.n))
 
     records: list[TrialRecord] = []
     successes = 0
     total_cost = 0
-    for trial in range(trials):
-        inst_rng = stream(seed, "instance", trial)
-        b = coin(inst_rng)
-        instance = generate_instance(f, params, b, inst_rng)
-        outcome = runner(
-            instance, stream(seed, "protocol", trial), stream(seed, "tiebreak", trial)
+    for start in range(0, trials, chunk):
+        numbers = range(start, min(start + chunk, trials))
+        inst_rngs = [stream(seed, "instance", trial) for trial in numbers]
+        bs = [coin(rng) for rng in inst_rngs]
+        instances = generate_instances(f, params, bs, inst_rngs)
+        outcomes = runner(
+            instances,
+            [stream(seed, "protocol", trial) for trial in numbers],
+            [stream(seed, "tiebreak", trial) for trial in numbers],
         )
-        correct = outcome.guess == b
-        successes += int(correct)
-        total_cost += outcome.message_bits
-        records.append(
-            TrialRecord(trial, b, outcome.guess, correct, outcome.statistic, outcome.message_bits)
-        )
+        for trial, b, outcome in zip(numbers, bs, outcomes):
+            correct = outcome.guess == b
+            successes += int(correct)
+            total_cost += outcome.message_bits
+            records.append(
+                TrialRecord(trial, b, outcome.guess, correct, outcome.statistic, outcome.message_bits)
+            )
 
     low, high = wilson_interval(successes, trials)
     summary = RunSummary(
@@ -150,22 +167,37 @@ def run_protocol_trials(
 def _make_runner(
     protocol: str,
     f: BooleanFunction,
+    params: PartitionParams,
     epsilon: Optional[float],
     sample_count: Optional[int],
 ) -> Callable:
+    """The protocol's run over a chunk: instances with their protocol and
+    tie-break streams in, outcomes out."""
     if protocol == "uniform":
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
         slots = level_one_slots(f)
-        return lambda inst, rng, tie: run_uniform_phd1(inst, slots, sample_count, rng, tie)
+        if not 1 <= sample_count <= params.n:
+            raise ValueError("subset size must lie in [1, n]")
+
+        def run_uniform(instances, rngs, ties):
+            subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count]
+            return [
+                run_uniform_phd1(inst, slots, subset, tie)
+                for inst, subset, tie in zip(instances, subsets, ties)
+            ]
+
+        return run_uniform
     if epsilon is None:
         raise ValueError(f"{protocol} protocol needs epsilon")
     if protocol == "classical":
         poly = protocol_witness(f, 1)
-        return lambda inst, rng, tie: run_classical(inst, poly, epsilon, rng, tie)
-    poly = protocol_witness(f, 2)
-    matrix = block_multilinear_matrix(poly)
-    return lambda inst, rng, tie: run_quantum(inst, poly, matrix, epsilon, rng, tie)
+        run = lambda inst, rng, tie: run_classical(inst, poly, epsilon, rng, tie)
+    else:
+        poly = protocol_witness(f, 2)
+        matrix = block_multilinear_matrix(poly)
+        run = lambda inst, rng, tie: run_quantum(inst, poly, matrix, epsilon, rng, tie)
+    return lambda instances, rngs, ties: list(map(run, instances, rngs, ties))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, all_points, fourier_transform, walsh_hadamard
-from .instances import PartitionParams, b_map_rows
+from .boolfn import BooleanFunction, fourier_transform, walsh_hadamard
+from .instances import PartitionParams, promise_masks
 from .rng import fisher_yates
 
 FORMULA_TOL = 1e-10
@@ -72,11 +72,6 @@ class MessageSet:
         """Spectrum of the 0/1 characteristic function (computed on demand)."""
         return walsh_hadamard(self.indicator()) / 2**self.n
 
-    def points(self) -> np.ndarray:
-        """(|A|, n) matrix of +-1 member strings, in sorted mask order."""
-        bits = (self.members[:, None] >> np.arange(self.n)) & 1
-        return 1 - 2 * bits
-
 
 def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
     if n > MAX_MESSAGE_BITS:
@@ -114,9 +109,7 @@ def induced_distributions(
     if message_set.n != params.n:
         raise ValueError("dimension mismatch")
     length = params.active_blocks
-    zs = b_map_rows(f, message_set.points(), sigma, params)
-    bits = (1 - zs) // 2
-    masks = bits @ (1 << np.arange(length, dtype=np.int64))
+    masks = promise_masks(f, message_set.members, sigma, params)
     p = np.bincount(masks, minlength=2**length).astype(np.float64)
     p /= len(message_set)
     q = p[::-1].copy()  # complement flips every bit: mask -> full - mask
@@ -229,11 +222,9 @@ def r_hat_formula(
 # ---------------------------------------------------------------------------
 
 
-def _positions_in(s_mask: int, n: int) -> np.ndarray:
-    """Boolean (n,) array marking the positions of S = s_mask."""
+def _check_positions(s_mask: int, n: int) -> None:
     if not 0 <= s_mask < 2**n:
         raise ValueError(f"S must be a bitmask of positions in [n], 0 <= S < 2^{n}")
-    return ((s_mask >> np.arange(n)) & 1) == 1
 
 
 def u_bruteforce(
@@ -248,17 +239,15 @@ def u_bruteforce(
     if params.n > 12:
         raise ValueError("brute force capped at n <= 12")
     n = params.n
-    in_s = _positions_in(s_mask, n)
+    _check_positions(s_mask, n)
 
-    xs = all_points(n)
-    zs = b_map_rows(f, xs, sigma, params)
-    zbits = (1 - zs) // 2
+    rows = np.arange(2**n, dtype=np.int64)  # every string, row-encoded
+    zmasks = promise_masks(f, rows, sigma, params)
     block_weights = 1 << np.arange(params.active_blocks, dtype=np.int64)
-    zmasks = zbits @ block_weights
     w_mask = int(((1 - np.asarray(w, dtype=np.int64)) // 2) @ block_weights)
     full = 2**params.active_blocks - 1
 
-    chi = xs[:, in_s].prod(axis=1)
+    chi = 1 - 2 * (np.bitwise_count(rows & s_mask) & 1).astype(np.int64)
     indicator = (zmasks == w_mask).astype(np.float64) - (zmasks == (full ^ w_mask)).astype(np.float64)
     p_x = 1 / 2**n
     p_sigma = 1 / math.factorial(n)
@@ -276,7 +265,8 @@ def u_formula(
     has an odd number of nonempty blocks; otherwise
     p_sigma / 2^len * prod over nonempty blocks of f^(U_j) w_j."""
     n, t = params.n, params.t
-    in_s = _positions_in(s_mask, n)
+    _check_positions(s_mask, n)
+    in_s = ((s_mask >> np.arange(n)) & 1) == 1
     fhat = fourier_transform(f)
     if abs(fhat.coefficient(0)) > 1e-12:
         raise ValueError("closed form requires a balanced function (zero mean)")

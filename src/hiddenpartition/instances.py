@@ -13,23 +13,31 @@ integer by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .rng import fisher_yates
+from .rng import fisher_yates_rows
 
 
 @dataclass(frozen=True)
 class PartitionParams:
-    """Problem-size parameters (n total bits, t block size, alpha exact)."""
+    """Problem-size parameters (n total bits, t block size, alpha exact).
+
+    The block counts are plain ints worked out once from them: ``num_blocks``
+    = n/t, ``active_blocks`` = alpha*n/t (the blocks carrying promise
+    information) and ``active_len`` = active_blocks*t.
+    """
 
     n: int
     t: int
     alpha: Fraction
+    num_blocks: int = field(init=False, repr=False, compare=False)
+    active_blocks: int = field(init=False, repr=False, compare=False)
+    active_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -44,19 +52,9 @@ class PartitionParams:
             raise ValueError(
                 f"alpha*n/t = {active} must be a positive integer"
             )
-
-    @property
-    def num_blocks(self) -> int:
-        return self.n // self.t
-
-    @property
-    def active_blocks(self) -> int:
-        """Number of blocks carrying promise information (alpha*n/t)."""
-        return int(self.alpha * self.n / self.t)
-
-    @property
-    def active_len(self) -> int:
-        return self.active_blocks * self.t
+        object.__setattr__(self, "num_blocks", self.n // self.t)
+        object.__setattr__(self, "active_blocks", active.numerator)
+        object.__setattr__(self, "active_len", active.numerator * self.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +119,11 @@ def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]
 
 
 def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorised apply_permutation for a stack of strings (rows of xs)."""
+    """Vectorised apply_permutation for a stack of strings (rows of xs),
+    under one sigma (shape (n,)) or one sigma per row (shape (N, n))."""
     out = np.empty_like(xs)
-    out[:, np.asarray(sigma, dtype=np.int64) - 1] = xs
+    targets = np.broadcast_to(np.asarray(sigma, dtype=np.int64) - 1, xs.shape)
+    np.put_along_axis(out, targets, xs, axis=1)
     return out
 
 
@@ -138,7 +138,8 @@ def _blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
 def b_map_rows(
     f: BooleanFunction, xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
-    """Vectorised block map: (N, n) strings -> (N, active_blocks) values."""
+    """Vectorised block map: (N, n) strings -> (N, active_blocks) values,
+    under one sigma or one per string (as ``permute_rows``)."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
     permuted = permute_rows(np.asarray(sigma), np.asarray(xs, dtype=np.int64))
@@ -160,20 +161,58 @@ def b_map(
     return tuple(int(v) for v in result[0])
 
 
+def promise_masks(
+    f: BooleanFunction, members: np.ndarray, sigma: Sequence[int], params: PartitionParams
+) -> np.ndarray:
+    """B_f(x, sigma) for row-encoded strings x (bit i-1 set where x_i = -1),
+    row-encoded too: bit j-1 of entry r is set where block j of sigma(x)
+    evaluates to -1.  Works on the masks themselves, with no +-1 matrix."""
+    if f.t != params.t:
+        raise ValueError(f"function arity {f.t} != block size {params.t}")
+    sources = np.argsort(np.asarray(sigma, dtype=np.int64))  # sigma^-1(p) - 1 at p - 1
+    minus = (1 - np.asarray(f.table, dtype=np.int64)) // 2  # 1 where f is -1
+    masks = np.zeros(len(members), dtype=np.int64)
+    for j in range(params.active_blocks):
+        rows = np.zeros_like(masks)
+        for slot, source in enumerate(sources[j * params.t : (j + 1) * params.t].tolist()):
+            rows |= ((members >> source) & 1) << slot
+        masks |= minus[rows] << j
+    return masks
+
+
+def generate_instances(
+    f: BooleanFunction,
+    params: PartitionParams,
+    bs: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+) -> list[PartitionInstance]:
+    """One instance per (b, rng): x uniform, then sigma uniform
+    (Fisher-Yates), both drawn from that rng, and w = b * B_f(x, sigma) so
+    the promise holds with hidden bit b.  The shuffles run in lockstep
+    (``fisher_yates_rows``) and B_f is one gather for all of them."""
+    if len(bs) != len(rngs):
+        raise ValueError("one hidden bit per generator")
+    if any(b not in (-1, 1) for b in bs):
+        raise ValueError("b must be +-1")
+    xs = np.empty((len(rngs), params.n), dtype=np.int64)
+    for row, rng in zip(xs, rngs):
+        row[:] = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
+    sigmas = fisher_yates_rows(params.n, rngs)
+    ws = np.asarray(bs, dtype=np.int64)[:, None] * b_map_rows(f, xs, sigmas, params)
+    return [
+        PartitionInstance(params, x, sigma, w, b)
+        for x, sigma, w, b in zip(xs, sigmas, ws, bs)
+    ]
+
+
 def generate_instance(
     f: BooleanFunction,
     params: PartitionParams,
     b: int,
     rng: np.random.Generator,
 ) -> PartitionInstance:
-    """Sample x uniformly, sigma uniformly (Fisher-Yates), and set
-    w = b * B_f(x, sigma) so the promise holds with hidden bit b."""
-    if b not in (-1, 1):
-        raise ValueError("b must be +-1")
-    x = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
-    sigma = fisher_yates(params.n, rng)
-    w = b * b_map_rows(f, x[None, :], sigma, params)[0]
-    return PartitionInstance(params, x, sigma, w, b)
+    """``generate_instances`` for a single (b, rng)."""
+    return generate_instances(f, params, [b], [rng])[0]
 
 
 def verify_promise(f: BooleanFunction, instance: PartitionInstance) -> Optional[int]:

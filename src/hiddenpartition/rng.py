@@ -4,13 +4,16 @@ Every random choice in the package flows through a stream obtained from
 ``stream(seed, *labels)``.  Streams are backed by the Philox counter-based
 bit generator and keyed by a hash of ``(seed, labels)``, so distinct labels
 give statistically independent streams and the same key always reproduces
-the same draws.  Callers parallelise across trials by giving each trial its
-own label; no generator is ever shared.
+the same draws.  Each trial gets its own labelled streams; no generator is
+shared between trials.  That is what lets ``fisher_yates_rows`` shuffle a
+chunk of trials in lockstep: every generator still gives exactly the draws
+a shuffle of its own would take from it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
@@ -24,21 +27,40 @@ def stream(seed: int, *labels: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random permutation of [n] as an array of 1-based images.
+def fisher_yates_rows(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One uniform random permutation of [n] per generator: row r of the
+    (len(rngs), n) int64 result holds the 1-based images drawn from rngs[r].
 
-    Classic swap-from-the-back shuffle; all index draws are taken from
-    ``rng`` in one vectorised call, the swaps themselves are deterministic
-    and run on a Python list (numpy scalar swaps cost several times more).
+    Swap-from-the-back shuffle.  Each generator gives all its swap indices
+    in one call, ``rng.integers(0, arange(n, 1, -1))`` (draw k is uniform
+    on [0, n-k)), whatever it was asked for before, so each row and each
+    generator's next draw are those of a shuffle of that generator alone.
+    The swaps then run once over positions for every row in lockstep, on
+    an (n, T) array with one vectorised swap per position.
     """
     if n < 1:
         raise ValueError("permutation size must be positive")
-    perm = list(range(1, n + 1))
-    draws = rng.integers(0, np.arange(n, 1, -1))  # draws[k] is uniform on [0, n-k)
-    for k, j in enumerate(draws.tolist()):
-        i = n - 1 - k
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.int64)
+    count = len(rngs)
+    highs = np.arange(n, 1, -1)
+    # flat[k, r]: row r's draw k, as an index into the flattened (n, T) array
+    flat = np.empty((n - 1, count), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        flat[:, r] = rng.integers(0, highs)
+    flat *= count
+    flat += np.arange(count)
+    perm = np.repeat(np.arange(1, n + 1, dtype=np.int64)[:, None], count, axis=1)
+    cells = perm.reshape(-1)
+    for i, targets in zip(range(n - 1, 0, -1), flat):
+        drawn = cells[targets]
+        cells[targets] = perm[i]
+        perm[i] = drawn
+    return perm.T
+
+
+def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random permutation of [n] as an array of 1-based images:
+    ``fisher_yates_rows`` with a single row."""
+    return fisher_yates_rows(n, [rng])[0]
 
 
 def coin(rng: np.random.Generator) -> int:

@@ -9,7 +9,6 @@ from hiddenpartition.classical import (
     SampleMessage,
     UnsupportedFunctionError,
     alice_sample,
-    block_and_slot,
     bob_decide,
     level_one_slots,
     message_cost_bits,
@@ -20,10 +19,11 @@ from hiddenpartition.classical import (
 )
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams, generate_instance
-from hiddenpartition.rng import stream
+from hiddenpartition.rng import fisher_yates, stream
 from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
 
 from conftest import poly_from_terms
+from oracles import block_and_slot, uniform_statistic_by_scan
 
 
 def test_required_samples_examples():
@@ -43,16 +43,27 @@ def test_required_samples_guards():
 
 def test_alice_sample_guards_and_constants():
     with pytest.raises(ValueError):
-        alice_sample((1, 1), 0, stream(0))
-    msg = alice_sample(tuple([1] * 10), 5, stream(1))
-    assert msg.bits == (1, 1, 1, 1, 1)
+        alice_sample(np.ones(2, dtype=np.int64), 0, stream(0))
+    msg = alice_sample(np.ones(10, dtype=np.int64), 5, stream(1))
+    assert tuple(msg.bits) == (1, 1, 1, 1, 1)
     assert all(1 <= i <= 10 for i in msg.indices)
 
 
+def test_sample_message_holds_read_only_int64_arrays():
+    msg = SampleMessage([3, 1], np.array([-1, 1], dtype=np.int32))
+    for value in (msg.indices, msg.bits):
+        assert value.dtype == np.int64
+        assert not value.flags.writeable
+    assert msg == SampleMessage((3, 1), (-1, 1))
+    assert msg != SampleMessage((3, 1), (1, 1))
+    with pytest.raises(ValueError):
+        SampleMessage((1, 2), (1,))
+
+
 def test_alice_sample_deterministic_golden():
-    x = tuple([1] * 16)
+    x = np.ones(16, dtype=np.int64)
     msg = alice_sample(x, 6, stream(42, "protocol", 0))
-    assert msg.indices == (10, 16, 9, 8, 5, 7)
+    assert tuple(msg.indices) == (10, 16, 9, 8, 5, 7)
     assert msg == alice_sample(x, 6, stream(42, "protocol", 0))
 
 
@@ -70,28 +81,28 @@ def dictator_poly(t: int) -> SignPolynomial:
 def test_bob_decide_dictator_single_hit():
     # one sampled index whose permuted position is slot 1 of block 1
     params = PartitionParams(4, 2, Fraction(1))
-    sigma = (1, 2, 3, 4)
+    sigma = np.array([1, 2, 3, 4])
     msg = SampleMessage((1,), (1,))
-    outcome = bob_decide(msg, sigma, (1, 1), dictator_poly(2), params)
+    outcome = bob_decide(msg, sigma, np.array([1, 1]), dictator_poly(2), params)
     assert outcome.statistic == pytest.approx(1.0)
     assert outcome.guess == 1
 
 
 def test_bob_decide_zero_coefficient_slot():
     params = PartitionParams(4, 2, Fraction(1))
-    sigma = (2, 1, 3, 4)  # index 1 lands on slot 2, coefficient 0
+    sigma = np.array([2, 1, 3, 4])  # index 1 lands on slot 2, coefficient 0
     msg = SampleMessage((1,), (1,))
-    outcome = bob_decide(msg, sigma, (1, 1), dictator_poly(2), params)
+    outcome = bob_decide(msg, sigma, np.array([1, 1]), dictator_poly(2), params)
     assert outcome.statistic == 0.0
 
 
 def test_bob_decide_inactive_indices_random_tie():
     params = PartitionParams(4, 2, Fraction(1, 2))
-    sigma = (3, 4, 1, 2)  # indices 1,2 land outside the active prefix
+    sigma = np.array([3, 4, 1, 2])  # indices 1,2 land outside the active prefix
     msg = SampleMessage((1, 2), (1, -1))
     guesses = set()
     for i in range(32):
-        outcome = bob_decide(msg, sigma, (1,), dictator_poly(2), params, stream(9, i))
+        outcome = bob_decide(msg, sigma, np.array([1]), dictator_poly(2), params, stream(9, i))
         assert outcome.statistic == 0.0
         guesses.add(outcome.guess)
     assert guesses == {-1, 1}
@@ -99,8 +110,8 @@ def test_bob_decide_inactive_indices_random_tie():
 
 def test_bob_decide_order_invariant():
     params = PartitionParams(6, 2, Fraction(1))
-    sigma = (5, 3, 1, 2, 6, 4)
-    w = (1, -1, 1)
+    sigma = np.array([5, 3, 1, 2, 6, 4])
+    w = np.array([1, -1, 1])
     msg = SampleMessage((1, 3, 5), (1, -1, -1))
     shuffled = SampleMessage((5, 1, 3), (-1, 1, -1))
     poly = dictator_poly(2)
@@ -114,7 +125,7 @@ def test_bob_decide_rejects_quadratic():
     params = PartitionParams(4, 2, Fraction(1))
     quad = poly_from_terms(2, {0b11: 1.0}, 1.0)
     with pytest.raises(ValueError):
-        bob_decide(SampleMessage((1,), (1,)), (1, 2, 3, 4), (1, 1), quad, params)
+        bob_decide(SampleMessage((1,), (1,)), np.array([1, 2, 3, 4]), np.array([1, 1]), quad, params)
 
 
 def test_message_cost_grows_logarithmically():
@@ -172,7 +183,7 @@ def test_run_uniform_dictator_exact_on_hit():
         b = 1 if trial % 2 else -1
         instance = generate_instance(f, params, b, rng)
         outcome = run_uniform_phd1(
-            instance, slots, 40, stream(5, "protocol", trial), stream(5, "tie", trial)
+            instance, slots, fisher_yates(40, stream(5, "protocol", trial))[:40], stream(5, "tie", trial)
         )
         if outcome.statistic != 0.0:
             assert outcome.guess == b
@@ -187,9 +198,31 @@ def test_run_uniform_majority_conditional_success():
     for trial in range(4000):
         rng = stream(13, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        outcome = run_uniform_phd1(instance, slots, 10, stream(13, "protocol", trial))
+        outcome = run_uniform_phd1(instance, slots, fisher_yates(30, stream(13, "protocol", trial))[:10])
         if outcome.statistic != 0.0:
             hits += 1
             correct_hits += int(outcome.guess == 1)
     assert hits > 3000
     assert correct_hits / hits == pytest.approx(0.75, abs=0.03)
+
+
+def test_run_uniform_scan_matches_index_by_index_oracle():
+    # the vectorised first-hit scan against the per-index loop it replaced
+    for f, n, alpha in ((dictator(4), 40, Fraction(1, 2)), (majority(3), 30, Fraction(1, 5))):
+        slots = level_one_slots(f)
+        params = PartitionParams(n, f.t, alpha)
+        for trial in range(100):
+            instance = generate_instance(f, params, 1, stream(21, "instance", trial))
+            subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
+            outcome = run_uniform_phd1(instance, slots, subset, stream(21, "tie", trial))
+            assert outcome.statistic == uniform_statistic_by_scan(instance, slots, subset)
+            assert outcome.m == len(subset)
+
+
+def test_run_uniform_rejects_subsets_outside_one_to_n():
+    f = dictator(2)
+    params = PartitionParams(4, 2, Fraction(1))
+    instance = generate_instance(f, params, 1, stream(0, "instance"))
+    for subset in (np.array([], dtype=np.int64), np.arange(1, 6)):
+        with pytest.raises(ValueError):
+            run_uniform_phd1(instance, level_one_slots(f), subset)

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -5,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hiddenpartition import experiments
 from hiddenpartition.cli import main
 from hiddenpartition.experiments import (
     run_protocol_trials,
@@ -12,7 +15,7 @@ from hiddenpartition.experiments import (
     write_csv,
     write_jsonl,
 )
-from hiddenpartition.boolfn import dictator
+from hiddenpartition.boolfn import dictator, majority, parity
 from hiddenpartition.instances import PartitionParams
 
 
@@ -248,6 +251,54 @@ def test_cli_run_matches_golden(tmp_path, args, golden):
     out = tmp_path / golden
     assert run_cli([*args, *GOLDEN_RUN_ARGS, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+# sha256 of the stdout of each run at the benchmark's scale, which spans
+# several lockstep chunks (the files above span one)
+BENCH_RUN_ARGS = ("--n", "3000", "--alpha", "1/2", "--trials", "300", "--seed", "7")
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["run-classical", "--named", "majority", "--t", "3", "--epsilon", "0.1"],
+         "5b396bd6fbdd710f7d7b6bd4e8cc1267591a779ff6ff373f09165127eb199f70"),
+        (["run-quantum", "--named", "parity", "--t", "2", "--epsilon", "0.1",
+          "--format", "jsonl"],
+         "0a31575aeeb366a280e8b7948d53edd4d73e0c9b5b32427ab33d43584753a73f"),
+        (["run-uniform", "--named", "dictator", "--t", "4", "--samples", "32"],
+         "6b1595292bfd0cd6ac6f0c01ef99a80ef281472d93581e44d3beb4114624b48f"),
+    ],
+    ids=["classical", "quantum", "uniform"],
+)
+def test_cli_run_at_benchmark_scale_matches_digest(tmp_path, args, digest):
+    out = tmp_path / "run.out"
+    assert run_cli([*args, *BENCH_RUN_ARGS, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "protocol, f, options",
+    [("classical", majority(3), {"epsilon": 0.1}),
+     ("quantum", parity(2), {"epsilon": 0.1}),
+     ("uniform", dictator(4), {"sample_count": 8})],
+)
+def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
+    params = PartitionParams(24, f.t, Fraction(1, 2))
+
+    def run() -> str:
+        out = io.StringIO()
+        write_csv(out, *run_protocol_trials(protocol, f, "f", params, 20, 5, **options))
+        return out.getvalue()
+
+    whole = run()
+    chunks = []
+    generate = experiments.generate_instances
+    monkeypatch.setattr(experiments, "generate_instances",
+                        lambda *a: chunks.append(len(a[2])) or generate(*a))
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.CHUNK_ARRAYS * 8 * params.n)
+    assert run() == whole
+    assert chunks == [7, 7, 6]
 
 
 @pytest.mark.parametrize(

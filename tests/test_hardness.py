@@ -20,8 +20,11 @@ from hiddenpartition.hardness import (
     u_bruteforce,
     u_formula,
 )
-from hiddenpartition.instances import PartitionParams
+from hiddenpartition.instances import PartitionParams, promise_masks
 from hiddenpartition.rng import fisher_yates, stream
+
+from conftest import random_table
+from oracles import induced_p_by_points, promise_masks_by_points, u_by_points
 
 PARAMS_4 = PartitionParams(4, 2, Fraction(1))
 IDENTITY_4 = (1, 2, 3, 4)
@@ -112,6 +115,30 @@ def test_complement_relation(seed):
         assert dists.q[mask] == dists.p[full ^ mask]
     assert dists.p.sum() == pytest.approx(1.0, abs=1e-12)
     assert dists.q.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, t, alpha",
+    [(6, 1, Fraction(1, 2)), (10, 2, Fraction(3, 5)), (12, 3, Fraction(3, 4)),
+     (16, 4, Fraction(1, 2)), (8, 4, Fraction(1, 2))],
+)
+def test_packed_promise_masks_match_points_oracle(n, t, alpha):
+    params = PartitionParams(n, t, alpha)
+    for case in range(4):
+        rng = stream(case, "packed", n, t)
+        f = random_table(t, rng)
+        ms = random_message_set(n, int(rng.integers(1, min(2**n, 3000) + 1)), rng)
+        sigma = fisher_yates(n, rng)
+        masks = promise_masks(f, ms.members, sigma, params)
+        assert masks.dtype == np.int64
+        assert np.array_equal(masks, promise_masks_by_points(f, ms, sigma, params))
+        dists = induced_distributions(f, ms, sigma, params)
+        assert np.array_equal(dists.p, induced_p_by_points(f, ms, sigma, params))
+
+
+def test_promise_masks_check_the_arity():
+    with pytest.raises(ValueError):
+        promise_masks(parity(3), np.arange(16), IDENTITY_4, PARAMS_4)
 
 
 def test_tvd_bounds_and_mismatch():
@@ -290,3 +317,16 @@ def test_kkl_never_violated(seed):
     ms = random_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
     report = kkl_check(ms, [0.1 * k for k in range(1, 10)])
     assert report.violations == 0
+
+
+@pytest.mark.parametrize("n, t, alpha", [(8, 2, Fraction(1, 2)), (9, 3, Fraction(2, 3)), (12, 4, Fraction(1))])
+def test_u_bruteforce_matches_points_oracle(n, t, alpha):
+    # chi_S as the parity of the masked bit count, against the product of coordinates
+    params = PartitionParams(n, t, alpha)
+    for case in range(5):
+        rng = stream(case, "u-oracle", n)
+        f = random_table(t, rng)
+        sigma = fisher_yates(n, rng)
+        w = 1 - 2 * rng.integers(0, 2, size=params.active_blocks)
+        mask = int(rng.integers(0, 2**n))
+        assert u_bruteforce(f, sigma, w, mask, params) == u_by_points(f, sigma, w, mask, params)

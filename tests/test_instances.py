@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hiddenpartition.boolfn import majority, parity
+from hiddenpartition.boolfn import BooleanFunction, majority, parity
 from hiddenpartition.instances import (
     PartitionInstance,
     PartitionParams,
     apply_permutation,
     b_map,
     generate_instance,
+    generate_instances,
     instance_from_json,
     instance_to_json,
     verify_promise,
@@ -39,6 +40,14 @@ def test_params_block_accounting():
     assert params.num_blocks == 4
     assert params.active_blocks == 2
     assert params.active_len == 6
+
+
+def test_params_block_counts_are_plain_ints():
+    params = PartitionParams(12, 3, Fraction(1, 2))
+    for value in (params.num_blocks, params.active_blocks, params.active_len):
+        assert type(value) is int
+    assert params == PartitionParams(12, 3, Fraction(2, 4))
+    assert hash(params) == hash(PartitionParams(12, 3, Fraction(2, 4)))
 
 
 def test_apply_permutation_identity():
@@ -97,6 +106,42 @@ def test_b_map_depends_only_on_permuted_string(seed):
     assert b_map(f, x, sigma, params) == b_map(
         f, apply_permutation(sigma, x), identity, params
     )
+
+
+@given(st.integers(min_value=0, max_value=2**31), st.data())
+def test_b_map_equivariant_under_relabelling(seed, data):
+    # relabelling the input positions by pi in both x and sigma leaves B_f unchanged
+    rng = stream(seed, "relabel")
+    t = data.draw(st.integers(min_value=1, max_value=4))
+    blocks = data.draw(st.integers(min_value=1, max_value=4))
+    active = data.draw(st.integers(min_value=1, max_value=blocks))
+    n = t * blocks
+    params = PartitionParams(n, t, Fraction(active, blocks))
+    f = BooleanFunction(t, tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=2**t)))
+    x = 1 - 2 * rng.integers(0, 2, size=n)
+    sigma = fisher_yates(n, rng)
+    pi = fisher_yates(n, rng)
+    assert b_map(f, x[pi - 1], sigma[pi - 1], params) == b_map(f, x, sigma, params)
+
+
+@pytest.mark.parametrize("n, t, alpha", [(12, 3, Fraction(1, 2)), (3000, 3, Fraction(1, 2))])
+def test_generate_instances_match_one_at_a_time(n, t, alpha):
+    params = PartitionParams(n, t, alpha)
+    f = majority(3)
+    bs = [1, -1, -1, 1, 1]
+    batch = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
+    for k, (b, instance) in enumerate(zip(bs, batch)):
+        assert instance == generate_instance(f, params, b, stream(4, "instance", k))
+        assert verify_promise(f, instance) == b
+
+
+def test_generate_instances_reject_bad_bits_before_drawing():
+    rng = stream(0, "instance")
+    with pytest.raises(ValueError):
+        generate_instances(majority(3), PartitionParams(6, 3, Fraction(1)), [1, 0], [rng, rng])
+    with pytest.raises(ValueError):
+        generate_instances(majority(3), PartitionParams(6, 3, Fraction(1)), [1], [rng, rng])
+    assert rng.integers(0, 2**62) == stream(0, "instance").integers(0, 2**62)
 
 
 @given(

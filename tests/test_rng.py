@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hiddenpartition.rng import coin, fisher_yates, stream
+from hiddenpartition.rng import coin, fisher_yates, fisher_yates_rows, stream
+
+from oracles import list_fisher_yates
 
 
 def test_same_key_reproduces():
@@ -53,3 +55,40 @@ def test_fisher_yates_rejects_nonpositive():
 def test_coin_values():
     values = {coin(stream(5, i)) for i in range(64)}
     assert values == {-1, 1}
+
+
+def _instance_streams(seeds, n):
+    """Generators that have made an instance's earlier draws (coin, x)."""
+    rngs = [stream(seed, "instance", 0) for seed in seeds]
+    for rng in rngs:
+        coin(rng)
+        rng.integers(0, 2, size=n)
+    return rngs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 24, 3000])
+@pytest.mark.parametrize("seeds", [[5], [0, 1, 2], list(range(10, 30))], ids=["T1", "T3", "T20"])
+def test_lockstep_rows_match_list_shuffle(n, seeds):
+    rngs = _instance_streams(seeds, n)
+    rows = fisher_yates_rows(n, rngs)
+    assert rows.shape == (len(seeds), n)
+    assert rows.dtype == np.int64
+    oracle_rngs = _instance_streams(seeds, n)
+    for row, oracle_rng in zip(rows, oracle_rngs):
+        assert np.array_equal(row, list_fisher_yates(n, oracle_rng))
+    # every generator is left exactly where a shuffle of its own leaves it
+    for rng, oracle_rng in zip(rngs, oracle_rngs):
+        assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 3000])
+def test_single_shuffle_matches_list_shuffle(n):
+    for seed in range(3):
+        rng, oracle_rng = stream(seed, "one"), stream(seed, "one")
+        assert np.array_equal(fisher_yates(n, rng), list_fisher_yates(n, oracle_rng))
+        assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
+
+
+def test_lockstep_rows_reject_nonpositive():
+    with pytest.raises(ValueError):
+        fisher_yates_rows(0, [stream(0), stream(1)])
