@@ -2,14 +2,16 @@
 compresses Alice's string blockwise through a Boolean function.
 
 Submodules:
-  boolfn     truth tables, Fourier spectra, symmetric constructions
-  signpoly   LP-based sign-degree and maximum-bias representations
-  instances  problem instances, promise checking, serialization
-  classical  sampled-bits and uniform-distribution senders
-  quantum    bilinear lift, unitary dilation, Hadamard-test simulation
-  reduction  parity-pair to symmetric-function instance transformation
-  hardness   brute-force-verified Fourier quantities behind the lower bounds
-  cli        experiment runner
+  boolfn       truth tables, Fourier spectra, symmetric constructions
+  signpoly     LP-based sign-degree and maximum-bias representations
+  rng          named seeded streams and the Fisher-Yates shuffle
+  instances    problem instances, promise checking, serialization
+  classical    sampled-bits and uniform-distribution senders
+  quantum      bilinear lift, unitary dilation, Hadamard-test simulation
+  reduction    parity-pair to symmetric-function instance transformation
+  hardness     brute-force-verified Fourier quantities behind the lower bounds
+  experiments  seeded protocol trials and their CSV / JSON-lines records
+  cli          experiment runner
 """
 
 from .boolfn import (

@@ -6,9 +6,9 @@ function-spec format.
 
 Conventions used throughout the package:
 
-  * Points are tuples in {-1,+1}^t with coordinates x_1..x_t.
-  * Row encoding: table row ``r`` holds the value at the point with
-    x_i = +1 when bit (i-1) of ``r`` is 0 and x_i = -1 when it is 1.
+  * Points of {-1,+1}^t are the rows of ``all_points(t)``, coordinates
+    x_1..x_t; row ``r`` is the point with x_i = +1 when bit (i-1) of ``r``
+    is 0 and x_i = -1 when it is 1, and table row ``r`` holds f there.
   * Hamming weight ``|x|`` counts the -1 coordinates.
   * Subsets S of [t] are bitmasks with bit (i-1) standing for element i,
     so the character chi_S at row r is (-1)^popcount(r & S).
@@ -20,7 +20,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -29,31 +29,11 @@ MAX_ARITY = 16
 NAMED_FUNCTIONS = ("parity", "and", "or", "majority", "nae", "dictator")
 
 
-def row_of_point(x: Sequence[int]) -> int:
-    """Table row index of a point in {-1,+1}^t."""
-    r = 0
-    for i, xi in enumerate(x):
-        if xi == -1:
-            r |= 1 << i
-        elif xi != 1:
-            raise ValueError(f"coordinate {i + 1} is {xi}, expected +-1")
-    return r
-
-
-def point_of_row(t: int, r: int) -> tuple[int, ...]:
-    return tuple(-1 if (r >> i) & 1 else 1 for i in range(t))
-
-
 def all_points(t: int) -> np.ndarray:
     """(2^t, t) matrix whose row r is the point encoded by r."""
     rows = np.arange(2**t, dtype=np.int64)
     bits = (rows[:, None] >> np.arange(t)) & 1
     return 1 - 2 * bits
-
-
-def hamming_weight(x: Sequence[int]) -> int:
-    """Number of -1 coordinates."""
-    return sum(1 for xi in x if xi == -1)
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -95,14 +75,6 @@ class BooleanFunction:
         if any(v not in (-1, 1) for v in self.table):
             raise ValueError("table entries must be +-1")
 
-    def evaluate(self, x: Sequence[int]) -> int:
-        if len(x) != self.t:
-            raise ValueError(f"expected {self.t} coordinates, got {len(x)}")
-        return self.table[row_of_point(x)]
-
-    def __call__(self, x: Sequence[int]) -> int:
-        return self.evaluate(x)
-
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorised lookup for an array of row indices."""
         return np.asarray(self.table, dtype=np.int64)[rows]
@@ -135,28 +107,15 @@ class FourierSpectrum:
     def coefficient(self, mask: int) -> float:
         return float(self.values[mask])
 
-    def support(self, tol: float = 0.0) -> dict[int, float]:
+    def support(self) -> dict[int, float]:
         """Nonzero coefficients as {subset mask: value}."""
-        return {
-            int(m): float(v)
-            for m, v in enumerate(self.values)
-            if abs(v) > tol
-        }
+        return {int(m): float(v) for m, v in enumerate(self.values) if v != 0.0}
 
 
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     """Exact spectrum: coeff[S] = 2^-t sum_x f(x) chi_S(x)."""
     table = np.asarray(f.table, dtype=np.float64)
     return FourierSpectrum(f.t, walsh_hadamard(table) / 2**f.t)
-
-
-def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
-    """Reconstruct the truth table; exact round-trip for +-1 functions."""
-    table = walsh_hadamard(spec.values)
-    rounded = np.rint(table).astype(np.int64)
-    if np.max(np.abs(table - rounded)) > 1e-9 or not np.all(np.abs(rounded) == 1):
-        raise ValueError("spectrum does not describe a +-1-valued function")
-    return BooleanFunction(spec.t, tuple(int(v) for v in rounded))
 
 
 ZERO_COEFF_TOL = 1e-12  # true coefficients are multiples of 2^-t, t <= 16
@@ -295,16 +254,13 @@ def majority(t: int) -> BooleanFunction:
     return make_symmetric(SymmetricSpec(t, (t // 2,), 1))
 
 
-def nae(t: int, all_equal_value: int = -1) -> BooleanFunction:
-    """Not-all-equal: ``all_equal_value`` on the two constant inputs and
-    its negation elsewhere.  Both sign conventions appear in the
-    literature; the global sign is irrelevant to every quantity computed
-    here."""
+def nae(t: int) -> BooleanFunction:
+    """Not-all-equal: -1 on the two constant inputs and +1 elsewhere.  The
+    literature uses both global signs; the sign is irrelevant to every
+    quantity computed here."""
     if t < 2:
         raise ValueError("nae needs arity >= 2")
-    if all_equal_value not in (-1, 1):
-        raise ValueError("all_equal_value must be +-1")
-    return make_symmetric(SymmetricSpec(t, (0, t - 1), all_equal_value))
+    return make_symmetric(SymmetricSpec(t, (0, t - 1), -1))
 
 
 def dictator(t: int) -> BooleanFunction:
@@ -312,10 +268,6 @@ def dictator(t: int) -> BooleanFunction:
     rows = np.arange(2**t, dtype=np.int64)
     table = 1 - 2 * (rows & 1)
     return BooleanFunction(t, tuple(int(v) for v in table))
-
-
-def negate(f: BooleanFunction) -> BooleanFunction:
-    return BooleanFunction(f.t, tuple(-v for v in f.table))
 
 
 def named_function(name: str, t: int) -> BooleanFunction:

@@ -33,7 +33,7 @@ from .hardness import (
     u_formula,
 )
 from .instances import PartitionParams
-from .quantum import block_multilinear_matrix, matrix_audit_record, unitary_dilation
+from .quantum import block_multilinear_matrix, matrix_audit_record
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import fisher_yates, stream
 from .signpoly import sign_degree
@@ -190,7 +190,7 @@ def cmd_run(args, protocol: str) -> int:
     )
     if protocol == "quantum" and args.dump_matrix:
         matrix = block_multilinear_matrix(protocol_witness(f, 2))
-        _write_json(args.dump_matrix, matrix_audit_record(matrix, unitary_dilation(matrix)))
+        _write_json(args.dump_matrix, matrix_audit_record(matrix))
     write = write_csv if args.format == "csv" else write_jsonl
     with _output(args.out) as out:
         write(out, records, summary)

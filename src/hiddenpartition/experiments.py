@@ -36,6 +36,8 @@ PROTOCOLS = ("classical", "quantum", "uniform")
 CHUNK_BYTES = 16 * 2**20
 CHUNK_ARRAYS = 8
 
+WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
+
 TRIAL_FIELDS = ("record", "trial", "b", "guess", "correct", "statistic", "cost_bits")
 SUMMARY_FIELDS = (
     "record",
@@ -88,8 +90,9 @@ class RunSummary:
     seed: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials

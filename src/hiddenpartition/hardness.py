@@ -29,13 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier_transform, walsh_hadamard
-from .instances import PartitionParams, promise_masks
+from .instances import PartitionParams, inverse_permutation, promise_masks
 from .rng import fisher_yates
 
-FORMULA_TOL = 1e-10
 # Largest string length any routine here enumerates (induced_distributions);
 # message sets are refused above it before their 2^n-sized draw is made.
 MAX_MESSAGE_BITS = 20
+# A kkl_check margin counts as a violation only below -KKL_TOL.
+KKL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +63,11 @@ class MessageSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def indicator(self) -> np.ndarray:
-        """0/1 characteristic vector over all 2^n rows."""
-        g = np.zeros(2**self.n)
-        g[self.members] = 1.0
-        return g
-
     def characteristic_spectrum(self) -> np.ndarray:
         """Spectrum of the 0/1 characteristic function (computed on demand)."""
-        return walsh_hadamard(self.indicator()) / 2**self.n
+        indicator = np.zeros(2**self.n)
+        indicator[self.members] = 1.0
+        return walsh_hadamard(indicator) / 2**self.n
 
 
 def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
@@ -157,13 +154,6 @@ def expected_tvd(
 # ---------------------------------------------------------------------------
 
 
-def _inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=np.int64)
-    inverse = np.empty(len(sigma) + 1, dtype=np.int64)
-    inverse[sigma] = np.arange(1, len(sigma) + 1)
-    return inverse
-
-
 def r_hat_bruteforce(
     f: BooleanFunction,
     message_set: MessageSet,
@@ -192,10 +182,10 @@ def r_hat_formula(
     fhat = fourier_transform(f)
     support = [(mask, c) for mask, c in enumerate(fhat.values) if c != 0.0]
     ghat = message_set.characteristic_spectrum().tolist()
-    inverse = _inverse_permutation(sigma)
+    inverse = inverse_permutation(sigma)
 
     # placed[j][tmask]: the sigma^-1 image of slots tmask of block j+1, as an n-bit mask
-    preimage_bits = 1 << (inverse[1 : length * t + 1].reshape(length, t) - 1)
+    preimage_bits = 1 << (inverse[: length * t].reshape(length, t) - 1)
     slot_bits = (np.arange(2**t)[:, None] >> np.arange(t)) & 1
     placed = (preimage_bits @ slot_bits.T).tolist()
 
@@ -300,9 +290,7 @@ class KklReport:
     violations: int
 
 
-def kkl_check(
-    message_set: MessageSet, deltas: Sequence[float], tol: float = 1e-12
-) -> KklReport:
+def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
     """Evaluate sum_S delta^|S| g^(S)^2 <= (|A|/2^n)^(2/(1+delta)) for the
     0/1 characteristic function of the set, over a grid of deltas."""
     n = message_set.n
@@ -322,5 +310,5 @@ def kkl_check(
         lhs.append(left)
         rhs.append(right)
         margins.append(right - left)
-    violations = sum(1 for m in margins if m < -tol)
+    violations = sum(1 for m in margins if m < -KKL_TOL)
     return KklReport(tuple(deltas), tuple(lhs), tuple(rhs), tuple(margins), violations)

@@ -118,6 +118,14 @@ def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]
     return tuple(y)
 
 
+def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
+    """sigma^-1 as 1-based int64 images: entry p-1 holds sigma^-1(p)."""
+    sigma = np.asarray(sigma, dtype=np.int64)
+    inverse = np.empty_like(sigma)
+    inverse[sigma - 1] = np.arange(1, len(sigma) + 1)
+    return inverse
+
+
 def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorised apply_permutation for a stack of strings (rows of xs),
     under one sigma (shape (n,)) or one sigma per row (shape (N, n))."""
@@ -169,7 +177,7 @@ def promise_masks(
     evaluates to -1.  Works on the masks themselves, with no +-1 matrix."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
-    sources = np.argsort(np.asarray(sigma, dtype=np.int64))  # sigma^-1(p) - 1 at p - 1
+    sources = inverse_permutation(sigma) - 1  # sigma^-1(p) - 1 at p - 1
     minus = (1 - np.asarray(f.table, dtype=np.int64)) // 2  # 1 where f is -1
     masks = np.zeros(len(members), dtype=np.int64)
     for j in range(params.active_blocks):

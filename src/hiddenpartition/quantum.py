@@ -11,21 +11,20 @@ returns outcome 0 with probability
     1/2 + p(z) / (2 ||A|| (t+1))
 
 for block value z, which the simulator samples from the exact closed form.
-A dense state-vector implementation of the same circuit serves as an
-independent cross-check oracle at small arity.
+A dense state-vector simulation of the same circuit in
+``tests/oracles.py`` cross-checks that closed form at small arity.
 
 Basis convention: index 0 of A (and of the test state) is the lifted
 constant coordinate, indices 1..t are x_1..x_t.  A relabelling of basis
-states leaves every outcome probability unchanged, so this fixed order is
-used on both the closed-form and state-vector paths.
+states leaves every outcome probability unchanged, so the state-vector
+cross-check uses this fixed order too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .instances import PartitionInstance, PartitionParams, permute_rows
 from .signpoly import SignPolynomial
 
 IDENTITY_TOL = 1e-10
-STATEVECTOR_MAX_ARITY = 10
 
 
 @dataclass(frozen=True)
@@ -60,14 +58,11 @@ class BlockMatrix:
         return self.t + 1
 
 
-def lift_point(z: Sequence[int]) -> np.ndarray:
-    return np.concatenate(([1.0], np.asarray(z, dtype=np.float64)))
-
-
-def quadratic_form(a: BlockMatrix, z: Sequence[int]) -> float:
-    """z~^T A z~ = p(z) for the polynomial A was built from."""
-    zt = lift_point(z)
-    return float(zt @ a.entries @ zt)
+def _lifted_forms(entries: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """z~^T A z~ for each row z of zs, with z~ = (1, z_1, ..., z_t)."""
+    zs = np.asarray(zs, dtype=np.float64)
+    lifted = np.hstack([np.ones((zs.shape[0], 1)), zs])
+    return np.einsum("ri,ij,rj->r", lifted, entries, lifted)
 
 
 def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
@@ -87,25 +82,16 @@ def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
     i, j = np.triu_indices(t, 1)
     a[i + 1, j + 1] = a[j + 1, i + 1] = p.coeffs[(1 << i) | (1 << j)] / 2
 
-    points = all_points(t)
-    lifted = np.hstack([np.ones((points.shape[0], 1)), points.astype(np.float64)])
-    reproduced = np.einsum("ri,ij,rj->r", lifted, a, lifted)
+    reproduced = _lifted_forms(a, all_points(t))
     if np.max(np.abs(reproduced - p.evaluate_all())) > IDENTITY_TOL:
         raise RuntimeError("bilinear lift failed to reproduce the polynomial")
 
     return BlockMatrix.from_entries(a)
 
 
-@dataclass(frozen=True)
-class Dilation:
-    """Orthogonal matrix whose top-left block is A/||A||."""
-
-    dim: int
-    entries: np.ndarray
-
-
-def unitary_dilation(a: BlockMatrix) -> Dilation:
-    """Double-size orthogonal dilation built from the SVD of A/||A||.
+def unitary_dilation(a: BlockMatrix) -> np.ndarray:
+    """Double-size orthogonal dilation built from the SVD of A/||A||, as a
+    read-only (2 dim, 2 dim) array whose top-left block is A/||A||.
 
     With A/||A|| = W S V^T the dilation is
     [[W S V^T, W sqrt(I-S^2)], [sqrt(I-S^2) V^T, -S]].
@@ -120,66 +106,12 @@ def unitary_dilation(a: BlockMatrix) -> Dilation:
     bottom = np.hstack([root[:, None] * vt, -np.diag(s)])
     u = np.vstack([top, bottom])
     u.setflags(write=False)
-    return Dilation(2 * a.dim, u)
-
-
-def hadamard_test_prob(a: BlockMatrix, z: Sequence[int]) -> float:
-    """Closed-form probability of outcome 0 on block value z."""
-    return float(hadamard_test_probs(a, np.asarray(z, dtype=np.float64)[None, :])[0])
+    return u
 
 
 def hadamard_test_probs(a: BlockMatrix, zs: np.ndarray) -> np.ndarray:
     """Vectorised closed form over a stack of block values (rows of zs)."""
-    zs = np.asarray(zs, dtype=np.float64)
-    lifted = np.hstack([np.ones((zs.shape[0], 1)), zs])
-    forms = np.einsum("ri,ij,rj->r", lifted, a.entries, lifted)
-    return 0.5 + forms / (2 * a.spectral_norm * (a.t + 1))
-
-
-def statevector_oracle(a: BlockMatrix, z: Sequence[int]) -> float:
-    """Outcome-0 probability computed by simulating the circuit itself.
-
-    Prepares the block state (1, z_1, ..., z_t)/sqrt(t+1) padded into the
-    dilated space, runs ancilla-controlled U followed by the final
-    Hadamard on a dense state vector, and reads off the probability by
-    direct amplitude computation.  Must agree with ``hadamard_test_prob``
-    to within 1e-9.
-    """
-    t = a.t
-    if t > STATEVECTOR_MAX_ARITY:
-        raise ValueError(f"state-vector oracle supports t <= {STATEVECTOR_MAX_ARITY}")
-    if len(z) != t:
-        raise ValueError("block length mismatch")
-    dim = 2 * (t + 1)
-    psi = np.zeros(dim)
-    psi[0] = 1.0
-    psi[1 : t + 1] = np.asarray(z, dtype=np.float64)
-    psi /= math.sqrt(t + 1)
-
-    u = unitary_dilation(a).entries
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    state = np.kron(plus, psi)
-
-    controlled = np.zeros((2 * dim, 2 * dim))
-    controlled[:dim, :dim] = np.eye(dim)
-    controlled[dim:, dim:] = u
-    state = controlled @ state
-
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    state = np.kron(hadamard, np.eye(dim)) @ state
-
-    return float(state[:dim] @ state[:dim])
-
-
-def povm_block_distribution(params: PartitionParams) -> tuple[Fraction, ...]:
-    """Exact outcome distribution of Bob's block-collapsing measurement.
-
-    Each block j captures its t permuted coordinates plus the one marker
-    state, so its weight is (t+1)/(n + n/t) = t/n: uniform over the n/t
-    blocks.  Exposed so the sampling path of the simulator is auditable.
-    """
-    weight = Fraction(params.t + 1, params.n + params.num_blocks)
-    return (weight,) * params.num_blocks
+    return 0.5 + _lifted_forms(a.entries, zs) / (2 * a.spectral_norm * (a.t + 1))
 
 
 def qubits_per_copy(params: PartitionParams) -> int:
@@ -198,10 +130,11 @@ def run_quantum(
     """Full protocol run from a degree-2 witness (``protocol_witness(f, 2)``,
     which exists when sdeg(f) <= 2) and its ``block_multilinear_matrix``.
 
-    Per copy: a block index is drawn from the uniform measurement
-    distribution, the Hadamard-test outcome is drawn from its exact
-    closed-form probability, and active blocks contribute
-    (-1)^outcome * w_j to the statistic.  The copy count reuses the
+    Per copy: a block index is drawn from the measurement distribution,
+    uniform since each block's weight is (t+1)/(n + n/t) = t/n (its t
+    permuted coordinates plus its marker state), the Hadamard-test
+    outcome is drawn from its exact closed-form probability, and active
+    blocks contribute (-1)^outcome * w_j to the statistic.  The copy count reuses the
     Chernoff sample formula with the bias replaced by
     beta / (||A|| (t+1)), matching the statistic's expectation scale.
     """
@@ -223,13 +156,11 @@ def run_quantum(
     return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, m * qubits_per_copy(params), m)
 
 
-def matrix_audit_record(a: BlockMatrix, dilation: Optional[Dilation] = None) -> dict:
-    """JSON-ready dump of A, ||A|| and optionally U for audit."""
-    record = {
+def matrix_audit_record(a: BlockMatrix) -> dict:
+    """JSON-ready dump of A, ||A|| and its unitary dilation U for audit."""
+    return {
         "dim": a.dim,
         "entries": [[float(v) for v in row] for row in a.entries],
         "spectral_norm": a.spectral_norm,
+        "dilation": [[float(v) for v in row] for row in unitary_dilation(a)],
     }
-    if dilation is not None:
-        record["dilation"] = [[float(v) for v in row] for row in dilation.entries]
-    return record

@@ -22,13 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import SymmetricSpec, all_points, make_symmetric, sign_changes, weight_profile
-from .instances import (
-    PartitionInstance,
-    PartitionParams,
-    permute_rows,
-    _blocks_to_rows,
-)
+from .boolfn import SymmetricSpec, all_points, make_symmetric, parity, sign_changes, weight_profile
+from .instances import PartitionInstance, PartitionParams, b_map_rows, inverse_permutation
 from .rng import fisher_yates
 
 
@@ -85,24 +80,6 @@ def find_gadget(spec: SymmetricSpec) -> ReductionGadget:
     )
 
 
-def closed_form_gadget(spec: SymmetricSpec) -> Optional[ReductionGadget]:
-    """Direct construction from an odd gap between interior thresholds:
-    a = (gap+1)/2, b = lower threshold, flipped when the function is +1
-    on that interval.  None when every interior gap is even."""
-    th = spec.thresholds
-    if len(th) < 2:
-        return None
-    profile = weight_profile(spec)
-    for k in range(len(th) - 1):
-        gap = th[k + 1] - th[k]
-        if gap % 2 == 1:
-            a = (gap + 1) // 2
-            b = th[k]
-            flipped = profile[th[k] + 1] == 1
-            return ReductionGadget(a, b, spec.t, spec, flipped)
-    return None
-
-
 def gadget_to_json(gadget: ReductionGadget) -> dict:
     return {"a": gadget.a, "b": gadget.b, "flipped": gadget.flipped}
 
@@ -139,12 +116,11 @@ def extended_permutation(sigma: Sequence[int], gadget: ReductionGadget) -> np.nd
         raise ValueError("parity instances need even n")
     half = n // 2
     t = gadget.t
-    inverse = np.empty(n + 1, dtype=np.int64)
-    inverse[sigma] = np.arange(1, n + 1)
+    inverse = inverse_permutation(sigma)
 
     sigma_f = np.empty(n * t // 2, dtype=np.int64)
     for j in range(1, half + 1):
-        first, second = inverse[2 * j - 1], inverse[2 * j]
+        first, second = inverse[2 * j - 2], inverse[2 * j - 1]
         members = []
         for c in range(gadget.a):
             members.append(c * n + first)
@@ -193,18 +169,13 @@ def blockwise_identity_counterexamples(
 ) -> Optional[dict]:
     """Check sign * f(transformed block) == parity(original pair) on every
     block of every row of xs; returns the first violation or None."""
-    f_s = make_symmetric(spec)
     n = xs.shape[1]
-    half = n // 2
-
-    permuted = permute_rows(np.asarray(sigma), xs)
-    pair_parities = permuted.reshape(-1, half, 2).prod(axis=2)
+    pair_parities = b_map_rows(parity(2), xs, sigma, PartitionParams(n, 2, 1))
 
     x_f = extended_string_rows(xs, gadget)
     sigma_f = extended_permutation(sigma, gadget)
-    permuted_f = permute_rows(sigma_f, x_f)
-    blocks = permuted_f.reshape(-1, half, gadget.t)
-    f_values = f_s.evaluate_rows(_blocks_to_rows(blocks))
+    params_f = PartitionParams(n * gadget.t // 2, gadget.t, 1)
+    f_values = b_map_rows(make_symmetric(spec), x_f, sigma_f, params_f)
     sign = -1 if gadget.flipped else 1
 
     mismatches = np.argwhere(sign * f_values != pair_parities)
@@ -221,14 +192,15 @@ def blockwise_identity_counterexamples(
 def verify_reduction(
     spec: SymmetricSpec,
     n_small: int,
-    sigma_samples: int = 20,
-    rng: Optional[np.random.Generator] = None,
+    sigma_samples: int,
+    rng: np.random.Generator,
 ) -> ReductionReport:
     """Exhaustive desk-scale check of the reduction.
 
-    Runs over every x in {-1,+1}^n_small and ``sigma_samples`` sampled
-    permutations (identity always included) and compares the transformed
-    instance's promise blocks against the original parities.
+    Runs over every x in {-1,+1}^n_small and ``sigma_samples``
+    permutations (the identity, then sigma_samples - 1 drawn from rng) and
+    compares the transformed instance's promise blocks against the
+    original parities.
     """
     if n_small > 10 or n_small % 2 != 0:
         raise ValueError("n_small must be even and at most 10")
@@ -242,8 +214,7 @@ def verify_reduction(
     xs = all_points(n_small)
 
     sigmas = [np.arange(1, n_small + 1, dtype=np.int64)]
-    if rng is not None:
-        sigmas += [fisher_yates(n_small, rng) for _ in range(sigma_samples - 1)]
+    sigmas += [fisher_yates(n_small, rng) for _ in range(sigma_samples - 1)]
     cases = 0
     for sigma in sigmas:
         counterexample = blockwise_identity_counterexamples(spec, gadget, sigma, xs)

@@ -1,15 +1,139 @@
-"""Independent references for vectorised package routines.
+"""Independent references for package routines.
 
-Each one is the straightforward form a package routine replaced; the
-tests check that the package still gives exactly what these give.
+Each one is the straightforward or per-point form of a package routine,
+or a second construction of what it computes; the tests check that the
+package still gives exactly what these give.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from hiddenpartition.boolfn import all_points
+from hiddenpartition.boolfn import (
+    BooleanFunction,
+    FourierSpectrum,
+    all_points,
+    walsh_hadamard,
+    weight_profile,
+)
 from hiddenpartition.instances import b_map_rows
+from hiddenpartition.quantum import unitary_dilation
+from hiddenpartition.reduction import ReductionGadget
+
+STATEVECTOR_MAX_ARITY = 10
+
+
+# --- points and truth tables -------------------------------------------------
+
+
+def row_of_point(x) -> int:
+    """Table row index of a point in {-1,+1}^t (bit i-1 set where x_i = -1)."""
+    r = 0
+    for i, xi in enumerate(x):
+        if xi == -1:
+            r |= 1 << i
+        elif xi != 1:
+            raise ValueError(f"coordinate {i + 1} is {xi}, expected +-1")
+    return r
+
+
+def point_of_row(t: int, r: int) -> tuple[int, ...]:
+    """The point encoded by row r, coordinate by coordinate."""
+    return tuple(-1 if (r >> i) & 1 else 1 for i in range(t))
+
+
+def hamming_weight(x) -> int:
+    """Number of -1 coordinates."""
+    return sum(1 for xi in x if xi == -1)
+
+
+def negate(f: BooleanFunction) -> BooleanFunction:
+    """f with every table entry negated."""
+    return BooleanFunction(f.t, tuple(-v for v in f.table))
+
+
+def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
+    """Reconstruct the truth table; exact round-trip for +-1 functions."""
+    table = walsh_hadamard(spec.values)
+    rounded = np.rint(table).astype(np.int64)
+    if np.max(np.abs(table - rounded)) > 1e-9 or not np.all(np.abs(rounded) == 1):
+        raise ValueError("spectrum does not describe a +-1-valued function")
+    return BooleanFunction(spec.t, tuple(int(v) for v in rounded))
+
+
+# --- quantum protocol --------------------------------------------------------
+
+
+def statevector_oracle(a, z) -> float:
+    """Outcome-0 probability computed by simulating the circuit itself.
+
+    Prepares the block state (1, z_1, ..., z_t)/sqrt(t+1) padded into the
+    dilated space, runs ancilla-controlled U followed by the final
+    Hadamard on a dense state vector, and reads off the probability by
+    direct amplitude computation.  Must agree with ``hadamard_test_probs``
+    to within 1e-9.
+    """
+    t = a.t
+    if t > STATEVECTOR_MAX_ARITY:
+        raise ValueError(f"state-vector oracle supports t <= {STATEVECTOR_MAX_ARITY}")
+    if len(z) != t:
+        raise ValueError("block length mismatch")
+    dim = 2 * (t + 1)
+    psi = np.zeros(dim)
+    psi[0] = 1.0
+    psi[1 : t + 1] = np.asarray(z, dtype=np.float64)
+    psi /= math.sqrt(t + 1)
+
+    u = unitary_dilation(a)
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    state = np.kron(plus, psi)
+
+    controlled = np.zeros((2 * dim, 2 * dim))
+    controlled[:dim, :dim] = np.eye(dim)
+    controlled[dim:, dim:] = u
+    state = controlled @ state
+
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    state = np.kron(hadamard, np.eye(dim)) @ state
+
+    return float(state[:dim] @ state[:dim])
+
+
+def povm_block_distribution(params) -> tuple[Fraction, ...]:
+    """Exact outcome distribution of Bob's block-collapsing measurement,
+    the audit of ``run_quantum``'s uniform block draw.
+
+    Each block j captures its t permuted coordinates plus the one marker
+    state, so its weight is (t+1)/(n + n/t) = t/n: uniform over the n/t
+    blocks.
+    """
+    weight = Fraction(params.t + 1, params.n + params.num_blocks)
+    return (weight,) * params.num_blocks
+
+
+# --- reduction ---------------------------------------------------------------
+
+
+def closed_form_gadget(spec):
+    """Direct construction from an odd gap between interior thresholds:
+    a = (gap+1)/2, b = lower threshold, flipped when the function is +1
+    on that interval.  None when every interior gap is even."""
+    th = spec.thresholds
+    if len(th) < 2:
+        return None
+    profile = weight_profile(spec)
+    for k in range(len(th) - 1):
+        gap = th[k + 1] - th[k]
+        if gap % 2 == 1:
+            a = (gap + 1) // 2
+            b = th[k]
+            flipped = profile[th[k] + 1] == 1
+            return ReductionGadget(a, b, spec.t, spec, flipped)
+    return None
+
+
+# --- shuffle -----------------------------------------------------------------
 
 
 def list_fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -21,6 +145,9 @@ def list_fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
         i = n - 1 - k
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
+
+
+# --- hardness lab ------------------------------------------------------------
 
 
 def message_points(message_set) -> np.ndarray:
@@ -60,6 +187,9 @@ def u_by_points(f, sigma, w, s_mask, params) -> float:
     p_x = 1 / 2**n
     p_sigma = 1 / math.factorial(n)
     return float(0.5 * p_x * p_sigma * (chi * indicator).sum())
+
+
+# --- uniform sender ----------------------------------------------------------
 
 
 def block_and_slot(position: int, t: int) -> tuple[int, int]:

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from hiddenpartition.boolfn import (
+    all_points,
     and_fn,
     dictator,
     fourier_transform,
-    inverse_fourier,
     majority,
     make_symmetric,
     parity,
@@ -39,9 +39,8 @@ from hiddenpartition.instances import PartitionParams
 from hiddenpartition.quantum import (
     BlockMatrix,
     block_multilinear_matrix,
-    hadamard_test_prob,
+    hadamard_test_probs,
     qubits_per_copy,
-    statevector_oracle,
     unitary_dilation,
 )
 from hiddenpartition.reduction import (
@@ -54,6 +53,7 @@ from hiddenpartition.rng import fisher_yates, stream
 from hiddenpartition.signpoly import best_sign_polynomial, sign_degree
 
 from conftest import all_symmetric_specs, random_degree2_poly, random_table
+from oracles import inverse_fourier, statevector_oracle
 
 
 def report(criterion: str, detail: str) -> None:
@@ -169,9 +169,9 @@ def test_c06_hadamard_closed_form_vs_statevector():
     for i in range(1000):
         t = 1 + i % 4
         a = block_multilinear_matrix(random_degree2_poly(t, rng))
-        for r in range(2**t):
-            z = tuple(-1 if (r >> k) & 1 else 1 for k in range(t))
-            worst = max(worst, abs(hadamard_test_prob(a, z) - statevector_oracle(a, z)))
+        points = all_points(t)
+        for z, closed in zip(points, hadamard_test_probs(a, points)):
+            worst = max(worst, abs(closed - statevector_oracle(a, z)))
             cases += 1
     assert worst <= 1e-9
     report("C06 hadamard-test", f"{cases} (poly, z) cases, max |dprob| {worst:.2e}")
@@ -194,7 +194,7 @@ def test_c07_dilation_invariants():
         else:
             t = 1 + i % 4
             a = block_multilinear_matrix(random_degree2_poly(t, rng))
-        u = unitary_dilation(a).entries
+        u = unitary_dilation(a)
         dim = a.dim
         worst_orth = max(worst_orth, float(np.abs(u.T @ u - np.eye(2 * dim)).max()))
         worst_block = max(
@@ -225,7 +225,7 @@ def test_c08_reduction_family():
             except NoGadgetError:
                 th = spec.thresholds
                 assert t % 2 == 1 and len(th) == 2 and th[1] - th[0] == t - 1
-                report_obj = verify_reduction(spec, 4, 1, None)
+                report_obj = verify_reduction(spec, 4, 1, stream(808, "nae-odd"))
                 assert report_obj.status == "no-gadget"
                 nae_odd += 1
                 continue

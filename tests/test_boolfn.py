@@ -12,22 +12,19 @@ from hiddenpartition.boolfn import (
     fourier_l1,
     fourier_transform,
     function_from_spec,
-    hamming_weight,
-    inverse_fourier,
     majority,
     make_symmetric,
     nae,
     named_function,
-    negate,
     or_fn,
     parity,
-    point_of_row,
     pure_high_degree,
-    row_of_point,
     sign_changes,
     symmetric_spec_of,
     weight_profile,
 )
+
+from oracles import hamming_weight, inverse_fourier, negate, point_of_row, row_of_point
 
 tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda t: st.tuples(
@@ -59,20 +56,15 @@ def test_row_encoding_convention():
 
 def test_evaluate_parity():
     f = parity(2)
-    assert f.evaluate((1, 1)) == 1
-    assert f.evaluate((1, -1)) == -1
+    assert f.table[row_of_point((1, 1))] == 1
+    assert f.table[row_of_point((1, -1))] == -1
 
 
 def test_evaluate_nae_all_minus():
     f = nae(3)
-    assert f.evaluate((-1, -1, -1)) == -1
-    assert f.evaluate((1, 1, 1)) == -1
-    assert f.evaluate((1, -1, 1)) == 1
-
-
-def test_evaluate_arity_mismatch():
-    with pytest.raises(ValueError):
-        parity(2).evaluate((1, 1, 1))
+    assert f.table[row_of_point((-1, -1, -1))] == -1
+    assert f.table[row_of_point((1, 1, 1))] == -1
+    assert f.table[row_of_point((1, -1, 1))] == 1
 
 
 def test_table_validation():
@@ -248,11 +240,11 @@ def test_symmetric_spec_of_rejects_asymmetric():
 
 def test_named_functions():
     assert named_function("parity", 3).table == parity(3).table
-    assert and_fn(2).evaluate((1, 1)) == 1
-    assert and_fn(2).evaluate((1, -1)) == -1
-    assert or_fn(2).evaluate((-1, -1)) == -1
-    assert or_fn(2).evaluate((1, -1)) == 1
-    assert dictator(4).evaluate((-1, 1, 1, 1)) == -1
+    assert and_fn(2).table[row_of_point((1, 1))] == 1
+    assert and_fn(2).table[row_of_point((1, -1))] == -1
+    assert or_fn(2).table[row_of_point((-1, -1))] == -1
+    assert or_fn(2).table[row_of_point((1, -1))] == 1
+    assert dictator(4).table[row_of_point((-1, 1, 1, 1))] == -1
     with pytest.raises(ValueError):
         majority(4)
     with pytest.raises(ValueError):
@@ -260,9 +252,8 @@ def test_named_functions():
 
 
 def test_nae_both_conventions():
-    f_default = nae(3)
-    f_flipped = nae(3, all_equal_value=1)
-    assert f_flipped.table == negate(f_default).table
+    f_flipped = make_symmetric(SymmetricSpec(3, (0, 2), 1))
+    assert f_flipped.table == negate(nae(3)).table
 
 
 def test_function_from_spec():

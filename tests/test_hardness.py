@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddenpartition.boolfn import and_fn, parity, row_of_point
+from hiddenpartition.boolfn import and_fn, parity
 from hiddenpartition.hardness import (
     MAX_MESSAGE_BITS,
     MessageSet,
@@ -24,7 +24,7 @@ from hiddenpartition.instances import PartitionParams, promise_masks
 from hiddenpartition.rng import fisher_yates, stream
 
 from conftest import random_table
-from oracles import induced_p_by_points, promise_masks_by_points, u_by_points
+from oracles import induced_p_by_points, promise_masks_by_points, row_of_point, u_by_points
 
 PARAMS_4 = PartitionParams(4, 2, Fraction(1))
 IDENTITY_4 = (1, 2, 3, 4)

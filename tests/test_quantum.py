@@ -11,18 +11,17 @@ from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams
 from hiddenpartition.quantum import (
     BlockMatrix,
+    _lifted_forms,
     block_multilinear_matrix,
-    hadamard_test_prob,
+    hadamard_test_probs,
     matrix_audit_record,
-    povm_block_distribution,
-    quadratic_form,
     qubits_per_copy,
-    statevector_oracle,
     unitary_dilation,
 )
 from hiddenpartition.signpoly import best_sign_polynomial
 
 from conftest import poly_from_terms, poly_value, random_degree2_poly
+from oracles import povm_block_distribution, row_of_point, statevector_oracle
 
 
 # --- bilinear lift -----------------------------------------------------------
@@ -41,8 +40,9 @@ def test_linear_matrix():
     a = block_multilinear_matrix(p)
     assert a.entries[0, 1] == pytest.approx(0.5)
     assert a.entries[1, 0] == pytest.approx(0.5)
-    for z in ((1,), (-1,)):
-        assert quadratic_form(a, z) == pytest.approx(z[0])
+    forms = _lifted_forms(a.entries, all_points(1))
+    for z, form in zip(all_points(1), forms):
+        assert form == pytest.approx(z[0])
 
 
 def test_constant_matrix():
@@ -63,10 +63,9 @@ def test_degree_guard():
 def test_quadratic_form_reproduces_polynomial(t, seed):
     poly = random_degree2_poly(t, np.random.default_rng(seed))
     a = block_multilinear_matrix(poly)
-    for point in all_points(t):
-        assert quadratic_form(a, tuple(point)) == pytest.approx(
-            poly_value(poly, tuple(point)), abs=1e-10
-        )
+    forms = _lifted_forms(a.entries, all_points(t))
+    for point, form in zip(all_points(t), forms):
+        assert form == pytest.approx(poly_value(poly, tuple(point)), abs=1e-10)
 
 
 def test_spectral_norm_matches_eigen_recomputation():
@@ -82,13 +81,13 @@ def test_spectral_norm_matches_eigen_recomputation():
 
 def test_dilation_identity_scaled():
     a = BlockMatrix.from_entries(np.eye(3) / 2)
-    u = unitary_dilation(a).entries
+    u = unitary_dilation(a)
     assert np.allclose(u[:3, :3], np.eye(3), atol=1e-12)
 
 
 def test_dilation_parity2():
     a = block_multilinear_matrix(best_sign_polynomial(parity(2), 2))
-    u = unitary_dilation(a).entries
+    u = unitary_dilation(a)
     assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-10
     assert np.abs(u[:3, :3] - 2 * a.entries).max() <= 1e-10
 
@@ -97,7 +96,7 @@ def test_dilation_rank_deficient():
     entries = np.zeros((4, 4))
     entries[1, 2] = 0.3
     a = BlockMatrix.from_entries(entries)
-    u = unitary_dilation(a).entries
+    u = unitary_dilation(a)
     assert np.abs(u.T @ u - np.eye(8)).max() <= 1e-10
     assert np.abs(u[:4, :4] - entries / a.spectral_norm).max() <= 1e-10
 
@@ -111,7 +110,7 @@ def test_dilation_zero_matrix_rejected():
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))
 def test_dilation_invariants_random(t, seed):
     a = block_multilinear_matrix(random_degree2_poly(t, np.random.default_rng(seed)))
-    u = unitary_dilation(a).entries
+    u = unitary_dilation(a)
     dim = a.dim
     assert np.abs(u.T @ u - np.eye(2 * dim)).max() <= 1e-10
     assert np.abs(u[:dim, :dim] - a.entries / a.spectral_norm).max() <= 1e-10
@@ -122,14 +121,16 @@ def test_dilation_invariants_random(t, seed):
 
 def test_hadamard_prob_parity2():
     a = block_multilinear_matrix(best_sign_polynomial(parity(2), 2))
-    assert hadamard_test_prob(a, (1, 1)) == pytest.approx(5 / 6, abs=1e-12)
-    assert hadamard_test_prob(a, (1, -1)) == pytest.approx(1 / 6, abs=1e-12)
+    probs = hadamard_test_probs(a, all_points(2))
+    assert probs[row_of_point((1, 1))] == pytest.approx(5 / 6, abs=1e-12)
+    assert probs[row_of_point((1, -1))] == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_hadamard_prob_zero_value():
     p = poly_from_terms(2, {0b01: 0.5, 0b10: 0.5}, 0.0)  # p(1,-1) = 0
     a = block_multilinear_matrix(p)
-    assert hadamard_test_prob(a, (1, -1)) == pytest.approx(0.5, abs=1e-12)
+    probs = hadamard_test_probs(a, all_points(2))
+    assert probs[row_of_point((1, -1))] == pytest.approx(0.5, abs=1e-12)
     assert statevector_oracle(a, (1, -1)) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -144,8 +145,7 @@ def test_statevector_matches_closed_form_parity():
 def test_statevector_matches_closed_form_random(t, seed):
     rng = np.random.default_rng(seed)
     a = block_multilinear_matrix(random_degree2_poly(t, rng))
-    for point in all_points(t):
-        closed = hadamard_test_prob(a, tuple(point))
+    for point, closed in zip(all_points(t), hadamard_test_probs(a, all_points(t))):
         simulated = statevector_oracle(a, tuple(point))
         assert 0.0 <= closed <= 1.0
         assert abs(closed - simulated) <= 1e-9
@@ -156,8 +156,8 @@ def test_statevector_matches_closed_form_random(t, seed):
 def test_hadamard_prob_deviation_bound(t, seed):
     a = block_multilinear_matrix(random_degree2_poly(t, np.random.default_rng(seed)))
     bound = 1 / (2 * a.spectral_norm * (t + 1))
-    for point in all_points(t):
-        assert abs(hadamard_test_prob(a, tuple(point)) - 0.5) <= bound + 1e-12
+    for closed in hadamard_test_probs(a, all_points(t)):
+        assert abs(closed - 0.5) <= bound + 1e-12
 
 
 # --- measurement accounting --------------------------------------------------
@@ -168,8 +168,11 @@ def test_povm_block_distribution_examples():
     assert dist == (Fraction(1, 2), Fraction(1, 2))
     dist = povm_block_distribution(PartitionParams(6, 3, Fraction(1)))
     assert dist == (Fraction(1, 2), Fraction(1, 2))
-    dist = povm_block_distribution(PartitionParams(20, 2, Fraction(1, 2)))
+    params = PartitionParams(20, 2, Fraction(1, 2))
+    dist = povm_block_distribution(params)
     assert sum(dist) == 1
+    # run_quantum draws the block index uniformly from [0, num_blocks)
+    assert dist == (Fraction(1, params.num_blocks),) * params.num_blocks
 
 
 def test_qubit_accounting():
@@ -207,7 +210,8 @@ def test_run_quantum_dictator_consistent_with_classical():
 
 def test_matrix_audit_record():
     a = block_multilinear_matrix(best_sign_polynomial(parity(2), 2))
-    record = matrix_audit_record(a, unitary_dilation(a))
+    record = matrix_audit_record(a)
     assert record["dim"] == 3
     assert record["spectral_norm"] == pytest.approx(0.5)
     assert len(record["dilation"]) == 6
+    assert np.array_equal(record["dilation"], unitary_dilation(a))

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hiddenpartition.boolfn import (
     SymmetricSpec,
-    hamming_weight,
+    all_points,
     make_symmetric,
     parity,
     sign_changes,
@@ -21,7 +23,6 @@ from hiddenpartition.reduction import (
     NoGadgetError,
     ReductionGadget,
     blockwise_identity_counterexamples,
-    closed_form_gadget,
     extended_permutation,
     extended_string_rows,
     find_gadget,
@@ -32,6 +33,7 @@ from hiddenpartition.reduction import (
 from hiddenpartition.rng import fisher_yates, stream
 
 from conftest import all_symmetric_specs
+from oracles import closed_form_gadget, hamming_weight
 
 
 def eligible_specs(t_max):
@@ -160,6 +162,42 @@ def test_weight_identity():
                 assert hamming_weight(block) == gadget.a * hamming_weight(pair) + gadget.b
 
 
+@st.composite
+def reduction_cases(draw):
+    """A symmetric spec at t = 7..8 with at least two sign changes and a
+    gadget, an even n_small <= 6 and a permutation of [n_small]."""
+    t = draw(st.integers(min_value=7, max_value=8))
+    thresholds = draw(st.lists(st.integers(0, t - 1), min_size=2, max_size=t, unique=True))
+    spec = SymmetricSpec(t, tuple(sorted(thresholds)), draw(st.sampled_from((1, -1))))
+    assume(not is_nae_odd(spec))
+    n = draw(st.sampled_from((2, 4, 6)))
+    sigma = np.array(draw(st.permutations(range(1, n + 1))), dtype=np.int64)
+    rows = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=4))
+    return spec, sigma, rows
+
+
+@given(reduction_cases())
+def test_reduction_identity_on_random_symmetric_specs(case):
+    spec, sigma, rows = case
+    gadget = find_gadget(spec)
+    n, t = len(sigma), spec.t
+    xs = all_points(n)
+    assert blockwise_identity_counterexamples(spec, gadget, sigma, xs) is None
+    # the same identity, block by block through the per-point references
+    profile = weight_profile(spec)
+    sign = -1 if gadget.flipped else 1
+    x_f = extended_string_rows(xs, gadget)
+    sigma_f = extended_permutation(sigma, gadget)
+    for row in rows:
+        permuted = apply_permutation(sigma.tolist(), xs[row].tolist())
+        permuted_f = apply_permutation(sigma_f.tolist(), x_f[row].tolist())
+        for j in range(n // 2):
+            pair = permuted[2 * j : 2 * j + 2]
+            block = permuted_f[t * j : t * (j + 1)]
+            assert hamming_weight(block) == gadget.a * hamming_weight(pair) + gadget.b
+            assert sign * profile[hamming_weight(block)] == math.prod(pair)
+
+
 def test_block_weights_map_example():
     # weights 0,1,2 of the pair map to 0,2,4 under the (2,0) gadget
     spec = SymmetricSpec(4, (1, 3), 1)
@@ -250,6 +288,6 @@ def test_verify_reduction_nae_odd_status():
 
 def test_verify_reduction_guards():
     with pytest.raises(ValueError):
-        verify_reduction(SymmetricSpec(4, (1, 3), 1), 12)
+        verify_reduction(SymmetricSpec(4, (1, 3), 1), 12, 20, stream(12, "v"))
     with pytest.raises(ValueError):
-        verify_reduction(SymmetricSpec(4, (1, 3), 1), 7)
+        verify_reduction(SymmetricSpec(4, (1, 3), 1), 7, 20, stream(12, "v"))
