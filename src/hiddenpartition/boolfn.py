@@ -20,13 +20,24 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 MAX_ARITY = 16
+ARITIES = range(1, MAX_ARITY + 1)
 
 NAMED_FUNCTIONS = ("parity", "and", "or", "majority", "nae", "dictator")
+
+
+def _check_int(name: str, value, allowed: Sequence[int]) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in allowed:
+        raise ValueError(f"{name} {value!r} is not an integer in {allowed}")
+
+
+def row_weights(t: int) -> np.ndarray:
+    """Popcount of every row (or subset mask) 0..2^t - 1, as int64."""
+    return np.bitwise_count(np.arange(2**t, dtype=np.uint64)).astype(np.int64)
 
 
 def all_points(t: int) -> np.ndarray:
@@ -58,51 +69,56 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BooleanFunction:
-    """Total function {-1,+1}^t -> {-1,+1} stored as a truth table."""
+    """Total function {-1,+1}^t -> {-1,+1}; ``table[r]`` is f at row r, a
+    read-only int64 copy of whatever sequence or array of +-1 it is given."""
 
     t: int
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.t <= MAX_ARITY:
-            raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {self.t}")
-        if len(self.table) != 2**self.t:
-            raise ValueError(
-                f"table length {len(self.table)} != 2^{self.t}"
-            )
-        if any(v not in (-1, 1) for v in self.table):
-            raise ValueError("table entries must be +-1")
+        _check_int("arity", self.t, ARITIES)
+        table = np.asarray(self.table)
+        if table.shape != (2**self.t,) or table.dtype.kind not in "iuf" or np.any(abs(table) != 1):
+            raise ValueError(f"a table at arity {self.t} must be 2^{self.t} numbers +-1")
+        table = table.astype(np.int64)  # a copy, even of an int64 array
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
-    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorised lookup for an array of row indices."""
-        return np.asarray(self.table, dtype=np.int64)[rows]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BooleanFunction):
+            return NotImplemented
+        return self.t == other.t and np.array_equal(self.table, other.table)
 
     @property
     def is_constant(self) -> bool:
-        return len(set(self.table)) == 1
+        return bool(np.all(self.table == self.table[0]))
 
 
+@dataclass(frozen=True, eq=False)
 class FourierSpectrum:
     """Dense Fourier spectrum of a function on {-1,+1}^t.
 
-    ``values[S]`` is the coefficient of chi_S, with S a subset bitmask.
-    For a +-1-valued source these are exact integer multiples of 2^-t.
+    ``values[S]`` is the coefficient of chi_S, with S a subset bitmask, as
+    a read-only float64 copy.  For a +-1-valued source these are exact
+    integer multiples of 2^-t.
     """
 
-    __slots__ = ("t", "values")
+    t: int
+    values: np.ndarray
 
-    def __init__(self, t: int, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (2**t,):
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (2**self.t,):
             raise ValueError("spectrum length must be 2^t")
         values.setflags(write=False)
-        object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", values)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("FourierSpectrum is immutable")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FourierSpectrum):
+            return NotImplemented
+        return self.t == other.t and np.array_equal(self.values, other.values)
 
     def coefficient(self, mask: int) -> float:
         return float(self.values[mask])
@@ -114,8 +130,7 @@ class FourierSpectrum:
 
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     """Exact spectrum: coeff[S] = 2^-t sum_x f(x) chi_S(x)."""
-    table = np.asarray(f.table, dtype=np.float64)
-    return FourierSpectrum(f.t, walsh_hadamard(table) / 2**f.t)
+    return FourierSpectrum(f.t, walsh_hadamard(f.table) / 2**f.t)
 
 
 ZERO_COEFF_TOL = 1e-12  # true coefficients are multiples of 2^-t, t <= 16
@@ -127,11 +142,10 @@ def pure_high_degree(spec: FourierSpectrum) -> int:
     Equivalently the minimum |S| with a nonzero coefficient; 0 for
     constant functions (and any function with nonzero mean).
     """
-    masks = np.arange(2**spec.t, dtype=np.uint64)
     nonzero = np.abs(spec.values) > ZERO_COEFF_TOL
     if not nonzero.any():
         return 0
-    return int(np.bitwise_count(masks[nonzero]).min())
+    return int(row_weights(spec.t)[nonzero].min())
 
 
 def fourier_l1(spec: FourierSpectrum) -> float:
@@ -170,17 +184,16 @@ class SymmetricSpec:
     leading_sign: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.t <= MAX_ARITY:
-            raise ValueError(f"arity must be in [1, {MAX_ARITY}]")
-        if self.leading_sign not in (-1, 1):
-            raise ValueError("leading_sign must be +-1")
-        th = self.thresholds
-        if any(int(v) != v for v in th):
-            raise ValueError("thresholds must be integers")
-        if any(not 0 <= v <= self.t - 1 for v in th):
-            raise ValueError("thresholds must lie in [0, t-1]")
+        _check_int("arity", self.t, ARITIES)
+        _check_int("leading_sign", self.leading_sign, (-1, 1))
+        if not isinstance(self.thresholds, (tuple, list, np.ndarray)):
+            raise ValueError(f"thresholds must be a list, got {self.thresholds!r}")
+        for v in self.thresholds:
+            _check_int("threshold", v, range(self.t))
+        th = tuple(int(v) for v in self.thresholds)
         if any(b - a < 1 for a, b in zip(th, th[1:])):
             raise ValueError("thresholds must be strictly increasing")
+        object.__setattr__(self, "thresholds", th)
 
 
 def sign_changes(spec: SymmetricSpec) -> int:
@@ -192,37 +205,25 @@ def sign_changes(spec: SymmetricSpec) -> int:
     return len(spec.thresholds)
 
 
-def weight_profile(spec: SymmetricSpec) -> tuple[int, ...]:
-    """Function value at each Hamming weight 0..t."""
-    th = np.asarray(spec.thresholds, dtype=np.int64)
-    weights = np.arange(spec.t + 1)
-    flips = np.searchsorted(th, weights, side="left")  # thresholds < w
-    return tuple(int(v) for v in spec.leading_sign * (-1) ** flips)
+def weight_profile(spec: SymmetricSpec) -> np.ndarray:
+    """Function value at each Hamming weight 0..t, as an int64 array."""
+    flips = np.searchsorted(spec.thresholds, np.arange(spec.t + 1))  # thresholds < w
+    return spec.leading_sign * (-1) ** flips
 
 
 def make_symmetric(spec: SymmetricSpec) -> BooleanFunction:
-    profile = np.asarray(weight_profile(spec), dtype=np.int64)
-    rows = np.arange(2**spec.t, dtype=np.uint64)
-    w = np.bitwise_count(rows).astype(np.int64)
-    return BooleanFunction(spec.t, tuple(int(v) for v in profile[w]))
+    return BooleanFunction(spec.t, weight_profile(spec)[row_weights(spec.t)])
 
 
 def symmetric_spec_of(f: BooleanFunction) -> Optional[SymmetricSpec]:
     """Recover the weight-interval description, or None if f is not
     symmetric (value not determined by |x|)."""
-    rows = np.arange(2**f.t, dtype=np.uint64)
-    w = np.bitwise_count(rows).astype(np.int64)
-    table = np.asarray(f.table, dtype=np.int64)
-    profile = np.zeros(f.t + 1, dtype=np.int64)
-    for weight in range(f.t + 1):
-        vals = table[w == weight]
-        if not np.all(vals == vals[0]):
-            return None
-        profile[weight] = vals[0]
-    thresholds = tuple(
-        int(k) for k in range(f.t) if profile[k + 1] != profile[k]
-    )
-    return SymmetricSpec(f.t, thresholds, int(profile[0]))
+    w = row_weights(f.t)
+    profile = np.empty(f.t + 1, dtype=np.int64)
+    profile[w] = f.table  # every weight occurs; a symmetric f writes one value per weight
+    if not np.array_equal(profile[w], f.table):
+        return None
+    return SymmetricSpec(f.t, np.flatnonzero(np.diff(profile)), int(profile[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +233,7 @@ def symmetric_spec_of(f: BooleanFunction) -> Optional[SymmetricSpec]:
 
 def parity(t: int) -> BooleanFunction:
     """f(x) = x_1 * ... * x_t."""
-    rows = np.arange(2**t, dtype=np.uint64)
-    table = 1 - 2 * (np.bitwise_count(rows).astype(np.int64) % 2)
-    return BooleanFunction(t, tuple(int(v) for v in table))
+    return BooleanFunction(t, 1 - 2 * (row_weights(t) % 2))
 
 
 def and_fn(t: int) -> BooleanFunction:
@@ -265,9 +264,7 @@ def nae(t: int) -> BooleanFunction:
 
 def dictator(t: int) -> BooleanFunction:
     """f(x) = x_1."""
-    rows = np.arange(2**t, dtype=np.int64)
-    table = 1 - 2 * (rows & 1)
-    return BooleanFunction(t, tuple(int(v) for v in table))
+    return BooleanFunction(t, 1 - 2 * (np.arange(2**t, dtype=np.int64) & 1))
 
 
 def named_function(name: str, t: int) -> BooleanFunction:
@@ -281,6 +278,7 @@ def named_function(name: str, t: int) -> BooleanFunction:
     }
     if name not in builders:
         raise ValueError(f"unknown function name {name!r}; known: {NAMED_FUNCTIONS}")
+    _check_int("arity", t, ARITIES)
     return builders[name](t)
 
 
@@ -302,17 +300,13 @@ def function_from_spec(spec: Mapping) -> BooleanFunction:
     kind = spec.get("kind")
     try:
         if kind == "truth_table":
-            return BooleanFunction(int(spec["t"]), tuple(int(v) for v in spec["values"]))
+            return BooleanFunction(spec["t"], spec["values"])
         if kind == "symmetric":
             return make_symmetric(
-                SymmetricSpec(
-                    int(spec["t"]),
-                    tuple(int(v) for v in spec["thresholds"]),
-                    int(spec.get("leading_sign", 1)),
-                )
+                SymmetricSpec(spec["t"], spec["thresholds"], spec.get("leading_sign", 1))
             )
         if kind == "named":
-            return named_function(str(spec["name"]), int(spec["t"]))
+            return named_function(str(spec["name"]), spec["t"])
     except KeyError as exc:
         raise ValueError(f"{kind} function spec is missing key {exc.args[0]!r}") from None
     raise ValueError(f"unknown function spec kind {kind!r}")

@@ -173,8 +173,8 @@ def cmd_analyze(args) -> int:
 def _table_digest(f: BooleanFunction) -> str:
     import hashlib
 
-    bits = bytes((1 - v) // 2 for v in f.table)
-    return hashlib.sha256(bits).hexdigest()[:16]
+    minus = (f.table < 0).tobytes()  # one byte per row, 1 where f is -1
+    return hashlib.sha256(minus).hexdigest()[:16]
 
 
 def cmd_run(args, protocol: str) -> int:

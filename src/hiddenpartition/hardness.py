@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, fourier_transform, walsh_hadamard
+from .boolfn import BooleanFunction, fourier_transform, row_weights, walsh_hadamard
 from .instances import PartitionParams, inverse_permutation, promise_masks
 from .rng import fisher_yates
 
@@ -297,8 +297,7 @@ def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
     if n > 14:
         raise ValueError("capped at n <= 14")
     spectrum = message_set.characteristic_spectrum()
-    levels = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(np.int64)
-    weights = np.bincount(levels, weights=spectrum**2, minlength=n + 1)
+    weights = np.bincount(row_weights(n), weights=spectrum**2, minlength=n + 1)
     density = len(message_set) / 2**n
 
     lhs, rhs, margins = [], [], []

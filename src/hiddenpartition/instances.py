@@ -153,7 +153,7 @@ def b_map_rows(
     permuted = permute_rows(np.asarray(sigma), np.asarray(xs, dtype=np.int64))
     active = permuted[:, : params.active_len]
     blocks = active.reshape(active.shape[0], params.active_blocks, params.t)
-    return f.evaluate_rows(_blocks_to_rows(blocks))
+    return f.table[_blocks_to_rows(blocks)]
 
 
 def b_map(
@@ -178,7 +178,7 @@ def promise_masks(
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
     sources = inverse_permutation(sigma) - 1  # sigma^-1(p) - 1 at p - 1
-    minus = (1 - np.asarray(f.table, dtype=np.int64)) // 2  # 1 where f is -1
+    minus = (1 - f.table) // 2  # 1 where f is -1
     masks = np.zeros(len(members), dtype=np.int64)
     for j in range(params.active_blocks):
         rows = np.zeros_like(masks)

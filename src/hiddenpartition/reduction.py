@@ -22,7 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import SymmetricSpec, all_points, make_symmetric, parity, sign_changes, weight_profile
+from .boolfn import (
+    BooleanFunction, SymmetricSpec, all_points, make_symmetric, parity, sign_changes, weight_profile
+)
 from .instances import PartitionInstance, PartitionParams, b_map_rows, inverse_permutation
 from .rng import fisher_yates
 
@@ -162,7 +164,7 @@ class ReductionReport:
 
 
 def blockwise_identity_counterexamples(
-    spec: SymmetricSpec,
+    f: BooleanFunction,
     gadget: ReductionGadget,
     sigma: Sequence[int],
     xs: np.ndarray,
@@ -175,7 +177,7 @@ def blockwise_identity_counterexamples(
     x_f = extended_string_rows(xs, gadget)
     sigma_f = extended_permutation(sigma, gadget)
     params_f = PartitionParams(n * gadget.t // 2, gadget.t, 1)
-    f_values = b_map_rows(make_symmetric(spec), x_f, sigma_f, params_f)
+    f_values = b_map_rows(f, x_f, sigma_f, params_f)
     sign = -1 if gadget.flipped else 1
 
     mismatches = np.argwhere(sign * f_values != pair_parities)
@@ -211,13 +213,14 @@ def verify_reduction(
     except NoGadgetError:
         return ReductionReport("no-gadget", None, 0, None)
 
+    f = make_symmetric(spec)
     xs = all_points(n_small)
 
     sigmas = [np.arange(1, n_small + 1, dtype=np.int64)]
     sigmas += [fisher_yates(n_small, rng) for _ in range(sigma_samples - 1)]
     cases = 0
     for sigma in sigmas:
-        counterexample = blockwise_identity_counterexamples(spec, gadget, sigma, xs)
+        counterexample = blockwise_identity_counterexamples(f, gadget, sigma, xs)
         cases += xs.shape[0]
         if counterexample is not None:
             return ReductionReport("fail", gadget, cases, counterexample)

@@ -39,6 +39,7 @@ from scipy.optimize import linprog
 from .boolfn import (
     BooleanFunction,
     SymmetricSpec,
+    row_weights,
     symmetric_spec_of,
     walsh_hadamard,
     weight_profile,
@@ -157,10 +158,9 @@ def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
     t = f.t
     masks = monomial_masks(t, degree)
     _check_dense_lp_size(t, degree, len(masks) + 1)
-    fvals = np.asarray(f.table, dtype=np.float64)
     coeff = np.zeros(2**t)
-    coeff[masks] = _max_bias_lp(fvals, _chi_matrix(t, masks), degree)
-    return _certified(fvals, coeff)
+    coeff[masks] = _max_bias_lp(f.table, _chi_matrix(t, masks), degree)
+    return _certified(f.table, coeff)
 
 
 def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
@@ -209,19 +209,18 @@ def _symmetric_sign_degree(
     """Degree search on the max-bias LP over the Hamming weights of the
     symmetric f that ``sym`` describes."""
     t = f.t
-    profile = np.asarray(weight_profile(sym), dtype=np.float64)
+    profile = weight_profile(sym)
     krawtchouk = _krawtchouk(t)
     # K_j(0) = C(t, j) is the largest |K_j|; entries reach C(16, 8), so
     # the LP solves for y_j = C(t, j) c_j against columns in [-1, 1].
     level_sizes = krawtchouk[0]
     scaled = krawtchouk / level_sizes
-    level = np.bitwise_count(np.arange(2**t, dtype=np.uint64)).astype(np.int64)
-    fvals = np.asarray(f.table, dtype=np.float64)
+    level = row_weights(t)
 
     def witness_at(d: int) -> SignPolynomial:
         c = np.zeros(t + 1)
         c[: d + 1] = _max_bias_lp(profile, scaled[:, : d + 1], d) / level_sizes[: d + 1]
-        return _certified(fvals, c[level])  # every level-j monomial gets c_j
+        return _certified(f.table, c[level])  # every level-j monomial gets c_j
 
     return _least_degree(t, witness_at)
 

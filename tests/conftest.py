@@ -15,7 +15,7 @@ hypothesis.settings.load_profile("default")
 
 def random_table(t: int, rng: np.random.Generator) -> boolfn.BooleanFunction:
     table = 1 - 2 * rng.integers(0, 2, size=2**t)
-    return boolfn.BooleanFunction(t, tuple(int(v) for v in table))
+    return boolfn.BooleanFunction(t, table)
 
 
 def all_symmetric_specs(t: int):

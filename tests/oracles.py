@@ -50,7 +50,7 @@ def hamming_weight(x) -> int:
 
 def negate(f: BooleanFunction) -> BooleanFunction:
     """f with every table entry negated."""
-    return BooleanFunction(f.t, tuple(-v for v in f.table))
+    return BooleanFunction(f.t, -f.table)
 
 
 def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
@@ -59,7 +59,7 @@ def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
     rounded = np.rint(table).astype(np.int64)
     if np.max(np.abs(table - rounded)) > 1e-9 or not np.all(np.abs(rounded) == 1):
         raise ValueError("spectrum does not describe a +-1-valued function")
-    return BooleanFunction(spec.t, tuple(int(v) for v in rounded))
+    return BooleanFunction(spec.t, rounded)
 
 
 # --- quantum protocol --------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from hiddenpartition.boolfn import (
     BooleanFunction,
+    FourierSpectrum,
     SymmetricSpec,
     all_points,
     alpha_upper_bound,
@@ -35,7 +36,7 @@ tables = st.integers(min_value=1, max_value=6).flatmap(
 
 
 def fn(t, table):
-    return BooleanFunction(t, tuple(table))
+    return BooleanFunction(t, table)
 
 
 # --- representation -------------------------------------------------------
@@ -74,6 +75,26 @@ def test_table_validation():
         BooleanFunction(2, (1, 1, 0, 1))
     with pytest.raises(ValueError):
         BooleanFunction(17, tuple([1] * 2**17))
+
+
+@pytest.mark.parametrize(
+    "build, source, field",
+    [
+        (BooleanFunction, np.array([1, -1, -1, 1]), "table"),
+        (FourierSpectrum, np.array([0.5, 0.0, 0.0, 0.5]), "values"),
+    ],
+    ids=["table", "spectrum"],
+)
+def test_stored_arrays_are_read_only_copies(build, source, field):
+    obj = build(2, source)
+    stored = getattr(obj, field)
+    assert stored is not source
+    assert not stored.flags.writeable
+    assert source.flags.writeable
+    source[0] = 5
+    assert getattr(obj, field)[0] != 5
+    assert obj == build(2, stored.copy())
+    assert obj != build(2, -stored)
 
 
 def test_all_points_matches_rows():
@@ -140,7 +161,7 @@ def test_parseval(args):
 def test_round_trip_exact(args):
     t, table = args
     f = fn(t, table)
-    assert inverse_fourier(fourier_transform(f)).table == f.table
+    assert np.array_equal(inverse_fourier(fourier_transform(f)).table, f.table)
 
 
 @given(tables)
@@ -184,12 +205,12 @@ def test_alpha_upper_bound():
 
 def test_make_symmetric_parity2():
     f = make_symmetric(SymmetricSpec(2, (0, 1), 1))
-    assert f.table == parity(2).table
+    assert np.array_equal(f.table, parity(2).table)
 
 
 def test_make_symmetric_nae3():
     f = make_symmetric(SymmetricSpec(3, (0, 2), -1))
-    assert f.table == nae(3).table
+    assert np.array_equal(f.table, nae(3).table)
 
 
 def test_make_symmetric_interval_read():
@@ -202,7 +223,7 @@ def test_make_symmetric_interval_read():
 
 def test_weight_profile_alternates():
     spec = SymmetricSpec(5, (0, 2, 4), 1)
-    assert weight_profile(spec) == (1, -1, -1, 1, 1, -1)
+    assert np.array_equal(weight_profile(spec), (1, -1, -1, 1, 1, -1))
 
 
 def test_sign_changes():
@@ -231,6 +252,20 @@ def test_symmetric_spec_of_round_trip():
                 assert recovered == spec
 
 
+@given(tables)
+def test_symmetric_spec_of_matches_weight_classes(args):
+    # reference: collect the values each Hamming weight takes, row by row
+    t, table = args
+    values_at = {}
+    for r, v in enumerate(table):
+        values_at.setdefault(hamming_weight(point_of_row(t, r)), set()).add(v)
+    spec = symmetric_spec_of(fn(t, table))
+    if any(len(values) > 1 for values in values_at.values()):
+        assert spec is None
+    else:
+        assert make_symmetric(spec) == fn(t, table)
+
+
 def test_symmetric_spec_of_rejects_asymmetric():
     assert symmetric_spec_of(dictator(2)) is None
 
@@ -239,7 +274,7 @@ def test_symmetric_spec_of_rejects_asymmetric():
 
 
 def test_named_functions():
-    assert named_function("parity", 3).table == parity(3).table
+    assert np.array_equal(named_function("parity", 3).table, parity(3).table)
     assert and_fn(2).table[row_of_point((1, 1))] == 1
     assert and_fn(2).table[row_of_point((1, -1))] == -1
     assert or_fn(2).table[row_of_point((-1, -1))] == -1
@@ -253,17 +288,17 @@ def test_named_functions():
 
 def test_nae_both_conventions():
     f_flipped = make_symmetric(SymmetricSpec(3, (0, 2), 1))
-    assert f_flipped.table == negate(nae(3)).table
+    assert np.array_equal(f_flipped.table, negate(nae(3)).table)
 
 
 def test_function_from_spec():
     f = function_from_spec({"kind": "truth_table", "t": 2, "values": [1, -1, -1, 1]})
-    assert f.table == parity(2).table
+    assert np.array_equal(f.table, parity(2).table)
     g = function_from_spec(
         {"kind": "symmetric", "t": 3, "thresholds": [0, 2], "leading_sign": -1}
     )
-    assert g.table == nae(3).table
+    assert np.array_equal(g.table, nae(3).table)
     h = function_from_spec({"kind": "named", "name": "majority", "t": 3})
-    assert h.table == majority(3).table
+    assert np.array_equal(h.table, majority(3).table)
     with pytest.raises(ValueError):
         function_from_spec({"kind": "mystery"})

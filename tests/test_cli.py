@@ -314,6 +314,18 @@ def test_cli_hardness_matches_golden(tmp_path, check, n, flag, count):
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
+MALFORMED_SPECS = {
+    "values-not-pm1": {"kind": "truth_table", "t": 1, "values": [1.5, 1]},
+    "values-null": {"kind": "truth_table", "t": 1, "values": [None, 1]},
+    "t-null": {"kind": "truth_table", "t": None, "values": [1, -1]},
+    "t-fraction": {"kind": "truth_table", "t": 2.5, "values": [1, -1, -1, 1]},
+    "named-t-fraction": {"kind": "named", "name": "parity", "t": 2.5},
+    "thresholds-not-a-list": {"kind": "symmetric", "t": 4, "thresholds": 5},
+    "thresholds-fraction": {"kind": "symmetric", "t": 4, "thresholds": [1.5]},
+    "leading-sign-list": {"kind": "symmetric", "t": 4, "thresholds": [1], "leading_sign": [1]},
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -337,6 +349,8 @@ def test_cli_hardness_matches_golden(tmp_path, check, n, flag, count):
                      id="function-spec-without-t"),
         pytest.param(["analyze", "--function", "{tmp}/spec-not-an-object.json"],
                      id="spec-not-an-object"),
+        *(pytest.param(["analyze", "--function", f"{{tmp}}/{name}.json"], id=name)
+          for name in MALFORMED_SPECS),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
                       "--n", "8", "--sigmas", "0"], id="zero-sigmas"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "rhat",
@@ -354,6 +368,8 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
         json.dumps({"kind": "truth_table", "values": [1, -1, -1, 1]})
     )
     (tmp_path / "spec-not-an-object.json").write_text(json.dumps([1, 2]))
+    for name, spec in MALFORMED_SPECS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
     args = [arg.format(tmp=tmp_path) for arg in args]
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
     assert_one_guard_rejection(capsys)

@@ -117,7 +117,7 @@ def test_b_map_equivariant_under_relabelling(seed, data):
     active = data.draw(st.integers(min_value=1, max_value=blocks))
     n = t * blocks
     params = PartitionParams(n, t, Fraction(active, blocks))
-    f = BooleanFunction(t, tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=2**t)))
+    f = BooleanFunction(t, 1 - 2 * rng.integers(0, 2, size=2**t))
     x = 1 - 2 * rng.integers(0, 2, size=n)
     sigma = fisher_yates(n, rng)
     pi = fisher_yates(n, rng)

@@ -182,7 +182,7 @@ def test_reduction_identity_on_random_symmetric_specs(case):
     gadget = find_gadget(spec)
     n, t = len(sigma), spec.t
     xs = all_points(n)
-    assert blockwise_identity_counterexamples(spec, gadget, sigma, xs) is None
+    assert blockwise_identity_counterexamples(make_symmetric(spec), gadget, sigma, xs) is None
     # the same identity, block by block through the per-point references
     profile = weight_profile(spec)
     sign = -1 if gadget.flipped else 1
@@ -277,7 +277,7 @@ def test_verify_reduction_negative_control():
     rows = np.arange(2**6, dtype=np.int64)
     xs = 1 - 2 * ((rows[:, None] >> np.arange(6)) & 1)
     sigma = np.arange(1, 7, dtype=np.int64)
-    assert blockwise_identity_counterexamples(spec, bad, sigma, xs) is not None
+    assert blockwise_identity_counterexamples(make_symmetric(spec), bad, sigma, xs) is not None
 
 
 def test_verify_reduction_nae_odd_status():

@@ -134,8 +134,7 @@ def relabelled(f: BooleanFunction, perm, flips: int, sign: int) -> BooleanFuncti
     source = np.zeros_like(rows)
     for i, j in enumerate(perm):
         source |= ((rows >> i) & 1) << j
-    table = sign * np.asarray(f.table)[source ^ flips]
-    return BooleanFunction(f.t, tuple(int(v) for v in table))
+    return BooleanFunction(f.t, sign * f.table[source ^ flips])
 
 
 @settings(max_examples=40, deadline=None)
