@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hiddenpartition import boolfn
 from hiddenpartition.experiments import run_protocol_trials
-from hiddenpartition.instances import PartitionParams
+from hiddenpartition.instances import PartitionParams, exact_fraction
 
 
 def main() -> int:
@@ -23,7 +23,7 @@ def main() -> int:
     parser.add_argument("--protocol", choices=("classical", "quantum", "uniform"), required=True)
     parser.add_argument("--named", required=True, choices=boolfn.NAMED_FUNCTIONS)
     parser.add_argument("--t", type=int, required=True)
-    parser.add_argument("--alpha", type=Fraction, default=Fraction(1))
+    parser.add_argument("--alpha", type=exact_fraction, default=Fraction(1))
     parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument("--samples", type=int, default=32, help="|I| for the uniform protocol")
     parser.add_argument("--trials", type=int, default=500)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from hiddenpartition import boolfn
 from hiddenpartition.hardness import expected_tvd, full_cube, random_message_set
-from hiddenpartition.instances import PartitionParams
+from hiddenpartition.instances import PartitionParams, exact_fraction
 from hiddenpartition.rng import stream
 
 
@@ -27,7 +27,7 @@ def main() -> int:
     parser.add_argument("--named", default="parity", choices=boolfn.NAMED_FUNCTIONS)
     parser.add_argument("--t", type=int, default=2)
     parser.add_argument("--n", type=int, default=12)
-    parser.add_argument("--alpha", type=Fraction, default=Fraction(1))
+    parser.add_argument("--alpha", type=exact_fraction, default=Fraction(1))
     parser.add_argument("--sigmas", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)

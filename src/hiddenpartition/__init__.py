@@ -5,7 +5,7 @@ Submodules:
   boolfn       truth tables, Fourier spectra, symmetric constructions
   signpoly     LP-based sign-degree and maximum-bias representations
   rng          named seeded streams and the Fisher-Yates shuffle
-  instances    problem instances, promise checking, serialization
+  instances    problem instances, the block map and promise checking
   classical    sampled-bits and uniform-distribution senders
   quantum      bilinear lift, unitary dilation, Hadamard-test simulation
   reduction    parity-pair to symmetric-function instance transformation
@@ -29,8 +29,7 @@ from .boolfn import (
 from .instances import (
     PartitionInstance,
     PartitionParams,
-    apply_permutation,
-    b_map,
+    b_map_rows,
     generate_instance,
     verify_promise,
 )
@@ -43,8 +42,7 @@ __all__ = [
     "PartitionInstance",
     "PartitionParams",
     "SignPolynomial",
-    "apply_permutation",
-    "b_map",
+    "b_map_rows",
     "best_sign_polynomial",
     "fourier_l1",
     "fourier_transform",

@@ -28,38 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier_transform, pure_high_degree
-from .instances import PartitionInstance, PartitionParams
+from .instances import PartitionParams
 from .rng import coin
 from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial, sign_degree
 
 
 class UnsupportedFunctionError(ValueError):
     """The function does not meet the protocol's degree guard."""
-
-
-@dataclass(frozen=True, eq=False)
-class SampleMessage:
-    """Indices (1-based) Alice sampled and the corresponding bits of x,
-    stored as read-only int64 copies of whatever sequences or arrays they
-    are given."""
-
-    indices: np.ndarray
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("indices", "bits"):
-            value = np.asarray(getattr(self, name)).astype(np.int64)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        if self.indices.shape != self.bits.shape or self.indices.ndim != 1:
-            raise ValueError("indices and bits must be equal-length sequences")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SampleMessage):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.bits, other.bits
-        )
 
 
 @dataclass(frozen=True)
@@ -109,12 +84,15 @@ def decide(statistic: float, tie_rng: Optional[np.random.Generator]) -> int:
     return coin(tie_rng) if tie_rng is not None else 1
 
 
-def alice_sample(x: np.ndarray, m: int, rng: np.random.Generator) -> SampleMessage:
-    """m i.i.d. uniform indices of x (an int64 array), drawn with replacement."""
+def alice_sample(
+    x: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """m i.i.d. uniform 1-based indices of x (an int64 array), drawn with
+    replacement, and the bits of x at them."""
     if m < 1:
         raise ValueError("sample count must be positive")
-    idx = rng.integers(1, len(x) + 1, size=m)
-    return SampleMessage(idx, x[idx - 1])
+    indices = rng.integers(1, len(x) + 1, size=m)
+    return indices, x[indices - 1]
 
 
 def message_cost_bits(m: int, n: int) -> int:
@@ -122,7 +100,8 @@ def message_cost_bits(m: int, n: int) -> int:
 
 
 def bob_decide(
-    msg: SampleMessage,
+    indices: np.ndarray,
+    bits: np.ndarray,
     sigma: np.ndarray,
     w: np.ndarray,
     poly: SignPolynomial,
@@ -130,40 +109,43 @@ def bob_decide(
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
     """Fold the sampled bits into X and guess its sign (fair coin on X=0);
-    sigma and w are int64 arrays, as a ``PartitionInstance`` holds them."""
+    indices, bits, sigma and w are int64 arrays."""
     if poly.degree > 1:
         raise ValueError("decision statistic needs a degree <= 1 polynomial")
     t = params.t
     alpha0 = poly.coeffs[0]
     linear = poly.coeffs[1 << np.arange(t)]
 
-    positions = sigma[msg.indices - 1]
+    positions = sigma[indices - 1]
     j = (positions + t - 1) // t
     k = (positions - 1) % t  # 0-based slot
     active = j <= params.active_blocks
     terms = np.where(
         active,
-        (linear[k] * msg.bits + alpha0 / t) * w[np.minimum(j, len(w)) - 1],
+        (linear[k] * bits + alpha0 / t) * w[np.minimum(j, len(w)) - 1],
         0.0,
     )
     x_stat = float(terms.sum())
-    m = len(msg.indices)
+    m = len(indices)
     return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, message_cost_bits(m, params.n), m)
 
 
 def run_classical(
-    instance: PartitionInstance,
+    params: PartitionParams,
+    x: np.ndarray,
+    sigma: np.ndarray,
+    w: np.ndarray,
     poly: SignPolynomial,
     epsilon: float,
     rng: np.random.Generator,
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
-    """Full sampled-bits run from a degree-1 witness, the one
-    ``protocol_witness(f, 1)`` returns when sdeg(f) <= 1."""
-    params = instance.params
+    """Full sampled-bits run on one instance (int64 arrays x, sigma, w)
+    from a degree-1 witness, the one ``protocol_witness(f, 1)`` returns
+    when sdeg(f) <= 1."""
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
-    msg = alice_sample(instance.x, m, rng)
-    return bob_decide(msg, instance.sigma, instance.w, poly, params, tie_rng)
+    indices, bits = alice_sample(x, m, rng)
+    return bob_decide(indices, bits, sigma, w, poly, params, tie_rng)
 
 
 def level_one_slots(f: BooleanFunction) -> np.ndarray:
@@ -183,13 +165,17 @@ def level_one_slots(f: BooleanFunction) -> np.ndarray:
 
 
 def run_uniform_phd1(
-    instance: PartitionInstance,
+    params: PartitionParams,
+    x: np.ndarray,
+    sigma: np.ndarray,
+    w: np.ndarray,
     slots: np.ndarray,
     subset: np.ndarray,
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
-    """Uniform-distribution sender for phdeg(f) <= 1, decoding from the
-    nonzero level-1 coefficients ``level_one_slots(f)`` returns.
+    """Uniform-distribution sender for phdeg(f) <= 1 on one instance
+    (int64 arrays x, sigma, w), decoding from the nonzero level-1
+    coefficients ``level_one_slots(f)`` returns.
 
     Alice sends ``subset``, a uniform index subset (1-based int64 indices
     in the order drawn, e.g. the first entries of a ``fisher_yates``
@@ -198,10 +184,9 @@ def run_uniform_phd1(
     sgn(level-1 coefficient) * x_i * w_{j(i)}; a fair coin if no index
     qualifies.
     """
-    params = instance.params
     if not 1 <= len(subset) <= params.n:
         raise ValueError("subset size must lie in [1, n]")
-    positions = instance.sigma[subset - 1]
+    positions = sigma[subset - 1]
     j = (positions + params.t - 1) // params.t
     coeffs = slots[(positions - 1) % params.t]
     hits = np.flatnonzero((j <= params.active_blocks) & (coeffs != 0))
@@ -210,6 +195,6 @@ def run_uniform_phd1(
     if hits.size:
         first = hits[0]
         sign = 1 if coeffs[first] > 0 else -1
-        statistic = float(sign * instance.x[subset[first] - 1] * instance.w[j[first] - 1])
+        statistic = float(sign * x[subset[first] - 1] * w[j[first] - 1])
     cost = message_cost_bits(len(subset), params.n)
     return ProtocolOutcome(decide(statistic, tie_rng), statistic, cost, len(subset))

@@ -32,7 +32,7 @@ from .hardness import (
     u_bruteforce,
     u_formula,
 )
-from .instances import PartitionParams
+from .instances import PartitionParams, exact_fraction
 from .quantum import block_multilinear_matrix, matrix_audit_record
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import fisher_yates, stream
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_args(p: argparse.ArgumentParser) -> None:
         add_function_args(p)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=Fraction, default=Fraction(1), metavar="P/Q")
+        p.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_function_args(p_hard)
     p_hard.add_argument("--check", choices=("tvd", "rhat", "u", "kkl"), required=True)
     p_hard.add_argument("--n", type=int, required=True)
-    p_hard.add_argument("--alpha", type=Fraction, default=Fraction(1), metavar="P/Q")
+    p_hard.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
     p_hard.add_argument("--cases", type=int, default=50)
     p_hard.add_argument("--set-size", type=int, default=None, help="message-set size (tvd/rhat/kkl)")
     p_hard.add_argument("--sigmas", type=int, default=50, help="permutation samples per tvd estimate")

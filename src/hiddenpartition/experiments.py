@@ -29,12 +29,13 @@ from .rng import coin, fisher_yates_rows, stream
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
-# Bound on a chunk's arrays, all counted together: per trial, x, sigma (as
-# the shuffle's (n, T) array, its flat swap indices and the permuted
-# strings), the instance's own copies of x and sigma, and for run-uniform
-# the subsets' shuffle; CHUNK_ARRAYS length-n int64 arrays in all.
+# Bound on a chunk's arrays, all counted together: per trial, x, sigma (the
+# shuffle's (n, T) array), the shuffle's flat swap indices, b_map_rows'
+# shifted sigma and permuted string, and for run-uniform the subsets'
+# shuffle (its (n, T) array and swap indices); CHUNK_ARRAYS length-n int64
+# arrays in all.
 CHUNK_BYTES = 16 * 2**20
-CHUNK_ARRAYS = 8
+CHUNK_ARRAYS = 7
 
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
 
@@ -131,9 +132,8 @@ def run_protocol_trials(
         numbers = range(start, min(start + chunk, trials))
         inst_rngs = [stream(seed, "instance", trial) for trial in numbers]
         bs = [coin(rng) for rng in inst_rngs]
-        instances = generate_instances(f, params, bs, inst_rngs)
         outcomes = runner(
-            instances,
+            *generate_instances(f, params, bs, inst_rngs),
             [stream(seed, "protocol", trial) for trial in numbers],
             [stream(seed, "tiebreak", trial) for trial in numbers],
         )
@@ -174,8 +174,8 @@ def _make_runner(
     epsilon: Optional[float],
     sample_count: Optional[int],
 ) -> Callable:
-    """The protocol's run over a chunk: instances with their protocol and
-    tie-break streams in, outcomes out."""
+    """The protocol's run over a chunk: the instances' xs, sigmas and ws
+    with their protocol and tie-break streams in, outcomes out."""
     if protocol == "uniform":
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
@@ -183,11 +183,11 @@ def _make_runner(
         if not 1 <= sample_count <= params.n:
             raise ValueError("subset size must lie in [1, n]")
 
-        def run_uniform(instances, rngs, ties):
+        def run_uniform(xs, sigmas, ws, rngs, ties):
             subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count]
             return [
-                run_uniform_phd1(inst, slots, subset, tie)
-                for inst, subset, tie in zip(instances, subsets, ties)
+                run_uniform_phd1(params, x, sigma, w, slots, subset, tie)
+                for x, sigma, w, subset, tie in zip(xs, sigmas, ws, subsets, ties)
             ]
 
         return run_uniform
@@ -195,12 +195,16 @@ def _make_runner(
         raise ValueError(f"{protocol} protocol needs epsilon")
     if protocol == "classical":
         poly = protocol_witness(f, 1)
-        run = lambda inst, rng, tie: run_classical(inst, poly, epsilon, rng, tie)
+        run = lambda x, sigma, w, rng, tie: run_classical(
+            params, x, sigma, w, poly, epsilon, rng, tie
+        )
     else:
         poly = protocol_witness(f, 2)
         matrix = block_multilinear_matrix(poly)
-        run = lambda inst, rng, tie: run_quantum(inst, poly, matrix, epsilon, rng, tie)
-    return lambda instances, rngs, ties: list(map(run, instances, rngs, ties))
+        run = lambda x, sigma, w, rng, tie: run_quantum(
+            params, x, sigma, w, poly, matrix, epsilon, rng, tie
+        )
+    return lambda xs, sigmas, ws, rngs, ties: list(map(run, xs, sigmas, ws, rngs, ties))
 
 
 # ---------------------------------------------------------------------------

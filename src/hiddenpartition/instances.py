@@ -8,7 +8,10 @@ promise is z o w = b^(alpha*n/t) for a hidden bit b.
 
 Blocks are 1-indexed and contiguous in the permuted string; the partition
 fraction alpha is stored as an exact rational so the promise length is an
-integer by construction.
+integer by construction.  ``generate_instances`` draws a chunk of trials
+as (x, sigma, w) arrays, which the protocol runs take row by row; a
+``PartitionInstance`` is the validated single-instance type of the
+library API (``generate_instance``, ``verify_promise``).
 """
 
 from __future__ import annotations
@@ -21,6 +24,16 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .rng import fisher_yates_rows
+
+
+def exact_fraction(text: str) -> Fraction:
+    """``Fraction(text)`` for a command-line alpha such as "1/2"; a zero
+    denominator raises ValueError, which argparse reports as a usage error
+    (it lets ``Fraction``'s ZeroDivisionError escape as a traceback)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -103,21 +116,6 @@ class PartitionInstance:
         )
 
 
-def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
-    """Permuted string y with y_i = x at sigma^-1(i)."""
-    n = len(x)
-    if len(sigma) != n:
-        raise ValueError("length mismatch")
-    y = [0] * n
-    seen = [False] * n
-    for i, image in enumerate(sigma):
-        if not 1 <= image <= n or seen[image - 1]:
-            raise ValueError("sigma is not a bijection on [n]")
-        seen[image - 1] = True
-        y[image - 1] = x[i]
-    return tuple(y)
-
-
 def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
     """sigma^-1 as 1-based int64 images: entry p-1 holds sigma^-1(p)."""
     sigma = np.asarray(sigma, dtype=np.int64)
@@ -127,8 +125,8 @@ def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
 
 
 def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorised apply_permutation for a stack of strings (rows of xs),
-    under one sigma (shape (n,)) or one sigma per row (shape (N, n))."""
+    """sigma(x) for a stack of strings (rows of xs), under one sigma
+    (shape (n,)) or one sigma per row (shape (N, n))."""
     out = np.empty_like(xs)
     targets = np.broadcast_to(np.asarray(sigma, dtype=np.int64) - 1, xs.shape)
     np.put_along_axis(out, targets, xs, axis=1)
@@ -156,19 +154,6 @@ def b_map_rows(
     return f.table[_blocks_to_rows(blocks)]
 
 
-def b_map(
-    f: BooleanFunction,
-    x: Sequence[int],
-    sigma: Sequence[int],
-    params: PartitionParams,
-) -> tuple[int, ...]:
-    """z_j = f(block j of sigma(x)) for the first alpha*n/t blocks."""
-    if len(x) != params.n:
-        raise ValueError("x length mismatch")
-    result = b_map_rows(f, np.asarray(x, dtype=np.int64)[None, :], sigma, params)
-    return tuple(int(v) for v in result[0])
-
-
 def promise_masks(
     f: BooleanFunction, members: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
@@ -193,11 +178,12 @@ def generate_instances(
     params: PartitionParams,
     bs: Sequence[int],
     rngs: Sequence[np.random.Generator],
-) -> list[PartitionInstance]:
-    """One instance per (b, rng): x uniform, then sigma uniform
-    (Fisher-Yates), both drawn from that rng, and w = b * B_f(x, sigma) so
-    the promise holds with hidden bit b.  The shuffles run in lockstep
-    (``fisher_yates_rows``) and B_f is one gather for all of them."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One instance per (b, rng), as int64 arrays xs, sigmas (both
+    (len(bs), n)) and ws ((len(bs), active_blocks)): x uniform, then sigma
+    uniform (Fisher-Yates), both drawn from that rng, and w = b * B_f(x,
+    sigma) so the promise holds with hidden bit b.  The shuffles run in
+    lockstep (``fisher_yates_rows``) and B_f is one gather for all of them."""
     if len(bs) != len(rngs):
         raise ValueError("one hidden bit per generator")
     if any(b not in (-1, 1) for b in bs):
@@ -207,10 +193,7 @@ def generate_instances(
         row[:] = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
     sigmas = fisher_yates_rows(params.n, rngs)
     ws = np.asarray(bs, dtype=np.int64)[:, None] * b_map_rows(f, xs, sigmas, params)
-    return [
-        PartitionInstance(params, x, sigma, w, b)
-        for x, sigma, w, b in zip(xs, sigmas, ws, bs)
-    ]
+    return xs, sigmas, ws
 
 
 def generate_instance(
@@ -219,8 +202,9 @@ def generate_instance(
     b: int,
     rng: np.random.Generator,
 ) -> PartitionInstance:
-    """``generate_instances`` for a single (b, rng)."""
-    return generate_instances(f, params, [b], [rng])[0]
+    """``generate_instances`` for a single (b, rng), as a validated instance."""
+    xs, sigmas, ws = generate_instances(f, params, [b], [rng])
+    return PartitionInstance(params, xs[0], sigmas[0], ws[0], b)
 
 
 def verify_promise(f: BooleanFunction, instance: PartitionInstance) -> Optional[int]:
@@ -228,34 +212,3 @@ def verify_promise(f: BooleanFunction, instance: PartitionInstance) -> Optional[
     z = b_map_rows(f, instance.x[None, :], instance.sigma, instance.params)[0]
     products = np.unique(z * instance.w)
     return int(products[0]) if len(products) == 1 else None
-
-
-# ---------------------------------------------------------------------------
-# JSON instance format
-# ---------------------------------------------------------------------------
-
-
-def instance_to_json(instance: PartitionInstance) -> dict:
-    doc = {
-        "n": instance.params.n,
-        "t": instance.params.t,
-        "alpha_num": instance.params.alpha.numerator,
-        "alpha_den": instance.params.alpha.denominator,
-        "x": instance.x.tolist(),
-        "sigma": instance.sigma.tolist(),
-        "w": instance.w.tolist(),
-    }
-    if instance.b is not None:
-        doc["b"] = instance.b
-    return doc
-
-
-def instance_from_json(doc: dict) -> PartitionInstance:
-    params = PartitionParams(
-        int(doc["n"]),
-        int(doc["t"]),
-        Fraction(int(doc["alpha_num"]), int(doc["alpha_den"])),
-    )
-    return PartitionInstance(
-        params, doc["x"], doc["sigma"], doc["w"], int(doc["b"]) if "b" in doc else None
-    )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .boolfn import all_points
 from .classical import ProtocolOutcome, decide, required_samples
-from .instances import PartitionInstance, PartitionParams, permute_rows
+from .instances import PartitionParams, permute_rows
 from .signpoly import SignPolynomial
 
 IDENTITY_TOL = 1e-10
@@ -120,15 +120,19 @@ def qubits_per_copy(params: PartitionParams) -> int:
 
 
 def run_quantum(
-    instance: PartitionInstance,
+    params: PartitionParams,
+    x: np.ndarray,
+    sigma: np.ndarray,
+    w: np.ndarray,
     poly: SignPolynomial,
     matrix: BlockMatrix,
     epsilon: float,
     rng: np.random.Generator,
     tie_rng: Optional[np.random.Generator] = None,
 ) -> ProtocolOutcome:
-    """Full protocol run from a degree-2 witness (``protocol_witness(f, 2)``,
-    which exists when sdeg(f) <= 2) and its ``block_multilinear_matrix``.
+    """Full protocol run on one instance (int64 arrays x, sigma, w) from a
+    degree-2 witness (``protocol_witness(f, 2)``, which exists when
+    sdeg(f) <= 2) and its ``block_multilinear_matrix``.
 
     Per copy: a block index is drawn from the measurement distribution,
     uniform since each block's weight is (t+1)/(n + n/t) = t/n (its t
@@ -138,11 +142,10 @@ def run_quantum(
     Chernoff sample formula with the bias replaced by
     beta / (||A|| (t+1)), matching the statistic's expectation scale.
     """
-    params = instance.params
     effective_bias = poly.bias / (matrix.spectral_norm * (matrix.t + 1))
     m = required_samples(params.t, params.alpha, effective_bias, epsilon)
 
-    permuted = permute_rows(instance.sigma, instance.x[None, :])[0]
+    permuted = permute_rows(sigma, x[None, :])[0]
     blocks = permuted.reshape(params.num_blocks, params.t)
     probs0 = hadamard_test_probs(matrix, blocks)
 
@@ -150,7 +153,7 @@ def run_quantum(
     outcome_signs = np.where(rng.random(m) < probs0[j], 1.0, -1.0)
     active = j < params.active_blocks
     contributions = np.where(
-        active, outcome_signs * instance.w[np.minimum(j, len(instance.w) - 1)], 0.0
+        active, outcome_signs * w[np.minimum(j, len(w) - 1)], 0.0
     )
     x_stat = float(contributions.sum())
     return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, m * qubits_per_copy(params), m)

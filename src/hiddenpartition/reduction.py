@@ -25,7 +25,7 @@ import numpy as np
 from .boolfn import (
     BooleanFunction, SymmetricSpec, all_points, make_symmetric, parity, sign_changes, weight_profile
 )
-from .instances import PartitionInstance, PartitionParams, b_map_rows, inverse_permutation
+from .instances import PartitionParams, b_map_rows, inverse_permutation
 from .rng import fisher_yates
 
 
@@ -40,7 +40,6 @@ class ReductionGadget:
     a: int
     b: int
     t: int
-    spec: SymmetricSpec
     flipped: bool
 
     def __post_init__(self) -> None:
@@ -72,7 +71,7 @@ def find_gadget(spec: SymmetricSpec) -> ReductionGadget:
         for a in range(1, t // 2 + 1):
             for b in range(0, t - 2 * a + 1):
                 if _satisfies_conditions(profile, a, b, sign):
-                    return ReductionGadget(a, b, t, spec, flipped)
+                    return ReductionGadget(a, b, t, flipped)
     # Exhaustion is only possible for the excluded family.
     th = spec.thresholds
     if t % 2 == 1 and th[1] - th[0] == t - 1:
@@ -133,26 +132,6 @@ def extended_permutation(sigma: Sequence[int], gadget: ReductionGadget) -> np.nd
         for k, position in enumerate(members, start=1):
             sigma_f[position - 1] = base + k
     return sigma_f
-
-
-def reduce_instance(
-    instance: PartitionInstance, gadget: ReductionGadget
-) -> PartitionInstance:
-    """Map a 2-bit-parity instance to an equivalent instance of the
-    gadget's symmetric function, preserving the hidden bit.
-
-    The transformed instance has length n*t/2, block size t and the same
-    partition fraction; w is flipped when the gadget records a global
-    sign flip so the promise bit is unchanged.
-    """
-    params = instance.params
-    if params.t != 2:
-        raise ValueError("reduction starts from block size 2 (parity pairs)")
-    x_f = extended_string_rows(instance.x[None, :], gadget)[0]
-    sigma_f = extended_permutation(instance.sigma, gadget)
-    w_sign = -1 if gadget.flipped else 1
-    new_params = PartitionParams(params.n * gadget.t // 2, gadget.t, params.alpha)
-    return PartitionInstance(new_params, x_f, sigma_f, w_sign * instance.w, instance.b)
 
 
 @dataclass(frozen=True)

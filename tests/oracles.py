@@ -2,7 +2,9 @@
 
 Each one is the straightforward or per-point form of a package routine,
 or a second construction of what it computes; the tests check that the
-package still gives exactly what these give.
+package still gives exactly what these give.  The instance JSON helpers
+and ``reduce_instance`` are tools only the tests use: they pin
+``generate_instance``'s draws and check the reduction on whole instances.
 """
 
 import math
@@ -17,9 +19,13 @@ from hiddenpartition.boolfn import (
     walsh_hadamard,
     weight_profile,
 )
-from hiddenpartition.instances import b_map_rows
+from hiddenpartition.instances import PartitionInstance, PartitionParams, b_map_rows
 from hiddenpartition.quantum import unitary_dilation
-from hiddenpartition.reduction import ReductionGadget
+from hiddenpartition.reduction import (
+    ReductionGadget,
+    extended_permutation,
+    extended_string_rows,
+)
 
 STATEVECTOR_MAX_ARITY = 10
 
@@ -60,6 +66,53 @@ def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
     if np.max(np.abs(table - rounded)) > 1e-9 or not np.all(np.abs(rounded) == 1):
         raise ValueError("spectrum does not describe a +-1-valued function")
     return BooleanFunction(spec.t, rounded)
+
+
+# --- instances ---------------------------------------------------------------
+
+
+def apply_permutation(sigma, x) -> tuple:
+    """Permuted string y with y_i = x at sigma^-1(i), position by position;
+    the reference for ``permute_rows``."""
+    n = len(x)
+    if len(sigma) != n:
+        raise ValueError("length mismatch")
+    y = [0] * n
+    seen = [False] * n
+    for i, image in enumerate(sigma):
+        if not 1 <= image <= n or seen[image - 1]:
+            raise ValueError("sigma is not a bijection on [n]")
+        seen[image - 1] = True
+        y[image - 1] = x[i]
+    return tuple(y)
+
+
+def instance_to_json(instance: PartitionInstance) -> dict:
+    """JSON document of an instance; pins ``generate_instance``'s draws."""
+    doc = {
+        "n": instance.params.n,
+        "t": instance.params.t,
+        "alpha_num": instance.params.alpha.numerator,
+        "alpha_den": instance.params.alpha.denominator,
+        "x": instance.x.tolist(),
+        "sigma": instance.sigma.tolist(),
+        "w": instance.w.tolist(),
+    }
+    if instance.b is not None:
+        doc["b"] = instance.b
+    return doc
+
+
+def instance_from_json(doc: dict) -> PartitionInstance:
+    """Inverse of ``instance_to_json``."""
+    params = PartitionParams(
+        int(doc["n"]),
+        int(doc["t"]),
+        Fraction(int(doc["alpha_num"]), int(doc["alpha_den"])),
+    )
+    return PartitionInstance(
+        params, doc["x"], doc["sigma"], doc["w"], int(doc["b"]) if "b" in doc else None
+    )
 
 
 # --- quantum protocol --------------------------------------------------------
@@ -129,8 +182,26 @@ def closed_form_gadget(spec):
             a = (gap + 1) // 2
             b = th[k]
             flipped = profile[th[k] + 1] == 1
-            return ReductionGadget(a, b, spec.t, spec, flipped)
+            return ReductionGadget(a, b, spec.t, flipped)
     return None
+
+
+def reduce_instance(instance: PartitionInstance, gadget: ReductionGadget) -> PartitionInstance:
+    """Map a 2-bit-parity instance to an equivalent instance of the
+    gadget's symmetric function, preserving the hidden bit.
+
+    The transformed instance has length n*t/2, block size t and the same
+    partition fraction; w is flipped when the gadget records a global
+    sign flip so the promise bit is unchanged.
+    """
+    params = instance.params
+    if params.t != 2:
+        raise ValueError("reduction starts from block size 2 (parity pairs)")
+    x_f = extended_string_rows(instance.x[None, :], gadget)[0]
+    sigma_f = extended_permutation(instance.sigma, gadget)
+    w_sign = -1 if gadget.flipped else 1
+    new_params = PartitionParams(params.n * gadget.t // 2, gadget.t, params.alpha)
+    return PartitionInstance(new_params, x_f, sigma_f, w_sign * instance.w, instance.b)
 
 
 # --- shuffle -----------------------------------------------------------------

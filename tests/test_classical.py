@@ -6,7 +6,6 @@ import pytest
 
 from hiddenpartition.boolfn import dictator, majority, parity
 from hiddenpartition.classical import (
-    SampleMessage,
     UnsupportedFunctionError,
     alice_sample,
     bob_decide,
@@ -44,27 +43,17 @@ def test_required_samples_guards():
 def test_alice_sample_guards_and_constants():
     with pytest.raises(ValueError):
         alice_sample(np.ones(2, dtype=np.int64), 0, stream(0))
-    msg = alice_sample(np.ones(10, dtype=np.int64), 5, stream(1))
-    assert tuple(msg.bits) == (1, 1, 1, 1, 1)
-    assert all(1 <= i <= 10 for i in msg.indices)
-
-
-def test_sample_message_holds_read_only_int64_arrays():
-    msg = SampleMessage([3, 1], np.array([-1, 1], dtype=np.int32))
-    for value in (msg.indices, msg.bits):
-        assert value.dtype == np.int64
-        assert not value.flags.writeable
-    assert msg == SampleMessage((3, 1), (-1, 1))
-    assert msg != SampleMessage((3, 1), (1, 1))
-    with pytest.raises(ValueError):
-        SampleMessage((1, 2), (1,))
+    indices, bits = alice_sample(np.ones(10, dtype=np.int64), 5, stream(1))
+    assert tuple(bits) == (1, 1, 1, 1, 1)
+    assert all(1 <= i <= 10 for i in indices)
 
 
 def test_alice_sample_deterministic_golden():
     x = np.ones(16, dtype=np.int64)
-    msg = alice_sample(x, 6, stream(42, "protocol", 0))
-    assert tuple(msg.indices) == (10, 16, 9, 8, 5, 7)
-    assert msg == alice_sample(x, 6, stream(42, "protocol", 0))
+    indices, bits = alice_sample(x, 6, stream(42, "protocol", 0))
+    assert tuple(indices) == (10, 16, 9, 8, 5, 7)
+    again = alice_sample(x, 6, stream(42, "protocol", 0))
+    assert np.array_equal(indices, again[0]) and np.array_equal(bits, again[1])
 
 
 def test_block_and_slot():
@@ -82,8 +71,9 @@ def test_bob_decide_dictator_single_hit():
     # one sampled index whose permuted position is slot 1 of block 1
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([1, 2, 3, 4])
-    msg = SampleMessage((1,), (1,))
-    outcome = bob_decide(msg, sigma, np.array([1, 1]), dictator_poly(2), params)
+    outcome = bob_decide(
+        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params
+    )
     assert outcome.statistic == pytest.approx(1.0)
     assert outcome.guess == 1
 
@@ -91,18 +81,21 @@ def test_bob_decide_dictator_single_hit():
 def test_bob_decide_zero_coefficient_slot():
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([2, 1, 3, 4])  # index 1 lands on slot 2, coefficient 0
-    msg = SampleMessage((1,), (1,))
-    outcome = bob_decide(msg, sigma, np.array([1, 1]), dictator_poly(2), params)
+    outcome = bob_decide(
+        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params
+    )
     assert outcome.statistic == 0.0
 
 
 def test_bob_decide_inactive_indices_random_tie():
     params = PartitionParams(4, 2, Fraction(1, 2))
     sigma = np.array([3, 4, 1, 2])  # indices 1,2 land outside the active prefix
-    msg = SampleMessage((1, 2), (1, -1))
+    indices, bits = np.array([1, 2]), np.array([1, -1])
     guesses = set()
     for i in range(32):
-        outcome = bob_decide(msg, sigma, np.array([1]), dictator_poly(2), params, stream(9, i))
+        outcome = bob_decide(
+            indices, bits, sigma, np.array([1]), dictator_poly(2), params, stream(9, i)
+        )
         assert outcome.statistic == 0.0
         guesses.add(outcome.guess)
     assert guesses == {-1, 1}
@@ -112,12 +105,12 @@ def test_bob_decide_order_invariant():
     params = PartitionParams(6, 2, Fraction(1))
     sigma = np.array([5, 3, 1, 2, 6, 4])
     w = np.array([1, -1, 1])
-    msg = SampleMessage((1, 3, 5), (1, -1, -1))
-    shuffled = SampleMessage((5, 1, 3), (-1, 1, -1))
+    msg = (np.array([1, 3, 5]), np.array([1, -1, -1]))
+    shuffled = (np.array([5, 1, 3]), np.array([-1, 1, -1]))
     poly = dictator_poly(2)
     assert (
-        bob_decide(msg, sigma, w, poly, params).statistic
-        == bob_decide(shuffled, sigma, w, poly, params).statistic
+        bob_decide(*msg, sigma, w, poly, params).statistic
+        == bob_decide(*shuffled, sigma, w, poly, params).statistic
     )
 
 
@@ -125,7 +118,9 @@ def test_bob_decide_rejects_quadratic():
     params = PartitionParams(4, 2, Fraction(1))
     quad = poly_from_terms(2, {0b11: 1.0}, 1.0)
     with pytest.raises(ValueError):
-        bob_decide(SampleMessage((1,), (1,)), np.array([1, 2, 3, 4]), np.array([1, 1]), quad, params)
+        bob_decide(
+            np.array([1]), np.array([1]), np.array([1, 2, 3, 4]), np.array([1, 1]), quad, params
+        )
 
 
 def test_message_cost_grows_logarithmically():
@@ -159,7 +154,10 @@ def test_expected_statistic_sign_and_magnitude():
     for trial in range(12000):
         rng = stream(77, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        outcome = run_classical(instance, poly, epsilon, stream(77, "protocol", trial))
+        outcome = run_classical(
+            params, instance.x, instance.sigma, instance.w, poly, epsilon,
+            stream(77, "protocol", trial),
+        )
         stats.append(outcome.statistic)
     stats = np.asarray(stats)
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
@@ -183,7 +181,8 @@ def test_run_uniform_dictator_exact_on_hit():
         b = 1 if trial % 2 else -1
         instance = generate_instance(f, params, b, rng)
         outcome = run_uniform_phd1(
-            instance, slots, fisher_yates(40, stream(5, "protocol", trial))[:40], stream(5, "tie", trial)
+            params, instance.x, instance.sigma, instance.w, slots,
+            fisher_yates(40, stream(5, "protocol", trial))[:40], stream(5, "tie", trial),
         )
         if outcome.statistic != 0.0:
             assert outcome.guess == b
@@ -198,7 +197,10 @@ def test_run_uniform_majority_conditional_success():
     for trial in range(4000):
         rng = stream(13, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        outcome = run_uniform_phd1(instance, slots, fisher_yates(30, stream(13, "protocol", trial))[:10])
+        outcome = run_uniform_phd1(
+            params, instance.x, instance.sigma, instance.w, slots,
+            fisher_yates(30, stream(13, "protocol", trial))[:10],
+        )
         if outcome.statistic != 0.0:
             hits += 1
             correct_hits += int(outcome.guess == 1)
@@ -214,7 +216,10 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
         for trial in range(100):
             instance = generate_instance(f, params, 1, stream(21, "instance", trial))
             subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
-            outcome = run_uniform_phd1(instance, slots, subset, stream(21, "tie", trial))
+            outcome = run_uniform_phd1(
+                params, instance.x, instance.sigma, instance.w, slots, subset,
+                stream(21, "tie", trial),
+            )
             assert outcome.statistic == uniform_statistic_by_scan(instance, slots, subset)
             assert outcome.m == len(subset)
 
@@ -225,4 +230,6 @@ def test_run_uniform_rejects_subsets_outside_one_to_n():
     instance = generate_instance(f, params, 1, stream(0, "instance"))
     for subset in (np.array([], dtype=np.int64), np.arange(1, 6)):
         with pytest.raises(ValueError):
-            run_uniform_phd1(instance, level_one_slots(f), subset)
+            run_uniform_phd1(
+                params, instance.x, instance.sigma, instance.w, level_one_slots(f), subset
+            )

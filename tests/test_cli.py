@@ -16,7 +16,7 @@ from hiddenpartition.experiments import (
     write_jsonl,
 )
 from hiddenpartition.boolfn import dictator, majority, parity
-from hiddenpartition.instances import PartitionParams
+from hiddenpartition.instances import PartitionInstance, PartitionParams
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -302,6 +302,24 @@ def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
 
 
 @pytest.mark.parametrize(
+    "protocol, f, options",
+    [("classical", majority(3), {"epsilon": 0.1}),
+     ("quantum", parity(2), {"epsilon": 0.1}),
+     ("uniform", dictator(4), {"sample_count": 8})],
+)
+def test_trials_build_no_partition_instance(monkeypatch, protocol, f, options):
+    # trials run on the chunk's arrays; the validated instance type is library API only
+    def refuse(self):
+        raise AssertionError("PartitionInstance built on the trial path")
+
+    monkeypatch.setattr(PartitionInstance, "__post_init__", refuse)
+    records, _ = run_protocol_trials(
+        protocol, f, "f", PartitionParams(24, f.t, Fraction(1, 2)), 10, 5, **options
+    )
+    assert len(records) == 10
+
+
+@pytest.mark.parametrize(
     "check, n, flag, count",
     [("rhat", 8, "--cases", 5), ("u", 8, "--cases", 50),
      ("tvd", 8, "--sigmas", 10), ("kkl", 8, "--cases", 10)],
@@ -373,6 +391,22 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
     args = [arg.format(tmp=tmp_path) for arg in args]
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
     assert_one_guard_rejection(capsys)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run-classical", "--named", "majority", "--t", "3", "--n", "24"],
+     ["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "8"]],
+)
+def test_cli_zero_denominator_alpha_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([*args, "--alpha", "1/0"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "argument --alpha: invalid" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_unwritable_out_is_a_guard_rejection(tmp_path, capsys):

@@ -10,15 +10,14 @@ from hiddenpartition.boolfn import BooleanFunction, majority, parity
 from hiddenpartition.instances import (
     PartitionInstance,
     PartitionParams,
-    apply_permutation,
-    b_map,
+    b_map_rows,
     generate_instance,
     generate_instances,
-    instance_from_json,
-    instance_to_json,
     verify_promise,
 )
 from hiddenpartition.rng import fisher_yates, stream
+
+from oracles import apply_permutation, instance_from_json, instance_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,26 +72,26 @@ def test_apply_permutation_errors():
 
 def test_b_map_parity_blocks():
     params = PartitionParams(4, 2, Fraction(1))
-    z = b_map(parity(2), (1, -1, 1, 1), (1, 2, 3, 4), params)
-    assert z == (-1, 1)
+    z = b_map_rows(parity(2), np.array([1, -1, 1, 1])[None], np.arange(1, 5), params)[0]
+    assert z.tolist() == [-1, 1]
 
 
 def test_b_map_half_alpha():
     params = PartitionParams(4, 2, Fraction(1, 2))
-    z = b_map(parity(2), (1, -1, 1, 1), (1, 2, 3, 4), params)
-    assert z == (-1,)
+    z = b_map_rows(parity(2), np.array([1, -1, 1, 1])[None], np.arange(1, 5), params)[0]
+    assert z.tolist() == [-1]
 
 
 def test_b_map_majority():
     params = PartitionParams(6, 3, Fraction(1))
-    z = b_map(majority(3), (-1, -1, 1, 1, 1, -1), tuple(range(1, 7)), params)
-    assert z == (-1, 1)
+    z = b_map_rows(majority(3), np.array([-1, -1, 1, 1, 1, -1])[None], np.arange(1, 7), params)[0]
+    assert z.tolist() == [-1, 1]
 
 
 def test_b_map_arity_guard():
     params = PartitionParams(4, 2, Fraction(1))
     with pytest.raises(ValueError):
-        b_map(majority(3), (1, 1, 1, 1), (1, 2, 3, 4), params)
+        b_map_rows(majority(3), np.ones((1, 4), dtype=np.int64), np.arange(1, 5), params)
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -100,11 +99,12 @@ def test_b_map_depends_only_on_permuted_string(seed):
     rng = stream(seed, "bmap")
     params = PartitionParams(8, 2, Fraction(1, 2))
     f = parity(2)
-    x = tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=8))
-    sigma = tuple(int(v) for v in fisher_yates(8, rng))
-    identity = tuple(range(1, 9))
-    assert b_map(f, x, sigma, params) == b_map(
-        f, apply_permutation(sigma, x), identity, params
+    x = 1 - 2 * rng.integers(0, 2, size=8)
+    sigma = fisher_yates(8, rng)
+    permuted = np.array(apply_permutation(sigma.tolist(), x.tolist()))
+    assert np.array_equal(
+        b_map_rows(f, x[None], sigma, params)[0],
+        b_map_rows(f, permuted[None], np.arange(1, 9), params)[0],
     )
 
 
@@ -121,7 +121,10 @@ def test_b_map_equivariant_under_relabelling(seed, data):
     x = 1 - 2 * rng.integers(0, 2, size=n)
     sigma = fisher_yates(n, rng)
     pi = fisher_yates(n, rng)
-    assert b_map(f, x[pi - 1], sigma[pi - 1], params) == b_map(f, x, sigma, params)
+    assert np.array_equal(
+        b_map_rows(f, x[pi - 1][None], sigma[pi - 1], params)[0],
+        b_map_rows(f, x[None], sigma, params)[0],
+    )
 
 
 @pytest.mark.parametrize("n, t, alpha", [(12, 3, Fraction(1, 2)), (3000, 3, Fraction(1, 2))])
@@ -129,10 +132,16 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
     params = PartitionParams(n, t, alpha)
     f = majority(3)
     bs = [1, -1, -1, 1, 1]
-    batch = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
-    for k, (b, instance) in enumerate(zip(bs, batch)):
-        assert instance == generate_instance(f, params, b, stream(4, "instance", k))
-        assert verify_promise(f, instance) == b
+    xs, sigmas, ws = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
+    for array, width in ((xs, n), (sigmas, n), (ws, params.active_blocks)):
+        assert array.dtype == np.int64 and array.shape == (len(bs), width)
+    for k, (b, x, sigma, w) in enumerate(zip(bs, xs, sigmas, ws)):
+        single = generate_instance(f, params, b, stream(4, "instance", k))
+        assert np.array_equal(x, single.x)
+        assert np.array_equal(sigma, single.sigma)
+        assert np.array_equal(w, single.w)
+        # the rows are valid instances (validation raises otherwise) with promise bit b
+        assert verify_promise(f, PartitionInstance(params, x, sigma, w, b)) == b
 
 
 def test_generate_instances_reject_bad_bits_before_drawing():

@@ -13,12 +13,7 @@ from hiddenpartition.boolfn import (
     sign_changes,
     weight_profile,
 )
-from hiddenpartition.instances import (
-    PartitionParams,
-    apply_permutation,
-    generate_instance,
-    verify_promise,
-)
+from hiddenpartition.instances import PartitionParams, generate_instance, verify_promise
 from hiddenpartition.reduction import (
     NoGadgetError,
     ReductionGadget,
@@ -27,13 +22,12 @@ from hiddenpartition.reduction import (
     extended_string_rows,
     find_gadget,
     gadget_to_json,
-    reduce_instance,
     verify_reduction,
 )
 from hiddenpartition.rng import fisher_yates, stream
 
 from conftest import all_symmetric_specs
-from oracles import closed_form_gadget, hamming_weight
+from oracles import apply_permutation, closed_form_gadget, hamming_weight, reduce_instance
 
 
 def eligible_specs(t_max):
@@ -119,9 +113,9 @@ def test_gadget_json():
 
 def test_gadget_validation():
     with pytest.raises(ValueError):
-        ReductionGadget(0, 0, 4, SymmetricSpec(4, (1, 3), 1), False)
+        ReductionGadget(0, 0, 4, False)
     with pytest.raises(ValueError):
-        ReductionGadget(2, 1, 4, SymmetricSpec(4, (1, 3), 1), False)
+        ReductionGadget(2, 1, 4, False)
 
 
 # --- instance transformation -------------------------------------------------
@@ -273,7 +267,7 @@ def test_verify_reduction_negative_control():
     # corrupting the gadget must produce a counterexample
     spec = SymmetricSpec(4, (1, 3), 1)
     good = find_gadget(spec)
-    bad = ReductionGadget(good.a - 1, good.b, good.t, spec, good.flipped)
+    bad = ReductionGadget(good.a - 1, good.b, good.t, good.flipped)
     rows = np.arange(2**6, dtype=np.int64)
     xs = 1 - 2 * ((rows[:, None] >> np.arange(6)) & 1)
     sigma = np.arange(1, 7, dtype=np.int64)

@@ -12,14 +12,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, check=True):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True, text=True, timeout=120, check=True,
+        capture_output=True, text=True, timeout=120, check=check,
     )
-    return result.stdout
 
 
 @pytest.mark.parametrize(
@@ -34,8 +33,23 @@ def run_script(name, *args):
     ],
 )
 def test_script_writes_a_deterministic_csv(name, args, header, rows):
-    first = run_script(name, *args)
+    first = run_script(name, *args).stdout
     table = list(csv.reader(io.StringIO(first)))
     assert table[0] == header
     assert len(table) == 1 + rows
-    assert run_script(name, *args) == first
+    assert run_script(name, *args).stdout == first
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("protocol_sweep.py",
+      ("--protocol", "classical", "--named", "majority", "--t", "3", "--sizes", "6")),
+     ("tvd_trend.py", ("--n", "6"))],
+)
+def test_script_zero_denominator_alpha_is_a_usage_error(name, args):
+    result = run_script(name, *args, "--alpha", "1/0", check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ")
+    assert "argument --alpha: invalid" in result.stderr
+    assert "Traceback" not in result.stderr
