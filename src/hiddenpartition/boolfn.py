@@ -153,15 +153,15 @@ def fourier_l1(spec: FourierSpectrum) -> float:
     return float(np.abs(spec.values).sum())
 
 
-def alpha_upper_bound(f: BooleanFunction) -> Optional[float]:
-    """Partition-fraction bound min(1/2, (t/2d) * l1^(-2/d)) with d the
-    pure high degree; None when d = 0 (the bound is vacuous there)."""
-    spec = fourier_transform(f)
+def alpha_upper_bound(spec: FourierSpectrum) -> Optional[float]:
+    """Partition-fraction bound min(1/2, (t/2d) * l1^(-2/d)) for the
+    function with spectrum ``spec``, d its pure high degree; None when
+    d = 0 (the bound is vacuous there)."""
     d = pure_high_degree(spec)
     if d == 0:
         return None
     l1 = fourier_l1(spec)
-    return min(0.5, (f.t / (2 * d)) * l1 ** (-2 / d))
+    return min(0.5, (spec.t / (2 * d)) * l1 ** (-2 / d))
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,11 @@ def cmd_analyze(args) -> int:
         "sign_degree": sdeg,
         "bias_at_sign_degree": witness.bias,
         "fourier_l1": boolfn.fourier_l1(spec),
-        "alpha_upper_bound": boolfn.alpha_upper_bound(f),
+        "alpha_upper_bound": boolfn.alpha_upper_bound(spec),
     }
     if sdeg <= 2:
-        # the dense witness run-quantum decides from, solved once
-        poly = witness if sym is None and sdeg == min(2, f.t) else protocol_witness(f, 2)
+        # the witness run-quantum decides from, solved once
+        poly = witness if sdeg == min(2, f.t) else protocol_witness(f, 2)
         report["block_matrix_norm"] = block_multilinear_matrix(poly).spectral_norm
     else:
         report["block_matrix_norm"] = None

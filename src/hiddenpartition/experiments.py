@@ -31,11 +31,10 @@ PROTOCOLS = ("classical", "quantum", "uniform")
 
 # Bound on a chunk's arrays, all counted together: per trial, x, sigma (the
 # shuffle's (n, T) array), the shuffle's flat swap indices, b_map_rows'
-# shifted sigma and permuted string, and for run-uniform the subsets'
-# shuffle (its (n, T) array and swap indices); CHUNK_ARRAYS length-n int64
-# arrays in all.
+# permuted string, and for run-uniform the subsets' shuffle (its (n, T)
+# array and swap indices); CHUNK_ARRAYS length-n int64 arrays in all.
 CHUNK_BYTES = 16 * 2**20
-CHUNK_ARRAYS = 7
+CHUNK_ARRAYS = 6
 
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
 

@@ -126,11 +126,13 @@ def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
 
 def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sigma(x) for a stack of strings (rows of xs), under one sigma
-    (shape (n,)) or one sigma per row (shape (N, n))."""
-    out = np.empty_like(xs)
-    targets = np.broadcast_to(np.asarray(sigma, dtype=np.int64) - 1, xs.shape)
+    (shape (n,)) or one sigma per row (shape (N, n)).  The 1-based images
+    index a buffer one column wider, whose unused column 0 the returned
+    view drops."""
+    out = np.empty((xs.shape[0], xs.shape[1] + 1), dtype=xs.dtype)
+    targets = np.broadcast_to(np.asarray(sigma, dtype=np.int64), xs.shape)
     np.put_along_axis(out, targets, xs, axis=1)
-    return out
+    return out[:, 1:]
 
 
 def _blocks_to_rows(blocks: np.ndarray) -> np.ndarray:

@@ -6,17 +6,18 @@ min_x |p(x)|.  The best bias at degree d is the bounded LP
 
     maximise beta  s.t.  f(x) p(x) >= beta,  -1 <= p(x) <= 1,  0 <= beta <= 1,
 
-and sign_degree solves it for d = 0, 1, ... until the bias reaches
-FEASIBILITY_MARGIN, so its witness has the best bias at the sign-degree.
-The LP is posed over one of two bases:
+best_sign_polynomial solves it at one degree and sign_degree for
+d = 0, 1, ... until the bias reaches FEASIBILITY_MARGIN, so its witness
+has the best bias at the sign-degree.  best_sign_polynomial alone picks
+the LP's basis, from f, so the degree search and the protocols share one
+witness per (f, d):
 
   * symmetric f (value fixed by the Hamming weight |x|): by Minsky-Papert
     symmetrization the best degree-d polynomial may be averaged over all
     coordinate permutations, so it is p = sum_j c_j sum_{|S|=j} chi_S,
     whose value at weight w is sum_j c_j K_j(w) with K_j the Krawtchouk
     polynomial: t+1 weights and d+1 level coefficients;
-  * any other f: all 2^t points and every monomial of degree <= d, the
-    dense LP best_sign_polynomial solves.
+  * any other f: all 2^t points and every monomial of degree <= d.
 
 Dense LPs whose constraint matrix would exceed MAX_DENSE_LP_BYTES are
 refused before anything is built.  The solver runs in floating point;
@@ -147,34 +148,28 @@ def _max_bias_lp(fvals: np.ndarray, basis: np.ndarray, degree: int) -> np.ndarra
 
 def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
     """Maximum-bias normalised sign-representation of f with the given
-    degree budget, from the dense LP.
+    degree budget: the reduced Hamming-weight LP when f is symmetric, the
+    dense LP otherwise.
 
     Raises BelowSignDegreeError when the degree cannot represent f,
-    ValueError when the LP is over MAX_DENSE_LP_BYTES, and LpSolverError
-    on solver breakdown or failed certification.
+    ValueError when a dense LP is over MAX_DENSE_LP_BYTES, and
+    LpSolverError on solver breakdown or failed certification.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    t = f.t
-    masks = monomial_masks(t, degree)
-    _check_dense_lp_size(t, degree, len(masks) + 1)
-    coeff = np.zeros(2**t)
-    coeff[masks] = _max_bias_lp(f.table, _chi_matrix(t, masks), degree)
-    return _certified(f.table, coeff)
+    sym = symmetric_spec_of(f)
+    if sym is None:
+        return _dense_witness(f, degree)
+    return _symmetric_witness(f, sym, degree)
 
 
 def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     """Minimum representing degree with a certified normalised witness of
-    the maximum bias at that degree.
+    the maximum bias at that degree, from best_sign_polynomial.
 
-    A symmetric f takes the reduced Hamming-weight LP, any other f the
-    dense one.  Raises ValueError when a dense LP is over
-    MAX_DENSE_LP_BYTES.
+    Raises ValueError when a dense LP is over MAX_DENSE_LP_BYTES.
     """
-    sym = symmetric_spec_of(f)
-    if sym is None:
-        return _dense_sign_degree(f)
-    return _symmetric_sign_degree(f, sym)
+    return _least_degree(f.t, lambda d: best_sign_polynomial(f, d))
 
 
 def _least_degree(
@@ -190,6 +185,17 @@ def _least_degree(
     raise LpSolverError("no representation found up to full degree")  # pragma: no cover
 
 
+def _dense_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
+    """The max-bias LP over all 2^t points and every monomial of degree
+    <= degree, refused from its shape when over MAX_DENSE_LP_BYTES."""
+    t = f.t
+    masks = monomial_masks(t, degree)
+    _check_dense_lp_size(t, degree, len(masks) + 1)
+    coeff = np.zeros(2**t)
+    coeff[masks] = _max_bias_lp(f.table, _chi_matrix(t, masks), degree)
+    return _certified(f.table, coeff)
+
+
 def _krawtchouk(t: int) -> np.ndarray:
     """(t+1, t+1) matrix whose entry [w, j] is K_j(w), the sum of chi_S
     over the C(t, j) sets |S| = j at any point of Hamming weight w."""
@@ -203,32 +209,18 @@ def _krawtchouk(t: int) -> np.ndarray:
     )
 
 
-def _symmetric_sign_degree(
-    f: BooleanFunction, sym: SymmetricSpec
-) -> tuple[int, SignPolynomial]:
-    """Degree search on the max-bias LP over the Hamming weights of the
-    symmetric f that ``sym`` describes."""
+def _symmetric_witness(f: BooleanFunction, sym: SymmetricSpec, degree: int) -> SignPolynomial:
+    """The max-bias LP over the t+1 Hamming weights of the symmetric f
+    that ``sym`` describes, with one coefficient per level j <= degree."""
     t = f.t
-    profile = weight_profile(sym)
-    krawtchouk = _krawtchouk(t)
+    krawtchouk = _krawtchouk(t)[:, : degree + 1]
     # K_j(0) = C(t, j) is the largest |K_j|; entries reach C(16, 8), so
     # the LP solves for y_j = C(t, j) c_j against columns in [-1, 1].
     level_sizes = krawtchouk[0]
-    scaled = krawtchouk / level_sizes
-    level = row_weights(t)
-
-    def witness_at(d: int) -> SignPolynomial:
-        c = np.zeros(t + 1)
-        c[: d + 1] = _max_bias_lp(profile, scaled[:, : d + 1], d) / level_sizes[: d + 1]
-        return _certified(f.table, c[level])  # every level-j monomial gets c_j
-
-    return _least_degree(t, witness_at)
-
-
-def _dense_sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
-    """Degree search on the dense max-bias LP; the tests' reference for the
-    reduced path."""
-    return _least_degree(f.t, lambda d: best_sign_polynomial(f, d))
+    levels = _max_bias_lp(weight_profile(sym), krawtchouk / level_sizes, degree)
+    c = np.zeros(t + 1)
+    c[: levels.size] = levels / level_sizes
+    return _certified(f.table, c[row_weights(t)])  # every level-j monomial gets c_j
 
 
 def _certified(fvals: np.ndarray, coeff: np.ndarray) -> SignPolynomial:

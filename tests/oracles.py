@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hiddenpartition import signpoly
 from hiddenpartition.boolfn import (
     BooleanFunction,
     FourierSpectrum,
@@ -66,6 +67,15 @@ def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
     if np.max(np.abs(table - rounded)) > 1e-9 or not np.all(np.abs(rounded) == 1):
         raise ValueError("spectrum does not describe a +-1-valued function")
     return BooleanFunction(spec.t, rounded)
+
+
+# --- sign-degree -------------------------------------------------------------
+
+
+def dense_sign_degree(f: BooleanFunction):
+    """Degree search on the dense max-bias LP alone, whatever f is: the
+    reference for the reduced LP best_sign_polynomial takes on a symmetric f."""
+    return signpoly._least_degree(f.t, lambda d: signpoly._dense_witness(f, d))
 
 
 # --- instances ---------------------------------------------------------------

@@ -194,10 +194,10 @@ def test_fourier_l1_examples():
 
 def test_alpha_upper_bound():
     # parity2: d=2, l1=1 -> min(1/2, (2/4)*1) = 1/2
-    assert alpha_upper_bound(parity(2)) == pytest.approx(0.5)
+    assert alpha_upper_bound(fourier_transform(parity(2))) == pytest.approx(0.5)
     # maj3: d=1, l1=2 -> min(1/2, (3/2)*2^-2) = 0.375
-    assert alpha_upper_bound(majority(3)) == pytest.approx(0.375)
-    assert alpha_upper_bound(nae(3)) is None  # phdeg 0, bound vacuous
+    assert alpha_upper_bound(fourier_transform(majority(3))) == pytest.approx(0.375)
+    assert alpha_upper_bound(fourier_transform(nae(3))) is None  # phdeg 0, bound vacuous
 
 
 # --- symmetric functions ---------------------------------------------------

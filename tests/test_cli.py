@@ -262,7 +262,7 @@ BENCH_RUN_ARGS = ("--n", "3000", "--alpha", "1/2", "--trials", "300", "--seed", 
     "args, digest",
     [
         (["run-classical", "--named", "majority", "--t", "3", "--epsilon", "0.1"],
-         "5b396bd6fbdd710f7d7b6bd4e8cc1267591a779ff6ff373f09165127eb199f70"),
+         "26ef5fd9ce1c5f9e9897d3ef5f46deb8492c8ba41280f46fc0e9d7ed22e4c835"),
         (["run-quantum", "--named", "parity", "--t", "2", "--epsilon", "0.1",
           "--format", "jsonl"],
          "0a31575aeeb366a280e8b7948d53edd4d73e0c9b5b32427ab33d43584753a73f"),

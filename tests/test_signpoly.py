@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hiddenpartition import boolfn, signpoly
+from hiddenpartition.classical import protocol_witness
+from hiddenpartition.cli import main
 from hiddenpartition.boolfn import (
     BooleanFunction,
     SymmetricSpec,
@@ -20,13 +24,13 @@ from hiddenpartition.signpoly import (
     BelowSignDegreeError,
     LpSolverError,
     SignPolynomial,
-    _dense_sign_degree,
     best_sign_polynomial,
     monomial_masks,
     sign_degree,
 )
 
 from conftest import all_symmetric_specs, poly_from_terms, poly_value, random_table
+from oracles import dense_sign_degree
 
 
 def must_not_run(*args, **kwargs):
@@ -115,16 +119,35 @@ BIAS_AGREEMENT_TOL = 1e-9
 
 def test_reduced_sign_degree_matches_dense_search():
     # Every symmetric f with t <= 6 takes the reduced Hamming-weight LP in
-    # sign_degree; the dense degree search and the dense max-bias LP at
-    # the same degree are its reference.
+    # best_sign_polynomial; the dense degree search and the dense max-bias
+    # LP are its reference, at the sign-degree and at each protocol budget
+    # (1 classical, 2 quantum, capped at t) that it can meet.
     for t in range(1, 7):
         for spec in all_symmetric_specs(t):
             f = make_symmetric(spec)
             d, p = sign_degree(f)
-            assert d == _dense_sign_degree(f)[0], spec
-            assert exhaustively_valid(f, p), spec
-            best = best_sign_polynomial(f, d)
-            assert abs(p.bias - best.bias) <= BIAS_AGREEMENT_TOL, spec
+            assert d == dense_sign_degree(f)[0], spec
+            for degree in sorted({d} | {min(b, t) for b in (1, 2) if b >= d}):
+                reduced = p if degree == d else best_sign_polynomial(f, degree)
+                assert reduced.degree <= degree, (spec, degree)
+                assert exhaustively_valid(f, reduced), (spec, degree)
+                dense = signpoly._dense_witness(f, degree)
+                assert abs(reduced.bias - dense.bias) <= BIAS_AGREEMENT_TOL, (spec, degree)
+
+
+def test_symmetric_witnesses_never_build_the_dense_lp(monkeypatch, capsys):
+    # analyze, protocol_witness and the runs share the reduced witness of a
+    # symmetric f; the dense LP is only for tables that are not symmetric
+    monkeypatch.setattr(signpoly, "_chi_matrix", must_not_run)
+    assert main(["analyze", "--named", "majority", "--t", "11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sign_degree"] == 1
+    assert report["block_matrix_norm"] > 0
+    f = majority(5)
+    for degree in (1, 2):
+        p = protocol_witness(f, degree)
+        assert p.degree <= degree
+        assert exhaustively_valid(f, p)
 
 
 def relabelled(f: BooleanFunction, perm, flips: int, sign: int) -> BooleanFunction:
