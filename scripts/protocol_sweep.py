@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the instance size n for one protocol and record success rate and
 communication cost per n.  The cost column grows logarithmically in n for
-fixed (t, alpha, beta, epsilon).
+fixed (t, alpha, beta, epsilon).  Bad input (a function the protocol
+cannot run, an n the arity does not divide, an unwritable --out) exits 2
+with one "guard rejection:" line on stderr and nothing on stdout, as the
+hiddenpartition command does.
 
 Example:
     python scripts/protocol_sweep.py --protocol quantum --named parity --t 2 \
@@ -14,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from hiddenpartition import boolfn
+from hiddenpartition.cli import output, run_guarded
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams, exact_fraction
 
@@ -30,8 +34,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sizes", type=int, nargs="+", required=True)
     parser.add_argument("--out", default=None)
-    args = parser.parse_args()
+    return run_guarded(sweep, parser.parse_args())
 
+
+def sweep(args) -> int:
     f = boolfn.named_function(args.named, args.t)
     kwargs = (
         {"sample_count": args.samples}
@@ -39,22 +45,22 @@ def main() -> int:
         else {"epsilon": args.epsilon}
     )
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "trials", "success_rate", "wilson_low", "wilson_high", "mean_cost_bits"])
+    rows = []
     for n in args.sizes:
         params = PartitionParams(n, args.t, args.alpha)
         _, summary = run_protocol_trials(
             args.protocol, f, f"{args.named}:{args.t}", params,
             trials=args.trials, seed=args.seed, **kwargs,
         )
-        writer.writerow([
+        rows.append([
             n, summary.trials, f"{summary.success_rate:.4f}",
             f"{summary.wilson_low:.4f}", f"{summary.wilson_high:.4f}",
             f"{summary.mean_cost_bits:.1f}",
         ])
-    if args.out:
-        out.close()
+    with output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["n", "trials", "success_rate", "wilson_low", "wilson_high", "mean_cost_bits"])
+        writer.writerows(rows)
     return 0
 
 

@@ -5,7 +5,9 @@ induced promise distributions shrinks as the message set grows.
 A short message from Alice pins her string down to a large set A; the
 larger A is, the less Bob's one sample can tell the promise string from
 its complement.  This script estimates E_sigma[TVD] for message sets of
-doubling sizes on one function.
+doubling sizes on one function.  Bad input (an n above the brute-force
+cap, an unwritable --out) exits 2 with one "guard rejection:" line on
+stderr and nothing on stdout, as the hiddenpartition command does.
 
 Example:
     python scripts/tvd_trend.py --n 12 --named parity --t 2 --sigmas 50
@@ -17,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from hiddenpartition import boolfn
+from hiddenpartition.cli import output, run_guarded
 from hiddenpartition.hardness import expected_tvd, full_cube, random_message_set
 from hiddenpartition.instances import PartitionParams, exact_fraction
 from hiddenpartition.rng import stream
@@ -31,14 +34,14 @@ def main() -> int:
     parser.add_argument("--sigmas", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
-    args = parser.parse_args()
+    return run_guarded(trend, parser.parse_args())
 
+
+def trend(args) -> int:
     f = boolfn.named_function(args.named, args.t)
     params = PartitionParams(args.n, args.t, args.alpha)
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["set_size_log2", "mean_tvd", "stderr"])
+    rows = []
     for log_size in range(2, args.n + 1):
         rng = stream(args.seed, "tvd", log_size)
         if log_size == args.n:
@@ -46,9 +49,11 @@ def main() -> int:
         else:
             message_set = random_message_set(args.n, 2**log_size, rng)
         estimate = expected_tvd(f, message_set, params, args.sigmas, rng)
-        writer.writerow([log_size, f"{estimate.mean:.5f}", f"{estimate.stderr:.5f}"])
-    if args.out:
-        out.close()
+        rows.append([log_size, f"{estimate.mean:.5f}", f"{estimate.stderr:.5f}"])
+    with output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["set_size_log2", "mean_tvd", "stderr"])
+        writer.writerows(rows)
     return 0
 
 

@@ -16,14 +16,14 @@ Two senders are implemented:
     block and decides from that single bit, succeeding with probability
     1/2 + |level-1 coefficient|/2 conditioned on a hit.
 
-Costs are counted in bits: m * (ceil(log2 n) + 1) per message.
+A run's message (m sampled bits, or |I| indices) is fixed before Alice
+sees x and costs m * (ceil(log2 n) + 1) bits.  The runs return (guess,
+statistic) and take the trial's tie-break stream for a zero statistic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,14 +35,6 @@ from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial
 
 class UnsupportedFunctionError(ValueError):
     """The function does not meet the protocol's degree guard."""
-
-
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    guess: int
-    statistic: float
-    message_bits: int
-    m: int  # samples or copies sent
 
 
 def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
@@ -75,13 +67,13 @@ def protocol_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
         raise UnsupportedFunctionError(f"sdeg(f) = {actual} > {degree}") from exc
 
 
-def decide(statistic: float, tie_rng: Optional[np.random.Generator]) -> int:
-    """sgn(statistic); a fair coin from tie_rng (+1 without one) on 0."""
+def decide(statistic: float, tie_rng: np.random.Generator) -> int:
+    """sgn(statistic); a fair coin from tie_rng on 0."""
     if statistic > 0:
         return 1
     if statistic < 0:
         return -1
-    return coin(tie_rng) if tie_rng is not None else 1
+    return coin(tie_rng)
 
 
 def alice_sample(
@@ -99,6 +91,16 @@ def message_cost_bits(m: int, n: int) -> int:
     return m * (math.ceil(math.log2(n)) + 1)
 
 
+def _locate(
+    indices: np.ndarray, sigma: np.ndarray, w: np.ndarray, params: PartitionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each 1-based index of x: the 0-based slot of its permuted
+    position, whether its block lies in the active prefix, and that
+    block's w (clamped to the last active block outside the prefix)."""
+    blocks, slots = np.divmod(sigma[indices - 1] - 1, params.t)
+    return slots, blocks < params.active_blocks, w[np.minimum(blocks, len(w) - 1)]
+
+
 def bob_decide(
     indices: np.ndarray,
     bits: np.ndarray,
@@ -106,28 +108,20 @@ def bob_decide(
     w: np.ndarray,
     poly: SignPolynomial,
     params: PartitionParams,
-    tie_rng: Optional[np.random.Generator] = None,
-) -> ProtocolOutcome:
-    """Fold the sampled bits into X and guess its sign (fair coin on X=0);
-    indices, bits, sigma and w are int64 arrays."""
+    tie_rng: np.random.Generator,
+) -> tuple[int, float]:
+    """Fold the sampled bits into X and return (sgn X, X), a fair coin on
+    X = 0; indices, bits, sigma and w are int64 arrays."""
     if poly.degree > 1:
         raise ValueError("decision statistic needs a degree <= 1 polynomial")
     t = params.t
     alpha0 = poly.coeffs[0]
     linear = poly.coeffs[1 << np.arange(t)]
 
-    positions = sigma[indices - 1]
-    j = (positions + t - 1) // t
-    k = (positions - 1) % t  # 0-based slot
-    active = j <= params.active_blocks
-    terms = np.where(
-        active,
-        (linear[k] * bits + alpha0 / t) * w[np.minimum(j, len(w)) - 1],
-        0.0,
-    )
+    slots, active, weights = _locate(indices, sigma, w, params)
+    terms = np.where(active, (linear[slots] * bits + alpha0 / t) * weights, 0.0)
     x_stat = float(terms.sum())
-    m = len(indices)
-    return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, message_cost_bits(m, params.n), m)
+    return decide(x_stat, tie_rng), x_stat
 
 
 def run_classical(
@@ -136,14 +130,13 @@ def run_classical(
     sigma: np.ndarray,
     w: np.ndarray,
     poly: SignPolynomial,
-    epsilon: float,
+    m: int,
     rng: np.random.Generator,
-    tie_rng: Optional[np.random.Generator] = None,
-) -> ProtocolOutcome:
+    tie_rng: np.random.Generator,
+) -> tuple[int, float]:
     """Full sampled-bits run on one instance (int64 arrays x, sigma, w)
     from a degree-1 witness, the one ``protocol_witness(f, 1)`` returns
-    when sdeg(f) <= 1."""
-    m = required_samples(params.t, params.alpha, poly.bias, epsilon)
+    when sdeg(f) <= 1, sending m bits (``required_samples``)."""
     indices, bits = alice_sample(x, m, rng)
     return bob_decide(indices, bits, sigma, w, poly, params, tie_rng)
 
@@ -171,8 +164,8 @@ def run_uniform_phd1(
     w: np.ndarray,
     slots: np.ndarray,
     subset: np.ndarray,
-    tie_rng: Optional[np.random.Generator] = None,
-) -> ProtocolOutcome:
+    tie_rng: np.random.Generator,
+) -> tuple[int, float]:
     """Uniform-distribution sender for phdeg(f) <= 1 on one instance
     (int64 arrays x, sigma, w), decoding from the nonzero level-1
     coefficients ``level_one_slots(f)`` returns.
@@ -180,21 +173,19 @@ def run_uniform_phd1(
     Alice sends ``subset``, a uniform index subset (1-based int64 indices
     in the order drawn, e.g. the first entries of a ``fisher_yates``
     permutation); Bob takes the first index whose slot carries a nonzero
-    level-1 coefficient inside an active block and outputs
-    sgn(level-1 coefficient) * x_i * w_{j(i)}; a fair coin if no index
-    qualifies.
+    level-1 coefficient inside an active block and returns (guess,
+    statistic) with statistic sgn(level-1 coefficient) * x_i * w_{j(i)};
+    a fair coin if no index qualifies.
     """
     if not 1 <= len(subset) <= params.n:
         raise ValueError("subset size must lie in [1, n]")
-    positions = sigma[subset - 1]
-    j = (positions + params.t - 1) // params.t
-    coeffs = slots[(positions - 1) % params.t]
-    hits = np.flatnonzero((j <= params.active_blocks) & (coeffs != 0))
+    subset_slots, active, weights = _locate(subset, sigma, w, params)
+    coeffs = slots[subset_slots]
+    hits = np.flatnonzero(active & (coeffs != 0))
 
     statistic = 0.0
     if hits.size:
         first = hits[0]
         sign = 1 if coeffs[first] > 0 else -1
-        statistic = float(sign * x[subset[first] - 1] * w[j[first] - 1])
-    cost = message_cost_bits(len(subset), params.n)
-    return ProtocolOutcome(decide(statistic, tie_rng), statistic, cost, len(subset))
+        statistic = float(sign * x[subset[first] - 1] * weights[first])
+    return decide(statistic, tie_rng), statistic

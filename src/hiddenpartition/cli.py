@@ -6,7 +6,7 @@ streams, so identical invocations produce byte-identical output.  Exit
 code 2 marks a guard rejection (wrong sign-degree / pure high degree for
 the requested protocol) or an invalid parameter (a file that cannot be read
 or written included); either is reported as one "guard rejection: ..." line
-on stderr.
+on stderr; the experiment scripts report theirs the same way (``run_guarded``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import boolfn
 from .boolfn import BooleanFunction
@@ -119,7 +119,7 @@ def load_function(args) -> tuple[BooleanFunction, str]:
 
 
 @contextlib.contextmanager
-def _output(path: Optional[str]):
+def output(path: Optional[str]):
     """Yield stdout, or the file at ``path`` opened for writing."""
     if path is None:
         yield sys.stdout
@@ -129,7 +129,7 @@ def _output(path: Optional[str]):
 
 
 def _write_json(path: Optional[str], doc: dict, indent: Optional[int] = None) -> None:
-    with _output(path) as out:
+    with output(path) as out:
         json.dump(doc, out, indent=indent, sort_keys=True)
         out.write("\n")
 
@@ -192,7 +192,7 @@ def cmd_run(args, protocol: str) -> int:
         matrix = block_multilinear_matrix(protocol_witness(f, 2))
         _write_json(args.dump_matrix, matrix_audit_record(matrix))
     write = write_csv if args.format == "csv" else write_jsonl
-    with _output(args.out) as out:
+    with output(args.out) as out:
         write(out, records, summary)
     return 0
 
@@ -242,15 +242,14 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
             worst = min(worst, min(report.margins))
         return {"check": "kkl", "cases": args.cases, "violations": violations,
                 "min_margin": worst}
+    size = 2 ** (n - 1) if args.set_size is None else args.set_size  # tvd and rhat
     if args.check == "tvd":
-        size = 2 ** (n - 1) if args.set_size is None else args.set_size
         rng = stream(args.seed, "hardness", "tvd")
         message_set = full_cube(n) if size >= 2**n else random_message_set(n, size, rng)
         estimate = expected_tvd(f, message_set, params, args.sigmas, rng)
         return {"check": "tvd", "cases": args.sigmas, "set_size": size,
                 "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
     if args.check == "rhat":
-        size = 2 ** (n - 1) if args.set_size is None else args.set_size
         worst = 0.0
         violations = 0
         for case in range(args.cases):
@@ -282,6 +281,17 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
             "violations": violations}
 
 
+def run_guarded(command: Callable[..., int], *args) -> int:
+    """command(*args), or exit code 2 with one "guard rejection: <reason>"
+    line on stderr when it raises ValueError or OSError (a guard
+    rejection, an invalid parameter or an unusable path)."""
+    try:
+        return command(*args)
+    except (ValueError, OSError) as exc:
+        print(f"guard rejection: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {
@@ -292,11 +302,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "reduce": cmd_reduce,
         "hardness": cmd_hardness,
     }
-    try:
-        return commands[args.command](args)
-    except (ValueError, OSError) as exc:  # guard rejection, invalid parameter or unusable path
-        print(f"guard rejection: {exc}", file=sys.stderr)
-        return 2
+    return run_guarded(commands[args.command], args)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ sender/decider), and "tiebreak" (zero-statistic coin flips).  Records are
 written in trial order, so identical configurations produce byte-identical
 output.
 
+A run is set up once: its witness, message size and cost are fixed before
+the first trial (a bad epsilon draws no instance), and each trial's run
+returns only (guess, statistic).
+
 Trials run in chunks: a chunk's instances are generated together, their
 shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
 index subsets.  Since every trial draws only from its own streams, the
@@ -22,9 +26,10 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
-from .classical import level_one_slots, protocol_witness, run_classical, run_uniform_phd1
+from .classical import level_one_slots, message_cost_bits, protocol_witness, required_samples
+from .classical import run_classical, run_uniform_phd1
 from .instances import PartitionParams, generate_instances
-from .quantum import block_multilinear_matrix, run_quantum
+from .quantum import block_multilinear_matrix, qubits_per_copy, required_copies, run_quantum
 from .rng import coin, fisher_yates_rows, stream
 
 PROTOCOLS = ("classical", "quantum", "uniform")
@@ -114,36 +119,30 @@ def run_protocol_trials(
 ) -> tuple[list[TrialRecord], RunSummary]:
     """Run independent seeded trials of one protocol on fresh instances.
 
-    Guard failures (wrong sign-degree / pure high degree) surface from the
-    first call before any trial randomness is consumed.
+    Guard failures (wrong sign-degree / pure high degree) and a bad
+    epsilon surface before any trial randomness is consumed.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if trials < 1:
         raise ValueError("trial count must be positive")
-    runner = _make_runner(protocol, f, params, epsilon, sample_count)
+    runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
     chunk = max(1, CHUNK_BYTES // (CHUNK_ARRAYS * 8 * params.n))
 
     records: list[TrialRecord] = []
-    successes = 0
-    total_cost = 0
     for start in range(0, trials, chunk):
         numbers = range(start, min(start + chunk, trials))
         inst_rngs = [stream(seed, "instance", trial) for trial in numbers]
         bs = [coin(rng) for rng in inst_rngs]
-        outcomes = runner(
+        decisions = runner(
             *generate_instances(f, params, bs, inst_rngs),
             [stream(seed, "protocol", trial) for trial in numbers],
             [stream(seed, "tiebreak", trial) for trial in numbers],
         )
-        for trial, b, outcome in zip(numbers, bs, outcomes):
-            correct = outcome.guess == b
-            successes += int(correct)
-            total_cost += outcome.message_bits
-            records.append(
-                TrialRecord(trial, b, outcome.guess, correct, outcome.statistic, outcome.message_bits)
-            )
+        for trial, b, (guess, statistic) in zip(numbers, bs, decisions):
+            records.append(TrialRecord(trial, b, guess, guess == b, statistic, cost_bits))
 
+    successes = sum(record.correct for record in records)
     low, high = wilson_interval(successes, trials)
     summary = RunSummary(
         protocol=protocol,
@@ -153,14 +152,14 @@ def run_protocol_trials(
         alpha=str(params.alpha),
         epsilon=epsilon,
         per_run_guarantee=None if epsilon is None else 1 - 2 * epsilon,
-        m=None if epsilon is None else outcome.m,  # the same in every trial
+        m=m,
         samples=sample_count,
         trials=trials,
         successes=successes,
         success_rate=successes / trials,
         wilson_low=low,
         wilson_high=high,
-        mean_cost_bits=total_cost / trials,
+        mean_cost_bits=float(cost_bits),  # every trial sends the same message
         seed=seed,
     )
     return records, summary
@@ -172,9 +171,10 @@ def _make_runner(
     params: PartitionParams,
     epsilon: Optional[float],
     sample_count: Optional[int],
-) -> Callable:
-    """The protocol's run over a chunk: the instances' xs, sigmas and ws
-    with their protocol and tie-break streams in, outcomes out."""
+) -> tuple[Callable, Optional[int], int]:
+    """The protocol's run over a chunk (the instances' xs, sigmas and ws
+    with their protocol and tie-break streams in, (guess, statistic) per
+    trial out), its message size m (None for run-uniform) and cost in bits."""
     if protocol == "uniform":
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
@@ -189,21 +189,22 @@ def _make_runner(
                 for x, sigma, w, subset, tie in zip(xs, sigmas, ws, subsets, ties)
             ]
 
-        return run_uniform
+        return run_uniform, None, message_cost_bits(sample_count, params.n)
     if epsilon is None:
         raise ValueError(f"{protocol} protocol needs epsilon")
     if protocol == "classical":
         poly = protocol_witness(f, 1)
-        run = lambda x, sigma, w, rng, tie: run_classical(
-            params, x, sigma, w, poly, epsilon, rng, tie
-        )
+        m = required_samples(params.t, params.alpha, poly.bias, epsilon)
+        cost_bits = message_cost_bits(m, params.n)
+        run = lambda x, sigma, w, rng, tie: run_classical(params, x, sigma, w, poly, m, rng, tie)
     else:
         poly = protocol_witness(f, 2)
         matrix = block_multilinear_matrix(poly)
-        run = lambda x, sigma, w, rng, tie: run_quantum(
-            params, x, sigma, w, poly, matrix, epsilon, rng, tie
-        )
-    return lambda xs, sigmas, ws, rngs, ties: list(map(run, xs, sigmas, ws, rngs, ties))
+        m = required_copies(params, poly.bias, matrix, epsilon)
+        cost_bits = m * qubits_per_copy(params)
+        run = lambda x, sigma, w, rng, tie: run_quantum(params, x, sigma, w, matrix, m, rng, tie)
+    runner = lambda xs, sigmas, ws, rngs, ties: list(map(run, xs, sigmas, ws, rngs, ties))
+    return runner, m, cost_bits
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +212,19 @@ def _make_runner(
 # ---------------------------------------------------------------------------
 
 
-def _trial_row(record: TrialRecord) -> dict:
-    row = {"record": "trial"}
-    row.update(asdict(record))
-    return row
-
-
-def _summary_row(summary: RunSummary) -> dict:
-    row = {"record": "summary"}
-    row.update(asdict(summary))
-    return row
+def _rows(records: list[TrialRecord], summary: RunSummary):
+    """The output rows: each record's fields after its kind, "trial" or "summary"."""
+    yield from ({"record": "trial", **asdict(record)} for record in records)
+    yield {"record": "summary", **asdict(summary)}
 
 
 def write_jsonl(out: io.TextIOBase, records: list[TrialRecord], summary: RunSummary) -> None:
-    for record in records:
-        out.write(json.dumps(_trial_row(record), sort_keys=True) + "\n")
-    out.write(json.dumps(_summary_row(summary), sort_keys=True) + "\n")
+    for row in _rows(records, summary):
+        out.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def write_csv(out: io.TextIOBase, records: list[TrialRecord], summary: RunSummary) -> None:
     fields = list(dict.fromkeys(TRIAL_FIELDS + SUMMARY_FIELDS))
     writer = csv.DictWriter(out, fieldnames=fields, restval="", lineterminator="\n")
     writer.writeheader()
-    for record in records:
-        writer.writerow(_trial_row(record))
-    writer.writerow(_summary_row(summary))
+    writer.writerows(_rows(records, summary))

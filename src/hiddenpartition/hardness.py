@@ -126,7 +126,6 @@ def tvd(d1: np.ndarray, d2: np.ndarray) -> float:
 class TvdEstimate:
     mean: float
     stderr: float
-    samples: int
 
 
 def expected_tvd(
@@ -146,7 +145,7 @@ def expected_tvd(
         dists = induced_distributions(f, message_set, sigma, params)
         values[i] = tvd(dists.p, dists.q)
     stderr = float(values.std(ddof=1) / math.sqrt(sigma_samples)) if sigma_samples > 1 else 0.0
-    return TvdEstimate(float(values.mean()), stderr, sigma_samples)
+    return TvdEstimate(float(values.mean()), stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ returns outcome 0 with probability
     1/2 + p(z) / (2 ||A|| (t+1))
 
 for block value z, which the simulator samples from the exact closed form.
+A run's copy count m is fixed by ``required_copies`` before Alice sees x;
+``run_quantum`` returns (guess, statistic), a tie_rng coin on a zero statistic.
 A dense state-vector simulation of the same circuit in
 ``tests/oracles.py`` cross-checks that closed form at small arity.
 
@@ -24,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .boolfn import all_points
-from .classical import ProtocolOutcome, decide, required_samples
+from .classical import decide, required_samples
 from .instances import PartitionParams, permute_rows
 from .signpoly import SignPolynomial
 
@@ -89,22 +90,26 @@ def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
     return BlockMatrix.from_entries(a)
 
 
-def unitary_dilation(a: BlockMatrix) -> np.ndarray:
-    """Double-size orthogonal dilation built from the SVD of A/||A||, as a
-    read-only (2 dim, 2 dim) array whose top-left block is A/||A||.
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a symmetric PSD matrix, eigenvalues clipped at 0."""
+    values, vectors = np.linalg.eigh(m)
+    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
 
-    With A/||A|| = W S V^T the dilation is
-    [[W S V^T, W sqrt(I-S^2)], [sqrt(I-S^2) V^T, -S]].
+
+def unitary_dilation(a: BlockMatrix) -> np.ndarray:
+    """Halmos dilation of B = A/||A||, a read-only (2 dim, 2 dim)
+    orthogonal array whose top-left block is B:
+
+        U = [[B, (I - B B^T)^(1/2)], [(I - B^T B)^(1/2), -B^T]].
+
+    It is a function of A (no SVD basis to choose when singular values
+    repeat), so nearby matrices get nearby dilations.
     """
     if a.spectral_norm <= 0:
         raise ValueError("cannot dilate the zero matrix")
     b = a.entries / a.spectral_norm
-    w, s, vt = np.linalg.svd(b)
-    s = np.clip(s, 0.0, 1.0)  # guards float overshoot of the top singular value
-    root = np.sqrt(1.0 - s**2)
-    top = np.hstack([(w * s) @ vt, w * root])
-    bottom = np.hstack([root[:, None] * vt, -np.diag(s)])
-    u = np.vstack([top, bottom])
+    eye = np.eye(a.dim)
+    u = np.block([[b, _psd_sqrt(eye - b @ b.T)], [_psd_sqrt(eye - b.T @ b), -b.T]])
     u.setflags(write=False)
     return u
 
@@ -119,32 +124,36 @@ def qubits_per_copy(params: PartitionParams) -> int:
     return math.ceil(math.log2(params.n + params.num_blocks)) + 1
 
 
+def required_copies(
+    params: PartitionParams, bias: float, matrix: BlockMatrix, epsilon: float
+) -> int:
+    """Copies a run sends: the Chernoff sample count at the statistic's
+    expectation scale bias / (||A|| (t+1)), ``qubits_per_copy`` each."""
+    effective_bias = bias / (matrix.spectral_norm * (matrix.t + 1))
+    return required_samples(params.t, params.alpha, effective_bias, epsilon)
+
+
 def run_quantum(
     params: PartitionParams,
     x: np.ndarray,
     sigma: np.ndarray,
     w: np.ndarray,
-    poly: SignPolynomial,
     matrix: BlockMatrix,
-    epsilon: float,
+    m: int,
     rng: np.random.Generator,
-    tie_rng: Optional[np.random.Generator] = None,
-) -> ProtocolOutcome:
-    """Full protocol run on one instance (int64 arrays x, sigma, w) from a
-    degree-2 witness (``protocol_witness(f, 2)``, which exists when
-    sdeg(f) <= 2) and its ``block_multilinear_matrix``.
+    tie_rng: np.random.Generator,
+) -> tuple[int, float]:
+    """Full protocol run on one instance (int64 arrays x, sigma, w) with m
+    copies, from the ``block_multilinear_matrix`` of a degree-2 witness
+    (``protocol_witness(f, 2)``, which exists when sdeg(f) <= 2); returns
+    (guess, statistic).
 
     Per copy: a block index is drawn from the measurement distribution,
     uniform since each block's weight is (t+1)/(n + n/t) = t/n (its t
     permuted coordinates plus its marker state), the Hadamard-test
     outcome is drawn from its exact closed-form probability, and active
-    blocks contribute (-1)^outcome * w_j to the statistic.  The copy count reuses the
-    Chernoff sample formula with the bias replaced by
-    beta / (||A|| (t+1)), matching the statistic's expectation scale.
+    blocks contribute (-1)^outcome * w_j to the statistic.
     """
-    effective_bias = poly.bias / (matrix.spectral_norm * (matrix.t + 1))
-    m = required_samples(params.t, params.alpha, effective_bias, epsilon)
-
     permuted = permute_rows(sigma, x[None, :])[0]
     blocks = permuted.reshape(params.num_blocks, params.t)
     probs0 = hadamard_test_probs(matrix, blocks)
@@ -152,11 +161,9 @@ def run_quantum(
     j = rng.integers(0, params.num_blocks, size=m)
     outcome_signs = np.where(rng.random(m) < probs0[j], 1.0, -1.0)
     active = j < params.active_blocks
-    contributions = np.where(
-        active, outcome_signs * w[np.minimum(j, len(w) - 1)], 0.0
-    )
+    contributions = np.where(active, outcome_signs * w[np.minimum(j, len(w) - 1)], 0.0)
     x_stat = float(contributions.sum())
-    return ProtocolOutcome(decide(x_stat, tie_rng), x_stat, m * qubits_per_copy(params), m)
+    return decide(x_stat, tie_rng), x_stat
 
 
 def matrix_audit_record(a: BlockMatrix) -> dict:

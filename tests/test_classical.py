@@ -17,7 +17,7 @@ from hiddenpartition.classical import (
     run_uniform_phd1,
 )
 from hiddenpartition.experiments import run_protocol_trials
-from hiddenpartition.instances import PartitionParams, generate_instance
+from hiddenpartition.instances import PartitionParams, generate_instance, generate_instances
 from hiddenpartition.rng import fisher_yates, stream
 from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
 
@@ -71,20 +71,22 @@ def test_bob_decide_dictator_single_hit():
     # one sampled index whose permuted position is slot 1 of block 1
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([1, 2, 3, 4])
-    outcome = bob_decide(
-        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params
+    guess, statistic = bob_decide(
+        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params,
+        stream(0, "tie"),
     )
-    assert outcome.statistic == pytest.approx(1.0)
-    assert outcome.guess == 1
+    assert statistic == pytest.approx(1.0)
+    assert guess == 1
 
 
 def test_bob_decide_zero_coefficient_slot():
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([2, 1, 3, 4])  # index 1 lands on slot 2, coefficient 0
-    outcome = bob_decide(
-        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params
+    _, statistic = bob_decide(
+        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params,
+        stream(0, "tie"),
     )
-    assert outcome.statistic == 0.0
+    assert statistic == 0.0
 
 
 def test_bob_decide_inactive_indices_random_tie():
@@ -93,11 +95,11 @@ def test_bob_decide_inactive_indices_random_tie():
     indices, bits = np.array([1, 2]), np.array([1, -1])
     guesses = set()
     for i in range(32):
-        outcome = bob_decide(
+        guess, statistic = bob_decide(
             indices, bits, sigma, np.array([1]), dictator_poly(2), params, stream(9, i)
         )
-        assert outcome.statistic == 0.0
-        guesses.add(outcome.guess)
+        assert statistic == 0.0
+        guesses.add(guess)
     assert guesses == {-1, 1}
 
 
@@ -109,8 +111,8 @@ def test_bob_decide_order_invariant():
     shuffled = (np.array([5, 1, 3]), np.array([-1, 1, -1]))
     poly = dictator_poly(2)
     assert (
-        bob_decide(*msg, sigma, w, poly, params).statistic
-        == bob_decide(*shuffled, sigma, w, poly, params).statistic
+        bob_decide(*msg, sigma, w, poly, params, stream(0, "tie"))[1]
+        == bob_decide(*shuffled, sigma, w, poly, params, stream(0, "tie"))[1]
     )
 
 
@@ -119,7 +121,8 @@ def test_bob_decide_rejects_quadratic():
     quad = poly_from_terms(2, {0b11: 1.0}, 1.0)
     with pytest.raises(ValueError):
         bob_decide(
-            np.array([1]), np.array([1]), np.array([1, 2, 3, 4]), np.array([1, 1]), quad, params
+            np.array([1]), np.array([1]), np.array([1, 2, 3, 4]), np.array([1, 1]), quad, params,
+            stream(0, "tie"),
         )
 
 
@@ -150,17 +153,18 @@ def test_expected_statistic_sign_and_magnitude():
     poly = best_sign_polynomial(f, 1)
     params = PartitionParams(60, 3, Fraction(1, 2))
     epsilon = 0.2
-    stats = []
-    for trial in range(12000):
-        rng = stream(77, "instance", trial)
-        instance = generate_instance(f, params, 1, rng)
-        outcome = run_classical(
-            params, instance.x, instance.sigma, instance.w, poly, epsilon,
-            stream(77, "protocol", trial),
-        )
-        stats.append(outcome.statistic)
-    stats = np.asarray(stats)
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
+    stats = []
+    for start in range(0, 12000, 2000):  # the same draws as generate_instance, trial by trial
+        trials = range(start, start + 2000)
+        rngs = [stream(77, "instance", trial) for trial in trials]
+        for trial, x, sigma, w in zip(trials, *generate_instances(f, params, [1] * 2000, rngs)):
+            _, statistic = run_classical(
+                params, x, sigma, w, poly, m,
+                stream(77, "protocol", trial), stream(77, "tiebreak", trial),
+            )
+            stats.append(statistic)
+    stats = np.asarray(stats)
     lower = float(params.alpha) * poly.bias * m / params.t
     stderr = stats.std(ddof=1) / math.sqrt(len(stats))
     assert stats.mean() > 0
@@ -180,12 +184,12 @@ def test_run_uniform_dictator_exact_on_hit():
         rng = stream(5, "instance", trial)
         b = 1 if trial % 2 else -1
         instance = generate_instance(f, params, b, rng)
-        outcome = run_uniform_phd1(
+        guess, statistic = run_uniform_phd1(
             params, instance.x, instance.sigma, instance.w, slots,
             fisher_yates(40, stream(5, "protocol", trial))[:40], stream(5, "tie", trial),
         )
-        if outcome.statistic != 0.0:
-            assert outcome.guess == b
+        if statistic != 0.0:
+            assert guess == b
 
 
 def test_run_uniform_majority_conditional_success():
@@ -197,13 +201,13 @@ def test_run_uniform_majority_conditional_success():
     for trial in range(4000):
         rng = stream(13, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        outcome = run_uniform_phd1(
+        guess, statistic = run_uniform_phd1(
             params, instance.x, instance.sigma, instance.w, slots,
-            fisher_yates(30, stream(13, "protocol", trial))[:10],
+            fisher_yates(30, stream(13, "protocol", trial))[:10], stream(13, "tie", trial),
         )
-        if outcome.statistic != 0.0:
+        if statistic != 0.0:
             hits += 1
-            correct_hits += int(outcome.guess == 1)
+            correct_hits += int(guess == 1)
     assert hits > 3000
     assert correct_hits / hits == pytest.approx(0.75, abs=0.03)
 
@@ -216,12 +220,18 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
         for trial in range(100):
             instance = generate_instance(f, params, 1, stream(21, "instance", trial))
             subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
-            outcome = run_uniform_phd1(
+            _, statistic = run_uniform_phd1(
                 params, instance.x, instance.sigma, instance.w, slots, subset,
                 stream(21, "tie", trial),
             )
-            assert outcome.statistic == uniform_statistic_by_scan(instance, slots, subset)
-            assert outcome.m == len(subset)
+            assert statistic == uniform_statistic_by_scan(instance, slots, subset)
+        # the message is fixed per run: |I| indices, the same cost in every trial
+        for sample_count in (1, 7, 12):
+            records, summary = run_protocol_trials(
+                "uniform", f, "f", params, trials=20, seed=21, sample_count=sample_count
+            )
+            assert {r.cost_bits for r in records} == {message_cost_bits(sample_count, n)}
+            assert summary.samples == sample_count
 
 
 def test_run_uniform_rejects_subsets_outside_one_to_n():
@@ -231,5 +241,6 @@ def test_run_uniform_rejects_subsets_outside_one_to_n():
     for subset in (np.array([], dtype=np.int64), np.arange(1, 6)):
         with pytest.raises(ValueError):
             run_uniform_phd1(
-                params, instance.x, instance.sigma, instance.w, level_one_slots(f), subset
+                params, instance.x, instance.sigma, instance.w, level_one_slots(f), subset,
+                stream(0, "tie"),
             )

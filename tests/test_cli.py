@@ -319,6 +319,19 @@ def test_trials_build_no_partition_instance(monkeypatch, protocol, f, options):
     assert len(records) == 10
 
 
+@pytest.mark.parametrize("protocol, f", [("classical", majority(3)), ("quantum", parity(2))])
+def test_bad_epsilon_refused_before_any_instance(monkeypatch, protocol, f):
+    # the message size is fixed once per run, so epsilon is checked before the first trial
+    def refuse(*args):
+        raise AssertionError("instance drawn before epsilon was checked")
+
+    monkeypatch.setattr(experiments, "generate_instances", refuse)
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        run_protocol_trials(
+            protocol, f, "f", PartitionParams(24, f.t, Fraction(1, 2)), 10, 5, epsilon=0.7
+        )
+
+
 @pytest.mark.parametrize(
     "check, n, flag, count",
     [("rhat", 8, "--cases", 5), ("u", 8, "--cases", 50),

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddenpartition.boolfn import all_points, dictator, make_symmetric, parity, SymmetricSpec
+from hiddenpartition.boolfn import (
+    SymmetricSpec, all_points, dictator, make_symmetric, named_function, parity,
+)
 from hiddenpartition.classical import UnsupportedFunctionError, protocol_witness
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams
@@ -16,6 +18,7 @@ from hiddenpartition.quantum import (
     hadamard_test_probs,
     matrix_audit_record,
     qubits_per_copy,
+    required_copies,
     unitary_dilation,
 )
 from hiddenpartition.signpoly import best_sign_polynomial
@@ -106,6 +109,14 @@ def test_dilation_zero_matrix_rejected():
         unitary_dilation(BlockMatrix.from_entries(np.zeros((3, 3))))
 
 
+def test_dilation_is_a_function_of_the_matrix():
+    # and(4)'s lift repeats the singular value 1/16 three times; a 1-ulp
+    # nudge of every entry must not move the dilation (an SVD basis would)
+    a = block_multilinear_matrix(protocol_witness(named_function("and", 4), 2))
+    nudged = BlockMatrix.from_entries(np.nextafter(a.entries, np.inf))
+    assert np.abs(unitary_dilation(nudged) - unitary_dilation(a)).max() <= 1e-6
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))
 def test_dilation_invariants_random(t, seed):
@@ -177,6 +188,19 @@ def test_povm_block_distribution_examples():
 
 def test_qubit_accounting():
     assert qubits_per_copy(PartitionParams(200, 2, Fraction(1, 2))) == math.ceil(math.log2(300)) + 1
+
+
+def test_quantum_message_is_fixed_per_run():
+    # m = ceil((t / (alpha * 2/3))^2 ln(10) / 2) copies at the effective bias 1 / (||A|| (t+1))
+    params = PartitionParams(60, 2, Fraction(1, 2))
+    poly = protocol_witness(parity(2), 2)
+    m = required_copies(params, poly.bias, block_multilinear_matrix(poly), 0.1)
+    assert m == math.ceil(36 * math.log(10) / 2)
+    records, summary = run_protocol_trials(
+        "quantum", parity(2), "parity:2", params, trials=20, seed=23, epsilon=0.1
+    )
+    assert summary.m == m
+    assert {r.cost_bits for r in records} == {m * qubits_per_copy(params)}
 
 
 # --- full protocol -----------------------------------------------------------

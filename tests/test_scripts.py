@@ -53,3 +53,21 @@ def test_script_zero_denominator_alpha_is_a_usage_error(name, args):
     assert result.stderr.startswith("usage: ")
     assert "argument --alpha: invalid" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("protocol_sweep.py",  # parity has sign-degree 2: no sampled-bits protocol
+      ("--protocol", "classical", "--named", "parity", "--t", "2", "--sizes", "10")),
+     ("protocol_sweep.py",  # t does not divide n
+      ("--protocol", "quantum", "--named", "parity", "--t", "2", "--sizes", "7")),
+     ("tvd_trend.py", ("--n", "30")),  # above the brute-force cap
+     ("tvd_trend.py", ("--n", "6", "--out", "/nonexistent/x.csv"))],
+)
+def test_script_bad_input_is_a_guard_rejection(name, args):
+    result = run_script(name, *args, check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("guard rejection: ") == 1
+    assert result.stderr.startswith("guard rejection: ")
+    assert "Traceback" not in result.stderr
