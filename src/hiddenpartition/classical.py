@@ -17,8 +17,8 @@ Two senders are implemented:
     1/2 + |level-1 coefficient|/2 conditioned on a hit.
 
 A run's message (m sampled bits, or |I| indices) is fixed before Alice
-sees x and costs m * (ceil(log2 n) + 1) bits.  The runs return (guess,
-statistic) and take the trial's tie-break stream for a zero statistic.
+sees x and costs m * (ceil(log2 n) + 1) bits.  The runs take a chunk of
+trials whole and return one (guess, statistic) per trial.
 """
 
 from __future__ import annotations
@@ -67,24 +67,28 @@ def protocol_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
         raise UnsupportedFunctionError(f"sdeg(f) = {actual} > {degree}") from exc
 
 
-def decide(statistic: float, tie_rng: np.random.Generator) -> int:
-    """sgn(statistic); a fair coin from tie_rng on 0."""
-    if statistic > 0:
-        return 1
-    if statistic < 0:
-        return -1
-    return coin(tie_rng)
+def decide_rows(
+    statistics: np.ndarray, tie_rngs: list[np.random.Generator]
+) -> list[tuple[int, float]]:
+    """(sgn X, X) for each row's statistic X, as Python numbers; a fair
+    coin from that row's tie_rng where X = 0, the only draw it takes."""
+    return [
+        (1 if x > 0 else -1 if x < 0 else coin(tie_rng), x)
+        for x, tie_rng in zip(statistics.tolist(), tie_rngs)
+    ]
 
 
 def alice_sample(
-    x: np.ndarray, m: int, rng: np.random.Generator
+    xs: np.ndarray, m: int, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """m i.i.d. uniform 1-based indices of x (an int64 array), drawn with
-    replacement, and the bits of x at them."""
+    """Per row of xs, m i.i.d. uniform 1-based indices drawn with replacement
+    from that row's rng, and the bits at them, as (T, m) int64 arrays."""
     if m < 1:
         raise ValueError("sample count must be positive")
-    indices = rng.integers(1, len(x) + 1, size=m)
-    return indices, x[indices - 1]
+    indices = np.empty((len(rngs), m), dtype=np.int64)
+    for row, rng in zip(indices, rngs):
+        row[:] = rng.integers(1, xs.shape[1] + 1, size=m)
+    return indices, np.take_along_axis(xs, indices - 1, axis=1)
 
 
 def message_cost_bits(m: int, n: int) -> int:
@@ -92,53 +96,55 @@ def message_cost_bits(m: int, n: int) -> int:
 
 
 def _locate(
-    indices: np.ndarray, sigma: np.ndarray, w: np.ndarray, params: PartitionParams
+    indices: np.ndarray, sigmas: np.ndarray, ws: np.ndarray, params: PartitionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each 1-based index of x: the 0-based slot of its permuted
-    position, whether its block lies in the active prefix, and that
-    block's w (clamped to the last active block outside the prefix)."""
-    blocks, slots = np.divmod(sigma[indices - 1] - 1, params.t)
-    return slots, blocks < params.active_blocks, w[np.minimum(blocks, len(w) - 1)]
+    """For each 1-based index of x in a (T, k) array, one row per trial: the
+    0-based slot of its permuted position, whether its block lies in the
+    active prefix, and that block's w (clamped to the last active block)."""
+    if ((indices < 1) | (indices > params.n)).any():
+        raise ValueError("indices must lie in [1, n]")
+    blocks, slots = np.divmod(np.take_along_axis(sigmas, indices - 1, axis=1) - 1, params.t)
+    weights = np.take_along_axis(ws, np.minimum(blocks, ws.shape[1] - 1), axis=1)
+    return slots, blocks < params.active_blocks, weights
 
 
 def bob_decide(
     indices: np.ndarray,
     bits: np.ndarray,
-    sigma: np.ndarray,
-    w: np.ndarray,
+    sigmas: np.ndarray,
+    ws: np.ndarray,
     poly: SignPolynomial,
     params: PartitionParams,
-    tie_rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Fold the sampled bits into X and return (sgn X, X), a fair coin on
-    X = 0; indices, bits, sigma and w are int64 arrays."""
+    tie_rngs: list[np.random.Generator],
+) -> list[tuple[int, float]]:
+    """Fold each row's sampled bits (``alice_sample``'s (T, m) arrays) into
+    its X and return (sgn X, X) per row, as ``decide_rows``."""
     if poly.degree > 1:
         raise ValueError("decision statistic needs a degree <= 1 polynomial")
     t = params.t
     alpha0 = poly.coeffs[0]
     linear = poly.coeffs[1 << np.arange(t)]
 
-    slots, active, weights = _locate(indices, sigma, w, params)
+    slots, active, weights = _locate(indices, sigmas, ws, params)
     terms = np.where(active, (linear[slots] * bits + alpha0 / t) * weights, 0.0)
-    x_stat = float(terms.sum())
-    return decide(x_stat, tie_rng), x_stat
+    return decide_rows(terms.sum(axis=1), tie_rngs)
 
 
 def run_classical(
     params: PartitionParams,
-    x: np.ndarray,
-    sigma: np.ndarray,
-    w: np.ndarray,
+    xs: np.ndarray,
+    sigmas: np.ndarray,
+    ws: np.ndarray,
     poly: SignPolynomial,
     m: int,
-    rng: np.random.Generator,
-    tie_rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Full sampled-bits run on one instance (int64 arrays x, sigma, w)
+    rngs: list[np.random.Generator],
+    tie_rngs: list[np.random.Generator],
+) -> list[tuple[int, float]]:
+    """Sampled-bits runs on a chunk of instances (``generate_instances``)
     from a degree-1 witness, the one ``protocol_witness(f, 1)`` returns
-    when sdeg(f) <= 1, sending m bits (``required_samples``)."""
-    indices, bits = alice_sample(x, m, rng)
-    return bob_decide(indices, bits, sigma, w, poly, params, tie_rng)
+    when sdeg(f) <= 1, each sending m bits (``required_samples``)."""
+    indices, bits = alice_sample(xs, m, rngs)
+    return bob_decide(indices, bits, sigmas, ws, poly, params, tie_rngs)
 
 
 def level_one_slots(f: BooleanFunction) -> np.ndarray:
@@ -159,33 +165,30 @@ def level_one_slots(f: BooleanFunction) -> np.ndarray:
 
 def run_uniform_phd1(
     params: PartitionParams,
-    x: np.ndarray,
-    sigma: np.ndarray,
-    w: np.ndarray,
+    xs: np.ndarray,
+    sigmas: np.ndarray,
+    ws: np.ndarray,
     slots: np.ndarray,
-    subset: np.ndarray,
-    tie_rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Uniform-distribution sender for phdeg(f) <= 1 on one instance
-    (int64 arrays x, sigma, w), decoding from the nonzero level-1
+    subsets: np.ndarray,
+    tie_rngs: list[np.random.Generator],
+) -> list[tuple[int, float]]:
+    """Uniform-distribution sender for phdeg(f) <= 1 on a chunk of
+    instances (``generate_instances``), decoding from the nonzero level-1
     coefficients ``level_one_slots(f)`` returns.
 
-    Alice sends ``subset``, a uniform index subset (1-based int64 indices
-    in the order drawn, e.g. the first entries of a ``fisher_yates``
-    permutation); Bob takes the first index whose slot carries a nonzero
-    level-1 coefficient inside an active block and returns (guess,
+    Row r's Alice sends ``subsets[r]``, a uniform index subset (1-based
+    indices in the order drawn, e.g. the first columns of
+    ``fisher_yates_rows``); Bob takes the first index whose slot carries a
+    nonzero level-1 coefficient inside an active block and returns (guess,
     statistic) with statistic sgn(level-1 coefficient) * x_i * w_{j(i)};
     a fair coin if no index qualifies.
     """
-    if not 1 <= len(subset) <= params.n:
+    if not 1 <= subsets.shape[1] <= params.n:
         raise ValueError("subset size must lie in [1, n]")
-    subset_slots, active, weights = _locate(subset, sigma, w, params)
+    subset_slots, active, weights = _locate(subsets, sigmas, ws, params)
     coeffs = slots[subset_slots]
-    hits = np.flatnonzero(active & (coeffs != 0))
-
-    statistic = 0.0
-    if hits.size:
-        first = hits[0]
-        sign = 1 if coeffs[first] > 0 else -1
-        statistic = float(sign * x[subset[first] - 1] * weights[first])
-    return decide(statistic, tie_rng), statistic
+    hits = active & (coeffs != 0)
+    bits = np.take_along_axis(xs, subsets - 1, axis=1)
+    candidates = np.where(hits, np.sign(coeffs) * bits * weights, 0.0)
+    first = hits.argmax(axis=1)[:, None]  # column 0, a +0.0 candidate, where no index hits
+    return decide_rows(np.take_along_axis(candidates, first, axis=1)[:, 0], tie_rngs)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from . import boolfn
 from .boolfn import BooleanFunction
 from .classical import protocol_witness
-from .experiments import run_protocol_trials, write_csv, write_jsonl
+from .experiments import SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_trials, write_csv, write_jsonl
 from .hardness import (
     full_cube,
     kkl_check,
@@ -39,10 +39,8 @@ from .rng import fisher_yates, stream
 from .signpoly import sign_degree
 
 CSV_COLUMNS_HELP = (
-    "CSV columns: record, trial, b, guess, correct, statistic, cost_bits for "
-    "per-trial rows; record, protocol, function, n, t, alpha, epsilon, "
-    "per_run_guarantee, m, samples, trials, successes, success_rate, "
-    "wilson_low, wilson_high, mean_cost_bits, seed for the summary row. "
+    f"CSV columns: {', '.join(TRIAL_FIELDS)} for per-trial rows; "
+    f"{', '.join(SUMMARY_FIELDS)} for the summary row. "
     "JSON-lines output mirrors the same fields."
 )
 
@@ -245,7 +243,7 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
     size = 2 ** (n - 1) if args.set_size is None else args.set_size  # tvd and rhat
     if args.check == "tvd":
         rng = stream(args.seed, "hardness", "tvd")
-        message_set = full_cube(n) if size >= 2**n else random_message_set(n, size, rng)
+        message_set = full_cube(n) if size == 2**n else random_message_set(n, size, rng)
         estimate = expected_tvd(f, message_set, params, args.sigmas, rng)
         return {"check": "tvd", "cases": args.sigmas, "set_size": size,
                 "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
@@ -281,12 +279,19 @@ def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
             "violations": violations}
 
 
-def run_guarded(command: Callable[..., int], *args) -> int:
-    """command(*args), or exit code 2 with one "guard rejection: <reason>"
+def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
+    """command(args), or exit code 2 with one "guard rejection: <reason>"
     line on stderr when it raises ValueError or OSError (a guard
-    rejection, an invalid parameter or an unusable path)."""
+    rejection, an invalid parameter or an unusable path).  The output
+    paths in args (--out, and --dump-matrix where there is one) are opened
+    for appending first, so an unwritable one is refused before any work,
+    and a file keeps what it holds until the command writes it."""
     try:
-        return command(*args)
+        for path in (args.out, getattr(args, "dump_matrix", None)):
+            if path is not None:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"guard rejection: {exc}", file=sys.stderr)
         return 2

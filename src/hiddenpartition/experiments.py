@@ -7,13 +7,13 @@ written in trial order, so identical configurations produce byte-identical
 output.
 
 A run is set up once: its witness, message size and cost are fixed before
-the first trial (a bad epsilon draws no instance), and each trial's run
-returns only (guess, statistic).
+the first trial (a bad epsilon draws no instance).
 
 Trials run in chunks: a chunk's instances are generated together, their
 shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
-index subsets.  Since every trial draws only from its own streams, the
-output does not depend on where the chunks are cut.
+index subsets; one protocol call then decides the whole chunk.  Since
+every trial draws only from its own streams, the output does not depend
+on where the chunks are cut.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
@@ -34,35 +35,16 @@ from .rng import coin, fisher_yates_rows, stream
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
-# Bound on a chunk's arrays, all counted together: per trial, x, sigma (the
-# shuffle's (n, T) array), the shuffle's flat swap indices, b_map_rows'
-# permuted string, and for run-uniform the subsets' shuffle (its (n, T)
-# array and swap indices); CHUNK_ARRAYS length-n int64 arrays in all.
+# Bound on a chunk's arrays, all counted together.  Per trial: CHUNK_ARRAYS
+# length-n int64 arrays (x, sigma (the shuffle's (n, T) array), the
+# shuffle's swap indices, b_map_rows' permuted string, and run-uniform's
+# subset shuffle or run-quantum's permuted string and block values) and
+# MESSAGE_ARRAYS length-m ones (the message and the statistic's terms).
 CHUNK_BYTES = 16 * 2**20
 CHUNK_ARRAYS = 6
+MESSAGE_ARRAYS = 7
 
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
-
-TRIAL_FIELDS = ("record", "trial", "b", "guess", "correct", "statistic", "cost_bits")
-SUMMARY_FIELDS = (
-    "record",
-    "protocol",
-    "function",
-    "n",
-    "t",
-    "alpha",
-    "epsilon",
-    "per_run_guarantee",
-    "m",
-    "samples",
-    "trials",
-    "successes",
-    "success_rate",
-    "wilson_low",
-    "wilson_high",
-    "mean_cost_bits",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -93,6 +75,11 @@ class RunSummary:
     wilson_high: float
     mean_cost_bits: float
     seed: int
+
+
+# Output columns: a row's kind, "trial" or "summary", then its record's fields.
+TRIAL_FIELDS = ("record", *(field.name for field in fields(TrialRecord)))
+SUMMARY_FIELDS = ("record", *(field.name for field in fields(RunSummary)))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -127,7 +114,8 @@ def run_protocol_trials(
     if trials < 1:
         raise ValueError("trial count must be positive")
     runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
-    chunk = max(1, CHUNK_BYTES // (CHUNK_ARRAYS * 8 * params.n))
+    message_len = m or sample_count  # run-uniform has no m; it sends sample_count indices
+    chunk = max(1, CHUNK_BYTES // (8 * (CHUNK_ARRAYS * params.n + MESSAGE_ARRAYS * message_len)))
 
     records: list[TrialRecord] = []
     for start in range(0, trials, chunk):
@@ -136,8 +124,8 @@ def run_protocol_trials(
         bs = [coin(rng) for rng in inst_rngs]
         decisions = runner(
             *generate_instances(f, params, bs, inst_rngs),
-            [stream(seed, "protocol", trial) for trial in numbers],
-            [stream(seed, "tiebreak", trial) for trial in numbers],
+            rngs=[stream(seed, "protocol", trial) for trial in numbers],
+            tie_rngs=[stream(seed, "tiebreak", trial) for trial in numbers],
         )
         for trial, b, (guess, statistic) in zip(numbers, bs, decisions):
             records.append(TrialRecord(trial, b, guess, guess == b, statistic, cost_bits))
@@ -172,9 +160,10 @@ def _make_runner(
     epsilon: Optional[float],
     sample_count: Optional[int],
 ) -> tuple[Callable, Optional[int], int]:
-    """The protocol's run over a chunk (the instances' xs, sigmas and ws
-    with their protocol and tie-break streams in, (guess, statistic) per
-    trial out), its message size m (None for run-uniform) and cost in bits."""
+    """The protocol's run over a chunk (the instances' xs, sigmas and ws,
+    then their streams as keywords rngs and tie_rngs, in; (guess,
+    statistic) per trial out), its message size m (None for run-uniform)
+    and cost in bits."""
     if protocol == "uniform":
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
@@ -182,12 +171,9 @@ def _make_runner(
         if not 1 <= sample_count <= params.n:
             raise ValueError("subset size must lie in [1, n]")
 
-        def run_uniform(xs, sigmas, ws, rngs, ties):
+        def run_uniform(xs, sigmas, ws, rngs, tie_rngs):
             subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count]
-            return [
-                run_uniform_phd1(params, x, sigma, w, slots, subset, tie)
-                for x, sigma, w, subset, tie in zip(xs, sigmas, ws, subsets, ties)
-            ]
+            return run_uniform_phd1(params, xs, sigmas, ws, slots, subsets, tie_rngs)
 
         return run_uniform, None, message_cost_bits(sample_count, params.n)
     if epsilon is None:
@@ -195,16 +181,11 @@ def _make_runner(
     if protocol == "classical":
         poly = protocol_witness(f, 1)
         m = required_samples(params.t, params.alpha, poly.bias, epsilon)
-        cost_bits = message_cost_bits(m, params.n)
-        run = lambda x, sigma, w, rng, tie: run_classical(params, x, sigma, w, poly, m, rng, tie)
-    else:
-        poly = protocol_witness(f, 2)
-        matrix = block_multilinear_matrix(poly)
-        m = required_copies(params, poly.bias, matrix, epsilon)
-        cost_bits = m * qubits_per_copy(params)
-        run = lambda x, sigma, w, rng, tie: run_quantum(params, x, sigma, w, matrix, m, rng, tie)
-    runner = lambda xs, sigmas, ws, rngs, ties: list(map(run, xs, sigmas, ws, rngs, ties))
-    return runner, m, cost_bits
+        return partial(run_classical, params, poly=poly, m=m), m, message_cost_bits(m, params.n)
+    poly = protocol_witness(f, 2)
+    matrix = block_multilinear_matrix(poly)
+    m = required_copies(params, poly.bias, matrix, epsilon)
+    return partial(run_quantum, params, matrix=matrix, m=m), m, m * qubits_per_copy(params)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +205,7 @@ def write_jsonl(out: io.TextIOBase, records: list[TrialRecord], summary: RunSumm
 
 
 def write_csv(out: io.TextIOBase, records: list[TrialRecord], summary: RunSummary) -> None:
-    fields = list(dict.fromkeys(TRIAL_FIELDS + SUMMARY_FIELDS))
-    writer = csv.DictWriter(out, fieldnames=fields, restval="", lineterminator="\n")
+    columns = list(dict.fromkeys(TRIAL_FIELDS + SUMMARY_FIELDS))
+    writer = csv.DictWriter(out, fieldnames=columns, restval="", lineterminator="\n")
     writer.writeheader()
     writer.writerows(_rows(records, summary))

@@ -9,7 +9,7 @@ promise is z o w = b^(alpha*n/t) for a hidden bit b.
 Blocks are 1-indexed and contiguous in the permuted string; the partition
 fraction alpha is stored as an exact rational so the promise length is an
 integer by construction.  ``generate_instances`` draws a chunk of trials
-as (x, sigma, w) arrays, which the protocol runs take row by row; a
+as (x, sigma, w) arrays, which the protocol runs take whole; a
 ``PartitionInstance`` is the validated single-instance type of the
 library API (``generate_instance``, ``verify_promise``).
 """

@@ -12,7 +12,8 @@ returns outcome 0 with probability
 
 for block value z, which the simulator samples from the exact closed form.
 A run's copy count m is fixed by ``required_copies`` before Alice sees x;
-``run_quantum`` returns (guess, statistic), a tie_rng coin on a zero statistic.
+``run_quantum`` takes a chunk of trials whole and returns one (guess,
+statistic) per trial.
 A dense state-vector simulation of the same circuit in
 ``tests/oracles.py`` cross-checks that closed form at small arity.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import all_points
-from .classical import decide, required_samples
+from .classical import decide_rows, required_samples
 from .instances import PartitionParams, permute_rows
 from .signpoly import SignPolynomial
 
@@ -61,8 +62,8 @@ class BlockMatrix:
 
 def _lifted_forms(entries: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """z~^T A z~ for each row z of zs, with z~ = (1, z_1, ..., z_t)."""
-    zs = np.asarray(zs, dtype=np.float64)
-    lifted = np.hstack([np.ones((zs.shape[0], 1)), zs])
+    lifted = np.ones((zs.shape[0], zs.shape[1] + 1))
+    lifted[:, 1:] = zs
     return np.einsum("ri,ij,rj->r", lifted, entries, lifted)
 
 
@@ -135,35 +136,39 @@ def required_copies(
 
 def run_quantum(
     params: PartitionParams,
-    x: np.ndarray,
-    sigma: np.ndarray,
-    w: np.ndarray,
+    xs: np.ndarray,
+    sigmas: np.ndarray,
+    ws: np.ndarray,
     matrix: BlockMatrix,
     m: int,
-    rng: np.random.Generator,
-    tie_rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Full protocol run on one instance (int64 arrays x, sigma, w) with m
-    copies, from the ``block_multilinear_matrix`` of a degree-2 witness
-    (``protocol_witness(f, 2)``, which exists when sdeg(f) <= 2); returns
-    (guess, statistic).
+    rngs: list[np.random.Generator],
+    tie_rngs: list[np.random.Generator],
+) -> list[tuple[int, float]]:
+    """Protocol runs on a chunk of instances (``generate_instances``) with
+    m copies each, from the ``block_multilinear_matrix`` of a degree-2
+    witness (``protocol_witness(f, 2)``, which exists when sdeg(f) <= 2);
+    returns one (guess, statistic) per row, as ``decide_rows``.
 
     Per copy: a block index is drawn from the measurement distribution,
     uniform since each block's weight is (t+1)/(n + n/t) = t/n (its t
     permuted coordinates plus its marker state), the Hadamard-test
     outcome is drawn from its exact closed-form probability, and active
-    blocks contribute (-1)^outcome * w_j to the statistic.
+    blocks contribute (-1)^outcome * w_j to the statistic.  Row r draws
+    its m block indices, then its m uniforms, from rngs[r].
     """
-    permuted = permute_rows(sigma, x[None, :])[0]
-    blocks = permuted.reshape(params.num_blocks, params.t)
-    probs0 = hadamard_test_probs(matrix, blocks)
+    count = len(rngs)
+    blocks = permute_rows(sigmas, xs).reshape(count * params.num_blocks, params.t)
+    probs0 = hadamard_test_probs(matrix, blocks).reshape(count, params.num_blocks)
 
-    j = rng.integers(0, params.num_blocks, size=m)
-    outcome_signs = np.where(rng.random(m) < probs0[j], 1.0, -1.0)
-    active = j < params.active_blocks
-    contributions = np.where(active, outcome_signs * w[np.minimum(j, len(w) - 1)], 0.0)
-    x_stat = float(contributions.sum())
-    return decide(x_stat, tie_rng), x_stat
+    js = np.empty((count, m), dtype=np.int64)
+    uniforms = np.empty((count, m))
+    for j, uniform, rng in zip(js, uniforms, rngs):
+        j[:] = rng.integers(0, params.num_blocks, size=m)
+        uniform[:] = rng.random(m)
+    outcome_signs = np.where(uniforms < np.take_along_axis(probs0, js, axis=1), 1.0, -1.0)
+    weights = np.take_along_axis(ws, np.minimum(js, ws.shape[1] - 1), axis=1)
+    contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
+    return decide_rows(contributions.sum(axis=1), tie_rngs)
 
 
 def matrix_audit_record(a: BlockMatrix) -> dict:

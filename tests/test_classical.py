@@ -42,17 +42,17 @@ def test_required_samples_guards():
 
 def test_alice_sample_guards_and_constants():
     with pytest.raises(ValueError):
-        alice_sample(np.ones(2, dtype=np.int64), 0, stream(0))
-    indices, bits = alice_sample(np.ones(10, dtype=np.int64), 5, stream(1))
-    assert tuple(bits) == (1, 1, 1, 1, 1)
-    assert all(1 <= i <= 10 for i in indices)
+        alice_sample(np.ones((1, 2), dtype=np.int64), 0, [stream(0)])
+    indices, bits = alice_sample(np.ones((1, 10), dtype=np.int64), 5, [stream(1)])
+    assert tuple(bits[0]) == (1, 1, 1, 1, 1)
+    assert all(1 <= i <= 10 for i in indices[0])
 
 
 def test_alice_sample_deterministic_golden():
-    x = np.ones(16, dtype=np.int64)
-    indices, bits = alice_sample(x, 6, stream(42, "protocol", 0))
-    assert tuple(indices) == (10, 16, 9, 8, 5, 7)
-    again = alice_sample(x, 6, stream(42, "protocol", 0))
+    xs = np.ones((1, 16), dtype=np.int64)
+    indices, bits = alice_sample(xs, 6, [stream(42, "protocol", 0)])
+    assert tuple(indices[0]) == (10, 16, 9, 8, 5, 7)
+    again = alice_sample(xs, 6, [stream(42, "protocol", 0)])
     assert np.array_equal(indices, again[0]) and np.array_equal(bits, again[1])
 
 
@@ -71,9 +71,9 @@ def test_bob_decide_dictator_single_hit():
     # one sampled index whose permuted position is slot 1 of block 1
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([1, 2, 3, 4])
-    guess, statistic = bob_decide(
-        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params,
-        stream(0, "tie"),
+    [(guess, statistic)] = bob_decide(
+        np.array([[1]]), np.array([[1]]), sigma[None], np.array([[1, 1]]), dictator_poly(2),
+        params, [stream(0, "tie")],
     )
     assert statistic == pytest.approx(1.0)
     assert guess == 1
@@ -82,9 +82,9 @@ def test_bob_decide_dictator_single_hit():
 def test_bob_decide_zero_coefficient_slot():
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([2, 1, 3, 4])  # index 1 lands on slot 2, coefficient 0
-    _, statistic = bob_decide(
-        np.array([1]), np.array([1]), sigma, np.array([1, 1]), dictator_poly(2), params,
-        stream(0, "tie"),
+    [(_, statistic)] = bob_decide(
+        np.array([[1]]), np.array([[1]]), sigma[None], np.array([[1, 1]]), dictator_poly(2),
+        params, [stream(0, "tie")],
     )
     assert statistic == 0.0
 
@@ -92,11 +92,11 @@ def test_bob_decide_zero_coefficient_slot():
 def test_bob_decide_inactive_indices_random_tie():
     params = PartitionParams(4, 2, Fraction(1, 2))
     sigma = np.array([3, 4, 1, 2])  # indices 1,2 land outside the active prefix
-    indices, bits = np.array([1, 2]), np.array([1, -1])
+    indices, bits = np.array([[1, 2]]), np.array([[1, -1]])
     guesses = set()
     for i in range(32):
-        guess, statistic = bob_decide(
-            indices, bits, sigma, np.array([1]), dictator_poly(2), params, stream(9, i)
+        [(guess, statistic)] = bob_decide(
+            indices, bits, sigma[None], np.array([[1]]), dictator_poly(2), params, [stream(9, i)]
         )
         assert statistic == 0.0
         guesses.add(guess)
@@ -105,14 +105,14 @@ def test_bob_decide_inactive_indices_random_tie():
 
 def test_bob_decide_order_invariant():
     params = PartitionParams(6, 2, Fraction(1))
-    sigma = np.array([5, 3, 1, 2, 6, 4])
-    w = np.array([1, -1, 1])
-    msg = (np.array([1, 3, 5]), np.array([1, -1, -1]))
-    shuffled = (np.array([5, 1, 3]), np.array([-1, 1, -1]))
+    sigma = np.array([[5, 3, 1, 2, 6, 4]])
+    w = np.array([[1, -1, 1]])
+    msg = (np.array([[1, 3, 5]]), np.array([[1, -1, -1]]))
+    shuffled = (np.array([[5, 1, 3]]), np.array([[-1, 1, -1]]))
     poly = dictator_poly(2)
     assert (
-        bob_decide(*msg, sigma, w, poly, params, stream(0, "tie"))[1]
-        == bob_decide(*shuffled, sigma, w, poly, params, stream(0, "tie"))[1]
+        bob_decide(*msg, sigma, w, poly, params, [stream(0, "tie")])[0][1]
+        == bob_decide(*shuffled, sigma, w, poly, params, [stream(0, "tie")])[0][1]
     )
 
 
@@ -121,9 +121,19 @@ def test_bob_decide_rejects_quadratic():
     quad = poly_from_terms(2, {0b11: 1.0}, 1.0)
     with pytest.raises(ValueError):
         bob_decide(
-            np.array([1]), np.array([1]), np.array([1, 2, 3, 4]), np.array([1, 1]), quad, params,
-            stream(0, "tie"),
+            np.array([[1]]), np.array([[1]]), np.array([[1, 2, 3, 4]]), np.array([[1, 1]]), quad,
+            params, [stream(0, "tie")],
         )
+
+
+def test_bob_decide_rejects_indices_outside_one_to_n():
+    params = PartitionParams(4, 2, Fraction(1))
+    for index in (0, 5):
+        with pytest.raises(ValueError, match=r"indices must lie in \[1, n\]"):
+            bob_decide(
+                np.array([[index]]), np.array([[1]]), np.array([[1, 2, 3, 4]]),
+                np.array([[1, 1]]), dictator_poly(2), params, [stream(0, "tie")],
+            )
 
 
 def test_message_cost_grows_logarithmically():
@@ -158,11 +168,11 @@ def test_expected_statistic_sign_and_magnitude():
     for start in range(0, 12000, 2000):  # the same draws as generate_instance, trial by trial
         trials = range(start, start + 2000)
         rngs = [stream(77, "instance", trial) for trial in trials]
-        for trial, x, sigma, w in zip(trials, *generate_instances(f, params, [1] * 2000, rngs)):
-            _, statistic = run_classical(
-                params, x, sigma, w, poly, m,
-                stream(77, "protocol", trial), stream(77, "tiebreak", trial),
-            )
+        for _, statistic in run_classical(
+            params, *generate_instances(f, params, [1] * 2000, rngs), poly, m,
+            [stream(77, "protocol", trial) for trial in trials],
+            [stream(77, "tiebreak", trial) for trial in trials],
+        ):
             stats.append(statistic)
     stats = np.asarray(stats)
     lower = float(params.alpha) * poly.bias * m / params.t
@@ -184,9 +194,9 @@ def test_run_uniform_dictator_exact_on_hit():
         rng = stream(5, "instance", trial)
         b = 1 if trial % 2 else -1
         instance = generate_instance(f, params, b, rng)
-        guess, statistic = run_uniform_phd1(
-            params, instance.x, instance.sigma, instance.w, slots,
-            fisher_yates(40, stream(5, "protocol", trial))[:40], stream(5, "tie", trial),
+        [(guess, statistic)] = run_uniform_phd1(
+            params, instance.x[None], instance.sigma[None], instance.w[None], slots,
+            fisher_yates(40, stream(5, "protocol", trial))[None, :40], [stream(5, "tie", trial)],
         )
         if statistic != 0.0:
             assert guess == b
@@ -201,9 +211,9 @@ def test_run_uniform_majority_conditional_success():
     for trial in range(4000):
         rng = stream(13, "instance", trial)
         instance = generate_instance(f, params, 1, rng)
-        guess, statistic = run_uniform_phd1(
-            params, instance.x, instance.sigma, instance.w, slots,
-            fisher_yates(30, stream(13, "protocol", trial))[:10], stream(13, "tie", trial),
+        [(guess, statistic)] = run_uniform_phd1(
+            params, instance.x[None], instance.sigma[None], instance.w[None], slots,
+            fisher_yates(30, stream(13, "protocol", trial))[None, :10], [stream(13, "tie", trial)],
         )
         if statistic != 0.0:
             hits += 1
@@ -220,9 +230,9 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
         for trial in range(100):
             instance = generate_instance(f, params, 1, stream(21, "instance", trial))
             subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
-            _, statistic = run_uniform_phd1(
-                params, instance.x, instance.sigma, instance.w, slots, subset,
-                stream(21, "tie", trial),
+            [(_, statistic)] = run_uniform_phd1(
+                params, instance.x[None], instance.sigma[None], instance.w[None], slots,
+                subset[None], [stream(21, "tie", trial)],
             )
             assert statistic == uniform_statistic_by_scan(instance, slots, subset)
         # the message is fixed per run: |I| indices, the same cost in every trial
@@ -238,9 +248,10 @@ def test_run_uniform_rejects_subsets_outside_one_to_n():
     f = dictator(2)
     params = PartitionParams(4, 2, Fraction(1))
     instance = generate_instance(f, params, 1, stream(0, "instance"))
-    for subset in (np.array([], dtype=np.int64), np.arange(1, 6)):
+    n = params.n
+    for subset in (np.array([], dtype=np.int64), np.arange(1, 6), [0], [-3], [n + 1]):
         with pytest.raises(ValueError):
             run_uniform_phd1(
-                params, instance.x, instance.sigma, instance.w, level_one_slots(f), subset,
-                stream(0, "tie"),
+                params, instance.x[None], instance.sigma[None], instance.w[None],
+                level_one_slots(f), np.array(subset, dtype=np.int64)[None], [stream(0, "tie")],
             )

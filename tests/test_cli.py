@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hiddenpartition import experiments
+from hiddenpartition import cli, experiments
 from hiddenpartition.cli import main
 from hiddenpartition.experiments import (
     run_protocol_trials,
@@ -15,7 +15,7 @@ from hiddenpartition.experiments import (
     write_csv,
     write_jsonl,
 )
-from hiddenpartition.boolfn import dictator, majority, parity
+from hiddenpartition.boolfn import and_fn, dictator, majority, parity
 from hiddenpartition.instances import PartitionInstance, PartitionParams
 
 
@@ -281,24 +281,43 @@ def test_cli_run_at_benchmark_scale_matches_digest(tmp_path, args, digest):
     "protocol, f, options",
     [("classical", majority(3), {"epsilon": 0.1}),
      ("quantum", parity(2), {"epsilon": 0.1}),
-     ("uniform", dictator(4), {"sample_count": 8})],
+     ("uniform", dictator(4), {"sample_count": 8}),
+     ("classical", and_fn(6), {"epsilon": 0.1})],  # m = 20061 > n: the message sets the cuts
 )
 def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
     params = PartitionParams(24, f.t, Fraction(1, 2))
 
-    def run() -> str:
+    def run() -> tuple[str, int]:
         out = io.StringIO()
-        write_csv(out, *run_protocol_trials(protocol, f, "f", params, 20, 5, **options))
-        return out.getvalue()
+        records, summary = run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
+        write_csv(out, records, summary)
+        return out.getvalue(), summary.m or summary.samples
 
-    whole = run()
+    whole, message_len = run()
     chunks = []
     generate = experiments.generate_instances
     monkeypatch.setattr(experiments, "generate_instances",
                         lambda *a: chunks.append(len(a[2])) or generate(*a))
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.CHUNK_ARRAYS * 8 * params.n)
-    assert run() == whole
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * 8 * (
+        experiments.CHUNK_ARRAYS * params.n + experiments.MESSAGE_ARRAYS * message_len))
+    assert run()[0] == whole
     assert chunks == [7, 7, 6]
+
+
+@pytest.mark.parametrize(
+    "protocol, f, options, name",
+    [("classical", majority(3), {"epsilon": 0.1}, "run_classical"),
+     ("quantum", parity(2), {"epsilon": 0.1}, "run_quantum"),
+     ("uniform", dictator(4), {"sample_count": 8}, "run_uniform_phd1")],
+)
+def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, options, name):
+    # 20 trials fit one chunk: one call takes all 20 rows, not one call per trial
+    rows = []
+    run = getattr(experiments, name)
+    monkeypatch.setattr(experiments, name, lambda *a, **k: rows.append(len(a[1])) or run(*a, **k))
+    params = PartitionParams(24, f.t, Fraction(1, 2))
+    run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
+    assert rows == [20]
 
 
 @pytest.mark.parametrize(
@@ -388,6 +407,8 @@ MALFORMED_SPECS = {
                       "--n", "8", "--cases", "-3"], id="negative-cases"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
                       "--n", "8", "--set-size", "0"], id="zero-set-size"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
+                      "--n", "8", "--set-size", "100000"], id="set-size-over-cube"),
         pytest.param(["reduce", "--named", "nae", "--t", "4", "--n", "8", "--sigmas", "0"],
                      id="reduce-zero-sigmas"),
         pytest.param(["reduce", "--named", "nae", "--t", "4", "--n", "8", "--sigmas", "-3"],
@@ -404,6 +425,38 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
     args = [arg.format(tmp=tmp_path) for arg in args]
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
     assert_one_guard_rejection(capsys)
+
+
+@pytest.mark.parametrize(
+    "args, work",
+    [(["run-classical", "--named", "majority", "--t", "3", "--n", "24", "--out", "{bad}"],
+      "run_protocol_trials"),
+     (["run-quantum", "--named", "parity", "--t", "2", "--n", "24", "--dump-matrix", "{bad}"],
+      "run_protocol_trials"),
+     (["hardness", "--named", "parity", "--t", "2", "--check", "tvd", "--n", "8",
+       "--out", "{bad}"], "_hardness_report"),
+     (["reduce", "--named", "nae", "--t", "4", "--out", "{bad}"], "verify_reduction"),
+     (["analyze", "--named", "majority", "--t", "3", "--out", "{bad}"], "sign_degree")],
+    ids=["run-out", "run-dump-matrix", "hardness", "reduce", "analyze"],
+)
+def test_cli_unwritable_path_is_refused_before_the_work(monkeypatch, tmp_path, capsys, args, work):
+    def refuse(*_):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    bad = tmp_path / "missing-dir" / "out"
+    assert run_cli([arg.format(bad=bad) for arg in args]) == 2
+    assert_one_guard_rejection(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+def test_cli_rejected_input_keeps_an_existing_output_file(tmp_path, capsys, flag):
+    kept = tmp_path / "kept"
+    kept.write_text("earlier contents\n")
+    args = ["run-quantum", "--named", "parity", "--t", "2", "--n", "24", "--epsilon", "0.7"]
+    assert run_cli([*args, flag, str(kept)]) == 2
+    assert_one_guard_rejection(capsys)
+    assert kept.read_text() == "earlier contents\n"
 
 
 @pytest.mark.parametrize(

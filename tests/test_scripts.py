@@ -1,6 +1,7 @@
 """The experiment scripts run end to end and are deterministic per seed."""
 
 import csv
+import importlib.util
 import io
 import os
 import subprocess
@@ -71,3 +72,28 @@ def test_script_bad_input_is_a_guard_rejection(name, args):
     assert result.stderr.count("guard rejection: ") == 1
     assert result.stderr.startswith("guard rejection: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args, work",
+    [("protocol_sweep.py",
+      ("--protocol", "classical", "--named", "majority", "--t", "3", "--sizes", "6"),
+      "run_protocol_trials"),
+     ("tvd_trend.py", ("--n", "6"), "expected_tvd")],
+)
+def test_script_unwritable_out_is_refused_before_the_work(monkeypatch, capsys, tmp_path,
+                                                          name, args, work):
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def refuse(*_, **__):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(script, work, refuse)
+    monkeypatch.setattr(sys, "argv", [name, *args, "--out", str(tmp_path / "missing-dir" / "x.csv")])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard rejection: ")
+    assert captured.err.count("guard rejection: ") == 1
