@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -285,12 +286,18 @@ def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Nam
     rejection, an invalid parameter or an unusable path).  The output
     paths in args (--out, and --dump-matrix where there is one) are opened
     for appending first, so an unwritable one is refused before any work,
-    and a file keeps what it holds until the command writes it."""
+    and a file keeps what it holds until the command writes it.
+
+    Everything alive before the command runs, the numpy and scipy import
+    graph above all, is moved to the collector's permanent generation
+    (``gc.freeze``): it lives until exit anyway, and the full collections
+    during the command and at interpreter exit then skip it."""
     try:
         for path in (args.out, getattr(args, "dump_matrix", None)):
             if path is not None:
                 with open(path, "a", encoding="utf-8"):
                     pass
+        gc.freeze()
         return command(args)
     except (ValueError, OSError) as exc:
         print(f"guard rejection: {exc}", file=sys.stderr)

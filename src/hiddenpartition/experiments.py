@@ -11,9 +11,9 @@ the first trial (a bad epsilon draws no instance).
 
 Trials run in chunks: a chunk's instances are generated together, their
 shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
-index subsets; one protocol call then decides the whole chunk.  Since
+index subsets; protocol calls then decide the chunk in row slices.  Since
 every trial draws only from its own streams, the output does not depend
-on where the chunks are cut.
+on where the chunks or the slices are cut.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
@@ -35,13 +34,16 @@ from .rng import coin, fisher_yates_rows, stream
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
-# Bound on a chunk's arrays, all counted together.  Per trial: CHUNK_ARRAYS
-# length-n int64 arrays (x, sigma (the shuffle's (n, T) array), the
-# shuffle's swap indices, b_map_rows' permuted string, and run-uniform's
-# subset shuffle or run-quantum's permuted string and block values) and
-# MESSAGE_ARRAYS length-m ones (the message and the statistic's terms).
+# Bound on a chunk's length-n arrays: CHUNK_ARRAYS int64 arrays per trial
+# (x, sigma (the shuffle's (n, T) array), the shuffle's swap indices,
+# b_map_rows' permuted string, and run-uniform's subset shuffle or
+# run-quantum's permuted string and block values).
 CHUNK_BYTES = 16 * 2**20
 CHUNK_ARRAYS = 6
+# Cache-sized bound on a slice's length-m arrays: MESSAGE_ARRAYS per trial
+# (the message and the statistic's terms).  A message much longer than n
+# cuts the decision into slices, not the instance draw into chunks.
+SLICE_BYTES = 2**20
 MESSAGE_ARRAYS = 7
 
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
@@ -114,8 +116,7 @@ def run_protocol_trials(
     if trials < 1:
         raise ValueError("trial count must be positive")
     runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
-    message_len = m or sample_count  # run-uniform has no m; it sends sample_count indices
-    chunk = max(1, CHUNK_BYTES // (8 * (CHUNK_ARRAYS * params.n + MESSAGE_ARRAYS * message_len)))
+    chunk = max(1, CHUNK_BYTES // (8 * CHUNK_ARRAYS * params.n))
 
     records: list[TrialRecord] = []
     for start in range(0, trials, chunk):
@@ -124,8 +125,8 @@ def run_protocol_trials(
         bs = [coin(rng) for rng in inst_rngs]
         decisions = runner(
             *generate_instances(f, params, bs, inst_rngs),
-            rngs=[stream(seed, "protocol", trial) for trial in numbers],
-            tie_rngs=[stream(seed, "tiebreak", trial) for trial in numbers],
+            [stream(seed, "protocol", trial) for trial in numbers],
+            [stream(seed, "tiebreak", trial) for trial in numbers],
         )
         for trial, b, (guess, statistic) in zip(numbers, bs, decisions):
             records.append(TrialRecord(trial, b, guess, guess == b, statistic, cost_bits))
@@ -161,19 +162,23 @@ def _make_runner(
     sample_count: Optional[int],
 ) -> tuple[Callable, Optional[int], int]:
     """The protocol's run over a chunk (the instances' xs, sigmas and ws,
-    then their streams as keywords rngs and tie_rngs, in; (guess,
-    statistic) per trial out), its message size m (None for run-uniform)
-    and cost in bits."""
+    then their protocol and tie-break streams in; (guess, statistic) per
+    trial out), its message size m (None for run-uniform) and cost in
+    bits."""
     if protocol == "uniform":
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
         slots = level_one_slots(f)
         if not 1 <= sample_count <= params.n:
             raise ValueError("subset size must lie in [1, n]")
+        decide = _in_slices(sample_count, lambda xs, sigmas, ws, subsets, tie_rngs:
+                            run_uniform_phd1(params, xs, sigmas, ws, slots, subsets, tie_rngs))
 
         def run_uniform(xs, sigmas, ws, rngs, tie_rngs):
+            # one lockstep shuffle per chunk: its per-position loop costs the
+            # same for any number of rows, so only the decision is sliced
             subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count]
-            return run_uniform_phd1(params, xs, sigmas, ws, slots, subsets, tie_rngs)
+            return decide(xs, sigmas, ws, subsets, tie_rngs)
 
         return run_uniform, None, message_cost_bits(sample_count, params.n)
     if epsilon is None:
@@ -181,11 +186,29 @@ def _make_runner(
     if protocol == "classical":
         poly = protocol_witness(f, 1)
         m = required_samples(params.t, params.alpha, poly.bias, epsilon)
-        return partial(run_classical, params, poly=poly, m=m), m, message_cost_bits(m, params.n)
+        run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:
+                         run_classical(params, xs, sigmas, ws, poly, m, rngs, tie_rngs))
+        return run, m, message_cost_bits(m, params.n)
     poly = protocol_witness(f, 2)
     matrix = block_multilinear_matrix(poly)
     m = required_copies(params, poly.bias, matrix, epsilon)
-    return partial(run_quantum, params, matrix=matrix, m=m), m, m * qubits_per_copy(params)
+    run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:
+                     run_quantum(params, xs, sigmas, ws, matrix, m, rngs, tie_rngs))
+    return run, m, m * qubits_per_copy(params)
+
+
+def _in_slices(message_len: int, decide: Callable) -> Callable:
+    """decide run on consecutive row slices of a chunk (each argument holds
+    one entry per trial), as many rows at a time as keep MESSAGE_ARRAYS
+    length-message_len arrays per row within SLICE_BYTES; the decisions in
+    trial order."""
+    rows = max(1, SLICE_BYTES // (8 * MESSAGE_ARRAYS * message_len))
+
+    def run(*per_trial):
+        return [decision for start in range(0, len(per_trial[0]), rows)
+                for decision in decide(*(arg[start:start + rows] for arg in per_trial))]
+
+    return run
 
 
 # ---------------------------------------------------------------------------

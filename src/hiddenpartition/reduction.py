@@ -28,6 +28,10 @@ from .boolfn import (
 from .instances import PartitionParams, b_map_rows, inverse_permutation
 from .rng import fisher_yates
 
+# Parity-instance sizes verify_reduction checks exhaustively: pairs of bits,
+# up to the 2^10 strings it enumerates
+PARITY_SIZES = (2, 4, 6, 8, 10)
+
 
 class NoGadgetError(ValueError):
     """No weight pair exists (the odd-arity not-all-equal family)."""
@@ -183,8 +187,9 @@ def verify_reduction(
     compares the transformed instance's promise blocks against the
     original parities.
     """
-    if n_small > 10 or n_small % 2 != 0:
-        raise ValueError("n_small must be even and at most 10")
+    if n_small not in PARITY_SIZES:
+        raise ValueError(f"parity-instance size n must be one of "
+                         f"{', '.join(map(str, PARITY_SIZES))}, got {n_small}")
     if sigma_samples < 1:
         raise ValueError("sigma_samples must be at least 1")
     try:

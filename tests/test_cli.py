@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from hiddenpartition.instances import PartitionInstance, PartitionParams
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -101,6 +106,30 @@ def test_cli_guard_rejection_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "sdeg(f) = 2 > 1" in err
+
+
+def test_cli_command_runs_with_the_import_graph_frozen(tmp_path):
+    # run_guarded moves what is alive before the command (numpy, scipy) to the
+    # permanent generation, so no collection walks it again, at exit included
+    gc.unfreeze()
+    try:
+        assert run_cli(["analyze", "--named", "majority", "--t", "3",
+                        "--out", str(tmp_path / "a.json")]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_cli_subprocess_writes_the_in_process_bytes(tmp_path):
+    # teardown after the freeze still flushes and closes the output file
+    args = ["run-classical", "--named", "majority", "--t", "3", "--n", "240",
+            "--alpha", "1/2", "--trials", "40", "--seed", "3"]
+    assert run_cli([*args, "--out", str(tmp_path / "in.csv")]) == 0
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "hiddenpartition.cli", *args,
+                    "--out", str(tmp_path / "sub.csv")],
+                   env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120)
+    assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
 
 
 def test_cli_run_deterministic_output(tmp_path):
@@ -187,6 +216,16 @@ def test_cli_reduce_rejects_asymmetric(tmp_path, capsys):
         json.dumps({"kind": "truth_table", "t": 2, "values": [1, -1, 1, 1]})
     )
     assert run_cli(["reduce", "--function", str(spec_file), "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize("n", ["-2", "0", "3", "12"])
+def test_cli_reduce_refuses_a_size_outside_two_to_ten_up_front(capsys, n):
+    # refused by verify_reduction's own guard, before any shuffle of size n
+    assert run_cli(["reduce", "--named", "nae", "--t", "4", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("guard rejection: parity-instance size n must be one of "
+                            f"2, 4, 6, 8, 10, got {n}\n")
 
 
 def test_cli_hardness_rhat(tmp_path):
@@ -282,26 +321,38 @@ def test_cli_run_at_benchmark_scale_matches_digest(tmp_path, args, digest):
     [("classical", majority(3), {"epsilon": 0.1}),
      ("quantum", parity(2), {"epsilon": 0.1}),
      ("uniform", dictator(4), {"sample_count": 8}),
-     ("classical", and_fn(6), {"epsilon": 0.1})],  # m = 20061 > n: the message sets the cuts
+     ("classical", and_fn(6), {"epsilon": 0.1})],  # m = 20061 > n: the slice bound cuts
 )
 def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
     params = PartitionParams(24, f.t, Fraction(1, 2))
+    chunks, slices = [], []
+    generate = experiments.generate_instances
+    monkeypatch.setattr(experiments, "generate_instances",
+                        lambda *a: chunks.append(len(a[2])) or generate(*a))
+    name = {"classical": "run_classical", "quantum": "run_quantum",
+            "uniform": "run_uniform_phd1"}[protocol]
+    decide = getattr(experiments, name)
+    monkeypatch.setattr(experiments, name, lambda *a: slices.append(len(a[1])) or decide(*a))
 
     def run() -> tuple[str, int]:
+        chunks.clear()
+        slices.clear()
         out = io.StringIO()
         records, summary = run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
         write_csv(out, records, summary)
         return out.getvalue(), summary.m or summary.samples
 
     whole, message_len = run()
-    chunks = []
-    generate = experiments.generate_instances
-    monkeypatch.setattr(experiments, "generate_instances",
-                        lambda *a: chunks.append(len(a[2])) or generate(*a))
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * 8 * (
-        experiments.CHUNK_ARRAYS * params.n + experiments.MESSAGE_ARRAYS * message_len))
+    # the default bounds: one chunk, decided whole unless the message is long
+    assert chunks == [20]
+    assert slices == ([1] * 20 if message_len == 20061 else [20])
+    # chunks of 7 from the length-n bound, each decided in slices of 3 from the length-m one
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * 8 * experiments.CHUNK_ARRAYS * params.n)
+    monkeypatch.setattr(experiments, "SLICE_BYTES",
+                        3 * 8 * experiments.MESSAGE_ARRAYS * message_len)
     assert run()[0] == whole
     assert chunks == [7, 7, 6]
+    assert slices == [3, 3, 1, 3, 3, 1, 3, 3]
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,14 @@ def run_script(name, *args, check=True):
     )
 
 
+def load_script(name):
+    """The script as a module, for calling its main() in process."""
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 @pytest.mark.parametrize(
     "name, args, header, rows",
     [
@@ -83,9 +91,7 @@ def test_script_bad_input_is_a_guard_rejection(name, args):
 )
 def test_script_unwritable_out_is_refused_before_the_work(monkeypatch, capsys, tmp_path,
                                                           name, args, work):
-    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script(name)
 
     def refuse(*_, **__):
         raise AssertionError("work ran before --out was checked")
@@ -97,3 +103,16 @@ def test_script_unwritable_out_is_refused_before_the_work(monkeypatch, capsys, t
     assert captured.out == ""
     assert captured.err.startswith("guard rejection: ")
     assert captured.err.count("guard rejection: ") == 1
+
+
+def test_script_subprocess_writes_the_in_process_bytes(monkeypatch, tmp_path):
+    # run_guarded freezes the collector before the sweep; the process's
+    # teardown still flushes and closes --out
+    args = ["--protocol", "classical", "--named", "majority", "--t", "3",
+            "--trials", "20", "--sizes", "6", "12"]
+    run_script("protocol_sweep.py", *args, "--out", str(tmp_path / "sub.csv"))
+    script = load_script("protocol_sweep.py")
+    monkeypatch.setattr(sys, "argv", ["protocol_sweep.py", *args,
+                                      "--out", str(tmp_path / "in.csv")])
+    assert script.main() == 0
+    assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
