@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from hiddenpartition import boolfn
 from hiddenpartition.cli import output, run_guarded
-from hiddenpartition.hardness import expected_tvd, full_cube, random_message_set
+from hiddenpartition.hardness import draw_message_set, expected_tvd
 from hiddenpartition.instances import PartitionParams, exact_fraction
 from hiddenpartition.rng import stream
 
@@ -44,10 +44,7 @@ def trend(args) -> int:
     rows = []
     for log_size in range(2, args.n + 1):
         rng = stream(args.seed, "tvd", log_size)
-        if log_size == args.n:
-            message_set = full_cube(args.n)
-        else:
-            message_set = random_message_set(args.n, 2**log_size, rng)
+        message_set = draw_message_set(args.n, 2**log_size, rng)  # the cube at log_size n
         estimate = expected_tvd(f, message_set, params, args.sigmas, rng)
         rows.append([log_size, f"{estimate.mean:.5f}", f"{estimate.stderr:.5f}"])
     with output(args.out) as out:

@@ -23,20 +23,11 @@ from . import boolfn
 from .boolfn import BooleanFunction
 from .classical import protocol_witness
 from .experiments import SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_trials, write_csv, write_jsonl
-from .hardness import (
-    full_cube,
-    kkl_check,
-    expected_tvd,
-    random_message_set,
-    r_hat_bruteforce,
-    r_hat_formula,
-    u_bruteforce,
-    u_formula,
-)
+from .hardness import run_check
 from .instances import PartitionParams, exact_fraction
 from .quantum import block_multilinear_matrix, matrix_audit_record
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
-from .rng import fisher_yates, stream
+from .rng import stream
 from .signpoly import sign_degree
 
 CSV_COLUMNS_HELP = (
@@ -216,68 +207,11 @@ def cmd_reduce(args) -> int:
 def cmd_hardness(args) -> int:
     f, label = load_function(args)
     params = PartitionParams(args.n, f.t, args.alpha)
-    doc = _hardness_report(args, f, params)
+    doc = run_check(args.check, f, params, args.cases, args.set_size, args.sigmas, args.seed)
     doc["function"] = label
     doc["params"] = {"n": params.n, "t": params.t, "alpha": str(params.alpha)}
     _write_json(args.out, doc)
     return 0
-
-
-def _hardness_report(args, f: BooleanFunction, params: PartitionParams) -> dict:
-    for flag, count in (("--cases", args.cases), ("--sigmas", args.sigmas),
-                        ("--set-size", args.set_size)):
-        if count is not None and count < 1:
-            raise ValueError(f"{flag} must be at least 1, got {count}")
-    n = params.n
-    if args.check == "kkl":
-        deltas = [round(0.1 * k, 1) for k in range(1, 10)]
-        violations = 0
-        worst = float("inf")
-        for case in range(args.cases):
-            rng = stream(args.seed, "hardness", "kkl", case)
-            size = int(rng.integers(1, 2**n + 1)) if args.set_size is None else args.set_size
-            report = kkl_check(random_message_set(n, size, rng), deltas)
-            violations += report.violations
-            worst = min(worst, min(report.margins))
-        return {"check": "kkl", "cases": args.cases, "violations": violations,
-                "min_margin": worst}
-    size = 2 ** (n - 1) if args.set_size is None else args.set_size  # tvd and rhat
-    if args.check == "tvd":
-        rng = stream(args.seed, "hardness", "tvd")
-        message_set = full_cube(n) if size == 2**n else random_message_set(n, size, rng)
-        estimate = expected_tvd(f, message_set, params, args.sigmas, rng)
-        return {"check": "tvd", "cases": args.sigmas, "set_size": size,
-                "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
-    if args.check == "rhat":
-        worst = 0.0
-        violations = 0
-        for case in range(args.cases):
-            rng = stream(args.seed, "hardness", "rhat", case)
-            message_set = random_message_set(n, size, rng)
-            sigma = fisher_yates(n, rng)
-            formula = r_hat_formula(f, message_set, sigma, params)
-            brute = r_hat_bruteforce(f, message_set, sigma, params)
-            deltas = abs(formula[1:] - brute[1:])  # every block set V but the empty one
-            worst = max(worst, float(deltas.max()))
-            violations += int((deltas > 1e-10).sum())
-        return {"check": "rhat", "cases": args.cases, "max_discrepancy": worst,
-                "violations": violations}
-    # u correlation
-    worst = 0.0
-    violations = 0
-    for case in range(args.cases):
-        rng = stream(args.seed, "hardness", "u", case)
-        sigma = fisher_yates(n, rng)
-        w = 1 - 2 * rng.integers(0, 2, size=params.active_blocks)
-        mask = int(rng.integers(0, 2**n))
-        delta = abs(
-            u_formula(f, sigma, w, mask, params)
-            - u_bruteforce(f, sigma, w, mask, params)
-        )
-        worst = max(worst, delta)
-        violations += int(delta > 1e-12)
-    return {"check": "u", "cases": args.cases, "max_discrepancy": worst,
-            "violations": violations}
 
 
 def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:

@@ -16,6 +16,11 @@ ground truth).  The quantities covered:
   * the level-weighted spectral-mass inequality for sparse-support
     functions (0/1 indicators here).
 
+Each side of the r_sigma and u pairs is an integer numerator divided once
+by its exact integer denominator; Python's int / int and float64 division
+of integers float64 holds exactly both round correctly, so a closed form
+and its brute force are equal floats unless the rationals differ.
+
 Exhaustive enumeration bounds every routine, so sizes are capped.
 """
 
@@ -28,9 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, fourier_transform, row_weights, walsh_hadamard
+from .boolfn import BooleanFunction, row_weights, walsh_hadamard
 from .instances import PartitionParams, inverse_permutation, promise_masks
-from .rng import fisher_yates
+from .rng import fisher_yates, stream
 
 # Largest string length any routine here enumerates (induced_distributions);
 # message sets are refused above it before their 2^n-sized draw is made.
@@ -82,6 +87,12 @@ def full_cube(n: int) -> MessageSet:
     if n > MAX_MESSAGE_BITS:
         raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
     return MessageSet(n, np.arange(2**n))
+
+
+def draw_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
+    """The full cube when size is 2^n (drawing nothing from rng), else a
+    random set of that size."""
+    return full_cube(n) if size == 2**n else random_message_set(n, size, rng)
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,8 @@ def expected_tvd(
     the induced distributions.  Larger message sets drive this toward 0."""
     if params.n > 16:
         raise ValueError("capped at n <= 16")
+    if sigma_samples < 1:
+        raise ValueError(f"--sigmas must be at least 1, got {sigma_samples}")
     values = np.empty(sigma_samples)
     for i in range(sigma_samples):
         sigma = fisher_yates(params.n, rng)
@@ -160,9 +173,12 @@ def r_hat_bruteforce(
     params: PartitionParams,
 ) -> np.ndarray:
     """Every Fourier coefficient of r_sigma, straight from the histograms:
-    entry V (bit j-1 for block j) is the coefficient of chi_V."""
+    entry V (bit j-1 for block j) is the coefficient of chi_V, computed as
+    the transform of the count difference over |A| 2^len.  (p - q) |A| is
+    within |A| 2^-51 < 1/2 of that integer difference, so rounding it is exact."""
     dists = induced_distributions(f, message_set, sigma, params)
-    return walsh_hadamard(dists.p - dists.q) / 2**dists.length
+    counts = np.rint((dists.p - dists.q) * len(message_set))
+    return walsh_hadamard(counts) / (len(message_set) * 2**dists.length)
 
 
 def r_hat_formula(
@@ -172,15 +188,15 @@ def r_hat_formula(
     params: PartitionParams,
 ) -> np.ndarray:
     """Closed form of every coefficient, indexed like r_hat_bruteforce:
-    zero for even |V|; otherwise
-    2^(n+1)/(|A| 2^len) * sum over subset tuples (T_v)_{v in V} of
-    prod f^(T_v) * g^(sigma^-1(V bullet T))."""
+    zero for even |V|; otherwise, with the integers F = 2^t f^ and G = 2^n g^,
+    2/(|A| 2^len 2^(t|V|)) * sum over subset tuples (T_v)_{v in V} of
+    prod F(T_v) * G(sigma^-1(V bullet T))."""
     if params.n > 12 or params.t > 4:
         raise ValueError("closed-form sum capped at n <= 12, t <= 4")
     n, t, length = params.n, params.t, params.active_blocks
-    fhat = fourier_transform(f)
-    support = [(mask, c) for mask, c in enumerate(fhat.values) if c != 0.0]
-    ghat = message_set.characteristic_spectrum().tolist()
+    fhat = walsh_hadamard(f.table).astype(np.int64).tolist()  # F = 2^t f^
+    support = [(mask, c) for mask, c in enumerate(fhat) if c != 0]
+    ghat = (message_set.characteristic_spectrum() * 2**n).astype(np.int64).tolist()
     inverse = inverse_permutation(sigma)
 
     # placed[j][tmask]: the sigma^-1 image of slots tmask of block j+1, as an n-bit mask
@@ -188,21 +204,21 @@ def r_hat_formula(
     slot_bits = (np.arange(2**t)[:, None] >> np.arange(t)) & 1
     placed = (preimage_bits @ slot_bits.T).tolist()
 
-    scale = 2 ** (n + 1) / (len(message_set) * 2**length)
+    denominator = len(message_set) * 2**length
     spectrum = np.zeros(2**length)
     for v_mask in range(1, 2**length):
         blocks = [j for j in range(length) if (v_mask >> j) & 1]
         if len(blocks) % 2 == 0:
             continue
-        total = 0.0
+        total = 0
         for assignment in itertools.product(support, repeat=len(blocks)):
-            coeff = 1.0
+            coeff = 1
             gmask = 0
             for j, (tmask, c) in zip(blocks, assignment):
                 coeff *= c
                 gmask |= placed[j][tmask]
             total += coeff * ghat[gmask]
-        spectrum[v_mask] = scale * total
+        spectrum[v_mask] = 2 * total / (denominator << (t * len(blocks)))
     return spectrum
 
 
@@ -224,7 +240,8 @@ def u_bruteforce(
     params: PartitionParams,
 ) -> float:
     """Definitional sum over all strings:
-    (1/2) sum_x p_x p_sigma chi_S(x) (1[B_f = w] - 1[B_f = complement])."""
+    (1/2) sum_x p_x p_sigma chi_S(x) (1[B_f = w] - 1[B_f = complement]),
+    an integer sum over 2^(n+1) n!."""
     if params.n > 12:
         raise ValueError("brute force capped at n <= 12")
     n = params.n
@@ -237,10 +254,8 @@ def u_bruteforce(
     full = 2**params.active_blocks - 1
 
     chi = 1 - 2 * (np.bitwise_count(rows & s_mask) & 1).astype(np.int64)
-    indicator = (zmasks == w_mask).astype(np.float64) - (zmasks == (full ^ w_mask)).astype(np.float64)
-    p_x = 1 / 2**n
-    p_sigma = 1 / math.factorial(n)
-    return float(0.5 * p_x * p_sigma * (chi * indicator).sum())
+    indicator = (zmasks == w_mask).astype(np.int64) - (zmasks == (full ^ w_mask))
+    return int((chi * indicator).sum()) / (2 ** (n + 1) * math.factorial(n))
 
 
 def u_formula(
@@ -252,12 +267,13 @@ def u_formula(
 ) -> float:
     """Closed form: zero unless sigma(S) sits inside the active prefix and
     has an odd number of nonempty blocks; otherwise
-    p_sigma / 2^len * prod over nonempty blocks of f^(U_j) w_j."""
+    p_sigma / 2^len * prod over the k nonempty blocks of f^(U_j) w_j, that
+    is prod F(U_j) w_j / (n! 2^(len + t k)) with the integers F = 2^t f^."""
     n, t = params.n, params.t
     _check_positions(s_mask, n)
     in_s = ((s_mask >> np.arange(n)) & 1) == 1
-    fhat = fourier_transform(f)
-    if abs(fhat.coefficient(0)) > 1e-12:
+    fhat = walsh_hadamard(f.table)  # F = 2^t f^, exact integers
+    if fhat[0] != 0:
         raise ValueError("closed form requires a balanced function (zero mean)")
     image = np.asarray(sigma, dtype=np.int64)[in_s]
     if np.any(image > params.active_len):
@@ -268,11 +284,10 @@ def u_formula(
     nonempty = [j for j, mask in enumerate(slot_masks) if mask]
     if len(nonempty) % 2 == 0:
         return 0.0
-    p_sigma = 1 / math.factorial(n)
-    value = p_sigma / 2**params.active_blocks
+    numerator = 1
     for j in nonempty:
-        value *= fhat.coefficient(slot_masks[j]) * w[j]
-    return float(value)
+        numerator *= int(fhat[slot_masks[j]]) * int(w[j])
+    return numerator / (math.factorial(n) << (params.active_blocks + t * len(nonempty)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +325,55 @@ def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
         margins.append(right - left)
     violations = sum(1 for m in margins if m < -KKL_TOL)
     return KklReport(tuple(deltas), tuple(lhs), tuple(rhs), tuple(margins), violations)
+
+
+# ---------------------------------------------------------------------------
+# The hardness command's checks
+# ---------------------------------------------------------------------------
+
+
+def run_check(check: str, f: BooleanFunction, params: PartitionParams, cases: int,
+              set_size: int | None, sigmas: int, seed: int) -> dict:
+    """The record of ``hardness --check`` (tvd, rhat, u or kkl), each case
+    drawn from its own stream.  rhat and u count every value where a closed
+    form and its brute force differ as a violation; ``max_discrepancy`` is
+    the largest absolute difference.  A set size of None is 2^(n-1), or
+    random per kkl case."""
+    for flag, count in (("--cases", cases), ("--sigmas", sigmas), ("--set-size", set_size)):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
+    n = params.n
+    if check == "kkl":
+        deltas = [round(0.1 * k, 1) for k in range(1, 10)]
+        reports = []
+        for case in range(cases):
+            rng = stream(seed, "hardness", "kkl", case)
+            size = int(rng.integers(1, 2**n + 1)) if set_size is None else set_size
+            reports.append(kkl_check(draw_message_set(n, size, rng), deltas))
+        return {"check": "kkl", "cases": cases,
+                "violations": sum(report.violations for report in reports),
+                "min_margin": min(min(report.margins) for report in reports)}
+    size = 2 ** (n - 1) if set_size is None else set_size  # tvd and rhat
+    if check == "tvd":
+        rng = stream(seed, "hardness", "tvd")
+        estimate = expected_tvd(f, draw_message_set(n, size, rng), params, sigmas, rng)
+        return {"check": "tvd", "cases": sigmas, "set_size": size,
+                "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
+    worst = 0.0
+    violations = 0
+    for case in range(cases):
+        rng = stream(seed, "hardness", check, case)
+        if check == "rhat":
+            message_set = draw_message_set(n, size, rng)
+            sigma = fisher_yates(n, rng)
+            formula = r_hat_formula(f, message_set, sigma, params)
+            brute = r_hat_bruteforce(f, message_set, sigma, params)
+        else:
+            sigma = fisher_yates(n, rng)
+            w = 1 - 2 * rng.integers(0, 2, size=params.active_blocks)
+            mask = int(rng.integers(0, 2**n))
+            formula = u_formula(f, sigma, w, mask, params)
+            brute = u_bruteforce(f, sigma, w, mask, params)
+        worst = max(worst, float(np.max(np.abs(formula - brute))))
+        violations += int(np.count_nonzero(formula != brute))
+    return {"check": check, "cases": cases, "max_discrepancy": worst, "violations": violations}

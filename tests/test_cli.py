@@ -485,7 +485,7 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
      (["run-quantum", "--named", "parity", "--t", "2", "--n", "24", "--dump-matrix", "{bad}"],
       "run_protocol_trials"),
      (["hardness", "--named", "parity", "--t", "2", "--check", "tvd", "--n", "8",
-       "--out", "{bad}"], "_hardness_report"),
+       "--out", "{bad}"], "run_check"),
      (["reduce", "--named", "nae", "--t", "4", "--out", "{bad}"], "verify_reduction"),
      (["analyze", "--named", "majority", "--t", "3", "--out", "{bad}"], "sign_degree")],
     ids=["run-out", "run-dump-matrix", "hardness", "reduce", "analyze"],

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hiddenpartition.boolfn import and_fn, parity
+from hiddenpartition import hardness
+from hiddenpartition.boolfn import BooleanFunction, and_fn, majority, parity
 from hiddenpartition.hardness import (
     MAX_MESSAGE_BITS,
     MessageSet,
@@ -16,6 +17,7 @@ from hiddenpartition.hardness import (
     r_hat_bruteforce,
     r_hat_formula,
     random_message_set,
+    run_check,
     tvd,
     u_bruteforce,
     u_formula,
@@ -32,6 +34,11 @@ IDENTITY_4 = (1, 2, 3, 4)
 
 def random_sigma(n, rng):
     return tuple(int(v) for v in fisher_yates(n, rng))
+
+
+def balanced_table(t, rng):
+    """Random truth table with as many +1 as -1 rows (zero mean)."""
+    return BooleanFunction(t, rng.permutation(np.repeat([1, -1], 2 ** (t - 1))))
 
 
 # --- message sets ------------------------------------------------------------
@@ -155,6 +162,9 @@ def test_expected_tvd_endpoints():
     singleton = MessageSet(4, frozenset({3}))
     est = expected_tvd(parity(2), singleton, PARAMS_4, 10, rng)
     assert est.mean == 2.0 and est.stderr == 0.0
+    for sigma_samples in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            expected_tvd(parity(2), singleton, PARAMS_4, sigma_samples, rng)
 
 
 def test_expected_tvd_trend_with_set_size():
@@ -195,17 +205,23 @@ def test_r_hat_half_cube_example():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31))
-def test_r_hat_formula_matches_bruteforce(seed):
+@given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["parity2", "and2", "balanced3"]))
+@example(0, "balanced3")
+def test_r_hat_formula_matches_bruteforce(seed, function):
     rng = stream(seed, "rh")
-    params = PartitionParams(8, 2, Fraction(1))
-    f = parity(2) if seed % 2 else and_fn(2)
-    ms = random_message_set(8, int(rng.integers(1, 257)), rng)
-    sigma = random_sigma(8, rng)
+    if function == "balanced3":
+        f, params = balanced_table(3, rng), PartitionParams(9, 3, Fraction(1))
+    else:
+        f = parity(2) if function == "parity2" else and_fn(2)
+        params = PartitionParams(8, 2, Fraction(1))
+    n = params.n
+    ms = random_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
+    sigma = random_sigma(n, rng)
     v_mask = int(rng.integers(1, 2**params.active_blocks))
-    formula = r_hat_formula(f, ms, sigma, params)[v_mask]
-    brute = r_hat_bruteforce(f, ms, sigma, params)[v_mask]
-    assert abs(formula - brute) <= 1e-10
+    formula = r_hat_formula(f, ms, sigma, params)
+    brute = r_hat_bruteforce(f, ms, sigma, params)
+    assert abs(formula[v_mask] - brute[v_mask]) <= 1e-10
+    assert np.array_equal(formula, brute)  # both are the correctly rounded rational
 
 
 def test_r_hat_formula_cap():
@@ -262,16 +278,22 @@ def test_u_rejects_masks_outside_the_positions(s_mask):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31))
-def test_u_formula_matches_bruteforce(seed):
+@given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["parity2", "balanced3"]))
+@example(0, "balanced3")
+def test_u_formula_matches_bruteforce(seed, function):
     rng = stream(seed, "u")
-    params = PartitionParams(8, 2, Fraction(1, 2))
-    sigma = random_sigma(8, rng)
+    if function == "balanced3":
+        f, params = balanced_table(3, rng), PartitionParams(9, 3, Fraction(2, 3))
+    else:
+        f, params = parity(2), PartitionParams(8, 2, Fraction(1, 2))
+    n = params.n
+    sigma = random_sigma(n, rng)
     w = tuple(int(v) for v in 1 - 2 * rng.integers(0, 2, size=params.active_blocks))
-    mask = int(rng.integers(0, 2**8))
-    formula = u_formula(parity(2), sigma, w, mask, params)
-    brute = u_bruteforce(parity(2), sigma, w, mask, params)
+    mask = int(rng.integers(0, 2**n))
+    formula = u_formula(f, sigma, w, mask, params)
+    brute = u_bruteforce(f, sigma, w, mask, params)
     assert abs(formula - brute) <= 1e-12
+    assert formula == brute  # both are the correctly rounded rational
 
 
 def test_u_sign_matches_bruteforce_on_constructed_case():
@@ -330,3 +352,31 @@ def test_u_bruteforce_matches_points_oracle(n, t, alpha):
         w = 1 - 2 * rng.integers(0, 2, size=params.active_blocks)
         mask = int(rng.integers(0, 2**n))
         assert u_bruteforce(f, sigma, w, mask, params) == u_by_points(f, sigma, w, mask, params)
+
+
+# --- the hardness checks ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("f", [parity(2), majority(3)], ids=["parity2", "majority3"])
+@pytest.mark.parametrize("check, closed_form, cases",
+                         [("u", "u_formula", 200), ("rhat", "r_hat_formula", 3)])
+def test_a_closed_form_one_percent_off_is_a_violation(monkeypatch, f, check, closed_form, cases):
+    # |u| at n = 12 is about 1e-11: only an exact comparison sees a 1% error
+    params = PartitionParams(12, f.t, Fraction(1))
+    record = run_check(check, f, params, cases, None, 1, 3)
+    assert record["violations"] == 0 and record["max_discrepancy"] == 0.0
+
+    exact = getattr(hardness, closed_form)
+    values = []
+
+    def one_percent_off(*args):
+        values.append(exact(*args))
+        return 1.01 * values[-1]
+
+    monkeypatch.setattr(hardness, closed_form, one_percent_off)
+    record = run_check(check, f, params, cases, None, 1, 3)
+    assert len(values) == cases
+    nonzero = sum(int(np.count_nonzero(value)) for value in values)
+    assert nonzero > 0
+    assert record["violations"] == nonzero
+    assert record["max_discrepancy"] > 0.0
