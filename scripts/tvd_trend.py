@@ -5,9 +5,9 @@ induced promise distributions shrinks as the message set grows.
 A short message from Alice pins her string down to a large set A; the
 larger A is, the less Bob's one sample can tell the promise string from
 its complement.  This script estimates E_sigma[TVD] for message sets of
-doubling sizes on one function.  Bad input (an n above the brute-force
-cap, an unwritable --out) exits 2 with one "guard rejection:" line on
-stderr and nothing on stdout, as the hiddenpartition command does.
+doubling sizes on one function.  Bad input (an n below 2 or above the
+brute-force cap, an unwritable --out) exits 2 with one "guard rejection:"
+line on stderr and nothing on stdout, as the hiddenpartition command does.
 
 Example:
     python scripts/tvd_trend.py --n 12 --named parity --t 2 --sigmas 50
@@ -38,6 +38,8 @@ def main() -> int:
 
 
 def trend(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2 (message sets of 2^2 and up), got {args.n}")
     f = boolfn.named_function(args.named, args.t)
     params = PartitionParams(args.n, args.t, args.alpha)
 

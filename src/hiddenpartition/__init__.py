@@ -5,7 +5,7 @@ Submodules:
   boolfn       truth tables, Fourier spectra, symmetric constructions
   signpoly     LP-based sign-degree and maximum-bias representations
   rng          named seeded streams and the Fisher-Yates shuffle
-  instances    problem instances, the block map and promise checking
+  instances    problem sizes, (x, sigma, w) instance rows and the block map
   classical    sampled-bits and uniform-distribution senders
   quantum      bilinear lift, unitary dilation, Hadamard-test simulation
   reduction    parity-pair to symmetric-function instance transformation
@@ -26,20 +26,13 @@ from .boolfn import (
     pure_high_degree,
     sign_changes,
 )
-from .instances import (
-    PartitionInstance,
-    PartitionParams,
-    b_map_rows,
-    generate_instance,
-    verify_promise,
-)
+from .instances import PartitionParams, b_map_rows, generate_instance
 from .signpoly import SignPolynomial, best_sign_polynomial, sign_degree
 
 __all__ = [
     "BooleanFunction",
     "FourierSpectrum",
     "SymmetricSpec",
-    "PartitionInstance",
     "PartitionParams",
     "SignPolynomial",
     "b_map_rows",
@@ -53,5 +46,4 @@ __all__ = [
     "pure_high_degree",
     "sign_changes",
     "sign_degree",
-    "verify_promise",
 ]

@@ -133,16 +133,13 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     return FourierSpectrum(f.t, walsh_hadamard(f.table) / 2**f.t)
 
 
-ZERO_COEFF_TOL = 1e-12  # true coefficients are multiples of 2^-t, t <= 16
-
-
 def pure_high_degree(spec: FourierSpectrum) -> int:
     """Largest d such that every level below d vanishes.
 
     Equivalently the minimum |S| with a nonzero coefficient; 0 for
     constant functions (and any function with nonzero mean).
     """
-    nonzero = np.abs(spec.values) > ZERO_COEFF_TOL
+    nonzero = spec.values != 0.0
     if not nonzero.any():
         return 0
     return int(row_weights(spec.t)[nonzero].min())

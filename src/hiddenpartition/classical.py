@@ -148,16 +148,16 @@ def run_classical(
 
 
 def level_one_slots(f: BooleanFunction) -> np.ndarray:
-    """Level-1 coefficients by 0-based slot, 0.0 where |c| <= 1e-12; the
-    uniform sender's guard (raises unless phdeg(f) <= 1 with level-1 mass
-    to decode from)."""
+    """Level-1 coefficients by 0-based slot, exact (the spectrum of a +-1
+    table is integers over 2^t in float64, so a zero is 0.0); the uniform
+    sender's guard (raises unless phdeg(f) <= 1 with level-1 mass to
+    decode from)."""
     if f.is_constant:
         raise UnsupportedFunctionError("constant function")
     spec = fourier_transform(f)
     if pure_high_degree(spec) >= 2:
         raise UnsupportedFunctionError("phdeg(f) >= 2")
     level1 = spec.values[1 << np.arange(f.t)]
-    level1 = np.where(np.abs(level1) > 1e-12, level1, 0.0)
     if not level1.any():
         raise UnsupportedFunctionError("no level-1 Fourier mass to decode from")
     return level1

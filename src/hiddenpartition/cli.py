@@ -103,6 +103,8 @@ def load_function(args) -> tuple[BooleanFunction, str]:
         if args.t is None:
             raise ValueError("--named requires --t")
         return boolfn.named_function(args.named, args.t), f"{args.named}:{args.t}"
+    if args.t is not None:
+        raise ValueError("--t applies only to --named; a --function file sets its own arity")
     with open(args.function, encoding="utf-8") as handle:
         spec = json.load(handle)
     return boolfn.function_from_spec(spec), args.function

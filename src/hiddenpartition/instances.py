@@ -9,16 +9,15 @@ promise is z o w = b^(alpha*n/t) for a hidden bit b.
 Blocks are 1-indexed and contiguous in the permuted string; the partition
 fraction alpha is stored as an exact rational so the promise length is an
 integer by construction.  ``generate_instances`` draws a chunk of trials
-as (x, sigma, w) arrays, which the protocol runs take whole; a
-``PartitionInstance`` is the validated single-instance type of the
-library API (``generate_instance``, ``verify_promise``).
+as (x, sigma, w) int64 arrays, which the protocol runs take whole; that
+triple of rows is the one form of an instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,52 +67,6 @@ class PartitionParams:
         object.__setattr__(self, "num_blocks", self.n // self.t)
         object.__setattr__(self, "active_blocks", active.numerator)
         object.__setattr__(self, "active_len", active.numerator * self.t)
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionInstance:
-    """One full problem input; ``b`` is set on generated instances only.
-
-    ``x``, ``sigma`` and ``w`` are stored as read-only int64 copies of
-    whatever sequences or arrays they are given.
-    """
-
-    params: PartitionParams
-    x: np.ndarray
-    sigma: np.ndarray
-    w: np.ndarray
-    b: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        n = self.params.n
-        x, sigma, w = (np.asarray(v) for v in (self.x, self.sigma, self.w))
-        if x.shape != (n,):
-            raise ValueError("x length mismatch")
-        if np.any(np.abs(x) != 1):
-            raise ValueError("x entries must be +-1")
-        if sigma.shape != (n,) or not np.array_equal(np.sort(sigma), np.arange(1, n + 1)):
-            raise ValueError("sigma must be a bijection on [n]")
-        if w.shape != (self.params.active_blocks,):
-            raise ValueError("w length must be alpha*n/t")
-        if np.any(np.abs(w) != 1):
-            raise ValueError("w entries must be +-1")
-        if self.b is not None and self.b not in (-1, 1):
-            raise ValueError("b must be +-1 when present")
-        for name, value in (("x", x), ("sigma", sigma), ("w", w)):
-            value = value.astype(np.int64)  # a copy, even of an int64 array
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartitionInstance):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.b == other.b
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.sigma, other.sigma)
-            and np.array_equal(self.w, other.w)
-        )
 
 
 def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
@@ -203,14 +156,8 @@ def generate_instance(
     params: PartitionParams,
     b: int,
     rng: np.random.Generator,
-) -> PartitionInstance:
-    """``generate_instances`` for a single (b, rng), as a validated instance."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``generate_instances`` for a single (b, rng): its one row, as
+    (x, sigma, w)."""
     xs, sigmas, ws = generate_instances(f, params, [b], [rng])
-    return PartitionInstance(params, xs[0], sigmas[0], ws[0], b)
-
-
-def verify_promise(f: BooleanFunction, instance: PartitionInstance) -> Optional[int]:
-    """The hidden bit if z o w is constant, else None (promise violated)."""
-    z = b_map_rows(f, instance.x[None, :], instance.sigma, instance.params)[0]
-    products = np.unique(z * instance.w)
-    return int(products[0]) if len(products) == 1 else None
+    return xs[0], sigmas[0], ws[0]

@@ -2,9 +2,12 @@
 
 Each one is the straightforward or per-point form of a package routine,
 or a second construction of what it computes; the tests check that the
-package still gives exactly what these give.  The instance JSON helpers
-and ``reduce_instance`` are tools only the tests use: they pin
-``generate_instance``'s draws and check the reduction on whole instances.
+package still gives exactly what these give.  An instance here is what
+the package draws, the int64 rows ``(x, sigma, w)``, with its
+``PartitionParams`` and hidden bit ``b`` beside them.  ``promise_bit``,
+the instance JSON helpers and ``reduce_instance`` are tools only the
+tests use: they check the promise, pin ``generate_instance``'s draws and
+check the reduction on whole instances.
 """
 
 import math
@@ -20,7 +23,7 @@ from hiddenpartition.boolfn import (
     walsh_hadamard,
     weight_profile,
 )
-from hiddenpartition.instances import PartitionInstance, PartitionParams, b_map_rows
+from hiddenpartition.instances import PartitionParams, b_map_rows
 from hiddenpartition.quantum import unitary_dilation
 from hiddenpartition.reduction import (
     ReductionGadget,
@@ -97,32 +100,41 @@ def apply_permutation(sigma, x) -> tuple:
     return tuple(y)
 
 
-def instance_to_json(instance: PartitionInstance) -> dict:
-    """JSON document of an instance; pins ``generate_instance``'s draws."""
+def promise_bit(f, x, sigma, w, params):
+    """The hidden bit if B_f(x, sigma) o w is constant, else None (the
+    promise is violated)."""
+    z = b_map_rows(f, np.asarray(x)[None, :], sigma, params)[0]
+    products = np.unique(z * np.asarray(w))
+    return int(products[0]) if len(products) == 1 else None
+
+
+def instance_to_json(params, x, sigma, w, b) -> dict:
+    """JSON document of an instance, b left out when None; pins
+    ``generate_instance``'s draws."""
     doc = {
-        "n": instance.params.n,
-        "t": instance.params.t,
-        "alpha_num": instance.params.alpha.numerator,
-        "alpha_den": instance.params.alpha.denominator,
-        "x": instance.x.tolist(),
-        "sigma": instance.sigma.tolist(),
-        "w": instance.w.tolist(),
+        "n": params.n,
+        "t": params.t,
+        "alpha_num": params.alpha.numerator,
+        "alpha_den": params.alpha.denominator,
+        "x": x.tolist(),
+        "sigma": sigma.tolist(),
+        "w": w.tolist(),
     }
-    if instance.b is not None:
-        doc["b"] = instance.b
+    if b is not None:
+        doc["b"] = b
     return doc
 
 
-def instance_from_json(doc: dict) -> PartitionInstance:
-    """Inverse of ``instance_to_json``."""
+def instance_from_json(doc: dict) -> tuple:
+    """Inverse of ``instance_to_json``: (params, x, sigma, w, b), the strings
+    as int64 arrays and b None when the document has none."""
     params = PartitionParams(
         int(doc["n"]),
         int(doc["t"]),
         Fraction(int(doc["alpha_num"]), int(doc["alpha_den"])),
     )
-    return PartitionInstance(
-        params, doc["x"], doc["sigma"], doc["w"], int(doc["b"]) if "b" in doc else None
-    )
+    x, sigma, w = (np.asarray(doc[key], dtype=np.int64) for key in ("x", "sigma", "w"))
+    return params, x, sigma, w, int(doc["b"]) if "b" in doc else None
 
 
 # --- quantum protocol --------------------------------------------------------
@@ -196,22 +208,22 @@ def closed_form_gadget(spec):
     return None
 
 
-def reduce_instance(instance: PartitionInstance, gadget: ReductionGadget) -> PartitionInstance:
+def reduce_instance(params, x, sigma, w, b, gadget: ReductionGadget) -> tuple:
     """Map a 2-bit-parity instance to an equivalent instance of the
-    gadget's symmetric function, preserving the hidden bit.
+    gadget's symmetric function, preserving the hidden bit; returns
+    (params, x, sigma, w, b) of the new instance.
 
     The transformed instance has length n*t/2, block size t and the same
     partition fraction; w is flipped when the gadget records a global
     sign flip so the promise bit is unchanged.
     """
-    params = instance.params
     if params.t != 2:
         raise ValueError("reduction starts from block size 2 (parity pairs)")
-    x_f = extended_string_rows(instance.x[None, :], gadget)[0]
-    sigma_f = extended_permutation(instance.sigma, gadget)
+    x_f = extended_string_rows(x[None, :], gadget)[0]
+    sigma_f = extended_permutation(sigma, gadget)
     w_sign = -1 if gadget.flipped else 1
     new_params = PartitionParams(params.n * gadget.t // 2, gadget.t, params.alpha)
-    return PartitionInstance(new_params, x_f, sigma_f, w_sign * instance.w, instance.b)
+    return new_params, x_f, sigma_f, w_sign * w, b
 
 
 # --- shuffle -----------------------------------------------------------------
@@ -278,14 +290,13 @@ def block_and_slot(position: int, t: int) -> tuple[int, int]:
     return (position + t - 1) // t, (position - 1) % t + 1
 
 
-def uniform_statistic_by_scan(instance, slots, subset) -> float:
+def uniform_statistic_by_scan(params, x, sigma, w, slots, subset) -> float:
     """The uniform sender's statistic, scanning the subset index by index
     for the first one whose slot carries a nonzero level-1 coefficient
     inside an active block."""
-    params = instance.params
     for i in subset.tolist():
-        j, k = block_and_slot(int(instance.sigma[i - 1]), params.t)
+        j, k = block_and_slot(int(sigma[i - 1]), params.t)
         if j <= params.active_blocks and slots[k - 1] != 0:
             sign = 1 if slots[k - 1] > 0 else -1
-            return float(sign * instance.x[i - 1] * instance.w[j - 1])
+            return float(sign * x[i - 1] * w[j - 1])
     return 0.0

@@ -141,13 +141,15 @@ def brute_force_coefficient(f: BooleanFunction, mask: int) -> float:
 
 @given(tables)
 def test_fourier_matches_brute_force(args):
+    # exact, not approximate: 2^t c is an even integer (a sum of 2^t terms
+    # +-1), so a zero coefficient is exactly 0.0 and a nonzero one is >= 2^(1-t)
     t, table = args
     f = fn(t, table)
     spec = fourier_transform(f)
+    scaled = spec.values * 2**t
+    assert np.array_equal(scaled, np.rint(scaled)) and not np.any(scaled % 2)
     for mask in range(2**t):
-        assert spec.coefficient(mask) == pytest.approx(
-            brute_force_coefficient(f, mask), abs=1e-12
-        )
+        assert spec.coefficient(mask) == brute_force_coefficient(f, mask)
 
 
 @given(tables)

@@ -17,7 +17,7 @@ from hiddenpartition.classical import (
     run_uniform_phd1,
 )
 from hiddenpartition.experiments import run_protocol_trials
-from hiddenpartition.instances import PartitionParams, generate_instance, generate_instances
+from hiddenpartition.instances import PartitionParams, generate_instances
 from hiddenpartition.rng import fisher_yates, stream
 from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
 
@@ -165,7 +165,7 @@ def test_expected_statistic_sign_and_magnitude():
     epsilon = 0.2
     m = required_samples(params.t, params.alpha, poly.bias, epsilon)
     stats = []
-    for start in range(0, 12000, 2000):  # the same draws as generate_instance, trial by trial
+    for start in range(0, 12000, 2000):  # the same draws as one trial at a time
         trials = range(start, start + 2000)
         rngs = [stream(77, "instance", trial) for trial in trials]
         for _, statistic in run_classical(
@@ -193,9 +193,8 @@ def test_run_uniform_dictator_exact_on_hit():
     for trial in range(200):
         rng = stream(5, "instance", trial)
         b = 1 if trial % 2 else -1
-        instance = generate_instance(f, params, b, rng)
         [(guess, statistic)] = run_uniform_phd1(
-            params, instance.x[None], instance.sigma[None], instance.w[None], slots,
+            params, *generate_instances(f, params, [b], [rng]), slots,
             fisher_yates(40, stream(5, "protocol", trial))[None, :40], [stream(5, "tie", trial)],
         )
         if statistic != 0.0:
@@ -210,9 +209,8 @@ def test_run_uniform_majority_conditional_success():
     hits = correct_hits = 0
     for trial in range(4000):
         rng = stream(13, "instance", trial)
-        instance = generate_instance(f, params, 1, rng)
         [(guess, statistic)] = run_uniform_phd1(
-            params, instance.x[None], instance.sigma[None], instance.w[None], slots,
+            params, *generate_instances(f, params, [1], [rng]), slots,
             fisher_yates(30, stream(13, "protocol", trial))[None, :10], [stream(13, "tie", trial)],
         )
         if statistic != 0.0:
@@ -228,13 +226,14 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
         slots = level_one_slots(f)
         params = PartitionParams(n, f.t, alpha)
         for trial in range(100):
-            instance = generate_instance(f, params, 1, stream(21, "instance", trial))
+            xs, sigmas, ws = generate_instances(f, params, [1], [stream(21, "instance", trial)])
             subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
             [(_, statistic)] = run_uniform_phd1(
-                params, instance.x[None], instance.sigma[None], instance.w[None], slots,
-                subset[None], [stream(21, "tie", trial)],
+                params, xs, sigmas, ws, slots, subset[None], [stream(21, "tie", trial)],
             )
-            assert statistic == uniform_statistic_by_scan(instance, slots, subset)
+            assert statistic == uniform_statistic_by_scan(
+                params, xs[0], sigmas[0], ws[0], slots, subset
+            )
         # the message is fixed per run: |I| indices, the same cost in every trial
         for sample_count in (1, 7, 12):
             records, summary = run_protocol_trials(
@@ -247,11 +246,11 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
 def test_run_uniform_rejects_subsets_outside_one_to_n():
     f = dictator(2)
     params = PartitionParams(4, 2, Fraction(1))
-    instance = generate_instance(f, params, 1, stream(0, "instance"))
+    rows = generate_instances(f, params, [1], [stream(0, "instance")])
     n = params.n
     for subset in (np.array([], dtype=np.int64), np.arange(1, 6), [0], [-3], [n + 1]):
         with pytest.raises(ValueError):
             run_uniform_phd1(
-                params, instance.x[None], instance.sigma[None], instance.w[None],
-                level_one_slots(f), np.array(subset, dtype=np.int64)[None], [stream(0, "tie")],
+                params, *rows, level_one_slots(f),
+                np.array(subset, dtype=np.int64)[None], [stream(0, "tie")],
             )

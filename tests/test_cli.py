@@ -20,7 +20,7 @@ from hiddenpartition.experiments import (
     write_jsonl,
 )
 from hiddenpartition.boolfn import and_fn, dictator, majority, parity
-from hiddenpartition.instances import PartitionInstance, PartitionParams
+from hiddenpartition.instances import PartitionParams
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -371,24 +371,6 @@ def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, opti
     assert rows == [20]
 
 
-@pytest.mark.parametrize(
-    "protocol, f, options",
-    [("classical", majority(3), {"epsilon": 0.1}),
-     ("quantum", parity(2), {"epsilon": 0.1}),
-     ("uniform", dictator(4), {"sample_count": 8})],
-)
-def test_trials_build_no_partition_instance(monkeypatch, protocol, f, options):
-    # trials run on the chunk's arrays; the validated instance type is library API only
-    def refuse(self):
-        raise AssertionError("PartitionInstance built on the trial path")
-
-    monkeypatch.setattr(PartitionInstance, "__post_init__", refuse)
-    records, _ = run_protocol_trials(
-        protocol, f, "f", PartitionParams(24, f.t, Fraction(1, 2)), 10, 5, **options
-    )
-    assert len(records) == 10
-
-
 @pytest.mark.parametrize("protocol, f", [("classical", majority(3)), ("quantum", parity(2))])
 def test_bad_epsilon_refused_before_any_instance(monkeypatch, protocol, f):
     # the message size is fixed once per run, so epsilon is checked before the first trial
@@ -448,6 +430,8 @@ MALFORMED_SPECS = {
         pytest.param(["analyze", "--function", "{tmp}/missing.json"], id="missing-function-file"),
         pytest.param(["analyze", "--function", "{tmp}/spec-without-t.json"],
                      id="function-spec-without-t"),
+        pytest.param(["analyze", "--function", "{tmp}/parity3.json", "--t", "5"],
+                     id="t-with-function"),
         pytest.param(["analyze", "--function", "{tmp}/spec-not-an-object.json"],
                      id="spec-not-an-object"),
         *(pytest.param(["analyze", "--function", f"{{tmp}}/{name}.json"], id=name)
@@ -471,6 +455,9 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
         json.dumps({"kind": "truth_table", "values": [1, -1, -1, 1]})
     )
     (tmp_path / "spec-not-an-object.json").write_text(json.dumps([1, 2]))
+    (tmp_path / "parity3.json").write_text(
+        json.dumps({"kind": "truth_table", "t": 3, "values": parity(3).table.tolist()})
+    )
     for name, spec in MALFORMED_SPECS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(spec))
     args = [arg.format(tmp=tmp_path) for arg in args]

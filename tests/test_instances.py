@@ -8,16 +8,14 @@ from hypothesis import given, strategies as st
 
 from hiddenpartition.boolfn import BooleanFunction, majority, parity
 from hiddenpartition.instances import (
-    PartitionInstance,
     PartitionParams,
     b_map_rows,
     generate_instance,
     generate_instances,
-    verify_promise,
 )
 from hiddenpartition.rng import fisher_yates, stream
 
-from oracles import apply_permutation, instance_from_json, instance_to_json
+from oracles import apply_permutation, instance_from_json, instance_to_json, promise_bit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,13 +133,13 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
     xs, sigmas, ws = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
     for array, width in ((xs, n), (sigmas, n), (ws, params.active_blocks)):
         assert array.dtype == np.int64 and array.shape == (len(bs), width)
+    assert (np.sort(sigmas, axis=1) == np.arange(1, n + 1)).all()
+    assert np.all(np.abs(xs) == 1) and np.all(np.abs(ws) == 1)
     for k, (b, x, sigma, w) in enumerate(zip(bs, xs, sigmas, ws)):
         single = generate_instance(f, params, b, stream(4, "instance", k))
-        assert np.array_equal(x, single.x)
-        assert np.array_equal(sigma, single.sigma)
-        assert np.array_equal(w, single.w)
-        # the rows are valid instances (validation raises otherwise) with promise bit b
-        assert verify_promise(f, PartitionInstance(params, x, sigma, w, b)) == b
+        for row, single_row in zip((x, sigma, w), single):
+            assert np.array_equal(row, single_row)
+        assert promise_bit(f, x, sigma, w, params) == b
 
 
 def test_generate_instances_reject_bad_bits_before_drawing():
@@ -160,76 +158,48 @@ def test_generate_instances_reject_bad_bits_before_drawing():
 def test_generated_instance_promise(b, seed):
     params = PartitionParams(12, 3, Fraction(1, 2))
     f = majority(3)
-    instance = generate_instance(f, params, b, stream(seed, "gen"))
-    assert instance.b == b
-    assert verify_promise(f, instance) == b
+    x, sigma, w = generate_instance(f, params, b, stream(seed, "gen"))
+    assert promise_bit(f, x, sigma, w, params) == b
 
 
 def test_promise_violation_detected():
     params = PartitionParams(8, 2, Fraction(1))
     f = parity(2)
-    instance = generate_instance(f, params, 1, stream(3, "gen"))
-    w = list(instance.w)
+    x, sigma, w = generate_instance(f, params, 1, stream(3, "gen"))
     w[0] = -w[0]
-    broken = PartitionInstance(params, instance.x, instance.sigma, tuple(w), None)
-    assert verify_promise(f, broken) is None
+    assert promise_bit(f, x, sigma, w, params) is None
 
 
 def test_verify_promise_direct_example():
     params = PartitionParams(4, 2, Fraction(1))
-    instance = PartitionInstance(
-        params, (1, -1, 1, 1), (1, 2, 3, 4), (1, -1), None
-    )
-    assert verify_promise(parity(2), instance) == -1
-
-
-def test_instance_validation():
-    params = PartitionParams(4, 2, Fraction(1))
-    with pytest.raises(ValueError):
-        PartitionInstance(params, (1, 1, 1), (1, 2, 3, 4), (1, 1))
-    with pytest.raises(ValueError):
-        PartitionInstance(params, (1, 1, 1, 1), (1, 2, 2, 4), (1, 1))
-    with pytest.raises(ValueError):
-        PartitionInstance(params, (1, 1, 1, 1), (1, 2, 3, 4), (1,))
-    with pytest.raises(ValueError):
-        PartitionInstance(params, (1, 1, 1, 1), (1, 2, 3, 4), (1, 1), b=2)
-    with pytest.raises(ValueError):
-        PartitionInstance(params, (1, 1, 1, 1), (0, 1, 2, 3), (1, 1))
-    with pytest.raises(ValueError):
-        PartitionInstance(params, (1, 1, 1, 1), (1, 2, 3, 5), (1, 1))
-    with pytest.raises(ValueError):
-        PartitionInstance(params, ((1, 1), (1, 1), (1, 1), (1, 1)), (1, 2, 3, 4), (1, 1))
-
-
-def test_instance_fields_are_read_only_int64_copies():
-    params = PartitionParams(4, 2, Fraction(1))
-    x = [1, -1, 1, 1]
-    instance = PartitionInstance(params, x, [2, 1, 4, 3], [1, -1])
-    for field in (instance.x, instance.sigma, instance.w):
-        assert isinstance(field, np.ndarray) and field.dtype == np.int64
-        with pytest.raises(ValueError):
-            field[0] = -field[0]
-    x[0] = -1
-    assert instance.x.tolist() == [1, -1, 1, 1]
+    assert promise_bit(parity(2), (1, -1, 1, 1), (1, 2, 3, 4), (1, -1), params) == -1
 
 
 def test_generation_is_deterministic_golden():
     params = PartitionParams(8, 2, Fraction(1))
     instance = generate_instance(parity(2), params, 1, stream(42, "instance", 0))
     again = generate_instance(parity(2), params, 1, stream(42, "instance", 0))
-    assert instance == again
     golden = json.loads((GOLDEN / "instance_seed42.json").read_text())
-    assert instance_to_json(instance) == golden
+    assert instance_to_json(params, *instance, 1) == instance_to_json(params, *again, 1) == golden
+
+
+def assert_same_instance(got, expected):
+    got_params, *got_rows, got_b = got
+    params, *rows, b = expected
+    assert got_params == params and got_b == b
+    for got_row, row in zip(got_rows, rows):
+        assert got_row.dtype == np.int64 and np.array_equal(got_row, row)
 
 
 def test_json_round_trip():
     params = PartitionParams(8, 2, Fraction(1, 2))
-    instance = generate_instance(parity(2), params, -1, stream(7, "instance", 1))
-    doc = json.loads(json.dumps(instance_to_json(instance)))
-    assert instance_from_json(doc) == instance
+    instance = (params, *generate_instance(parity(2), params, -1, stream(7, "instance", 1)), -1)
+    doc = json.loads(json.dumps(instance_to_json(*instance)))
+    assert_same_instance(instance_from_json(doc), instance)
 
 
 def test_json_round_trip_without_b():
     params = PartitionParams(4, 2, Fraction(1))
-    instance = PartitionInstance(params, (1, 1, -1, 1), (2, 1, 4, 3), (1, -1))
-    assert instance_from_json(instance_to_json(instance)) == instance
+    rows = ((1, 1, -1, 1), (2, 1, 4, 3), (1, -1))
+    instance = (params, *(np.array(row, dtype=np.int64) for row in rows), None)
+    assert_same_instance(instance_from_json(instance_to_json(*instance)), instance)

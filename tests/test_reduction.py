@@ -13,7 +13,7 @@ from hiddenpartition.boolfn import (
     sign_changes,
     weight_profile,
 )
-from hiddenpartition.instances import PartitionParams, generate_instance, verify_promise
+from hiddenpartition.instances import PartitionParams, generate_instance
 from hiddenpartition.reduction import (
     NoGadgetError,
     ReductionGadget,
@@ -27,7 +27,13 @@ from hiddenpartition.reduction import (
 from hiddenpartition.rng import fisher_yates, stream
 
 from conftest import all_symmetric_specs
-from oracles import apply_permutation, closed_form_gadget, hamming_weight, reduce_instance
+from oracles import (
+    apply_permutation,
+    closed_form_gadget,
+    hamming_weight,
+    promise_bit,
+    reduce_instance,
+)
 
 
 def eligible_specs(t_max):
@@ -215,12 +221,13 @@ def test_reduced_instance_preserves_promise():
     for trial in range(40):
         b = 1 if trial % 2 else -1
         params = PartitionParams(8, 2, Fraction(1, 2))
-        instance = generate_instance(parity(2), params, b, stream(6, "inst", trial))
-        reduced = reduce_instance(instance, gadget)
-        assert reduced.params.n == 16
-        assert reduced.params.t == 4
-        assert reduced.params.alpha == params.alpha
-        assert verify_promise(f_target, reduced) == b
+        x, sigma, w = generate_instance(parity(2), params, b, stream(6, "inst", trial))
+        reduced_params, *reduced, reduced_b = reduce_instance(params, x, sigma, w, b, gadget)
+        assert reduced_params.n == 16
+        assert reduced_params.t == 4
+        assert reduced_params.alpha == params.alpha
+        assert reduced_b == b
+        assert promise_bit(f_target, *reduced, reduced_params) == b
 
 
 def test_reduced_instance_preserves_promise_flipped_gadget():
@@ -237,9 +244,9 @@ def test_reduced_instance_preserves_promise_flipped_gadget():
     f_target = make_symmetric(spec)
     params = PartitionParams(8, 2, Fraction(1))
     for b in (1, -1):
-        instance = generate_instance(parity(2), params, b, stream(8, "inst", b))
-        reduced = reduce_instance(instance, gadget)
-        assert verify_promise(f_target, reduced) == b
+        x, sigma, w = generate_instance(parity(2), params, b, stream(8, "inst", b))
+        reduced_params, *reduced, _ = reduce_instance(params, x, sigma, w, b, gadget)
+        assert promise_bit(f_target, *reduced, reduced_params) == b
 
 
 def test_reduce_requires_pair_blocks():
@@ -248,9 +255,9 @@ def test_reduce_requires_pair_blocks():
     params = PartitionParams(9, 3, Fraction(1))
     from hiddenpartition.boolfn import majority
 
-    instance = generate_instance(majority(3), params, 1, stream(1, "x"))
+    x, sigma, w = generate_instance(majority(3), params, 1, stream(1, "x"))
     with pytest.raises(ValueError):
-        reduce_instance(instance, gadget)
+        reduce_instance(params, x, sigma, w, 1, gadget)
 
 
 # --- exhaustive verification ---------------------------------------------------

@@ -72,7 +72,8 @@ def test_script_zero_denominator_alpha_is_a_usage_error(name, args):
       ("--protocol", "quantum", "--named", "parity", "--t", "2", "--sizes", "7")),
      ("tvd_trend.py", ("--n", "30")),  # above the brute-force cap
      ("tvd_trend.py", ("--n", "6", "--out", "/nonexistent/x.csv")),
-     ("tvd_trend.py", ("--n", "6", "--sigmas", "0"))],
+     ("tvd_trend.py", ("--n", "6", "--sigmas", "0")),
+     ("tvd_trend.py", ("--n", "1", "--t", "1", "--named", "dictator"))],  # no set size to show
 )
 def test_script_bad_input_is_a_guard_rejection(name, args):
     result = run_script(name, *args, check=False)

@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps package functions by name; every name it
-lists must still exist in the package."""
+lists must still exist in the package.  And the package ships only what
+runs: every top-level function and class is used by other code."""
 
 import ast
 import importlib
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import hiddenpartition
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def tracer_targets() -> dict:
@@ -32,3 +34,36 @@ def test_tracer_targets_resolve_to_callables():
 def test_public_names_resolve():
     for name in hiddenpartition.__all__:
         assert hasattr(hiddenpartition, name), name
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """Every name the code under ``tree`` loads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_top_level_definition_is_used():
+    # a definition counts as used when code other than its own body names it
+    # (in src or scripts), when it is public API (__all__), or when the tracer
+    # wraps it; an import alone is not a use
+    package = sorted((ROOT / "src" / "hiddenpartition").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*package, *sorted((ROOT / "scripts").glob("*.py"))]}
+    file_uses = {path: referenced_names(tree) for path, tree in trees.items()}
+    kept = set(hiddenpartition.__all__).union(*tracer_targets().values())
+    unused = []
+    for path in package:
+        body = trees[path].body
+        node_uses = [referenced_names(node) for node in body]
+        elsewhere = set().union(*(uses for other, uses in file_uses.items() if other != path))
+        for k, node in enumerate(body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept:
+                here = set().union(*node_uses[:k], *node_uses[k + 1 :])
+                if node.name not in here | elsewhere:
+                    unused.append(f"{path.name}:{node.name}")
+    assert not unused, f"defined but never used: {unused}"
