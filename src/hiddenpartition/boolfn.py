@@ -196,8 +196,8 @@ class SymmetricSpec:
 def sign_changes(spec: SymmetricSpec) -> int:
     """Number of sign flips of the weight profile (= len(thresholds)).
 
-    Equals the LP sign-degree of ``make_symmetric(spec)``; used both as a
-    fast path and as an independent cross-check oracle for the LP.
+    Equals the sign-degree of ``make_symmetric(spec)`` (Minsky-Papert);
+    the tests check signpoly.sign_degree against it.
     """
     return len(spec.thresholds)
 

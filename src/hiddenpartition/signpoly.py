@@ -6,11 +6,9 @@ min_x |p(x)|.  The best bias at degree d is the bounded LP
 
     maximise beta  s.t.  f(x) p(x) >= beta,  -1 <= p(x) <= 1,  0 <= beta <= 1,
 
-best_sign_polynomial solves it at one degree and sign_degree for
-d = 0, 1, ... until the bias reaches FEASIBILITY_MARGIN, so its witness
-has the best bias at the sign-degree.  best_sign_polynomial alone picks
-the LP's basis, from f, so the degree search and the protocols share one
-witness per (f, d):
+and best_sign_polynomial solves it at one degree, picking the LP's basis
+from f alone, so sign_degree and the protocols share one witness per
+(f, d):
 
   * symmetric f (value fixed by the Hamming weight |x|): by Minsky-Papert
     symmetrization the best degree-d polynomial may be averaged over all
@@ -25,14 +23,24 @@ every witness is then written as its dense coefficient vector, normalised
 and certified on all 2^t points by the Walsh-Hadamard transform, with
 every margin above the transform's rounding bound (see _certified), so a
 returned polynomial sign-represents f in exact arithmetic, independent of
-solver tolerances and of the symmetrization argument.
+solver tolerances and of the symmetrization argument.  That certifies the
+upper side of sign_degree.
+
+The lower side (no polynomial of degree d - 1 works) rests on an integer
+dual polynomial psi, checked exactly on all 2^t points by _check_dual.
+For a symmetric f the divided-difference psi at its number k of sign
+changes proves sdeg >= k, so one LP at d = k settles the degree and
+FEASIBILITY_MARGIN plays no part in it.  For any other f, psi = f proves
+only sdeg >= phdeg, the pure high degree; the dense LP is then solved for
+d = phdeg, phdeg + 1, ..., and a degree above phdeg is ruled out, on the
+solver's word alone, when its LP bias is below FEASIBILITY_MARGIN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
-from typing import Callable, Sequence
+from math import comb, lcm, prod
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -40,6 +48,8 @@ from scipy.optimize import linprog
 from .boolfn import (
     BooleanFunction,
     SymmetricSpec,
+    fourier_transform,
+    pure_high_degree,
     row_weights,
     symmetric_spec_of,
     walsh_hadamard,
@@ -57,7 +67,8 @@ class BelowSignDegreeError(ValueError):
 
 
 class LpSolverError(RuntimeError):
-    """The LP solver failed numerically (distinct from infeasibility)."""
+    """The LP solver failed numerically (distinct from infeasibility), or a
+    witness or dual certificate failed its exact check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,24 +176,82 @@ def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
 
 def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     """Minimum representing degree with a certified normalised witness of
-    the maximum bias at that degree, from best_sign_polynomial.
+    the maximum bias at that degree.
 
-    Raises ValueError when a dense LP is over MAX_DENSE_LP_BYTES.
+    A lower bound is proven before any LP runs.  For a symmetric f it is
+    k, its number of sign changes, by the divided-difference dual
+    polynomial that _check_dual verifies exactly; one reduced LP at d = k
+    then gives the witness.  For any other f it is phdeg, by psi = f; the
+    dense LP is then solved for d = phdeg, phdeg + 1, ... until its bias
+    reaches FEASIBILITY_MARGIN.
+
+    Raises ValueError when a dense LP is over MAX_DENSE_LP_BYTES, and
+    LpSolverError when a certificate or witness fails its check or the LP
+    at a symmetric f's certified degree finds no witness.
     """
-    return _least_degree(f.t, lambda d: best_sign_polynomial(f, d))
-
-
-def _least_degree(
-    t: int, witness_at: Callable[[int], SignPolynomial]
-) -> tuple[int, SignPolynomial]:
-    """The first d = 0, 1, ..., t at which ``witness_at(d)`` does not raise
-    BelowSignDegreeError, with its witness."""
-    for d in range(t + 1):
+    sym = symmetric_spec_of(f)
+    if sym is not None:
+        k = len(sym.thresholds)
+        _check_dual(f.table, _symmetric_dual(sym), k)
         try:
-            return d, witness_at(d)
+            return k, _symmetric_witness(f, sym, k)
+        except BelowSignDegreeError as exc:
+            raise LpSolverError(f"no witness at the certified sign-degree {k}: {exc}") from exc
+    # psi = f is a dual certificate at phdeg: f_hat(S) = 0 for |S| < phdeg
+    for d in range(pure_high_degree(fourier_transform(f)), f.t + 1):
+        try:
+            return d, _dense_witness(f, d)
         except BelowSignDegreeError:
             continue
     raise LpSolverError("no representation found up to full degree")  # pragma: no cover
+
+
+def _symmetric_dual(sym: SymmetricSpec) -> np.ndarray:
+    """Integer dual polynomial, one entry per row of the cube, proving that
+    the symmetric f which ``sym`` describes has sign-degree >= k, its
+    number of sign changes.
+
+    One node w_i is taken in each of the profile's k+1 constant intervals,
+    its lowest weight.  phi(w_i) = 1/prod_{m != i}(w_i - w_m) are the
+    weights of a k-th divided difference, so sum_i phi(w_i) q(w_i) = 0 for
+    every polynomial q of degree < k, and their signs alternate as f's do.
+    psi(x) = +-phi(|x|)/C(t, |x|) on the node weights and 0 elsewhere,
+    scaled by the least common multiple of its denominators.  Over all
+    2^17 symmetric f at t = 16 the largest sum |psi| is 758,557,800 < 2^30.
+    """
+    t = sym.t
+    nodes = (0, *(theta + 1 for theta in sym.thresholds))
+    denominators = [prod(w - m for m in nodes if m != w) * comb(t, w) for w in nodes]
+    scale = lcm(*denominators)
+    # (-1)^k is the sign of denominators[0], so psi(w_0) takes f's sign there
+    sign = sym.leading_sign * (-1) ** (len(nodes) - 1)
+    by_weight = np.zeros(t + 1, dtype=np.int64)
+    by_weight[list(nodes)] = [sign * scale // q for q in denominators]
+    return by_weight[row_weights(t)]
+
+
+def _check_dual(fvals: np.ndarray, psi: np.ndarray, degree: int) -> None:
+    """Check exactly that the integer vector ``psi`` proves that no
+    polynomial of degree < ``degree`` sign-represents the table ``fvals``.
+
+    The conditions (Gordan's theorem): psi != 0, psi(x) f(x) >= 0 on every
+    row, and psi_hat(S) = sum_x psi(x) chi_S(x) = 0 for every |S| <= degree
+    - 1.  A sign-representing p of that degree would then give both
+    sum_x psi p = 0, by orthogonality, and sum_x (psi f)(f p) > 0.  The
+    transform runs in float64 and is exact because every partial sum is an
+    integer of size at most sum |psi|; psi is refused unless that l1 norm,
+    itself summed in float64 and so compared exactly, is below 2^53.
+    Raises LpSolverError when psi is refused.
+    """
+    t = fvals.size.bit_length() - 1
+    if not np.abs(psi.astype(np.float64)).sum() < 2.0**53:
+        raise LpSolverError("dual certificate refused: sum |psi| is not below 2^53")
+    if not np.any(psi) or np.any(psi * fvals < 0):
+        raise LpSolverError("dual certificate refused: psi is 0 or disagrees in sign with f")
+    if np.any(walsh_hadamard(psi)[row_weights(t) < degree]):
+        raise LpSolverError(
+            f"dual certificate refused: psi is not orthogonal to every degree-{degree - 1} character"
+        )
 
 
 def _dense_witness(f: BooleanFunction, degree: int) -> SignPolynomial:

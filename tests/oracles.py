@@ -76,9 +76,15 @@ def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
 
 
 def dense_sign_degree(f: BooleanFunction):
-    """Degree search on the dense max-bias LP alone, whatever f is: the
-    reference for the reduced LP best_sign_polynomial takes on a symmetric f."""
-    return signpoly._least_degree(f.t, lambda d: signpoly._dense_witness(f, d))
+    """Degree search on the dense max-bias LP alone, for d = 0, 1, ...
+    whatever f is: the solver-only reference for sign_degree, which proves
+    its lower side with a dual certificate and solves from there."""
+    for d in range(f.t + 1):
+        try:
+            return d, signpoly._dense_witness(f, d)
+        except signpoly.BelowSignDegreeError:
+            continue
+    raise AssertionError("no dense witness up to full degree")
 
 
 # --- instances ---------------------------------------------------------------

@@ -207,13 +207,126 @@ def test_certificate_refuses_a_margin_below_the_rounding_bound():
     ],
 )
 def test_sign_degree_at_max_arity(monkeypatch, t, thresholds):
-    # sign_degree must not consult the sign-change count it is checked against
+    # sign_degree proves its degree on both sides; it does not take it
+    # from the sign-change count it is checked against
     monkeypatch.setattr(boolfn, "sign_changes", must_not_run)
     f = make_symmetric(SymmetricSpec(t, thresholds, -1))
     d, p = sign_degree(f)
     assert d == len(thresholds)
     assert p.degree == d
     assert exhaustively_valid(f, p)
+
+
+DUAL_CASES = {
+    "majority3": SymmetricSpec(3, (1,), 1),
+    "nae6": SymmetricSpec(6, (0, 5), -1),
+    "parity4": SymmetricSpec(4, (0, 1, 2, 3), 1),
+    "t10-k4": SymmetricSpec(10, (1, 4, 5, 8), -1),
+    "t12-k4": SymmetricSpec(12, (2, 3, 7, 10), 1),
+}
+
+
+@pytest.mark.parametrize("sym", DUAL_CASES.values(), ids=DUAL_CASES.keys())
+def test_dual_certificate_refuses_a_mutated_psi(sym):
+    f = make_symmetric(sym)
+    k = sign_changes(sym)
+    psi = signpoly._symmetric_dual(sym)
+    signpoly._check_dual(f.table, psi, k)
+    weights = boolfn.row_weights(sym.t)
+    row = int(np.flatnonzero(psi)[-1])
+    dropped = np.where(weights == weights[row], 0, psi)  # one node's weight
+    flipped = psi.copy()
+    flipped[row] = -psi[row]
+    perturbed = psi.copy()
+    perturbed[row] += f.table[row]  # keeps its sign, so only the transform can catch it
+    for mutant, reason in ((dropped, "orthogonal"), (flipped, "sign"), (perturbed, "orthogonal")):
+        with pytest.raises(LpSolverError, match=reason):
+            signpoly._check_dual(f.table, mutant, k)
+    # the certificate proves sdeg >= k and no more
+    with pytest.raises(LpSolverError, match="orthogonal"):
+        signpoly._check_dual(f.table, psi, k + 1)
+    # a multiple of a valid psi is refused once its transform could round
+    scaled = psi * (2**53 // int(np.abs(psi).sum()) + 1)
+    with pytest.raises(LpSolverError, match="2\\^53"):
+        signpoly._check_dual(f.table, scaled, k)
+
+
+def test_dual_certificate_stays_inside_the_exactness_bound():
+    # every symmetric f with t <= 10 (largest sum |psi| 82,530), parity(16)
+    # (65,536) and 100 random profiles at t = 16 (193,803,456 < 2^28); over
+    # all 2^17 symmetric f at t = 16 the largest is 758,557,800 < 2^30
+    rng = np.random.default_rng(16)
+    random16 = [
+        SymmetricSpec(16, sorted(rng.choice(16, int(rng.integers(0, 17)), replace=False)),
+                      int(rng.choice((-1, 1))))
+        for _ in range(100)
+    ]
+    cases = [s for t in range(1, 11) for s in all_symmetric_specs(t)]
+    cases += [SymmetricSpec(16, tuple(range(16)), 1), *random16]
+    largest = 0
+    for sym in cases:
+        psi = signpoly._symmetric_dual(sym)
+        signpoly._check_dual(make_symmetric(sym).table, psi, sign_changes(sym))
+        largest = max(largest, int(np.abs(psi).sum()))
+    assert largest < 2**30
+
+
+def counting(monkeypatch, name):
+    """Replace signpoly.<name> by a wrapper that records each call's args."""
+    calls = []
+    real = getattr(signpoly, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(signpoly, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "f",
+    [majority(7), parity(9), make_symmetric(SymmetricSpec(8, (0, 2, 3, 6), -1))],
+    ids=["majority7", "parity9", "t8-k4"],
+)
+def test_symmetric_sign_degree_solves_one_lp(monkeypatch, f):
+    calls = counting(monkeypatch, "linprog")
+    d, p = sign_degree(f)
+    assert len(calls) == 1
+    assert d == sign_changes(boolfn.symmetric_spec_of(f)) == p.degree
+
+
+def test_dense_sign_degree_solves_nothing_below_phdeg(monkeypatch):
+    # x1 x2 maj(x3, x4, x5) is not symmetric and has phdeg 3
+    x = all_points(5)
+    f = BooleanFunction(5, x[:, 0] * x[:, 1] * np.sign(x[:, 2:].sum(axis=1)))
+    assert boolfn.symmetric_spec_of(f) is None
+    phdeg = pure_high_degree(fourier_transform(f))
+    assert phdeg == 3
+    calls = counting(monkeypatch, "_max_bias_lp")
+    d, p = sign_degree(f)
+    assert min(degree for _, _, degree in calls) == phdeg
+    reference_degree, reference = dense_sign_degree(f)
+    assert d == reference_degree
+    assert p.bias == reference.bias
+
+
+def test_psi_equal_to_f_certifies_exactly_up_to_phdeg(rng):
+    for t in range(1, 8):
+        f = random_table(t, rng)
+        phdeg = pure_high_degree(fourier_transform(f))
+        signpoly._check_dual(f.table, f.table, phdeg)
+        with pytest.raises(LpSolverError, match="orthogonal"):
+            signpoly._check_dual(f.table, f.table, phdeg + 1)
+
+
+def test_symmetric_lp_failing_at_the_certified_degree_is_a_solver_error(monkeypatch):
+    def below(fvals, basis, degree):
+        raise BelowSignDegreeError(f"no degree-{degree} sign representation")
+
+    monkeypatch.setattr(signpoly, "_max_bias_lp", below)
+    with pytest.raises(LpSolverError, match="certified sign-degree 1"):
+        sign_degree(majority(5))
 
 
 def test_dense_lp_over_the_byte_limit_is_refused_from_its_shape(monkeypatch):
