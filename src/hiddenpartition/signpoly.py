@@ -4,11 +4,14 @@ A multilinear polynomial p sign-represents f when f(x) = sgn(p(x)) on all
 of {-1,+1}^t; normalised means |p(x)| <= 1 everywhere, and the bias is
 min_x |p(x)|.  The best bias at degree d is the bounded LP
 
-    maximise beta  s.t.  f(x) p(x) >= beta,  -1 <= p(x) <= 1,  0 <= beta <= 1,
+    maximise beta  s.t.  beta <= f(x) p(x) <= 1,  beta >= 0,
 
-and best_sign_polynomial solves it at one degree, picking the LP's basis
-from f alone, so sign_degree and the protocols share one witness per
-(f, d):
+in which f p >= beta >= 0 turns the box |p(x)| <= 1 into the one bound
+f(x) p(x) <= 1.  It is solved in its dual form (see _max_bias_lp), one
+equality row per coefficient of p, and the coefficients are that
+solve's equality marginals.  best_sign_polynomial solves it at one
+degree, picking the LP's basis from f alone, so sign_degree and the
+protocols share one witness per (f, d):
 
   * symmetric f (value fixed by the Hamming weight |x|): by Minsky-Papert
     symmetrization the best degree-d polynomial may be averaged over all
@@ -17,7 +20,7 @@ from f alone, so sign_degree and the protocols share one witness per
     polynomial: t+1 weights and d+1 level coefficients;
   * any other f: all 2^t points and every monomial of degree <= d.
 
-Dense LPs whose constraint matrix would exceed MAX_DENSE_LP_BYTES are
+Dense LPs whose equality matrix would exceed MAX_DENSE_LP_BYTES are
 refused before anything is built.  The solver runs in floating point;
 every witness is then written as its dense coefficient vector, normalised
 and certified on all 2^t points by the Walsh-Hadamard transform, with
@@ -33,7 +36,8 @@ changes proves sdeg >= k, so one LP at d = k settles the degree and
 FEASIBILITY_MARGIN plays no part in it.  For any other f, psi = f proves
 only sdeg >= phdeg, the pure high degree; the dense LP is then solved for
 d = phdeg, phdeg + 1, ..., and a degree above phdeg is ruled out, on the
-solver's word alone, when its LP bias is below FEASIBILITY_MARGIN.
+solver's word alone, when the optimum of its dual LP is below
+FEASIBILITY_MARGIN.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .boolfn import (
 FEASIBILITY_MARGIN = 1e-8
 COEFF_PRUNE_TOL = 1e-12
 UNIT_ROUNDOFF = 2.0**-53  # float64, round to nearest
-MAX_DENSE_LP_BYTES = 256 * 2**20  # float64 A_ub of one dense LP
+MAX_DENSE_LP_BYTES = 160 * 2**20  # float64 A_eq of one dense LP
 
 
 class BelowSignDegreeError(ValueError):
@@ -118,10 +122,10 @@ def _chi_matrix(t: int, masks: Sequence[int]) -> np.ndarray:
     return 1.0 - 2.0 * (inter.astype(np.int64) % 2)
 
 
-def _check_dense_lp_size(t: int, degree: int, columns: int) -> None:
-    """Refuse a dense LP whose float64 A_ub (three rows per point) would
-    exceed MAX_DENSE_LP_BYTES."""
-    nbytes = 3 * 2**t * columns * 8
+def _check_dense_lp_size(t: int, degree: int, monomials: int) -> None:
+    """Refuse a dense LP whose float64 A_eq (one row per monomial, two
+    columns per point) would exceed MAX_DENSE_LP_BYTES."""
+    nbytes = monomials * 2 * 2**t * 8
     if nbytes > MAX_DENSE_LP_BYTES:
         raise ValueError(
             f"the dense degree-{degree} LP at t = {t} needs a {nbytes / 2**20:.0f} MiB "
@@ -131,30 +135,39 @@ def _check_dense_lp_size(t: int, degree: int, columns: int) -> None:
 
 def _max_bias_lp(fvals: np.ndarray, basis: np.ndarray, degree: int) -> np.ndarray:
     """Coefficients of the basis columns maximising beta subject to
-    fvals * p >= beta and -1 <= p <= 1 on every row, where p = basis @ coeff.
+    beta <= fvals * p <= 1 on every row and beta >= 0, where
+    p = basis @ coeff.
 
-    Raises BelowSignDegreeError when the LP bias is below
+    With A = fvals * basis row by row, the LP solved is its dual
+
+        minimise sum z  s.t.  A^T (z - y) = 0,  sum y >= 1,  y, z >= 0,
+
+    with y and z one entry per row: one equality row per basis column.
+    Its optimum is the best beta, and the coefficients are the equality
+    rows' marginals.  Those meet beta <= fvals * p only to the solver's
+    dual feasibility tolerance (1e-7 in HiGHS), so the bias they certify
+    may fall that far short of the optimum.
+
+    Raises BelowSignDegreeError when the optimum is below
     FEASIBILITY_MARGIN and LpSolverError on solver breakdown.
     """
     npoints, ncols = basis.shape
-    # Variables: basis coefficients, then beta.
-    cost = np.zeros(ncols + 1)
-    cost[-1] = -1.0
-    sign_rows = np.hstack([-fvals[:, None] * basis, np.ones((npoints, 1))])
-    upper_rows = np.hstack([basis, np.zeros((npoints, 1))])
-    a_ub = np.vstack([sign_rows, upper_rows, -upper_rows])
-    b_ub = np.concatenate([np.zeros(npoints), np.ones(2 * npoints)])
-    bounds = [(None, None)] * ncols + [(0.0, 1.0)]
-
-    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    signed = (fvals[:, None] * basis).T
+    # Variables: y, then z.  Presolve is off because with it on the
+    # protocol-and-lab benchmark workload ran slower end to end.
+    cost = np.concatenate([np.zeros(npoints), np.ones(npoints)])
+    a_ub = np.concatenate([-np.ones(npoints), np.zeros(npoints)])[None, :]
+    result = linprog(
+        cost, A_ub=a_ub, b_ub=[-1.0], A_eq=np.hstack([-signed, signed]), b_eq=np.zeros(ncols),
+        method="highs", options={"presolve": False},
+    )
     if result.status != 0:
         raise LpSolverError(f"LP solver status {result.status}: {result.message}")
-    beta_lp = float(result.x[-1])
-    if beta_lp < FEASIBILITY_MARGIN:
+    if result.fun < FEASIBILITY_MARGIN:
         raise BelowSignDegreeError(
-            f"no degree-{degree} sign representation (LP bias {beta_lp:.2e})"
+            f"no degree-{degree} sign representation (LP bias {result.fun:.2e})"
         )
-    return result.x[:-1]
+    return result.eqlin.marginals
 
 
 def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
@@ -176,7 +189,8 @@ def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
 
 def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     """Minimum representing degree with a certified normalised witness of
-    the maximum bias at that degree.
+    the maximum bias at that degree, up to the LP solver's dual
+    feasibility tolerance (see _max_bias_lp).
 
     A lower bound is proven before any LP runs.  For a symmetric f it is
     k, its number of sign changes, by the divided-difference dual
@@ -259,7 +273,7 @@ def _dense_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
     <= degree, refused from its shape when over MAX_DENSE_LP_BYTES."""
     t = f.t
     masks = monomial_masks(t, degree)
-    _check_dense_lp_size(t, degree, len(masks) + 1)
+    _check_dense_lp_size(t, degree, len(masks))
     coeff = np.zeros(2**t)
     coeff[masks] = _max_bias_lp(f.table, _chi_matrix(t, masks), degree)
     return _certified(f.table, coeff)

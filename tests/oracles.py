@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 from hiddenpartition import signpoly
 from hiddenpartition.boolfn import (
@@ -75,13 +76,48 @@ def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
 # --- sign-degree -------------------------------------------------------------
 
 
+def primal_max_bias(fvals: np.ndarray, basis: np.ndarray, degree: int) -> np.ndarray:
+    """The max-bias LP in its primal form, with the contract of
+    ``signpoly._max_bias_lp``: the basis coefficients and beta are the
+    variables, and every row gives three inequalities, f p >= beta,
+    p <= 1 and -p <= 1, with 0 <= beta <= 1."""
+    npoints, ncols = basis.shape
+    # Variables: basis coefficients, then beta.
+    cost = np.zeros(ncols + 1)
+    cost[-1] = -1.0
+    sign_rows = np.hstack([-fvals[:, None] * basis, np.ones((npoints, 1))])
+    upper_rows = np.hstack([basis, np.zeros((npoints, 1))])
+    a_ub = np.vstack([sign_rows, upper_rows, -upper_rows])
+    b_ub = np.concatenate([np.zeros(npoints), np.ones(2 * npoints)])
+    bounds = [(None, None)] * ncols + [(0.0, 1.0)]
+    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if result.status != 0:
+        raise signpoly.LpSolverError(f"LP solver status {result.status}: {result.message}")
+    beta_lp = float(result.x[-1])
+    if beta_lp < signpoly.FEASIBILITY_MARGIN:
+        raise signpoly.BelowSignDegreeError(
+            f"no degree-{degree} sign representation (LP bias {beta_lp:.2e})"
+        )
+    return result.x[:-1]
+
+
+def dense_witness(f: BooleanFunction, degree: int) -> signpoly.SignPolynomial:
+    """The primal LP over all 2^t points and every monomial of degree <=
+    degree, certified as the package certifies its witnesses."""
+    masks = signpoly.monomial_masks(f.t, degree)
+    coeff = np.zeros(2**f.t)
+    coeff[masks] = primal_max_bias(f.table, signpoly._chi_matrix(f.t, masks), degree)
+    return signpoly._certified(f.table, coeff)
+
+
 def dense_sign_degree(f: BooleanFunction):
-    """Degree search on the dense max-bias LP alone, for d = 0, 1, ...
+    """Degree search on the dense primal LP alone, for d = 0, 1, ...
     whatever f is: the solver-only reference for sign_degree, which proves
-    its lower side with a dual certificate and solves from there."""
+    its lower side with a dual certificate and solves the dual LP from
+    there."""
     for d in range(f.t + 1):
         try:
-            return d, signpoly._dense_witness(f, d)
+            return d, dense_witness(f, d)
         except signpoly.BelowSignDegreeError:
             continue
     raise AssertionError("no dense witness up to full degree")

@@ -301,7 +301,7 @@ BENCH_RUN_ARGS = ("--n", "3000", "--alpha", "1/2", "--trials", "300", "--seed", 
     "args, digest",
     [
         (["run-classical", "--named", "majority", "--t", "3", "--epsilon", "0.1"],
-         "26ef5fd9ce1c5f9e9897d3ef5f46deb8492c8ba41280f46fc0e9d7ed22e4c835"),
+         "82ad6f83c2a1ae32fe828f6a650bd7d22d81a2268469d40c57107f6cc83ce2be"),
         (["run-quantum", "--named", "parity", "--t", "2", "--epsilon", "0.1",
           "--format", "jsonl"],
          "0a31575aeeb366a280e8b7948d53edd4d73e0c9b5b32427ab33d43584753a73f"),

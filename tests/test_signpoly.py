@@ -30,7 +30,7 @@ from hiddenpartition.signpoly import (
 )
 
 from conftest import all_symmetric_specs, poly_from_terms, poly_value, random_table
-from oracles import dense_sign_degree
+from oracles import dense_sign_degree, dense_witness, primal_max_bias
 
 
 def must_not_run(*args, **kwargs):
@@ -131,8 +131,27 @@ def test_reduced_sign_degree_matches_dense_search():
                 reduced = p if degree == d else best_sign_polynomial(f, degree)
                 assert reduced.degree <= degree, (spec, degree)
                 assert exhaustively_valid(f, reduced), (spec, degree)
-                dense = signpoly._dense_witness(f, degree)
+                dense = dense_witness(f, degree)
                 assert abs(reduced.bias - dense.bias) <= BIAS_AGREEMENT_TOL, (spec, degree)
+
+
+FORMULATION_REL_TOL = 1e-9
+
+
+def test_dual_lp_agrees_with_the_primal_oracle(monkeypatch):
+    # sign_degree solved once with the package's dual LP and once with the
+    # primal oracle in its place: every symmetric f with t <= 8 (the
+    # reduced LP at the certified degree) and 40 seeded random tables per
+    # t <= 6 (the dense sweep from phdeg)
+    rng = np.random.default_rng(19)
+    functions = [make_symmetric(spec) for t in range(1, 9) for spec in all_symmetric_specs(t)]
+    functions += [random_table(t, rng) for t in range(1, 7) for _ in range(40)]
+    dual = [sign_degree(f) for f in functions]
+    monkeypatch.setattr(signpoly, "_max_bias_lp", primal_max_bias)
+    for f, (d, p) in zip(functions, dual):
+        primal_degree, primal = sign_degree(f)
+        assert primal_degree == d, f.table
+        assert abs(p.bias - primal.bias) <= FORMULATION_REL_TOL * primal.bias, f.table
 
 
 def test_symmetric_witnesses_never_build_the_dense_lp(monkeypatch, capsys):
@@ -306,9 +325,10 @@ def test_dense_sign_degree_solves_nothing_below_phdeg(monkeypatch):
     calls = counting(monkeypatch, "_max_bias_lp")
     d, p = sign_degree(f)
     assert min(degree for _, _, degree in calls) == phdeg
+    assert p.bias == signpoly._dense_witness(f, d).bias
     reference_degree, reference = dense_sign_degree(f)
     assert d == reference_degree
-    assert p.bias == reference.bias
+    assert abs(p.bias - reference.bias) <= FORMULATION_REL_TOL * reference.bias
 
 
 def test_psi_equal_to_f_certifies_exactly_up_to_phdeg(rng):
@@ -336,6 +356,20 @@ def test_dense_lp_over_the_byte_limit_is_refused_from_its_shape(monkeypatch):
     assert boolfn.symmetric_spec_of(f) is None
     with pytest.raises(ValueError, match="MiB limit"):
         best_sign_polynomial(f, 14)
+
+
+def test_dense_lp_size_limit_boundary():
+    # the least refused degree per arity; every degree at t <= 11 is admitted
+    least_refused = {12: 7, 13: 5, 14: 4, 15: 3, 16: 3}
+    for t in range(1, 17):
+        refused = []
+        for degree in range(t + 1):
+            try:
+                signpoly._check_dense_lp_size(t, degree, len(monomial_masks(t, degree)))
+            except ValueError:
+                refused.append(degree)
+        first = least_refused.get(t, t + 1)
+        assert refused == list(range(first, t + 1)), t
 
 
 @settings(max_examples=40, deadline=None)
