@@ -7,14 +7,21 @@ code 2 marks a guard rejection (wrong sign-degree / pure high degree for
 the requested protocol) or an invalid parameter (a file that cannot be read
 or written included); either is reported as one "guard rejection: ..." line
 on stderr; the experiment scripts report theirs the same way (``run_guarded``).
+
+Run as a program, the process ends with ``os._exit`` once the command has
+returned and stdout and stderr are flushed, skipping the interpreter's
+module teardown; after an uncaught exception, under a tracer or profiler,
+or when a flush fails, it shuts down as usual (``main`` arms this).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
@@ -240,7 +247,36 @@ def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Nam
         return 2
 
 
+def _exit_without_teardown(code: int) -> None:
+    """atexit hook: flush stdout and stderr, then ``os._exit(code)``.
+
+    It stands down, leaving the interpreter to finalise as usual, when an
+    uncaught exception was reported after ``main`` (so the process still
+    exits 1 with its traceback), when a tracer or profiler is installed (so
+    coverage still writes its data) and when a flush fails."""
+    if hasattr(sys, "last_value") or sys.gettrace() is not None or sys.getprofile() is not None:
+        return
+    try:
+        for handle in (sys.stdout, sys.stderr):
+            if handle is not None:
+                handle.flush()
+    except OSError:
+        return
+    os._exit(code)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return its
+    exit code.
+
+    Called with ``argv=None`` it owns the process, so once the command has
+    returned it arms one atexit hook.  At exit that hook flushes stdout and
+    stderr and calls ``os._exit`` with the returned code: the ~800 modules of
+    numpy and ``scipy.optimize`` are not torn down, and atexit handlers
+    registered before ``main`` (today only ``logging.shutdown``) do not run.
+    The hook stands down, and the interpreter finalises as usual, after an
+    uncaught exception, under a tracer or profiler, or when a flush fails.
+    ``main(list)``, as tests and embedders call it, never arms it."""
     args = build_parser().parse_args(argv)
     commands = {
         "analyze": cmd_analyze,
@@ -250,7 +286,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "reduce": cmd_reduce,
         "hardness": cmd_hardness,
     }
-    return run_guarded(commands[args.command], args)
+    code = run_guarded(commands[args.command], args)
+    if argv is None:
+        atexit.register(_exit_without_teardown, code)
+    return code
 
 
 if __name__ == "__main__":

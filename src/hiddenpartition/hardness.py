@@ -57,7 +57,11 @@ class MessageSet:
         members = self.members
         if not isinstance(members, np.ndarray):  # a set, list or other iterable
             members = np.fromiter(members, dtype=np.int64)
-        members = np.unique(members.astype(np.int64, copy=False))
+        # np.unique's hash path costs ~20x a sort plus an adjacent-inequality mask
+        members = np.sort(members.astype(np.int64, copy=False), axis=None)
+        distinct = np.ones(members.size, dtype=bool)
+        np.not_equal(members[1:], members[:-1], out=distinct[1:])
+        members = members[distinct]
         if members.size == 0:
             raise ValueError("message set must be nonempty")
         if members[0] < 0 or members[-1] >= 2**self.n:

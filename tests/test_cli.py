@@ -1,3 +1,4 @@
+import atexit
 import gc
 import hashlib
 import io
@@ -120,16 +121,111 @@ def test_cli_command_runs_with_the_import_graph_frozen(tmp_path):
         gc.unfreeze()
 
 
+def run_python(*argv):
+    """A fresh interpreter with src on its path: exit code, stdout and stderr.
+    Its stdout is block-buffered even where PYTHONUNBUFFERED is set, so
+    output left in the buffer at os._exit would be lost."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *argv], env=dict(env, PYTHONPATH=pythonpath),
+                          capture_output=True, timeout=120)
+
+
 def test_cli_subprocess_writes_the_in_process_bytes(tmp_path):
-    # teardown after the freeze still flushes and closes the output file
+    # the command closes --out itself; the process then ends by os._exit,
+    # with no module teardown left to flush or close it
     args = ["run-classical", "--named", "majority", "--t", "3", "--n", "240",
             "--alpha", "1/2", "--trials", "40", "--seed", "3"]
     assert run_cli([*args, "--out", str(tmp_path / "in.csv")]) == 0
-    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-m", "hiddenpartition.cli", *args,
-                    "--out", str(tmp_path / "sub.csv")],
-                   env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120)
+    done = run_python("-m", "hiddenpartition.cli", *args, "--out", str(tmp_path / "sub.csv"))
+    assert done.returncode == 0
     assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
+
+
+def test_cli_subprocess_stdout_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    # the hard exit flushes what is still buffered before os._exit
+    args = ["run-classical", "--named", "majority", "--t", "3", "--n", "240",
+            "--alpha", "1/2", "--trials", "2000", "--seed", "3"]
+    assert run_cli([*args, "--out", str(tmp_path / "in.csv")]) == 0
+    expected = (tmp_path / "in.csv").read_bytes()
+    assert len(expected) > 65536  # Linux's default pipe buffer
+    done = run_python("-m", "hiddenpartition.cli", *args)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+
+
+def test_cli_subprocess_guard_rejection_exits_two():
+    done = run_python("-m", "hiddenpartition.cli", "reduce", "--named", "nae", "--t", "4",
+                      "--n", "3")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == (b"guard rejection: parity-instance size n must be one of "
+                           b"2, 4, 6, 8, 10, got 3\n")
+
+
+MAIN_THEN = ("import atexit, sys\n"
+             "from hiddenpartition.cli import main\n"
+             "sys.argv = ['hiddenpartition', 'analyze', '--named', 'majority', '--t', '3']\n")
+
+
+def test_cli_subprocess_exception_after_main_exits_one_with_its_traceback():
+    # the hard exit stands down, so the traceback is printed and the code is 1
+    done = run_python("-c", MAIN_THEN + "code = main()\nraise RuntimeError(f'after main {code}')")
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["function"] == "majority:3"
+    assert done.stderr.startswith(b"Traceback (most recent call last):")
+    assert done.stderr.endswith(b"RuntimeError: after main 0\n")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_cli_subprocess_atexit_handlers_around_main(traced):
+    # a handler registered after main runs before the hard exit, which then
+    # flushes what it printed; os._exit skips the handlers registered before
+    # main, unless a tracer (coverage, say) makes the hard exit stand down
+    code = MAIN_THEN + "atexit.register(print, 'earlier handler ran')\n"
+    if traced:
+        code += "sys.settrace(lambda *_: None)\n"
+    code += "code = main()\natexit.register(print, 'later handler ran')\nsys.exit(code)"
+    done = run_python("-c", code)
+    assert done.returncode == 0
+    tail = b"later handler ran\n" + (b"earlier handler ran\n" if traced else b"")
+    assert done.stdout.endswith(tail)
+    assert json.loads(done.stdout.removesuffix(tail))["t"] == 3
+
+
+def test_cli_main_arms_the_hard_exit_only_when_it_owns_the_process(monkeypatch, tmp_path):
+    # main(list) must never replace the exit status of the process calling it
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *hook: registered.append(hook))
+    args = ["analyze", "--named", "majority", "--t", "3", "--out", str(tmp_path / "a.json")]
+    assert run_cli(args) == 0
+    assert registered == []
+    monkeypatch.setattr(sys, "argv", ["hiddenpartition", *args])
+    assert main() == 0
+    assert registered == [(cli._exit_without_teardown, 0)]
+
+
+@pytest.mark.parametrize("reason", [None, "exception", "tracer", "profiler", "flush"])
+def test_cli_hard_exit_hook_stands_down(monkeypatch, reason):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+
+    def tracer(*_):
+        return None
+
+    monkeypatch.setattr(sys, "gettrace", lambda: tracer if reason == "tracer" else None)
+    monkeypatch.setattr(sys, "getprofile", lambda: tracer if reason == "profiler" else None)
+    monkeypatch.delattr(sys, "last_value", raising=False)
+    if reason == "exception":
+        monkeypatch.setattr(sys, "last_value", RuntimeError("uncaught"), raising=False)
+    if reason == "flush":
+        class BrokenPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    cli._exit_without_teardown(3)
+    assert exits == ([3] if reason is None else [])
 
 
 def test_cli_run_deterministic_output(tmp_path):

@@ -66,6 +66,26 @@ def test_message_set_members_are_a_sorted_read_only_int64_array(members):
         assert members.flags.writeable  # the caller's array is not frozen
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), kind=st.sampled_from(["list", "set", "array"]), data=st.data())
+def test_message_set_members_equal_np_unique(n, kind, data):
+    # unsorted, with duplicates, and at times empty or with one member out of range
+    members = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=40))
+    stray = data.draw(st.none() | st.sampled_from([-1, -2**40, 2**n]))
+    if stray is not None:
+        members.insert(data.draw(st.integers(0, len(members))), stray)
+    given_members = {"list": members, "set": set(members),
+                     "array": np.array(members, dtype=np.int64)}[kind]
+    if stray is not None or not members:
+        with pytest.raises(ValueError):
+            MessageSet(n, given_members)
+        return
+    ms = MessageSet(n, given_members)
+    assert ms.members.dtype == np.int64
+    assert np.array_equal(ms.members, np.unique(np.array(members)))
+    assert not ms.members.flags.writeable
+
+
 def test_message_sets_over_the_cap_are_refused_before_drawing():
     with pytest.raises(ValueError):
         random_message_set(MAX_MESSAGE_BITS + 1, 1, stream(0, "ms"))

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and are deterministic per seed."""
 
+import atexit
 import csv
 import importlib.util
 import io
@@ -105,6 +106,17 @@ def test_script_unwritable_out_is_refused_before_the_work(monkeypatch, capsys, t
     assert captured.out == ""
     assert captured.err.startswith("guard rejection: ")
     assert captured.err.count("guard rejection: ") == 1
+
+
+def test_script_main_arms_no_hard_exit(monkeypatch, tmp_path):
+    # only cli.main() owns a process; run_guarded never replaces its exit code
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *hook: registered.append(hook))
+    script = load_script("tvd_trend.py")
+    monkeypatch.setattr(sys, "argv", ["tvd_trend.py", "--n", "4", "--sigmas", "1",
+                                      "--out", str(tmp_path / "trend.csv")])
+    assert script.main() == 0
+    assert registered == []
 
 
 def test_script_subprocess_writes_the_in_process_bytes(monkeypatch, tmp_path):
