@@ -4,6 +4,7 @@ compresses Alice's string blockwise through a Boolean function.
 Submodules:
   boolfn       truth tables, Fourier spectra, symmetric constructions
   signpoly     LP-based sign-degree and maximum-bias representations
+  exactlp      exact integer simplex behind signpoly's reduced LPs
   rng          named seeded streams and the Fisher-Yates shuffle
   instances    problem sizes, (x, sigma, w) instance rows and the block map
   classical    sampled-bits and uniform-distribution senders

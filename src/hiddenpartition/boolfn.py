@@ -215,12 +215,18 @@ def make_symmetric(spec: SymmetricSpec) -> BooleanFunction:
 def symmetric_spec_of(f: BooleanFunction) -> Optional[SymmetricSpec]:
     """Recover the weight-interval description, or None if f is not
     symmetric (value not determined by |x|)."""
-    w = row_weights(f.t)
-    profile = np.empty(f.t + 1, dtype=np.int64)
-    profile[w] = f.table  # every weight occurs; a symmetric f writes one value per weight
-    if not np.array_equal(profile[w], f.table):
+    return spec_of_profile(f.table, row_weights(f.t), f.t)
+
+
+def spec_of_profile(table: np.ndarray, weights: np.ndarray, m: int) -> Optional[SymmetricSpec]:
+    """The description of the g on m inputs with table[r] = g(weights[r])
+    at every row r, where ``weights`` takes every value 0..m; None when no
+    such g exists."""
+    profile = np.empty(m + 1, dtype=np.int64)
+    profile[weights] = table  # a g that exists writes one value per weight
+    if not np.array_equal(profile[weights], table):
         return None
-    return SymmetricSpec(f.t, np.flatnonzero(np.diff(profile)), int(profile[0]))
+    return SymmetricSpec(m, np.flatnonzero(np.diff(profile)), int(profile[0]))
 
 
 # ---------------------------------------------------------------------------

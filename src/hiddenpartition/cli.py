@@ -231,8 +231,8 @@ def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Nam
     for appending first, so an unwritable one is refused before any work,
     and a file keeps what it holds until the command writes it.
 
-    Everything alive before the command runs, the numpy and scipy import
-    graph above all, is moved to the collector's permanent generation
+    Everything alive before the command runs, the numpy import graph
+    above all, is moved to the collector's permanent generation
     (``gc.freeze``): it lives until exit anyway, and the full collections
     during the command and at interpreter exit then skip it."""
     try:
@@ -271,13 +271,23 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     Called with ``argv=None`` it owns the process, so once the command has
     returned it arms one atexit hook.  At exit that hook flushes stdout and
-    stderr and calls ``os._exit`` with the returned code: the ~800 modules of
-    numpy and ``scipy.optimize`` are not torn down, and atexit handlers
-    registered before ``main`` (today only ``logging.shutdown``) do not run.
+    stderr and calls ``os._exit`` with the returned code: the modules of
+    numpy (and of ``scipy.optimize``, once a dense LP has imported it) are
+    not torn down, and atexit handlers registered before the hook (at most
+    ``logging.shutdown``, which ``scipy.optimize`` registers) do not run.
     The hook stands down, and the interpreter finalises as usual, after an
     uncaught exception, under a tracer or profiler, or when a flush fails.
-    ``main(list)``, as tests and embedders call it, never arms it."""
-    args = build_parser().parse_args(argv)
+    ``main(list)``, as tests and embedders call it, never arms it.
+
+    ``--help`` and usage errors leave through argparse's ``SystemExit``;
+    called with ``argv=None``, main arms the hook with that exit's code
+    before passing it on."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if argv is None and isinstance(exc.code, int):
+            atexit.register(_exit_without_teardown, exc.code)
+        raise
     commands = {
         "analyze": cmd_analyze,
         "run-classical": lambda a: cmd_run(a, "classical"),

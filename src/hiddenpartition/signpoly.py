@@ -9,52 +9,61 @@ min_x |p(x)|.  The best bias at degree d is the bounded LP
 in which f p >= beta >= 0 turns the box |p(x)| <= 1 into the one bound
 f(x) p(x) <= 1.  It is solved in its dual form (see _max_bias_lp), one
 equality row per coefficient of p, and the coefficients are that
-solve's equality marginals.  best_sign_polynomial solves it at one
-degree, picking the LP's basis from f alone, so sign_degree and the
-protocols share one witness per (f, d):
+solve's duals.  best_sign_polynomial solves it at one degree, picking the
+LP from f alone, so sign_degree and the protocols share one witness per
+(f, d):
 
-  * symmetric f (value fixed by the Hamming weight |x|): by Minsky-Papert
-    symmetrization the best degree-d polynomial may be averaged over all
-    coordinate permutations, so it is p = sum_j c_j sum_{|S|=j} chi_S,
-    whose value at weight w is sum_j c_j K_j(w) with K_j the Krawtchouk
-    polynomial: t+1 weights and d+1 level coefficients;
-  * any other f: all 2^t points and every monomial of degree <= d.
+  * f = g(|x_U xor a|), a symmetric function g of the m = |U| inputs in
+    U, some of them negated (the inputs in a), and constant in the rest:
+    every symmetric f (U = [t], a = empty) and every signed-symmetric
+    junta.  By Minsky-Papert symmetrization over the signed permutations
+    of U that fix f, and averaging over the inputs outside U, the best
+    degree-d polynomial may be taken as p = sum_j c_j sum_{S in U, |S|=j}
+    (-1)^|S & a| chi_S, whose value at weight w = |x_U xor a| is
+    sum_j c_j K_j(w) with K_j the Krawtchouk polynomial on m inputs: m+1
+    weights and min(d, m)+1 level coefficients.  That LP has integer
+    data and is solved exactly (exactlp), so its beta is exact and each
+    c_j is the nearest float to its exact value;
+  * any other f: all 2^t points and every monomial of degree <= d, solved
+    by HiGHS in floating point.  Only this path imports scipy.optimize.
 
 Dense LPs whose equality matrix would exceed MAX_DENSE_LP_BYTES are
-refused before anything is built.  The solver runs in floating point;
-every witness is then written as its dense coefficient vector, normalised
-and certified on all 2^t points by the Walsh-Hadamard transform, with
-every margin above the transform's rounding bound (see _certified), so a
-returned polynomial sign-represents f in exact arithmetic, independent of
-solver tolerances and of the symmetrization argument.  That certifies the
-upper side of sign_degree.
+refused before anything is built.  Every witness is written as its dense
+coefficient vector, normalised and certified on all 2^t points by the
+Walsh-Hadamard transform, with every margin above the transform's
+rounding bound (see _certified), so a returned polynomial
+sign-represents f in exact arithmetic, independent of solver tolerances
+and of the symmetrization argument.  That certifies the upper side of
+sign_degree.
 
 The lower side (no polynomial of degree d - 1 works) rests on an integer
 dual polynomial psi, checked exactly on all 2^t points by _check_dual.
-For a symmetric f the divided-difference psi at its number k of sign
-changes proves sdeg >= k, so one LP at d = k settles the degree and
-FEASIBILITY_MARGIN plays no part in it.  For any other f, psi = f proves
-only sdeg >= phdeg, the pure high degree; the dense LP is then solved for
-d = phdeg, phdeg + 1, ..., and a degree above phdeg is ruled out, on the
-solver's word alone, when the optimum of its dual LP is below
-FEASIBILITY_MARGIN.
+For f = g(|x_U xor a|) the divided-difference psi of g at its number k of
+sign changes, lifted to the cube, proves sdeg >= k, so one exact LP at
+d = k settles the degree and FEASIBILITY_MARGIN plays no part in it.  For
+any other f, psi = f proves only sdeg >= phdeg, the pure high degree; the
+dense LP is then solved for d = phdeg, phdeg + 1, ..., and a degree above
+phdeg is ruled out, on the solver's word alone, when the optimum of its
+dual LP is below FEASIBILITY_MARGIN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, lcm, prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
+from . import exactlp
 from .boolfn import (
     BooleanFunction,
     SymmetricSpec,
     fourier_transform,
     pure_high_degree,
     row_weights,
+    spec_of_profile,
     symmetric_spec_of,
     walsh_hadamard,
     weight_profile,
@@ -146,11 +155,14 @@ def _max_bias_lp(fvals: np.ndarray, basis: np.ndarray, degree: int) -> np.ndarra
     Its optimum is the best beta, and the coefficients are the equality
     rows' marginals.  Those meet beta <= fvals * p only to the solver's
     dual feasibility tolerance (1e-7 in HiGHS), so the bias they certify
-    may fall that far short of the optimum.
+    may fall that far short of the optimum.  HiGHS is imported here, on
+    the first dense solve, and nowhere else in the package.
 
     Raises BelowSignDegreeError when the optimum is below
     FEASIBILITY_MARGIN and LpSolverError on solver breakdown.
     """
+    from scipy.optimize import linprog
+
     npoints, ncols = basis.shape
     signed = (fvals[:, None] * basis).T
     # Variables: y, then z.  Presolve is off because with it on the
@@ -172,8 +184,8 @@ def _max_bias_lp(fvals: np.ndarray, basis: np.ndarray, degree: int) -> np.ndarra
 
 def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
     """Maximum-bias normalised sign-representation of f with the given
-    degree budget: the reduced Hamming-weight LP when f is symmetric, the
-    dense LP otherwise.
+    degree budget: the exact Hamming-weight LP when f is a symmetric
+    function of some of its inputs, some negated, the dense LP otherwise.
 
     Raises BelowSignDegreeError when the degree cannot represent f,
     ValueError when a dense LP is over MAX_DENSE_LP_BYTES, and
@@ -181,34 +193,35 @@ def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    sym = symmetric_spec_of(f)
-    if sym is None:
+    reduction = _reduce(f)
+    if reduction is None:
         return _dense_witness(f, degree)
-    return _symmetric_witness(f, sym, degree)
+    return _reduced_witness(f, reduction, degree)
 
 
 def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     """Minimum representing degree with a certified normalised witness of
-    the maximum bias at that degree, up to the LP solver's dual
-    feasibility tolerance (see _max_bias_lp).
+    the maximum bias at that degree: exact for f = g(|x_U xor a|), up to
+    the LP solver's dual feasibility tolerance (see _max_bias_lp) for any
+    other f.
 
-    A lower bound is proven before any LP runs.  For a symmetric f it is
-    k, its number of sign changes, by the divided-difference dual
-    polynomial that _check_dual verifies exactly; one reduced LP at d = k
-    then gives the witness.  For any other f it is phdeg, by psi = f; the
-    dense LP is then solved for d = phdeg, phdeg + 1, ... until its bias
-    reaches FEASIBILITY_MARGIN.
+    A lower bound is proven before any LP runs.  For f = g(|x_U xor a|) it
+    is k, the number of sign changes of g, by g's divided-difference dual
+    polynomial lifted to the cube, which _check_dual verifies exactly; one
+    exact LP at d = k then gives the witness.  For any other f it is
+    phdeg, by psi = f; the dense LP is then solved for d = phdeg,
+    phdeg + 1, ... until its bias reaches FEASIBILITY_MARGIN.
 
     Raises ValueError when a dense LP is over MAX_DENSE_LP_BYTES, and
     LpSolverError when a certificate or witness fails its check or the LP
-    at a symmetric f's certified degree finds no witness.
+    at the certified degree k finds no witness.
     """
-    sym = symmetric_spec_of(f)
-    if sym is not None:
-        k = len(sym.thresholds)
-        _check_dual(f.table, _symmetric_dual(sym), k)
+    reduction = _reduce(f)
+    if reduction is not None:
+        k = len(reduction.sym.thresholds)
+        _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
         try:
-            return k, _symmetric_witness(f, sym, k)
+            return k, _reduced_witness(f, reduction, k)
         except BelowSignDegreeError as exc:
             raise LpSolverError(f"no witness at the certified sign-degree {k}: {exc}") from exc
     # psi = f is a dual certificate at phdeg: f_hat(S) = 0 for |S| < phdeg
@@ -220,10 +233,64 @@ def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     raise LpSolverError("no representation found up to full degree")  # pragma: no cover
 
 
+@dataclass(frozen=True, eq=False)
+class _Reduction:
+    """f(x) = g(|x_U xor a|): g the symmetric function that ``sym``
+    describes, on the m = sym.t inputs in the bitmask ``relevant`` (U),
+    after negating those in the bitmask ``negated`` (a, a subset of U).
+    ``weights`` holds |x_U xor a| at every row of the cube."""
+
+    sym: SymmetricSpec
+    relevant: int
+    negated: int
+    weights: np.ndarray
+
+    def lift(self, t: int, levels: np.ndarray) -> np.ndarray:
+        """Dense coefficient vector of sum_j levels[j] sum_{S in U, |S|=j}
+        (-1)^|S & a| chi_S, the polynomial whose value at every x is
+        sum_j levels[j] K_j(|x_U xor a|)."""
+        masks = np.arange(2**t, dtype=np.uint64)
+        signs = 1 - 2 * (np.bitwise_count(masks & self.negated) & 1).astype(np.int64)
+        inside = (masks & ~np.uint64(self.relevant)) == 0
+        return np.where(inside, signs * levels[np.bitwise_count(masks)], 0.0)
+
+
+def _reduce(f: BooleanFunction) -> Optional[_Reduction]:
+    """f as g(|x_U xor a|), or None when it is not one.
+
+    A symmetric f is g itself, with U = [t] and a empty.  Otherwise U is
+    the set of relevant inputs, those i with f(x) != f(x xor e_i) at some
+    x.  With u its first element, a_u = 0, and every other i in U must
+    leave f unchanged when x_u and x_i are swapped (then a_i = 0) or
+    swapped and both negated (then a_i = 1).  The weight profile g is
+    then read off, and checked, on every row.
+    """
+    sym = symmetric_spec_of(f)
+    if sym is not None:
+        return _Reduction(sym, 2**f.t - 1, 0, row_weights(f.t))
+    t = f.t
+    cube = f.table.reshape((2,) * t)  # axis t - 1 - i is input i
+    relevant = [i for i in range(t) if not np.array_equal(cube, np.flip(cube, t - 1 - i))]
+    u, negated = relevant[0], 0
+    for i in relevant[1:]:
+        axes = (t - 1 - u, t - 1 - i)
+        swapped = np.swapaxes(cube, *axes)
+        if np.array_equal(swapped, cube):
+            continue
+        if not np.array_equal(np.flip(swapped, axes), cube):
+            return None
+        negated |= 1 << i
+    mask = sum(1 << i for i in relevant)
+    weights = np.bitwise_count((np.arange(2**t) ^ negated) & mask).astype(np.int64)
+    sym = spec_of_profile(f.table, weights, len(relevant))
+    return None if sym is None else _Reduction(sym, mask, negated, weights)
+
+
 def _symmetric_dual(sym: SymmetricSpec) -> np.ndarray:
-    """Integer dual polynomial, one entry per row of the cube, proving that
-    the symmetric f which ``sym`` describes has sign-degree >= k, its
-    number of sign changes.
+    """Integer dual polynomial, one entry per Hamming weight 0..t, proving
+    that the symmetric f which ``sym`` describes has sign-degree >= k, its
+    number of sign changes; indexed by the weights of the rows of a cube it
+    is psi there.
 
     One node w_i is taken in each of the profile's k+1 constant intervals,
     its lowest weight.  phi(w_i) = 1/prod_{m != i}(w_i - w_m) are the
@@ -232,6 +299,7 @@ def _symmetric_dual(sym: SymmetricSpec) -> np.ndarray:
     psi(x) = +-phi(|x|)/C(t, |x|) on the node weights and 0 elsewhere,
     scaled by the least common multiple of its denominators.  Over all
     2^17 symmetric f at t = 16 the largest sum |psi| is 758,557,800 < 2^30.
+    Lifted to a junta on m < t of t inputs, the sum grows by 2^(t - m).
     """
     t = sym.t
     nodes = (0, *(theta + 1 for theta in sym.thresholds))
@@ -241,7 +309,7 @@ def _symmetric_dual(sym: SymmetricSpec) -> np.ndarray:
     sign = sym.leading_sign * (-1) ** (len(nodes) - 1)
     by_weight = np.zeros(t + 1, dtype=np.int64)
     by_weight[list(nodes)] = [sign * scale // q for q in denominators]
-    return by_weight[row_weights(t)]
+    return by_weight
 
 
 def _check_dual(fvals: np.ndarray, psi: np.ndarray, degree: int) -> None:
@@ -279,31 +347,44 @@ def _dense_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
     return _certified(f.table, coeff)
 
 
-def _krawtchouk(t: int) -> np.ndarray:
-    """(t+1, t+1) matrix whose entry [w, j] is K_j(w), the sum of chi_S
-    over the C(t, j) sets |S| = j at any point of Hamming weight w."""
-    return np.array(
-        [
-            [sum((-1) ** i * comb(w, i) * comb(t - w, j - i) for i in range(j + 1))
-             for j in range(t + 1)]
-            for w in range(t + 1)
-        ],
-        dtype=np.float64,
+@cache
+def _krawtchouk(m: int) -> tuple[tuple[int, ...], ...]:
+    """K_j(w) at [w][j], w, j = 0..m: the sum of chi_S over the C(m, j)
+    sets |S| = j at any point of Hamming weight w, on m inputs."""
+    return tuple(
+        tuple(sum((-1) ** i * comb(w, i) * comb(m - w, j - i) for i in range(j + 1))
+              for j in range(m + 1))
+        for w in range(m + 1)
     )
 
 
-def _symmetric_witness(f: BooleanFunction, sym: SymmetricSpec, degree: int) -> SignPolynomial:
-    """The max-bias LP over the t+1 Hamming weights of the symmetric f
-    that ``sym`` describes, with one coefficient per level j <= degree."""
-    t = f.t
-    krawtchouk = _krawtchouk(t)[:, : degree + 1]
-    # K_j(0) = C(t, j) is the largest |K_j|; entries reach C(16, 8), so
-    # the LP solves for y_j = C(t, j) c_j against columns in [-1, 1].
-    level_sizes = krawtchouk[0]
-    levels = _max_bias_lp(weight_profile(sym), krawtchouk / level_sizes, degree)
-    c = np.zeros(t + 1)
-    c[: levels.size] = levels / level_sizes
-    return _certified(f.table, c[row_weights(t)])  # every level-j monomial gets c_j
+def _reduced_lp(sym: SymmetricSpec, degree: int) -> exactlp.Optimum:
+    """The max-bias LP over the weights 0..m of the symmetric g that
+    ``sym`` describes, with one coefficient per level j <= degree <= m,
+    solved exactly in the dual form of _max_bias_lp: A[w][j] = g(w) K_j(w),
+    variables y_0..y_m, z_0..z_m and the surplus of sum y >= 1, one row per
+    level and then sum y - surplus = 1.  Its value is beta, and its duals
+    are c_0, ..., c_degree, then beta."""
+    m = sym.t
+    profile = weight_profile(sym).tolist()
+    signed = [[g * k for k in row[: degree + 1]] for g, row in zip(profile, _krawtchouk(m))]
+    rows = [[-row[j] for row in signed] + [row[j] for row in signed] + [0]
+            for j in range(degree + 1)]
+    rows.append([1] * (m + 1) + [0] * (m + 1) + [-1])
+    return exactlp.minimise(rows, [0] * (degree + 1) + [1], [0] * (m + 1) + [1] * (m + 1) + [0])
+
+
+def _reduced_witness(f: BooleanFunction, reduction: _Reduction, degree: int) -> SignPolynomial:
+    """The exact max-bias LP of g at degree min(degree, m), each level
+    coefficient rounded to the nearest float, lifted to f and certified.
+    Raises BelowSignDegreeError when its exact optimum is 0."""
+    degree = min(degree, reduction.sym.t)
+    optimum = _reduced_lp(reduction.sym, degree)
+    if optimum.value == 0:
+        raise BelowSignDegreeError(f"no degree-{degree} sign representation (exact LP bias 0)")
+    levels = np.zeros(f.t + 1)
+    levels[: degree + 1] = [c / optimum.den for c in optimum.duals[:-1]]
+    return _certified(f.table, reduction.lift(f.t, levels))
 
 
 def _certified(fvals: np.ndarray, coeff: np.ndarray) -> SignPolynomial:

@@ -110,6 +110,30 @@ def dense_witness(f: BooleanFunction, degree: int) -> signpoly.SignPolynomial:
     return signpoly._certified(f.table, coeff)
 
 
+def krawtchouk_by_enumeration(t: int) -> np.ndarray:
+    """(t+1, t+1) float matrix whose [w, j] entry is the sum of chi_S(x)
+    over every S with |S| = j, at the point x whose first w coordinates
+    are -1, summed set by set."""
+    table = np.zeros((t + 1, t + 1))
+    for w in range(t + 1):
+        point = (1 << w) - 1
+        for mask in range(2**t):
+            table[w, mask.bit_count()] += (-1) ** (mask & point).bit_count()
+    return table
+
+
+def reduced_primal_witness(f: BooleanFunction, sym, degree: int) -> signpoly.SignPolynomial:
+    """The primal LP over the t+1 Hamming weights of the symmetric f that
+    ``sym`` describes, with one coefficient per level j <= degree (each
+    column divided by its largest entry, C(t, j)), every level-j monomial
+    given c_j and certified as the package certifies its witnesses."""
+    kraw = krawtchouk_by_enumeration(f.t)[:, : degree + 1]
+    levels = np.zeros(f.t + 1)
+    levels[: degree + 1] = primal_max_bias(weight_profile(sym), kraw / kraw[0], degree) / kraw[0]
+    weights = [row.bit_count() for row in range(2**f.t)]
+    return signpoly._certified(f.table, levels[weights])
+
+
 def dense_sign_degree(f: BooleanFunction):
     """Degree search on the dense primal LP alone, for d = 0, 1, ...
     whatever f is: the solver-only reference for sign_degree, which proves

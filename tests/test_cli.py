@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hiddenpartition import cli, experiments
@@ -228,6 +229,87 @@ def test_cli_hard_exit_hook_stands_down(monkeypatch, reason):
     assert exits == ([3] if reason is None else [])
 
 
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["analyze", "--bogus"], 2)],
+                         ids=["help", "usage-error"])
+def test_cli_subprocess_help_and_usage_errors_keep_their_output(monkeypatch, capsys, args, code):
+    # argparse's SystemExit now ends the process through the hard exit too;
+    # its code, stdout and stderr are still those main(list) gives
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == code
+    expected = capsys.readouterr()
+    done = run_python("-m", "hiddenpartition.cli", *args)
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == \
+        (code, expected.out, expected.err)
+    assert (expected.out if code == 0 else expected.err).startswith("usage: hiddenpartition")
+
+
+def test_cli_main_arms_the_hard_exit_on_help_and_usage_errors(monkeypatch, capsys):
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *hook: registered.append(hook))
+    with pytest.raises(SystemExit):
+        main(["analyze", "--bogus"])
+    assert registered == []
+    for args, code in ((["--help"], 0), (["analyze", "--bogus"], 2)):
+        monkeypatch.setattr(sys, "argv", ["hiddenpartition", *args])
+        with pytest.raises(SystemExit):
+            main()
+        assert registered.pop() == (cli._exit_without_teardown, code)
+
+
+def test_importing_the_cli_imports_no_scipy_module():
+    # the import budget: scipy.optimize is imported by the dense LP alone
+    done = run_python("-X", "importtime", "-c", "import hiddenpartition.cli")
+    assert done.returncode == 0
+    names = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.decode().splitlines()
+             if line.startswith("import time:")]
+    assert "hiddenpartition.cli" in names
+    assert [name for name in names if name.split(".")[0] == "scipy"] == []
+
+
+NO_SCIPY_AFTER_MAIN = """
+import json, sys
+from hiddenpartition.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_on_reducible_functions_import_no_scipy(tmp_path):
+    # every command line of the benchmark's kinds on a symmetric function or
+    # a signed-symmetric junta runs without scipy in sys.modules
+    rows = np.arange(2**5)
+    weights = sum(((rows ^ 0b00100) >> i) & 1 for i in (0, 2, 4))
+    table = np.where(weights >= 2, -1, 1)  # majority of x1, -x3 and x5
+    spec = tmp_path / "junta.json"
+    spec.write_text(json.dumps({"kind": "truth_table", "t": 5, "values": table.tolist()}))
+    run = ["--n", "24", "--alpha", "1/2", "--trials", "5", "--seed", "7"]
+    argvs = [
+        ["analyze", "--named", "majority", "--t", "9"],
+        ["analyze", "--function", str(spec)],
+        ["analyze", "--named", "dictator", "--t", "4"],
+        ["run-classical", "--named", "majority", "--t", "3", *run],
+        ["run-quantum", "--named", "parity", "--t", "2", *run],
+        ["reduce", "--named", "nae", "--t", "4", "--n", "4", "--sigmas", "3"],
+        ["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "6",
+         "--cases", "5"],
+    ]
+    argvs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
+    done = run_python("-c", NO_SCIPY_AFTER_MAIN, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert len(loaded) == 1 + len(argvs)
+    assert all(names == [] for names in loaded.values()), loaded
+
+
 def test_cli_run_deterministic_output(tmp_path):
     args = [
         "run-quantum", "--named", "parity", "--t", "2",
@@ -397,7 +479,7 @@ BENCH_RUN_ARGS = ("--n", "3000", "--alpha", "1/2", "--trials", "300", "--seed", 
     "args, digest",
     [
         (["run-classical", "--named", "majority", "--t", "3", "--epsilon", "0.1"],
-         "82ad6f83c2a1ae32fe828f6a650bd7d22d81a2268469d40c57107f6cc83ce2be"),
+         "26ef5fd9ce1c5f9e9897d3ef5f46deb8492c8ba41280f46fc0e9d7ed22e4c835"),
         (["run-quantum", "--named", "parity", "--t", "2", "--epsilon", "0.1",
           "--format", "jsonl"],
          "0a31575aeeb366a280e8b7948d53edd4d73e0c9b5b32427ab33d43584753a73f"),

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hiddenpartition import boolfn, signpoly
+from hiddenpartition import boolfn, exactlp, signpoly
 from hiddenpartition.classical import protocol_witness
 from hiddenpartition.cli import main
 from hiddenpartition.boolfn import (
@@ -19,6 +20,7 @@ from hiddenpartition.boolfn import (
     pure_high_degree,
     sign_changes,
     walsh_hadamard,
+    weight_profile,
 )
 from hiddenpartition.signpoly import (
     BelowSignDegreeError,
@@ -30,7 +32,7 @@ from hiddenpartition.signpoly import (
 )
 
 from conftest import all_symmetric_specs, poly_from_terms, poly_value, random_table
-from oracles import dense_sign_degree, dense_witness, primal_max_bias
+from oracles import dense_sign_degree, dense_witness, primal_max_bias, reduced_primal_witness
 
 
 def must_not_run(*args, **kwargs):
@@ -138,14 +140,29 @@ def test_reduced_sign_degree_matches_dense_search():
 FORMULATION_REL_TOL = 1e-9
 
 
+def test_exact_symmetric_lp_agrees_with_the_primal_oracle():
+    # every symmetric f with t <= 8: the exact LP's degree and bias against
+    # the HiGHS primal LP over the same weights, feasible at the degree and
+    # infeasible one below it, where the exact optimum is exactly 0
+    for t in range(1, 9):
+        for sym in all_symmetric_specs(t):
+            f = make_symmetric(sym)
+            d, p = sign_degree(f)
+            oracle = reduced_primal_witness(f, sym, d)
+            assert abs(p.bias - oracle.bias) <= FORMULATION_REL_TOL * oracle.bias, sym
+            if d > 0:
+                with pytest.raises(BelowSignDegreeError):
+                    reduced_primal_witness(f, sym, d - 1)
+                assert signpoly._reduced_lp(sym, d - 1).value == 0
+
+
 def test_dual_lp_agrees_with_the_primal_oracle(monkeypatch):
     # sign_degree solved once with the package's dual LP and once with the
-    # primal oracle in its place: every symmetric f with t <= 8 (the
-    # reduced LP at the certified degree) and 40 seeded random tables per
-    # t <= 6 (the dense sweep from phdeg)
+    # primal oracle in its place, on 40 seeded random tables per t <= 6
+    # (the dense sweep from phdeg; a table that is a signed-symmetric junta
+    # takes the exact LP both times)
     rng = np.random.default_rng(19)
-    functions = [make_symmetric(spec) for t in range(1, 9) for spec in all_symmetric_specs(t)]
-    functions += [random_table(t, rng) for t in range(1, 7) for _ in range(40)]
+    functions = [random_table(t, rng) for t in range(1, 7) for _ in range(40)]
     dual = [sign_degree(f) for f in functions]
     monkeypatch.setattr(signpoly, "_max_bias_lp", primal_max_bias)
     for f, (d, p) in zip(functions, dual):
@@ -196,6 +213,97 @@ def test_sign_degree_invariant_under_cube_symmetries(t, seed):
         dg, pg = sign_degree(g)
         assert dg == d, name
         assert abs(pg.bias - p.bias) <= BIAS_AGREEMENT_TOL, name
+
+
+def padded(f: BooleanFunction, extra: int) -> BooleanFunction:
+    """f on t + extra inputs, constant in the last ``extra``."""
+    rows = np.arange(2 ** (f.t + extra))
+    return BooleanFunction(f.t + extra, f.table[rows & (2**f.t - 1)])
+
+
+def junta(t: int, sym: SymmetricSpec, used, negated: int) -> BooleanFunction:
+    """g(|x_U xor a|) on t inputs: g = make_symmetric(sym), U the inputs in
+    ``used`` and a the bitmask ``negated``, as the benchmark builds its
+    truth tables."""
+    rows = np.arange(2**t)
+    weights = sum(((rows ^ negated) >> i) & 1 for i in used)
+    return BooleanFunction(t, weight_profile(sym)[weights])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2**31))
+def test_signed_juntas_keep_the_degree_and_bias_of_their_symmetric_core(t, extra, seed):
+    # a random symmetric table, padded with irrelevant inputs, its inputs
+    # permuted and some negated, keeps its degree and bias, and takes the
+    # exact path
+    rng = np.random.default_rng(seed)
+    thresholds = sorted(rng.choice(t, int(rng.integers(0, t + 1)), replace=False))
+    g = make_symmetric(SymmetricSpec(t, thresholds, int(rng.choice((-1, 1)))))
+    d, p = sign_degree(g)
+    n = t + extra
+    f = relabelled(padded(g, extra), rng.permutation(n), int(rng.integers(0, 2**n)), 1)
+    assert signpoly._reduce(f) is not None
+    df, pf = sign_degree(f)
+    assert df == d
+    assert abs(pf.bias - p.bias) <= 1e-12 * p.bias
+
+
+# The analyze tables of the benchmark's protocol-and-lab workload, seeds
+# 1101-1103: (t, the symmetric g, its inputs U, the negated bitmask a), and
+# the exact optimum at the sign-degree 3
+BENCHMARK_JUNTAS = [
+    (7, SymmetricSpec(6, (0, 2, 3), -1), (1, 2, 0, 5, 4, 6), 77, Fraction(1, 35)),
+    (9, SymmetricSpec(8, (0, 3, 5), -1), (3, 1, 0, 6, 2, 8, 5, 4), 281, Fraction(9, 199)),
+    (7, SymmetricSpec(6, (0, 2, 5), 1), (4, 5, 1, 0, 3, 2), 4, Fraction(5, 13)),
+    (9, SymmetricSpec(8, (4, 5, 6), -1), (3, 6, 8, 0, 4, 2, 7, 5), 276, Fraction(1, 209)),
+    (7, SymmetricSpec(6, (0, 3, 4), -1), (2, 3, 5, 1, 6, 0), 45, Fraction(5, 51)),
+    (9, SymmetricSpec(8, (0, 3, 6), 1), (0, 3, 5, 2, 7, 8, 6, 4), 446, Fraction(7, 57)),
+]
+
+
+@pytest.mark.parametrize("t, sym, used, negated, beta", BENCHMARK_JUNTAS)
+def test_benchmark_juntas_take_the_exact_path(monkeypatch, t, sym, used, negated, beta):
+    import scipy.optimize
+
+    monkeypatch.setattr(signpoly, "_chi_matrix", must_not_run)
+    monkeypatch.setattr(scipy.optimize, "linprog", must_not_run)
+    f = junta(t, sym, used, negated)
+    assert boolfn.symmetric_spec_of(f) is None
+    d, p = sign_degree(f)
+    assert d == 3 == p.degree
+    assert exhaustively_valid(f, p)
+    assert abs(p.bias - beta) <= 1e-12 * beta
+    optimum = signpoly._reduced_lp(sym, 3)
+    assert Fraction(optimum.value, optimum.den) == beta
+
+
+def test_junta_witnesses_match_the_dense_oracle(rng):
+    # random signed-symmetric juntas with t <= 6, at the sign-degree and at
+    # the protocol budgets 1 and 2, against the dense primal LP
+    for t in range(2, 7):
+        for _ in range(6):
+            m = int(rng.integers(1, t + 1))
+            sym = SymmetricSpec(m, sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False)))
+            f = junta(t, sym, rng.permutation(t)[:m], int(rng.integers(0, 2**t)))
+            d, p = sign_degree(f)
+            assert (d, signpoly._reduce(f) is None) == (dense_sign_degree(f)[0], False)
+            for degree in sorted({d} | {b for b in (1, 2) if b >= d}):
+                reduced = p if degree == d else best_sign_polynomial(f, degree)
+                assert exhaustively_valid(f, reduced)
+                dense = dense_witness(f, degree)
+                assert abs(reduced.bias - dense.bias) <= FORMULATION_REL_TOL * dense.bias
+
+
+def test_only_signed_symmetric_juntas_reduce():
+    x = all_points(5)
+    block = BooleanFunction(5, x[:, 0] * x[:, 1] * np.sign(x[:, 2:].sum(axis=1)))
+    # swapping x1 and x2 fixes it, swapping x1 and x3 does not
+    assert signpoly._reduce(block) is None
+    assert signpoly._reduce(random_table(16, np.random.default_rng(16))) is None
+    reduction = signpoly._reduce(dictator(4))
+    assert (reduction.sym, reduction.relevant, reduction.negated) == \
+        (SymmetricSpec(1, (0,), 1), 0b0001, 0)
 
 
 def test_certificate_refuses_a_margin_below_the_rounding_bound():
@@ -249,9 +357,9 @@ DUAL_CASES = {
 def test_dual_certificate_refuses_a_mutated_psi(sym):
     f = make_symmetric(sym)
     k = sign_changes(sym)
-    psi = signpoly._symmetric_dual(sym)
-    signpoly._check_dual(f.table, psi, k)
     weights = boolfn.row_weights(sym.t)
+    psi = signpoly._symmetric_dual(sym)[weights]
+    signpoly._check_dual(f.table, psi, k)
     row = int(np.flatnonzero(psi)[-1])
     dropped = np.where(weights == weights[row], 0, psi)  # one node's weight
     flipped = psi.copy()
@@ -284,22 +392,22 @@ def test_dual_certificate_stays_inside_the_exactness_bound():
     cases += [SymmetricSpec(16, tuple(range(16)), 1), *random16]
     largest = 0
     for sym in cases:
-        psi = signpoly._symmetric_dual(sym)
+        psi = signpoly._symmetric_dual(sym)[boolfn.row_weights(sym.t)]
         signpoly._check_dual(make_symmetric(sym).table, psi, sign_changes(sym))
         largest = max(largest, int(np.abs(psi).sum()))
     assert largest < 2**30
 
 
-def counting(monkeypatch, name):
-    """Replace signpoly.<name> by a wrapper that records each call's args."""
+def counting(monkeypatch, name, module=signpoly):
+    """Replace module.<name> by a wrapper that records each call's args."""
     calls = []
-    real = getattr(signpoly, name)
+    real = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(signpoly, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -309,9 +417,12 @@ def counting(monkeypatch, name):
     ids=["majority7", "parity9", "t8-k4"],
 )
 def test_symmetric_sign_degree_solves_one_lp(monkeypatch, f):
-    calls = counting(monkeypatch, "linprog")
+    import scipy.optimize
+
+    solves = counting(monkeypatch, "minimise", exactlp)
+    highs = counting(monkeypatch, "linprog", scipy.optimize)
     d, p = sign_degree(f)
-    assert len(calls) == 1
+    assert (len(solves), len(highs)) == (1, 0)
     assert d == sign_changes(boolfn.symmetric_spec_of(f)) == p.degree
 
 
@@ -341,17 +452,19 @@ def test_psi_equal_to_f_certifies_exactly_up_to_phdeg(rng):
 
 
 def test_symmetric_lp_failing_at_the_certified_degree_is_a_solver_error(monkeypatch):
-    def below(fvals, basis, degree):
-        raise BelowSignDegreeError(f"no degree-{degree} sign representation")
+    def zero_bias(a, b, c):
+        return exactlp.Optimum(1, 0, (0,) * len(b))
 
-    monkeypatch.setattr(signpoly, "_max_bias_lp", below)
+    monkeypatch.setattr(exactlp, "minimise", zero_bias)
     with pytest.raises(LpSolverError, match="certified sign-degree 1"):
         sign_degree(majority(5))
 
 
 def test_dense_lp_over_the_byte_limit_is_refused_from_its_shape(monkeypatch):
+    import scipy.optimize
+
     monkeypatch.setattr(signpoly, "_chi_matrix", must_not_run)
-    monkeypatch.setattr(signpoly, "linprog", must_not_run)
+    monkeypatch.setattr(scipy.optimize, "linprog", must_not_run)
     f = random_table(14, np.random.default_rng(14))
     assert boolfn.symmetric_spec_of(f) is None
     with pytest.raises(ValueError, match="MiB limit"):
