@@ -120,9 +120,6 @@ class FourierSpectrum:
             return NotImplemented
         return self.t == other.t and np.array_equal(self.values, other.values)
 
-    def coefficient(self, mask: int) -> float:
-        return float(self.values[mask])
-
     def support(self) -> dict[int, float]:
         """Nonzero coefficients as {subset mask: value}."""
         return {int(m): float(v) for m, v in enumerate(self.values) if v != 0.0}

@@ -30,11 +30,13 @@ import numpy as np
 from .boolfn import BooleanFunction, fourier_transform, pure_high_degree
 from .instances import PartitionParams
 from .rng import coin
-from .signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial, sign_degree
+from .signpoly import SignPolynomial
 
 
 class UnsupportedFunctionError(ValueError):
-    """The function does not meet the protocol's degree guard."""
+    """The function does not meet the uniform sender's guard
+    (``level_one_slots``); the sign-degree guards of the other two
+    protocols raise signpoly.BelowSignDegreeError."""
 
 
 def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
@@ -53,18 +55,6 @@ def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
     value = (t / (alpha * beta)) ** 2 * math.log(1 / epsilon) / 2
     # tiny slack so float noise cannot bump an exact integer to its successor
     return max(1, math.ceil(value - 1e-9))
-
-
-def protocol_witness(f: BooleanFunction, degree: int) -> SignPolynomial:
-    """Maximum-bias sign polynomial of degree <= min(degree, t), the
-    witness a sampled-bits (degree 1) or quantum (degree 2) run decides
-    from; the guard of both protocols."""
-    degree = min(degree, f.t)
-    try:
-        return best_sign_polynomial(f, degree)
-    except BelowSignDegreeError as exc:
-        actual, _ = sign_degree(f)
-        raise UnsupportedFunctionError(f"sdeg(f) = {actual} > {degree}") from exc
 
 
 def decide_rows(
@@ -141,8 +131,8 @@ def run_classical(
     tie_rngs: list[np.random.Generator],
 ) -> list[tuple[int, float]]:
     """Sampled-bits runs on a chunk of instances (``generate_instances``)
-    from a degree-1 witness, the one ``protocol_witness(f, 1)`` returns
-    when sdeg(f) <= 1, each sending m bits (``required_samples``)."""
+    from a degree-1 witness, the one ``best_sign_polynomial(f, 1)``
+    returns when sdeg(f) <= 1, each sending m bits (``required_samples``)."""
     indices, bits = alice_sample(xs, m, rngs)
     return bob_decide(indices, bits, sigmas, ws, poly, params, tie_rngs)
 

@@ -28,14 +28,13 @@ from typing import Callable, Optional
 
 from . import boolfn
 from .boolfn import BooleanFunction
-from .classical import protocol_witness
 from .experiments import SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_trials, write_csv, write_jsonl
 from .hardness import run_check
 from .instances import PartitionParams, exact_fraction
 from .quantum import block_multilinear_matrix, matrix_audit_record
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import stream
-from .signpoly import sign_degree
+from .signpoly import best_sign_polynomial, sign_degree
 
 CSV_COLUMNS_HELP = (
     f"CSV columns: {', '.join(TRIAL_FIELDS)} for per-trial rows; "
@@ -152,7 +151,7 @@ def cmd_analyze(args) -> int:
     }
     if sdeg <= 2:
         # the witness run-quantum decides from, solved once
-        poly = witness if sdeg == min(2, f.t) else protocol_witness(f, 2)
+        poly = witness if sdeg == min(2, f.t) else best_sign_polynomial(f, 2)
         report["block_matrix_norm"] = block_multilinear_matrix(poly).spectral_norm
     else:
         report["block_matrix_norm"] = None
@@ -188,7 +187,7 @@ def cmd_run(args, protocol: str) -> int:
         protocol, f, label, params, args.trials, args.seed, **kwargs
     )
     if protocol == "quantum" and args.dump_matrix:
-        matrix = block_multilinear_matrix(protocol_witness(f, 2))
+        matrix = block_multilinear_matrix(best_sign_polynomial(f, 2))
         _write_json(args.dump_matrix, matrix_audit_record(matrix))
     write = write_csv if args.format == "csv" else write_jsonl
     with output(args.out) as out:

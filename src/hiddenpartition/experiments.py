@@ -26,11 +26,12 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
-from .classical import level_one_slots, message_cost_bits, protocol_witness, required_samples
+from .classical import level_one_slots, message_cost_bits, required_samples
 from .classical import run_classical, run_uniform_phd1
 from .instances import PartitionParams, generate_instances
 from .quantum import block_multilinear_matrix, qubits_per_copy, required_copies, run_quantum
 from .rng import coin, fisher_yates_rows, stream
+from .signpoly import best_sign_polynomial
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
@@ -184,12 +185,12 @@ def _make_runner(
     if epsilon is None:
         raise ValueError(f"{protocol} protocol needs epsilon")
     if protocol == "classical":
-        poly = protocol_witness(f, 1)
+        poly = best_sign_polynomial(f, 1)
         m = required_samples(params.t, params.alpha, poly.bias, epsilon)
         run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:
                          run_classical(params, xs, sigmas, ws, poly, m, rngs, tie_rngs))
         return run, m, message_cost_bits(m, params.n)
-    poly = protocol_witness(f, 2)
+    poly = best_sign_polynomial(f, 2)
     matrix = block_multilinear_matrix(poly)
     m = required_copies(params, poly.bias, matrix, epsilon)
     run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:

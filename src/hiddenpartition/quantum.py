@@ -146,7 +146,7 @@ def run_quantum(
 ) -> list[tuple[int, float]]:
     """Protocol runs on a chunk of instances (``generate_instances``) with
     m copies each, from the ``block_multilinear_matrix`` of a degree-2
-    witness (``protocol_witness(f, 2)``, which exists when sdeg(f) <= 2);
+    witness (``best_sign_polynomial(f, 2)``, which exists when sdeg(f) <= 2);
     returns one (guess, statistic) per row, as ``decide_rows``.
 
     Per copy: a block index is drawn from the measurement distribution,

@@ -11,7 +11,7 @@ f(x) p(x) <= 1.  It is solved in its dual form (see _max_bias_lp), one
 equality row per coefficient of p, and the coefficients are that
 solve's duals.  best_sign_polynomial solves it at one degree, picking the
 LP from f alone, so sign_degree and the protocols share one witness per
-(f, d):
+(f, d), and it is both protocols' sign-degree guard:
 
   * f = g(|x_U xor a|), a symmetric function g of the m = |U| inputs in
     U, some of them negated (the inputs in a), and constant in the rest:
@@ -40,11 +40,12 @@ The lower side (no polynomial of degree d - 1 works) rests on an integer
 dual polynomial psi, checked exactly on all 2^t points by _check_dual.
 For f = g(|x_U xor a|) the divided-difference psi of g at its number k of
 sign changes, lifted to the cube, proves sdeg >= k, so one exact LP at
-d = k settles the degree and FEASIBILITY_MARGIN plays no part in it.  For
-any other f, psi = f proves only sdeg >= phdeg, the pure high degree; the
-dense LP is then solved for d = phdeg, phdeg + 1, ..., and a degree above
-phdeg is ruled out, on the solver's word alone, when the optimum of its
-dual LP is below FEASIBILITY_MARGIN.
+d = k settles the degree and FEASIBILITY_MARGIN plays no part in it; a
+degree d < k is refused from psi alone, with no LP.  For any other f,
+psi = f proves only sdeg >= phdeg, the pure high degree; the dense LP is
+then solved for d = phdeg, phdeg + 1, ..., and a degree above phdeg is
+ruled out, on the solver's word alone, when the optimum of its dual LP is
+below FEASIBILITY_MARGIN.  A guard at one dense degree solves that one LP.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ class SignPolynomial:
         support = np.flatnonzero(coeffs)
         object.__setattr__(self, "degree", int(np.bitwise_count(support).max(initial=0)))
 
-    def coefficient(self, mask: int) -> float:
-        return float(self.coeffs[mask])
-
     def evaluate_all(self) -> np.ndarray:
         """Values on every row of the cube, in row-encoding order."""
         return walsh_hadamard(self.coeffs)
@@ -176,9 +174,7 @@ def _max_bias_lp(fvals: np.ndarray, basis: np.ndarray, degree: int) -> np.ndarra
     if result.status != 0:
         raise LpSolverError(f"LP solver status {result.status}: {result.message}")
     if result.fun < FEASIBILITY_MARGIN:
-        raise BelowSignDegreeError(
-            f"no degree-{degree} sign representation (LP bias {result.fun:.2e})"
-        )
+        raise BelowSignDegreeError(f"sdeg(f) > {degree} (LP bias {result.fun:.2e})")
     return result.eqlin.marginals
 
 
@@ -187,9 +183,10 @@ def best_sign_polynomial(f: BooleanFunction, degree: int) -> SignPolynomial:
     degree budget: the exact Hamming-weight LP when f is a symmetric
     function of some of its inputs, some negated, the dense LP otherwise.
 
-    Raises BelowSignDegreeError when the degree cannot represent f,
-    ValueError when a dense LP is over MAX_DENSE_LP_BYTES, and
-    LpSolverError on solver breakdown or failed certification.
+    Raises BelowSignDegreeError when the degree cannot represent f (with
+    no LP when f reduces, after the one dense LP otherwise), ValueError
+    when a dense LP is over MAX_DENSE_LP_BYTES, and LpSolverError on
+    solver breakdown or failed certification.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -213,17 +210,13 @@ def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     phdeg + 1, ... until its bias reaches FEASIBILITY_MARGIN.
 
     Raises ValueError when a dense LP is over MAX_DENSE_LP_BYTES, and
-    LpSolverError when a certificate or witness fails its check or the LP
-    at the certified degree k finds no witness.
+    LpSolverError when a certificate or witness fails its check, the LP
+    at the certified degree k finds no witness, or the solver breaks down.
     """
     reduction = _reduce(f)
     if reduction is not None:
         k = len(reduction.sym.thresholds)
-        _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
-        try:
-            return k, _reduced_witness(f, reduction, k)
-        except BelowSignDegreeError as exc:
-            raise LpSolverError(f"no witness at the certified sign-degree {k}: {exc}") from exc
+        return k, _reduced_witness(f, reduction, k)
     # psi = f is a dual certificate at phdeg: f_hat(S) = 0 for |S| < phdeg
     for d in range(pure_high_degree(fourier_transform(f)), f.t + 1):
         try:
@@ -376,12 +369,19 @@ def _reduced_lp(sym: SymmetricSpec, degree: int) -> exactlp.Optimum:
 
 def _reduced_witness(f: BooleanFunction, reduction: _Reduction, degree: int) -> SignPolynomial:
     """The exact max-bias LP of g at degree min(degree, m), each level
-    coefficient rounded to the nearest float, lifted to f and certified.
-    Raises BelowSignDegreeError when its exact optimum is 0."""
+    coefficient rounded to the nearest float, lifted to f and certified,
+    after g's lifted divided-difference dual has proven sdeg(f) >= k, g's
+    number of sign changes.  Raises BelowSignDegreeError, before any LP,
+    when degree < k, and LpSolverError when a check fails or the exact
+    optimum at degree >= k is 0."""
+    k = len(reduction.sym.thresholds)
+    _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
+    if degree < k:
+        raise BelowSignDegreeError(f"sdeg(f) = {k} > {degree}")
     degree = min(degree, reduction.sym.t)
     optimum = _reduced_lp(reduction.sym, degree)
     if optimum.value == 0:
-        raise BelowSignDegreeError(f"no degree-{degree} sign representation (exact LP bias 0)")
+        raise LpSolverError(f"no witness at degree {degree} >= the certified sign-degree {k}")
     levels = np.zeros(f.t + 1)
     levels[: degree + 1] = [c / optimum.den for c in optimum.duals[:-1]]
     return _certified(f.table, reduction.lift(f.t, levels))

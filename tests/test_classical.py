@@ -11,7 +11,6 @@ from hiddenpartition.classical import (
     bob_decide,
     level_one_slots,
     message_cost_bits,
-    protocol_witness,
     required_samples,
     run_classical,
     run_uniform_phd1,
@@ -19,7 +18,7 @@ from hiddenpartition.classical import (
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams, generate_instances
 from hiddenpartition.rng import fisher_yates, stream
-from hiddenpartition.signpoly import SignPolynomial, best_sign_polynomial
+from hiddenpartition.signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial
 
 from conftest import poly_from_terms
 from oracles import block_and_slot, uniform_statistic_by_scan
@@ -143,8 +142,8 @@ def test_message_cost_grows_logarithmically():
 
 
 def test_run_classical_guard():
-    with pytest.raises(UnsupportedFunctionError):
-        protocol_witness(parity(2), 1)
+    with pytest.raises(BelowSignDegreeError):
+        best_sign_polynomial(parity(2), 1)
 
 
 def test_run_classical_dictator_success_rate():

@@ -24,6 +24,8 @@ from hiddenpartition.experiments import (
 from hiddenpartition.boolfn import and_fn, dictator, majority, parity
 from hiddenpartition.instances import PartitionParams
 
+from conftest import random_table
+
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -108,6 +110,17 @@ def test_cli_guard_rejection_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "sdeg(f) = 2 > 1" in err
+    # a table that does not reduce is refused after its one dense LP
+    spec = tmp_path / "table.json"
+    table = random_table(8, np.random.default_rng(8)).table
+    spec.write_text(json.dumps({"kind": "truth_table", "t": 8, "values": table.tolist()}))
+    code = run_cli(["run-classical", "--function", str(spec), "--n", "16", "--trials", "4",
+                    "--seed", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard rejection: sdeg(f) > 1")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_command_runs_with_the_import_graph_frozen(tmp_path):

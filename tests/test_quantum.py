@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hiddenpartition.boolfn import (
     SymmetricSpec, all_points, dictator, make_symmetric, named_function, parity,
 )
-from hiddenpartition.classical import UnsupportedFunctionError, protocol_witness
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams
 from hiddenpartition.quantum import (
@@ -21,7 +20,7 @@ from hiddenpartition.quantum import (
     required_copies,
     unitary_dilation,
 )
-from hiddenpartition.signpoly import best_sign_polynomial
+from hiddenpartition.signpoly import BelowSignDegreeError, best_sign_polynomial
 
 from conftest import poly_from_terms, poly_value, random_degree2_poly
 from oracles import povm_block_distribution, row_of_point, statevector_oracle
@@ -112,7 +111,7 @@ def test_dilation_zero_matrix_rejected():
 def test_dilation_is_a_function_of_the_matrix():
     # and(4)'s lift repeats the singular value 1/16 three times; a 1-ulp
     # nudge of every entry must not move the dilation (an SVD basis would)
-    a = block_multilinear_matrix(protocol_witness(named_function("and", 4), 2))
+    a = block_multilinear_matrix(best_sign_polynomial(named_function("and", 4), 2))
     nudged = BlockMatrix.from_entries(np.nextafter(a.entries, np.inf))
     assert np.abs(unitary_dilation(nudged) - unitary_dilation(a)).max() <= 1e-6
 
@@ -193,7 +192,7 @@ def test_qubit_accounting():
 def test_quantum_message_is_fixed_per_run():
     # m = ceil((t / (alpha * 2/3))^2 ln(10) / 2) copies at the effective bias 1 / (||A|| (t+1))
     params = PartitionParams(60, 2, Fraction(1, 2))
-    poly = protocol_witness(parity(2), 2)
+    poly = best_sign_polynomial(parity(2), 2)
     m = required_copies(params, poly.bias, block_multilinear_matrix(poly), 0.1)
     assert m == math.ceil(36 * math.log(10) / 2)
     records, summary = run_protocol_trials(
@@ -208,8 +207,8 @@ def test_quantum_message_is_fixed_per_run():
 
 def test_run_quantum_guard_sdeg3():
     f = make_symmetric(SymmetricSpec(3, (0, 1, 2), 1))
-    with pytest.raises(UnsupportedFunctionError):
-        protocol_witness(f, 2)
+    with pytest.raises(BelowSignDegreeError):
+        best_sign_polynomial(f, 2)
 
 
 def test_run_quantum_parity_success():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hiddenpartition import boolfn, exactlp, signpoly
-from hiddenpartition.classical import protocol_witness
 from hiddenpartition.cli import main
+from hiddenpartition.experiments import run_protocol_trials
+from hiddenpartition.instances import PartitionParams
 from hiddenpartition.boolfn import (
     BooleanFunction,
     SymmetricSpec,
@@ -65,7 +66,7 @@ def test_parity2_degree_two():
     assert exhaustively_valid(parity(2), p)
     best = best_sign_polynomial(parity(2), 2)
     assert best.bias == pytest.approx(1.0, abs=1e-7)
-    assert best.coefficient(0b11) == pytest.approx(1.0, abs=1e-7)
+    assert best.coeffs[0b11] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_majority3_degree_one():
@@ -172,8 +173,8 @@ def test_dual_lp_agrees_with_the_primal_oracle(monkeypatch):
 
 
 def test_symmetric_witnesses_never_build_the_dense_lp(monkeypatch, capsys):
-    # analyze, protocol_witness and the runs share the reduced witness of a
-    # symmetric f; the dense LP is only for tables that are not symmetric
+    # analyze and the runs share the reduced witness of a symmetric f; the
+    # dense LP is only for tables that are not symmetric
     monkeypatch.setattr(signpoly, "_chi_matrix", must_not_run)
     assert main(["analyze", "--named", "majority", "--t", "11"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -181,7 +182,7 @@ def test_symmetric_witnesses_never_build_the_dense_lp(monkeypatch, capsys):
     assert report["block_matrix_norm"] > 0
     f = majority(5)
     for degree in (1, 2):
-        p = protocol_witness(f, degree)
+        p = best_sign_polynomial(f, degree)
         assert p.degree <= degree
         assert exhaustively_valid(f, p)
 
@@ -458,6 +459,35 @@ def test_symmetric_lp_failing_at_the_certified_degree_is_a_solver_error(monkeypa
     monkeypatch.setattr(exactlp, "minimise", zero_bias)
     with pytest.raises(LpSolverError, match="certified sign-degree 1"):
         sign_degree(majority(5))
+
+
+def test_reduced_guard_is_refused_from_its_certificate_with_no_lp(monkeypatch):
+    monkeypatch.setattr(exactlp, "minimise", must_not_run)
+    monkeypatch.setattr(signpoly, "_max_bias_lp", must_not_run)
+    with pytest.raises(BelowSignDegreeError, match=r"sdeg\(f\) = 3 > 2"):
+        best_sign_polynomial(parity(3), 2)
+    params = PartitionParams(16, 2, Fraction(1, 2))
+    with pytest.raises(BelowSignDegreeError, match=r"sdeg\(f\) = 2 > 1"):
+        run_protocol_trials("classical", parity(2), "parity:2", params, 4, 0, epsilon=0.1)
+
+
+def test_dense_guard_solves_exactly_one_lp(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    f = random_table(8, np.random.default_rng(8))
+    assert signpoly._reduce(f) is None
+    params = PartitionParams(16, 8, 1)
+    with pytest.raises(BelowSignDegreeError, match=r"sdeg\(f\) > 1"):
+        run_protocol_trials("classical", f, "table", params, 4, 0, epsilon=0.1)
+    assert len(calls) == 1
 
 
 def test_dense_lp_over_the_byte_limit_is_refused_from_its_shape(monkeypatch):

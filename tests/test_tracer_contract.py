@@ -48,9 +48,10 @@ def referenced_names(tree: ast.AST) -> set:
 
 
 def test_every_top_level_definition_is_used():
-    # a definition counts as used when code other than its own body names it
-    # (in src or scripts), when it is public API (__all__), or when the tracer
-    # wraps it; an import alone is not a use
+    # a top-level function or class counts as used when code other than its
+    # own body names it (in src or scripts), when it is public API (__all__),
+    # or when the tracer wraps it; a method other than a dunder, when code
+    # other than its own body names it; an import alone is not a use
     package = sorted((ROOT / "src" / "hiddenpartition").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in [*package, *sorted((ROOT / "scripts").glob("*.py"))]}
@@ -62,8 +63,16 @@ def test_every_top_level_definition_is_used():
         node_uses = [referenced_names(node) for node in body]
         elsewhere = set().union(*(uses for other, uses in file_uses.items() if other != path))
         for k, node in enumerate(body):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept:
-                here = set().union(*node_uses[:k], *node_uses[k + 1 :])
-                if node.name not in here | elsewhere:
-                    unused.append(f"{path.name}:{node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            here = set().union(*node_uses[:k], *node_uses[k + 1 :])
+            if node.name not in kept | here | elsewhere:
+                unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                member_uses = [referenced_names(member) for member in node.body]
+                for j, member in enumerate(node.body):
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                        around = here.union(*member_uses[:j], *member_uses[j + 1 :])
+                        if member.name not in around | elsewhere:
+                            unused.append(f"{path.name}:{node.name}.{member.name}")
     assert not unused, f"defined but never used: {unused}"
