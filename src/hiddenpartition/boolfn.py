@@ -27,8 +27,6 @@ import numpy as np
 MAX_ARITY = 16
 ARITIES = range(1, MAX_ARITY + 1)
 
-NAMED_FUNCTIONS = ("parity", "and", "or", "majority", "nae", "dictator")
-
 
 def _check_int(name: str, value, allowed: Sequence[int]) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in allowed:
@@ -267,19 +265,16 @@ def dictator(t: int) -> BooleanFunction:
     return BooleanFunction(t, 1 - 2 * (np.arange(2**t, dtype=np.int64) & 1))
 
 
+_BUILDERS = {"parity": parity, "and": and_fn, "or": or_fn, "majority": majority, "nae": nae,
+             "dictator": dictator}
+NAMED_FUNCTIONS = tuple(_BUILDERS)
+
+
 def named_function(name: str, t: int) -> BooleanFunction:
-    builders = {
-        "parity": parity,
-        "and": and_fn,
-        "or": or_fn,
-        "majority": majority,
-        "nae": nae,
-        "dictator": dictator,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ValueError(f"unknown function name {name!r}; known: {NAMED_FUNCTIONS}")
     _check_int("arity", t, ARITIES)
-    return builders[name](t)
+    return _BUILDERS[name](t)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ PROTOCOLS = ("classical", "quantum", "uniform")
 # run-quantum's permuted string and block values).
 CHUNK_BYTES = 16 * 2**20
 CHUNK_ARRAYS = 6
+# A trial whose CHUNK_ARRAYS length-n and MESSAGE_ARRAYS length-m arrays exceed it is refused.
+MAX_TRIAL_BYTES = 2**31
 # Cache-sized bound on a slice's length-m arrays: MESSAGE_ARRAYS per trial
 # (the message and the statistic's terms).  A message much longer than n
 # cuts the decision into slices, not the instance draw into chunks.
@@ -109,14 +111,18 @@ def run_protocol_trials(
 ) -> tuple[list[TrialRecord], RunSummary]:
     """Run independent seeded trials of one protocol on fresh instances.
 
-    Guard failures (wrong sign-degree / pure high degree) and a bad
-    epsilon surface before any trial randomness is consumed.
+    Guard failures (wrong sign-degree / pure high degree), a bad epsilon
+    and a trial over MAX_TRIAL_BYTES surface before any randomness is used.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if trials < 1:
         raise ValueError("trial count must be positive")
     runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
+    trial_bytes = 8 * (CHUNK_ARRAYS * params.n + MESSAGE_ARRAYS * (m or sample_count))
+    if trial_bytes > MAX_TRIAL_BYTES:
+        raise ValueError(f"one trial at n = {params.n} needs {trial_bytes / 2**30:.1f} GiB of "
+                         f"arrays, over the {MAX_TRIAL_BYTES // 2**30} GiB limit")
     chunk = max(1, CHUNK_BYTES // (8 * CHUNK_ARRAYS * params.n))
 
     records: list[TrialRecord] = []

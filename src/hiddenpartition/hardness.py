@@ -4,9 +4,10 @@ Everything here comes in pairs: a closed-form expression (the system under
 test) and a brute-force evaluation straight from the definitions (the
 ground truth).  The quantities covered:
 
-  * the induced distribution pair (p_sigma, q_sigma) of the promise string
-    over a message set A, and their total variation distance
-    (sum-of-absolute-differences normalisation, range [0, 2]);
+  * the induced distributions (p_sigma, q_sigma) of the promise string
+    and its complement over a message set A, as the int64 histogram
+    |A| p_sigma (|A| q_sigma is it reversed), and their total variation
+    distance (sum-of-absolute-differences normalisation, range [0, 2]);
   * the Fourier coefficients of r_sigma = p_sigma - q_sigma, whose closed
     form is a sum over per-block subset tuples weighted by coefficients of
     f and of the characteristic function of A;
@@ -18,7 +19,7 @@ ground truth).  The quantities covered:
 
 Each side of the r_sigma and u pairs is an integer numerator divided once
 by its exact integer denominator; Python's int / int and float64 division
-of integers float64 holds exactly both round correctly, so a closed form
+of integers that float64 holds exactly both round correctly, so a closed form
 and its brute force are equal floats unless the rationals differ.
 
 Exhaustive enumeration bounds every routine, so sizes are capped.
@@ -40,6 +41,8 @@ from .rng import fisher_yates, stream
 # Largest string length any routine here enumerates (induced_distributions);
 # message sets are refused above it before their 2^n-sized draw is made.
 MAX_MESSAGE_BITS = 20
+# Caps of kkl_check, expected_tvd and r_hat_formula; run_check applies them before any draw.
+MAX_KKL_BITS, MAX_TVD_BITS, MAX_RHAT_BITS, MAX_RHAT_ARITY = 14, 16, 12, 4
 # A kkl_check margin counts as a violation only below -KKL_TOL.
 KKL_TOL = 1e-12
 
@@ -79,17 +82,25 @@ class MessageSet:
         return walsh_hadamard(indicator) / 2**self.n
 
 
+def _check_bits(n: int, cap: int, what: str = "") -> None:
+    if n > cap:
+        raise ValueError(f"{what}capped at n <= {cap}")
+
+
+def _check_rhat_size(n: int, t: int) -> None:
+    if n > MAX_RHAT_BITS or t > MAX_RHAT_ARITY:
+        raise ValueError(f"closed-form sum capped at n <= {MAX_RHAT_BITS}, t <= {MAX_RHAT_ARITY}")
+
+
 def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
-    if n > MAX_MESSAGE_BITS:
-        raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
+    _check_bits(n, MAX_MESSAGE_BITS, "message sets are ")
     if not 1 <= size <= 2**n:
         raise ValueError("size out of range")
     return MessageSet(n, rng.choice(2**n, size=size, replace=False))
 
 
 def full_cube(n: int) -> MessageSet:
-    if n > MAX_MESSAGE_BITS:
-        raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
+    _check_bits(n, MAX_MESSAGE_BITS, "message sets are ")
     return MessageSet(n, np.arange(2**n))
 
 
@@ -99,33 +110,21 @@ def draw_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
     return full_cube(n) if size == 2**n else random_message_set(n, size, rng)
 
 
-@dataclass(frozen=True)
-class InducedDistributions:
-    """Histogram pair over promise strings, indexed by row-encoded mask."""
-
-    length: int
-    p: np.ndarray
-    q: np.ndarray
-
-
 def induced_distributions(
     f: BooleanFunction,
     message_set: MessageSet,
     sigma: Sequence[int],
     params: PartitionParams,
-) -> InducedDistributions:
-    """Distributions of the promise string and its complement when Alice's
-    string is uniform over the message set."""
-    if params.n > MAX_MESSAGE_BITS:
-        raise ValueError(f"exhaustive enumeration capped at n <= {MAX_MESSAGE_BITS}")
+) -> np.ndarray:
+    """|A| p_sigma: the int64 histogram, indexed by row-encoded mask, of the
+    promise string over Alice's strings in the message set A.  The
+    complement flips every bit (mask -> full - mask), so |A| q_sigma is
+    the same histogram reversed."""
+    _check_bits(params.n, MAX_MESSAGE_BITS, "exhaustive enumeration ")
     if message_set.n != params.n:
         raise ValueError("dimension mismatch")
-    length = params.active_blocks
     masks = promise_masks(f, message_set.members, sigma, params)
-    p = np.bincount(masks, minlength=2**length).astype(np.float64)
-    p /= len(message_set)
-    q = p[::-1].copy()  # complement flips every bit: mask -> full - mask
-    return InducedDistributions(length, p, q)
+    return np.bincount(masks, minlength=2**params.active_blocks)
 
 
 def tvd(d1: np.ndarray, d2: np.ndarray) -> float:
@@ -152,15 +151,14 @@ def expected_tvd(
 ) -> TvdEstimate:
     """Monte-Carlo estimate of the permutation-averaged distance between
     the induced distributions.  Larger message sets drive this toward 0."""
-    if params.n > 16:
-        raise ValueError("capped at n <= 16")
+    _check_bits(params.n, MAX_TVD_BITS)
     if sigma_samples < 1:
         raise ValueError(f"--sigmas must be at least 1, got {sigma_samples}")
     values = np.empty(sigma_samples)
     for i in range(sigma_samples):
         sigma = fisher_yates(params.n, rng)
-        dists = induced_distributions(f, message_set, sigma, params)
-        values[i] = tvd(dists.p, dists.q)
+        counts = induced_distributions(f, message_set, sigma, params)
+        values[i] = tvd(counts / len(message_set), counts[::-1] / len(message_set))
     stderr = float(values.std(ddof=1) / math.sqrt(sigma_samples)) if sigma_samples > 1 else 0.0
     return TvdEstimate(float(values.mean()), stderr)
 
@@ -176,13 +174,11 @@ def r_hat_bruteforce(
     sigma: Sequence[int],
     params: PartitionParams,
 ) -> np.ndarray:
-    """Every Fourier coefficient of r_sigma, straight from the histograms:
+    """Every Fourier coefficient of r_sigma, straight from the histogram:
     entry V (bit j-1 for block j) is the coefficient of chi_V, computed as
-    the transform of the count difference over |A| 2^len.  (p - q) |A| is
-    within |A| 2^-51 < 1/2 of that integer difference, so rounding it is exact."""
-    dists = induced_distributions(f, message_set, sigma, params)
-    counts = np.rint((dists.p - dists.q) * len(message_set))
-    return walsh_hadamard(counts) / (len(message_set) * 2**dists.length)
+    the transform of the count difference |A| (p - q) over |A| 2^len."""
+    counts = induced_distributions(f, message_set, sigma, params)
+    return walsh_hadamard(counts - counts[::-1]) / (len(message_set) * counts.size)
 
 
 def r_hat_formula(
@@ -195,8 +191,7 @@ def r_hat_formula(
     zero for even |V|; otherwise, with the integers F = 2^t f^ and G = 2^n g^,
     2/(|A| 2^len 2^(t|V|)) * sum over subset tuples (T_v)_{v in V} of
     prod F(T_v) * G(sigma^-1(V bullet T))."""
-    if params.n > 12 or params.t > 4:
-        raise ValueError("closed-form sum capped at n <= 12, t <= 4")
+    _check_rhat_size(params.n, params.t)
     n, t, length = params.n, params.t, params.active_blocks
     fhat = walsh_hadamard(f.table).astype(np.int64).tolist()  # F = 2^t f^
     support = [(mask, c) for mask, c in enumerate(fhat) if c != 0]
@@ -246,8 +241,7 @@ def u_bruteforce(
     """Definitional sum over all strings:
     (1/2) sum_x p_x p_sigma chi_S(x) (1[B_f = w] - 1[B_f = complement]),
     an integer sum over 2^(n+1) n!."""
-    if params.n > 12:
-        raise ValueError("brute force capped at n <= 12")
+    _check_bits(params.n, 12, "brute force ")
     n = params.n
     _check_positions(s_mask, n)
 
@@ -312,8 +306,7 @@ def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
     """Evaluate sum_S delta^|S| g^(S)^2 <= (|A|/2^n)^(2/(1+delta)) for the
     0/1 characteristic function of the set, over a grid of deltas."""
     n = message_set.n
-    if n > 14:
-        raise ValueError("capped at n <= 14")
+    _check_bits(n, MAX_KKL_BITS)
     spectrum = message_set.characteristic_spectrum()
     weights = np.bincount(row_weights(n), weights=spectrum**2, minlength=n + 1)
     density = len(message_set) / 2**n
@@ -339,15 +332,16 @@ def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
 def run_check(check: str, f: BooleanFunction, params: PartitionParams, cases: int,
               set_size: int | None, sigmas: int, seed: int) -> dict:
     """The record of ``hardness --check`` (tvd, rhat, u or kkl), each case
-    drawn from its own stream.  rhat and u count every value where a closed
-    form and its brute force differ as a violation; ``max_discrepancy`` is
-    the largest absolute difference.  A set size of None is 2^(n-1), or
-    random per kkl case."""
+    drawn from its own stream, after the check's cap is met.  rhat and u
+    count every value where a closed form and its brute force differ as a
+    violation; ``max_discrepancy`` is the largest absolute difference.  A
+    set size of None is 2^(n-1), or random per kkl case."""
     for flag, count in (("--cases", cases), ("--sigmas", sigmas), ("--set-size", set_size)):
         if count is not None and count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
     n = params.n
     if check == "kkl":
+        _check_bits(n, MAX_KKL_BITS)
         deltas = [round(0.1 * k, 1) for k in range(1, 10)]
         reports = []
         for case in range(cases):
@@ -359,10 +353,13 @@ def run_check(check: str, f: BooleanFunction, params: PartitionParams, cases: in
                 "min_margin": min(min(report.margins) for report in reports)}
     size = 2 ** (n - 1) if set_size is None else set_size  # tvd and rhat
     if check == "tvd":
+        _check_bits(n, MAX_TVD_BITS)
         rng = stream(seed, "hardness", "tvd")
         estimate = expected_tvd(f, draw_message_set(n, size, rng), params, sigmas, rng)
         return {"check": "tvd", "cases": sigmas, "set_size": size,
                 "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
+    if check == "rhat":
+        _check_rhat_size(n, params.t)
     worst = 0.0
     violations = 0
     for case in range(cases):

@@ -71,7 +71,6 @@ from .boolfn import (
 )
 
 FEASIBILITY_MARGIN = 1e-8
-COEFF_PRUNE_TOL = 1e-12
 UNIT_ROUNDOFF = 2.0**-53  # float64, round to nearest
 MAX_DENSE_LP_BYTES = 160 * 2**20  # float64 A_eq of one dense LP
 
@@ -90,10 +89,9 @@ class SignPolynomial:
     """Normalised multilinear polynomial with certified bias.
 
     ``coeffs[S]`` is the coefficient of chi_S, with S a subset bitmask: a
-    read-only float64 array of length 2^t, as FourierSpectrum.values, in
-    which entries with |c| <= COEFF_PRUNE_TOL are stored as 0.0.
-    ``degree`` is the largest |S| with a nonzero coefficient; ``bias`` is
-    the exhaustively certified min_x |p(x)| for the function it represents.
+    read-only float64 copy, of length 2^t, of the certified vector, as
+    FourierSpectrum.values.  ``degree`` is the largest |S| with a nonzero
+    coefficient; ``bias`` is the exhaustively certified min_x |p(x)|.
     """
 
     t: int
@@ -102,10 +100,11 @@ class SignPolynomial:
     degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        # + 0.0 copies and turns -0.0 into 0.0, on which LAPACK's sign
+        # choices (block matrix norm, dilation) would otherwise hinge
+        coeffs = np.asarray(self.coeffs, dtype=np.float64) + 0.0
         if coeffs.shape != (2**self.t,):
             raise ValueError("coefficient array length must be 2^t")
-        coeffs = np.where(np.abs(coeffs) > COEFF_PRUNE_TOL, coeffs, 0.0)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         support = np.flatnonzero(coeffs)
@@ -397,15 +396,14 @@ def _certified(fvals: np.ndarray, coeff: np.ndarray) -> SignPolynomial:
     from f(x) p(x), p the stored polynomial in exact arithmetic, by at
     most
 
-        gamma * ||c||_1 + ||dropped||_1,   gamma = k u / (1 - k u),
+        gamma * ||c||_1,   gamma = k u / (1 - k u),
 
     with k = t + 2 roundings on every path: t levels of pairwise sums and
     differences in the transform, the division of the value by scale and
-    the division of each coefficient by it.  ||c||_1 is the l1 norm of the
-    normalised coefficients and ||dropped||_1 that of the entries
-    SignPolynomial prunes.  The witness is refused with LpSolverError
-    unless every margin exceeds that bound, so f(x) p(x) > 0 holds
-    exactly.
+    the division of each coefficient by it, and ||c||_1 the l1 norm of the
+    normalised coefficients, which SignPolynomial stores unchanged.  The
+    witness is refused with LpSolverError unless every margin exceeds that
+    bound, so f(x) p(x) > 0 holds exactly.
     """
     t = fvals.size.bit_length() - 1
     values = walsh_hadamard(coeff)
@@ -414,7 +412,7 @@ def _certified(fvals: np.ndarray, coeff: np.ndarray) -> SignPolynomial:
     margins = fvals * (values / scale)
     poly = SignPolynomial(t, coeff, float(margins.min()))
     k = (t + 2) * UNIT_ROUNDOFF
-    bound = k / (1 - k) * float(np.abs(coeff).sum()) + float(np.abs(coeff - poly.coeffs).sum())
+    bound = k / (1 - k) * float(np.abs(coeff).sum())
     if not poly.bias > bound:
         raise LpSolverError(
             f"witness failed exhaustive sign certification: "

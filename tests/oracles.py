@@ -323,11 +323,10 @@ def promise_masks_by_points(f, message_set, sigma, params) -> np.ndarray:
     return bits @ (1 << np.arange(params.active_blocks, dtype=np.int64))
 
 
-def induced_p_by_points(f, message_set, sigma, params) -> np.ndarray:
-    """p_sigma as a histogram of ``promise_masks_by_points``."""
+def induced_counts_by_points(f, message_set, sigma, params) -> np.ndarray:
+    """|A| p_sigma, the histogram of ``promise_masks_by_points``."""
     masks = promise_masks_by_points(f, message_set, sigma, params)
-    p = np.bincount(masks, minlength=2**params.active_blocks).astype(np.float64)
-    return p / len(message_set)
+    return np.bincount(masks, minlength=2**params.active_blocks)
 
 
 def u_by_points(f, sigma, w, s_mask, params) -> float:

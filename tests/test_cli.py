@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiddenpartition import cli, experiments
+from hiddenpartition import cli, experiments, hardness
 from hiddenpartition.cli import main
 from hiddenpartition.experiments import (
     run_protocol_trials,
@@ -676,6 +676,61 @@ def test_cli_unwritable_path_is_refused_before_the_work(monkeypatch, tmp_path, c
     bad = tmp_path / "missing-dir" / "out"
     assert run_cli([arg.format(bad=bad) for arg in args]) == 2
     assert_one_guard_rejection(capsys)
+
+
+@pytest.mark.parametrize(
+    "check, n, t, reason",
+    [("kkl", 16, 2, "capped at n <= 14"),
+     ("kkl", 20, 2, "capped at n <= 14"),
+     ("tvd", 18, 2, "capped at n <= 16"),
+     ("tvd", 20, 2, "capped at n <= 16"),
+     ("rhat", 14, 2, "closed-form sum capped at n <= 12, t <= 4"),
+     ("rhat", 20, 2, "closed-form sum capped at n <= 12, t <= 4"),
+     ("rhat", 10, 5, "closed-form sum capped at n <= 12, t <= 4")],
+)
+def test_cli_hardness_cap_is_refused_before_the_message_set_is_drawn(
+        monkeypatch, capsys, check, n, t, reason):
+    draws = []
+    monkeypatch.setattr(hardness, "draw_message_set", lambda *args: draws.append(args))
+    args = ["hardness", "--named", "parity", "--t", str(t), "--check", check, "--n", str(n)]
+    assert run_cli(args) == 2
+    assert draws == []
+    assert capsys.readouterr() == ("", f"guard rejection: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run-quantum", "--named", "and", "--t", "16", "--n", "32", "--alpha", "1/2",
+      "--epsilon", "1e-300"],
+     ["run-classical", "--named", "and", "--t", "16", "--n", "32", "--alpha", "1/2",
+      "--epsilon", "1e-300"],
+     ["run-uniform", "--named", "dictator", "--t", "4", "--n", "400000000", "--samples", "1"]],
+    ids=["quantum-m", "classical-m", "uniform-n"],
+)
+def test_cli_oversized_trial_is_refused_before_any_draw(monkeypatch, capsys, args):
+    def refuse(*_):
+        raise AssertionError("an instance was drawn for an oversized trial")
+
+    monkeypatch.setattr(experiments, "generate_instances", refuse)
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("guard rejection: one trial at n = ")
+    assert err.endswith(f"over the {experiments.MAX_TRIAL_BYTES // 2**30} GiB limit\n")
+
+
+def test_trial_cap_admits_and16_at_the_default_epsilon(monkeypatch):
+    # quantum m = 19,174,896 copies, about 1.07 GB of decision arrays: admitted,
+    # so the run gets as far as drawing its instances (stopped there)
+    class Drawn(Exception):
+        pass
+
+    def stop(*_):
+        raise Drawn
+
+    monkeypatch.setattr(experiments, "generate_instances", stop)
+    with pytest.raises(Drawn):
+        run_protocol_trials("quantum", and_fn(16), "and:16", PartitionParams(32, 16, Fraction(1, 2)),
+                            trials=1, seed=0, epsilon=0.1)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])

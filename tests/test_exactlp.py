@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from scipy.optimize import linprog
 
 from hiddenpartition.exactlp import minimise
 
@@ -39,3 +42,25 @@ def test_blands_rule_does_not_cycle_on_beales_example():
 def test_refusals(a, b, c, reason):
     with pytest.raises(ValueError, match=reason):
         minimise(a, b, c)
+
+
+@given(rows=st.integers(1, 4), cols=st.integers(1, 6), data=st.data())
+def test_feasible_bounded_lps_match_highs_with_exact_duals(rows, cols, data):
+    # b = A x0 for an integer x0 >= 0, each row negated where b < 0, so x0
+    # is feasible; c >= 0 bounds the minimum below by 0
+    entries = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    a = data.draw(st.lists(entries, min_size=rows, max_size=rows))
+    x0 = data.draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols))
+    c = data.draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols))
+    assume(np.linalg.matrix_rank(np.array(a)) == rows)
+    b = [sum(aij * xj for aij, xj in zip(row, x0)) for row in a]
+    a = [row if bi >= 0 else [-v for v in row] for row, bi in zip(a, b)]
+    b = [abs(bi) for bi in b]
+    optimum = minimise(a, b, c)
+    highs = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    assert highs.status == 0
+    assert optimum.den > 0
+    assert optimum.value / optimum.den == pytest.approx(highs.fun, abs=1e-9)
+    for j in range(cols):  # dual feasibility, c - pi A >= 0, in integers
+        assert optimum.den * c[j] - sum(pi * row[j] for pi, row in zip(optimum.duals, a)) >= 0
+    assert sum(pi * bi for pi, bi in zip(optimum.duals, b)) == optimum.value

@@ -26,7 +26,7 @@ from hiddenpartition.instances import PartitionParams, promise_masks
 from hiddenpartition.rng import fisher_yates, stream
 
 from conftest import random_table
-from oracles import induced_p_by_points, promise_masks_by_points, row_of_point, u_by_points
+from oracles import induced_counts_by_points, promise_masks_by_points, row_of_point, u_by_points
 
 PARAMS_4 = PartitionParams(4, 2, Fraction(1))
 IDENTITY_4 = (1, 2, 3, 4)
@@ -109,39 +109,52 @@ def test_characteristic_spectrum_parseval():
 def test_point_mass_for_singleton():
     x = (1, -1, 1, 1)
     ms = MessageSet(4, frozenset({row_of_point(x)}))
-    dists = induced_distributions(parity(2), ms, IDENTITY_4, PARAMS_4)
+    counts = induced_distributions(parity(2), ms, IDENTITY_4, PARAMS_4)
     z_mask = 0b01  # z = (-1, +1)
-    assert dists.p[z_mask] == 1.0
-    assert dists.q[0b10] == 1.0
-    assert tvd(dists.p, dists.q) == 2.0
+    assert counts.tolist() == [0, 1, 0, 0]
+    assert counts[z_mask] == 1
+    assert counts[::-1][0b10] == 1  # the complement z = (+1, -1)
+    assert tvd(counts, counts[::-1]) == 2.0
 
 
 def test_two_element_example():
     members = frozenset(
         {row_of_point((1, 1, 1, 1)), row_of_point((1, -1, 1, 1))}
     )
-    dists = induced_distributions(parity(2), MessageSet(4, members), IDENTITY_4, PARAMS_4)
-    assert dists.p[0b00] == 0.5
-    assert dists.p[0b01] == 0.5
-    assert tvd(dists.p, dists.q) == 2.0  # disjoint supports
+    counts = induced_distributions(parity(2), MessageSet(4, members), IDENTITY_4, PARAMS_4)
+    assert counts.tolist() == [1, 1, 0, 0]
+    assert tvd(counts / 2, counts[::-1] / 2) == 2.0  # disjoint supports
 
 
 def test_full_cube_distributions_coincide():
-    dists = induced_distributions(parity(2), full_cube(4), IDENTITY_4, PARAMS_4)
-    assert tvd(dists.p, dists.q) == 0.0
+    counts = induced_distributions(parity(2), full_cube(4), IDENTITY_4, PARAMS_4)
+    assert np.array_equal(counts, counts[::-1])
+    assert tvd(counts / 16, counts[::-1] / 16) == 0.0
+
+
+@given(st.integers(min_value=0, max_value=2**31))
+def test_induced_counts_are_int64_and_sum_to_the_set_size(seed):
+    rng = stream(seed, "c")
+    params = PartitionParams(6, 2, Fraction(2, 3))
+    ms = random_message_set(6, int(rng.integers(1, 65)), rng)
+    counts = induced_distributions(parity(2), ms, random_sigma(6, rng), params)
+    assert counts.dtype == np.int64
+    assert counts.shape == (2**params.active_blocks,)
+    assert counts.sum() == len(ms)
 
 
 @given(st.integers(min_value=0, max_value=2**31))
 def test_complement_relation(seed):
+    # |A| q_sigma counted from the negated promise string of every member
     rng = stream(seed, "c")
     params = PartitionParams(6, 2, Fraction(2, 3))
+    f = random_table(2, rng)
     ms = random_message_set(6, int(rng.integers(1, 65)), rng)
-    dists = induced_distributions(parity(2), ms, random_sigma(6, rng), params)
-    full = 2**dists.length - 1
-    for mask in range(2**dists.length):
-        assert dists.q[mask] == dists.p[full ^ mask]
-    assert dists.p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dists.q.sum() == pytest.approx(1.0, abs=1e-12)
+    sigma = random_sigma(6, rng)
+    counts = induced_distributions(f, ms, sigma, params)
+    full = 2**params.active_blocks - 1
+    complements = full ^ promise_masks_by_points(f, ms, sigma, params)
+    assert np.array_equal(np.bincount(complements, minlength=full + 1), counts[::-1])
 
 
 @pytest.mark.parametrize(
@@ -159,8 +172,8 @@ def test_packed_promise_masks_match_points_oracle(n, t, alpha):
         masks = promise_masks(f, ms.members, sigma, params)
         assert masks.dtype == np.int64
         assert np.array_equal(masks, promise_masks_by_points(f, ms, sigma, params))
-        dists = induced_distributions(f, ms, sigma, params)
-        assert np.array_equal(dists.p, induced_p_by_points(f, ms, sigma, params))
+        counts = induced_distributions(f, ms, sigma, params)
+        assert np.array_equal(counts, induced_counts_by_points(f, ms, sigma, params))
 
 
 def test_promise_masks_check_the_arity():

@@ -52,6 +52,19 @@ def test_monomial_masks():
     assert len(monomial_masks(4, 4)) == 16
 
 
+def test_sign_polynomial_stores_a_read_only_copy_of_every_coefficient():
+    coeffs = np.zeros(8)
+    coeffs[[0, 0b011, 0b101]] = [0.5, -0.0, 1e-13]
+    p = SignPolynomial(3, coeffs, 0.1)
+    assert p.coeffs[0b101] == 1e-13 and p.degree == 2
+    assert not np.signbit(p.coeffs[0b011])  # a signed zero is stored as 0.0
+    assert not p.coeffs.flags.writeable
+    assert coeffs.flags.writeable  # the caller's array is neither frozen
+    assert not np.shares_memory(p.coeffs, coeffs)  # nor aliased
+    coeffs[0] = 9.0
+    assert p.coeffs[0] == 0.5
+
+
 def test_dictator_degree_one():
     d, p = sign_degree(dictator(3))
     assert d == 1
