@@ -52,17 +52,17 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     transform is its own inverse up to a factor 2^t.  All arithmetic is
     exact in float64 for the magnitudes this package produces.
     """
-    a = np.asarray(values, dtype=np.float64).copy()
+    a = np.array(values, dtype=np.float64, order="C")  # a fresh copy, transformed in place
     n = a.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
     h = 1
     while h < n:
-        shape = a.shape[:-1] + (n // (2 * h), 2, h)
-        a = a.reshape(shape)
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack((top, bot), axis=-2).reshape(a.shape[:-3] + (n,))
+        pairs = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        top, bot = pairs[..., 0, :], pairs[..., 1, :]
+        difference = top - bot
+        top += bot
+        bot[...] = difference
         h *= 2
     return a
 

@@ -22,14 +22,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, all_points
 from .classical import level_one_slots, message_cost_bits, required_samples
 from .classical import run_classical, run_uniform_phd1
 from .instances import PartitionParams, generate_instances
-from .quantum import block_multilinear_matrix, qubits_per_copy, required_copies, run_quantum
+from .quantum import block_multilinear_matrix, hadamard_test_probs, qubits_per_copy
+from .quantum import required_copies, run_quantum
 from .rng import coin, fisher_yates_rows, stream
 from .signpoly import best_sign_polynomial
 
@@ -199,8 +200,9 @@ def _make_runner(
     poly = best_sign_polynomial(f, 2)
     matrix = block_multilinear_matrix(poly)
     m = required_copies(params, poly.bias, matrix, epsilon)
+    probs = hadamard_test_probs(matrix, all_points(params.t))  # one per block value
     run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:
-                     run_quantum(params, xs, sigmas, ws, matrix, m, rngs, tie_rngs))
+                     run_quantum(params, xs, sigmas, ws, probs, m, rngs, tie_rngs))
     return run, m, m * qubits_per_copy(params)
 
 
@@ -225,8 +227,8 @@ def _in_slices(message_len: int, decide: Callable) -> Callable:
 
 def _rows(records: list[TrialRecord], summary: RunSummary):
     """The output rows: each record's fields after its kind, "trial" or "summary"."""
-    yield from ({"record": "trial", **asdict(record)} for record in records)
-    yield {"record": "summary", **asdict(summary)}
+    yield from ({"record": "trial", **vars(record)} for record in records)
+    yield {"record": "summary", **vars(summary)}
 
 
 def write_jsonl(out: io.TextIOBase, records: list[TrialRecord], summary: RunSummary) -> None:

@@ -83,17 +83,13 @@ def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
     index a buffer one column wider, whose unused column 0 the returned
     view drops."""
     out = np.empty((xs.shape[0], xs.shape[1] + 1), dtype=xs.dtype)
-    targets = np.broadcast_to(np.asarray(sigma, dtype=np.int64), xs.shape)
-    np.put_along_axis(out, targets, xs, axis=1)
+    out[np.arange(xs.shape[0])[:, None], sigma] = xs
     return out[:, 1:]
 
 
-def _blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
+def blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
     """Row-encoding indices for a (..., t) array of +-1 block values."""
-    t = blocks.shape[-1]
-    bits = (1 - blocks) // 2
-    weights = (1 << np.arange(t, dtype=np.int64))
-    return bits @ weights
+    return (blocks < 0) @ (1 << np.arange(blocks.shape[-1], dtype=np.int64))
 
 
 def b_map_rows(
@@ -106,7 +102,10 @@ def b_map_rows(
     permuted = permute_rows(np.asarray(sigma), np.asarray(xs, dtype=np.int64))
     active = permuted[:, : params.active_len]
     blocks = active.reshape(active.shape[0], params.active_blocks, params.t)
-    return f.table[_blocks_to_rows(blocks)]
+    return f.table[blocks_to_rows(blocks)]
+
+
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # row v: the 8 bits of v
 
 
 def promise_masks(
@@ -114,18 +113,32 @@ def promise_masks(
 ) -> np.ndarray:
     """B_f(x, sigma) for row-encoded strings x (bit i-1 set where x_i = -1),
     row-encoded too: bit j-1 of entry r is set where block j of sigma(x)
-    evaluates to -1.  Works on the masks themselves, with no +-1 matrix."""
+    evaluates to -1.  Works on the masks themselves, with no +-1 matrix.
+
+    Two rounds of table lookups, each table indexed by at most 8 bits (or
+    one block, when t > 8): one 256-entry table per byte of x moves its
+    bits to their places in sigma(x)'s active prefix, then one table of
+    floor(8/t) whole blocks applies f to each block of every such group
+    of the prefix."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
-    sources = inverse_permutation(sigma) - 1  # sigma^-1(p) - 1 at p - 1
+    t = params.t
+    targets = np.asarray(sigma, dtype=np.int64) - 1  # bit i of x lands on bit sigma(i+1)-1
+    moves = np.zeros(-(-params.n // 8) * 8, dtype=np.int64)
+    moves[: params.n] = np.where(targets < params.active_len, 1 << targets, 0)
+    prefix = np.zeros(len(members), dtype=np.int64)
+    for k, table in enumerate(moves.reshape(-1, 8) @ _BYTE_BITS.T):
+        prefix |= table[(members >> 8 * k) & 255]
+
     minus = (1 - f.table) // 2  # 1 where f is -1
-    masks = np.zeros(len(members), dtype=np.int64)
-    for j in range(params.active_blocks):
-        rows = np.zeros_like(masks)
-        for slot, source in enumerate(sources[j * params.t : (j + 1) * params.t].tolist()):
-            rows |= ((members >> source) & 1) << slot
-        masks |= minus[rows] << j
-    return masks
+    per_table = max(1, 8 // t)
+    values = np.arange(2 ** (per_table * t))
+    table = sum(minus[(values >> i * t) & (2**t - 1)] << i for i in range(per_table))
+    masks = np.zeros_like(prefix)
+    for first in range(0, params.active_blocks, per_table):
+        masks |= table[(prefix >> first * t) & (values.size - 1)] << first
+    # a last, partial group reads all-(+1) blocks past the prefix: drop their bits
+    return masks & ((1 << params.active_blocks) - 1)
 
 
 def generate_instances(

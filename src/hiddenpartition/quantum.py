@@ -32,7 +32,7 @@ import numpy as np
 
 from .boolfn import all_points
 from .classical import decide_rows, required_samples
-from .instances import PartitionParams, permute_rows
+from .instances import PartitionParams, blocks_to_rows, permute_rows
 from .signpoly import SignPolynomial
 
 IDENTITY_TOL = 1e-10
@@ -139,15 +139,18 @@ def run_quantum(
     xs: np.ndarray,
     sigmas: np.ndarray,
     ws: np.ndarray,
-    matrix: BlockMatrix,
+    probs: np.ndarray,
     m: int,
     rngs: list[np.random.Generator],
     tie_rngs: list[np.random.Generator],
 ) -> list[tuple[int, float]]:
     """Protocol runs on a chunk of instances (``generate_instances``) with
-    m copies each, from the ``block_multilinear_matrix`` of a degree-2
-    witness (``best_sign_polynomial(f, 2)``, which exists when sdeg(f) <= 2);
-    returns one (guess, statistic) per row, as ``decide_rows``.
+    m copies each; returns one (guess, statistic) per row, as
+    ``decide_rows``.  probs is the Hadamard test's outcome-0 probability
+    for each of the 2^t block values, indexed by row code:
+    ``hadamard_test_probs(matrix, all_points(t))`` for the
+    ``block_multilinear_matrix`` of a degree-2 witness
+    (``best_sign_polynomial(f, 2)``, which exists when sdeg(f) <= 2).
 
     Per copy: a block index is drawn from the measurement distribution,
     uniform since each block's weight is (t+1)/(n + n/t) = t/n (its t
@@ -157,8 +160,8 @@ def run_quantum(
     its m block indices, then its m uniforms, from rngs[r].
     """
     count = len(rngs)
-    blocks = permute_rows(sigmas, xs).reshape(count * params.num_blocks, params.t)
-    probs0 = hadamard_test_probs(matrix, blocks).reshape(count, params.num_blocks)
+    blocks = permute_rows(sigmas, xs).reshape(count, params.num_blocks, params.t)
+    probs0 = probs[blocks_to_rows(blocks)]
 
     js = np.empty((count, m), dtype=np.int64)
     uniforms = np.empty((count, m))

@@ -25,7 +25,7 @@ from hiddenpartition.boolfn import (
     weight_profile,
 )
 from hiddenpartition.instances import PartitionParams, b_map_rows
-from hiddenpartition.quantum import unitary_dilation
+from hiddenpartition.quantum import hadamard_test_probs, unitary_dilation
 from hiddenpartition.reduction import (
     ReductionGadget,
     extended_permutation,
@@ -62,6 +62,22 @@ def hamming_weight(x) -> int:
 def negate(f: BooleanFunction) -> BooleanFunction:
     """f with every table entry negated."""
     return BooleanFunction(f.t, -f.table)
+
+
+def stacked_walsh_hadamard(values) -> np.ndarray:
+    """The butterfly of ``walsh_hadamard`` with every stage building its
+    sums and differences as new arrays and stacking them back together;
+    each stage adds and subtracts the same pairs, in the same order."""
+    a = np.asarray(values, dtype=np.float64)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        pairs = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        top = pairs[..., 0, :] + pairs[..., 1, :]
+        bot = pairs[..., 0, :] - pairs[..., 1, :]
+        a = np.stack((top, bot), axis=-2).reshape(a.shape[:-1] + (n,))
+        h *= 2
+    return a
 
 
 def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
@@ -239,6 +255,23 @@ def statevector_oracle(a, z) -> float:
     state = np.kron(hadamard, np.eye(dim)) @ state
 
     return float(state[:dim] @ state[:dim])
+
+
+def quantum_statistics_by_blocks(params, xs, sigmas, ws, matrix, m, rngs) -> list[float]:
+    """``run_quantum``'s statistic per row, trial by trial and copy by copy,
+    with the closed form evaluated on each block of that row's sigma(x)."""
+    statistics = []
+    for x, sigma, w, rng in zip(xs, sigmas, ws, rngs):
+        blocks = np.array(apply_permutation(sigma.tolist(), x.tolist())).reshape(-1, params.t)
+        probs0 = hadamard_test_probs(matrix, blocks)
+        js = rng.integers(0, params.num_blocks, size=m)
+        uniforms = rng.random(m)
+        total = 0.0
+        for j, uniform in zip(js.tolist(), uniforms.tolist()):
+            if j < params.active_blocks:
+                total += (1.0 if uniform < probs0[j] else -1.0) * float(w[j])
+        statistics.append(total)
+    return statistics
 
 
 def povm_block_distribution(params) -> tuple[Fraction, ...]:

@@ -22,10 +22,13 @@ from hiddenpartition.boolfn import (
     pure_high_degree,
     sign_changes,
     symmetric_spec_of,
+    walsh_hadamard,
     weight_profile,
 )
 
-from oracles import hamming_weight, inverse_fourier, negate, point_of_row, row_of_point
+from oracles import (
+    hamming_weight, inverse_fourier, negate, point_of_row, row_of_point, stacked_walsh_hadamard,
+)
 
 tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda t: st.tuples(
@@ -172,6 +175,19 @@ def test_coefficients_are_dyadic(args):
     spec = fourier_transform(fn(t, table))
     scaled = spec.values * 2**t
     assert np.array_equal(scaled, np.rint(scaled))
+
+
+@given(st.integers(0, 11), st.integers(1, 3), st.booleans(), st.integers(0, 2**31))
+def test_walsh_hadamard_in_place_matches_stacked_bit_for_bit(k, rows, fortran, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, 2**k)) * 10.0 ** rng.integers(-8, 9, size=(rows, 2**k))
+    if fortran:
+        values = np.asfortranarray(values)
+    before = values.copy()
+    result = walsh_hadamard(values)
+    assert np.array_equal(result, stacked_walsh_hadamard(before))
+    assert np.array_equal(walsh_hadamard(values[0]), result[0])
+    assert np.array_equal(values, before)  # the input is not transformed in place
 
 
 def test_pure_high_degree_examples():

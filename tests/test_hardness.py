@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,42 @@ def test_message_sets_over_the_cap_are_refused_before_drawing():
         full_cube(MAX_MESSAGE_BITS + 1)
 
 
+class _NoDraws:
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a message set over the cap was drawn")
+
+
+def test_library_message_set_caps_refuse_n21_before_any_allocation(monkeypatch):
+    # The CLI's hardness caps are all below MAX_MESSAGE_BITS, so only library
+    # callers reach these refusals; none may allocate anything 2^n-sized first.
+    n = MAX_MESSAGE_BITS + 1
+    params = PartitionParams(n, 1, Fraction(1))
+    cube_bytes = 8 * 2**n
+
+    def no_masks(*args, **kwargs):
+        raise AssertionError("promise masks computed over the cap")
+
+    monkeypatch.setattr(hardness, "promise_masks", no_masks)
+    refusals = {
+        "random_message_set": (lambda: random_message_set(n, 1, _NoDraws()),
+                               "message sets are capped at n <= 20"),
+        "full_cube": (lambda: full_cube(n), "message sets are capped at n <= 20"),
+        "induced_distributions": (
+            lambda: induced_distributions(parity(1), MessageSet(n, [0, 5]), range(1, n + 1),
+                                          params),
+            "exhaustive enumeration capped at n <= 20"),
+    }
+    for name, (call, message) in refusals.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube_bytes // 64, name
+
+
 def test_characteristic_spectrum_parseval():
     # for a 0/1 indicator, sum of squared coefficients equals |A|/2^n
     rng = stream(0, "ms")
@@ -174,6 +211,33 @@ def test_packed_promise_masks_match_points_oracle(n, t, alpha):
         assert np.array_equal(masks, promise_masks_by_points(f, ms, sigma, params))
         counts = induced_distributions(f, ms, sigma, params)
         assert np.array_equal(counts, induced_counts_by_points(f, ms, sigma, params))
+
+
+@st.composite
+def _promise_cases(draw):
+    t = draw(st.sampled_from([1, 2, 3, 5, 9]))
+    blocks = draw(st.integers(1, MAX_MESSAGE_BITS // t))
+    active = draw(st.integers(1, blocks))
+    return t, blocks * t, Fraction(active, blocks), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_promise_cases())
+@example((1, 20, Fraction(1, 2), 0))  # n at the cap, eight blocks per table
+@example((5, 20, Fraction(3, 4), 1))  # n at the cap, one block per table
+@example((3, 15, Fraction(2, 5), 2))  # two blocks per table, a partial byte of x
+@example((9, 18, Fraction(1, 2), 3))  # t > 8: f's own table, one block at a time
+@example((2, 14, Fraction(3, 7), 4))  # three active blocks: a partial group of four
+def test_table_promise_masks_match_points_oracle(case):
+    t, n, alpha, seed = case
+    params = PartitionParams(n, t, alpha)
+    rng = stream(seed, "tables", n, t)
+    f = random_table(t, rng)
+    ms = random_message_set(n, int(rng.integers(1, min(2**n, 2000) + 1)), rng)
+    sigma = fisher_yates(n, rng)
+    masks = promise_masks(f, ms.members, sigma, params)
+    assert masks.dtype == np.int64
+    assert np.array_equal(masks, promise_masks_by_points(f, ms, sigma, params))
 
 
 def test_promise_masks_check_the_arity():

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenpartition.boolfn import (
-    SymmetricSpec, all_points, dictator, make_symmetric, named_function, parity,
+    SymmetricSpec, all_points, and_fn, dictator, majority, make_symmetric, named_function, parity,
 )
-from hiddenpartition.experiments import run_protocol_trials
-from hiddenpartition.instances import PartitionParams
+from hiddenpartition.experiments import _make_runner, run_protocol_trials
+from hiddenpartition.instances import (
+    PartitionParams, blocks_to_rows, generate_instances, permute_rows,
+)
 from hiddenpartition.quantum import (
     BlockMatrix,
     _lifted_forms,
@@ -20,10 +22,13 @@ from hiddenpartition.quantum import (
     required_copies,
     unitary_dilation,
 )
+from hiddenpartition.rng import stream
 from hiddenpartition.signpoly import BelowSignDegreeError, best_sign_polynomial
 
-from conftest import poly_from_terms, poly_value, random_degree2_poly
-from oracles import povm_block_distribution, row_of_point, statevector_oracle
+from conftest import poly_from_terms, poly_value, random_degree2_poly, random_table
+from oracles import (
+    povm_block_distribution, quantum_statistics_by_blocks, row_of_point, statevector_oracle,
+)
 
 
 # --- bilinear lift -----------------------------------------------------------
@@ -168,6 +173,42 @@ def test_hadamard_prob_deviation_bound(t, seed):
     bound = 1 / (2 * a.spectral_norm * (t + 1))
     for closed in hadamard_test_probs(a, all_points(t)):
         assert abs(closed - 0.5) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("f", [parity(2), and_fn(3), majority(3),
+                               random_table(4, np.random.default_rng([4, 1])),
+                               random_table(4, np.random.default_rng([4, 2]))],
+                         ids=["parity2", "and3", "majority3", "dense4-1", "dense4-2"])
+def test_tabulated_probs_equal_the_closed_form_on_every_block(f):
+    # a quantum run evaluates the closed form once per block value and looks
+    # it up by row code; that must be the very float of the per-block stack.
+    a = block_multilinear_matrix(best_sign_polynomial(f, 2))
+    params = PartitionParams(960, f.t, Fraction(1, 2))
+    rngs = [stream(row, "tabulated", f.t) for row in range(100)]
+    xs, sigmas, _ = generate_instances(f, params, [1] * len(rngs), rngs)
+    blocks = permute_rows(sigmas, xs).reshape(-1, f.t)
+    rows = blocks_to_rows(blocks)
+    assert np.array_equal(np.unique(rows), np.arange(2**f.t))  # every value occurs
+    table = hadamard_test_probs(a, all_points(f.t))
+    assert np.array_equal(table[rows], hadamard_test_probs(a, blocks))
+
+
+@pytest.mark.parametrize("f", [and_fn(3), random_table(4, np.random.default_rng([4, 1]))],
+                         ids=["and3", "dense4-1"])
+def test_run_quantum_statistics_match_the_per_block_oracle(f):
+    # the quantum runner tabulates the closed form once per run; its
+    # statistics must be those of the closed form on each block of each trial
+    params = PartitionParams(48, f.t, Fraction(1, 2))
+    run, m, _ = _make_runner("quantum", f, params, 0.4, None)
+    trials = range(40)
+    xs, sigmas, ws = generate_instances(
+        f, params, [1] * len(trials), [stream(trial, "instance") for trial in trials])
+    decisions = run(xs, sigmas, ws, [stream(trial, "protocol") for trial in trials],
+                    [stream(trial, "tiebreak") for trial in trials])
+    a = block_multilinear_matrix(best_sign_polynomial(f, 2))
+    expected = quantum_statistics_by_blocks(params, xs, sigmas, ws, a, m,
+                                            [stream(trial, "protocol") for trial in trials])
+    assert [statistic for _, statistic in decisions] == expected
 
 
 # --- measurement accounting --------------------------------------------------
