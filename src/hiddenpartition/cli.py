@@ -29,7 +29,7 @@ from typing import Callable, Optional
 from . import boolfn
 from .boolfn import BooleanFunction
 from .experiments import SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_trials, write_csv, write_jsonl
-from .hardness import run_check
+from .hardness import CHECK_CAPS, run_check
 from .instances import PartitionParams, exact_fraction
 from .quantum import block_multilinear_matrix, matrix_audit_record
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hard = sub.add_parser("hardness", help="brute-force-verified hardness quantities")
     add_function_args(p_hard)
-    p_hard.add_argument("--check", choices=("tvd", "rhat", "u", "kkl"), required=True)
+    p_hard.add_argument("--check", choices=tuple(CHECK_CAPS), required=True)
     p_hard.add_argument("--n", type=int, required=True)
     p_hard.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
     p_hard.add_argument("--cases", type=int, default=50)
@@ -224,11 +224,12 @@ def cmd_hardness(args) -> int:
 
 def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
     """command(args), or exit code 2 with one "guard rejection: <reason>"
-    line on stderr when it raises ValueError or OSError (a guard
-    rejection, an invalid parameter or an unusable path).  The output
-    paths in args (--out, and --dump-matrix where there is one) are opened
-    for appending first, so an unwritable one is refused before any work,
-    and a file keeps what it holds until the command writes it.
+    line on stderr when it raises ValueError, OSError or MemoryError (a
+    guard rejection, an invalid parameter, an unusable path or an array
+    too large for memory).  The output paths in args (--out, and
+    --dump-matrix where there is one) are opened for appending first, so
+    an unwritable one is refused before any work, and a file keeps what
+    it holds until the command writes it.
 
     Everything alive before the command runs, the numpy import graph
     above all, is moved to the collector's permanent generation
@@ -241,8 +242,8 @@ def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Nam
                     pass
         gc.freeze()
         return command(args)
-    except (ValueError, OSError) as exc:
-        print(f"guard rejection: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"guard rejection: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -35,14 +35,16 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction, row_weights, walsh_hadamard
-from .instances import PartitionParams, inverse_permutation, promise_masks
+from .instances import PartitionParams, blocks_to_rows, inverse_permutation, promise_masks
 from .rng import fisher_yates, stream
 
 # Largest string length any routine here enumerates (induced_distributions);
 # message sets are refused above it before their 2^n-sized draw is made.
 MAX_MESSAGE_BITS = 20
-# Caps of kkl_check, expected_tvd and r_hat_formula; run_check applies them before any draw.
-MAX_KKL_BITS, MAX_TVD_BITS, MAX_RHAT_BITS, MAX_RHAT_ARITY = 14, 16, 12, 4
+# The largest n each hardness check enumerates (rhat also caps t), applied by
+# the check's routine and by run_check before any draw.
+CHECK_CAPS = {"tvd": 16, "rhat": 12, "u": 12, "kkl": 14}
+MAX_RHAT_ARITY = 4
 # A kkl_check margin counts as a violation only below -KKL_TOL.
 KKL_TOL = 1e-12
 
@@ -82,32 +84,22 @@ class MessageSet:
         return walsh_hadamard(indicator) / 2**self.n
 
 
-def _check_bits(n: int, cap: int, what: str = "") -> None:
-    if n > cap:
-        raise ValueError(f"{what}capped at n <= {cap}")
-
-
-def _check_rhat_size(n: int, t: int) -> None:
-    if n > MAX_RHAT_BITS or t > MAX_RHAT_ARITY:
-        raise ValueError(f"closed-form sum capped at n <= {MAX_RHAT_BITS}, t <= {MAX_RHAT_ARITY}")
-
-
-def random_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
-    _check_bits(n, MAX_MESSAGE_BITS, "message sets are ")
-    if not 1 <= size <= 2**n:
-        raise ValueError("size out of range")
-    return MessageSet(n, rng.choice(2**n, size=size, replace=False))
-
-
-def full_cube(n: int) -> MessageSet:
-    _check_bits(n, MAX_MESSAGE_BITS, "message sets are ")
-    return MessageSet(n, np.arange(2**n))
+def _check_cap(check: str, n: int, t: int = 1) -> None:
+    """Refuse an n over the check's CHECK_CAPS row (for rhat, also a t over MAX_RHAT_ARITY)."""
+    arity = f", t <= {MAX_RHAT_ARITY}" if check == "rhat" else ""
+    if n > CHECK_CAPS[check] or (arity and t > MAX_RHAT_ARITY):
+        raise ValueError(f"{check} is capped at n <= {CHECK_CAPS[check]}{arity}")
 
 
 def draw_message_set(n: int, size: int, rng: np.random.Generator) -> MessageSet:
     """The full cube when size is 2^n (drawing nothing from rng), else a
     random set of that size."""
-    return full_cube(n) if size == 2**n else random_message_set(n, size, rng)
+    if n > MAX_MESSAGE_BITS:
+        raise ValueError(f"message sets are capped at n <= {MAX_MESSAGE_BITS}")
+    if not 1 <= size <= 2**n:
+        raise ValueError("size out of range")
+    members = np.arange(2**n) if size == 2**n else rng.choice(2**n, size=size, replace=False)
+    return MessageSet(n, members)
 
 
 def induced_distributions(
@@ -120,7 +112,8 @@ def induced_distributions(
     promise string over Alice's strings in the message set A.  The
     complement flips every bit (mask -> full - mask), so |A| q_sigma is
     the same histogram reversed."""
-    _check_bits(params.n, MAX_MESSAGE_BITS, "exhaustive enumeration ")
+    if params.n > MAX_MESSAGE_BITS:
+        raise ValueError(f"exhaustive enumeration capped at n <= {MAX_MESSAGE_BITS}")
     if message_set.n != params.n:
         raise ValueError("dimension mismatch")
     masks = promise_masks(f, message_set.members, sigma, params)
@@ -151,7 +144,7 @@ def expected_tvd(
 ) -> TvdEstimate:
     """Monte-Carlo estimate of the permutation-averaged distance between
     the induced distributions.  Larger message sets drive this toward 0."""
-    _check_bits(params.n, MAX_TVD_BITS)
+    _check_cap("tvd", params.n)
     if sigma_samples < 1:
         raise ValueError(f"--sigmas must be at least 1, got {sigma_samples}")
     values = np.empty(sigma_samples)
@@ -191,7 +184,7 @@ def r_hat_formula(
     zero for even |V|; otherwise, with the integers F = 2^t f^ and G = 2^n g^,
     2/(|A| 2^len 2^(t|V|)) * sum over subset tuples (T_v)_{v in V} of
     prod F(T_v) * G(sigma^-1(V bullet T))."""
-    _check_rhat_size(params.n, params.t)
+    _check_cap("rhat", params.n, params.t)
     n, t, length = params.n, params.t, params.active_blocks
     fhat = walsh_hadamard(f.table).astype(np.int64).tolist()  # F = 2^t f^
     support = [(mask, c) for mask, c in enumerate(fhat) if c != 0]
@@ -241,14 +234,13 @@ def u_bruteforce(
     """Definitional sum over all strings:
     (1/2) sum_x p_x p_sigma chi_S(x) (1[B_f = w] - 1[B_f = complement]),
     an integer sum over 2^(n+1) n!."""
-    _check_bits(params.n, 12, "brute force ")
+    _check_cap("u", params.n)
     n = params.n
     _check_positions(s_mask, n)
 
     rows = np.arange(2**n, dtype=np.int64)  # every string, row-encoded
     zmasks = promise_masks(f, rows, sigma, params)
-    block_weights = 1 << np.arange(params.active_blocks, dtype=np.int64)
-    w_mask = int(((1 - np.asarray(w, dtype=np.int64)) // 2) @ block_weights)
+    w_mask = int(blocks_to_rows(np.asarray(w)))
     full = 2**params.active_blocks - 1
 
     chi = 1 - 2 * (np.bitwise_count(rows & s_mask) & 1).astype(np.int64)
@@ -306,7 +298,7 @@ def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
     """Evaluate sum_S delta^|S| g^(S)^2 <= (|A|/2^n)^(2/(1+delta)) for the
     0/1 characteristic function of the set, over a grid of deltas."""
     n = message_set.n
-    _check_bits(n, MAX_KKL_BITS)
+    _check_cap("kkl", n)
     spectrum = message_set.characteristic_spectrum()
     weights = np.bincount(row_weights(n), weights=spectrum**2, minlength=n + 1)
     density = len(message_set) / 2**n
@@ -336,12 +328,12 @@ def run_check(check: str, f: BooleanFunction, params: PartitionParams, cases: in
     count every value where a closed form and its brute force differ as a
     violation; ``max_discrepancy`` is the largest absolute difference.  A
     set size of None is 2^(n-1), or random per kkl case."""
+    _check_cap(check, params.n, params.t)
     for flag, count in (("--cases", cases), ("--sigmas", sigmas), ("--set-size", set_size)):
         if count is not None and count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
     n = params.n
     if check == "kkl":
-        _check_bits(n, MAX_KKL_BITS)
         deltas = [round(0.1 * k, 1) for k in range(1, 10)]
         reports = []
         for case in range(cases):
@@ -353,13 +345,10 @@ def run_check(check: str, f: BooleanFunction, params: PartitionParams, cases: in
                 "min_margin": min(min(report.margins) for report in reports)}
     size = 2 ** (n - 1) if set_size is None else set_size  # tvd and rhat
     if check == "tvd":
-        _check_bits(n, MAX_TVD_BITS)
         rng = stream(seed, "hardness", "tvd")
         estimate = expected_tvd(f, draw_message_set(n, size, rng), params, sigmas, rng)
         return {"check": "tvd", "cases": sigmas, "set_size": size,
                 "mean": estimate.mean, "stderr": estimate.stderr, "violations": 0}
-    if check == "rhat":
-        _check_rhat_size(n, params.t)
     worst = 0.0
     violations = 0
     for case in range(cases):

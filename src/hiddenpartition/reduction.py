@@ -200,10 +200,9 @@ def verify_reduction(
     f = make_symmetric(spec)
     xs = all_points(n_small)
 
-    sigmas = [np.arange(1, n_small + 1, dtype=np.int64)]
-    sigmas += [fisher_yates(n_small, rng) for _ in range(sigma_samples - 1)]
     cases = 0
-    for sigma in sigmas:
+    for k in range(sigma_samples):
+        sigma = fisher_yates(n_small, rng) if k else np.arange(1, n_small + 1, dtype=np.int64)
         counterexample = blockwise_identity_counterexamples(f, gadget, sigma, xs)
         cases += xs.shape[0]
         if counterexample is not None:

@@ -26,12 +26,11 @@ from hiddenpartition.classical import required_samples
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.hardness import (
     MessageSet,
+    draw_message_set,
     expected_tvd,
-    full_cube,
     kkl_check,
     r_hat_bruteforce,
     r_hat_formula,
-    random_message_set,
     u_bruteforce,
     u_formula,
 )
@@ -253,7 +252,7 @@ def test_c09_r_hat_formula_vs_bruteforce():
     for name, f in (("parity", parity(2)), ("and", and_fn(2))):
         for case in range(50):
             rng = stream(909, name, case)
-            ms = random_message_set(8, int(rng.integers(1, 257)), rng)
+            ms = draw_message_set(8, int(rng.integers(1, 257)), rng)
             sigma = tuple(int(v) for v in fisher_yates(8, rng))
             formula = r_hat_formula(f, ms, sigma, params)
             brute = r_hat_bruteforce(f, ms, sigma, params)
@@ -314,7 +313,7 @@ def test_c11_kkl_inequality():
     for case in range(100):
         rng = stream(1111, "kkl", case)
         n = int(rng.integers(4, 13))
-        ms = random_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
+        ms = draw_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
         violations += kkl_check(ms, deltas).violations
     assert violations == 0
     n = 10
@@ -322,7 +321,7 @@ def test_c11_kkl_inequality():
     for delta, lhs, rhs in zip(singleton.deltas, singleton.lhs, singleton.rhs):
         assert abs(lhs - ((1 + delta) / 4) ** n) <= 1e-12
         assert abs(rhs - 2 ** (-2 * n / (1 + delta))) <= 1e-12
-    cube = kkl_check(full_cube(n), deltas)
+    cube = kkl_check(MessageSet(n, np.arange(2**n)), deltas)
     assert all(abs(lhs - 1) <= 1e-12 and abs(rhs - 1) <= 1e-12
                for lhs, rhs in zip(cube.lhs, cube.rhs))
     report("C11 kkl", "100 random sets x 9 deltas, 0 violations; closed forms match")
@@ -349,12 +348,12 @@ def test_c13_tvd_trend():
     wins = 0
     for seed in range(20):
         rng = stream(1313, "trend", seed)
-        small = random_message_set(12, 2**4, rng)
-        large = random_message_set(12, 2**11, rng)
+        small = draw_message_set(12, 2**4, rng)
+        large = draw_message_set(12, 2**11, rng)
         small_mean = expected_tvd(f, small, params, 30, rng).mean
         large_mean = expected_tvd(f, large, params, 30, rng).mean
         wins += int(large_mean < small_mean)
     assert wins >= 19  # >= 95% of 20 seeds
-    cube_est = expected_tvd(f, full_cube(12), params, 5, stream(1313, "cube"))
+    cube_est = expected_tvd(f, MessageSet(12, np.arange(2**12)), params, 5, stream(1313, "cube"))
     assert cube_est.mean == 0.0
     report("C13 tvd-trend", f"large set smaller mean in {wins}/20 seeds; full cube exactly 0")

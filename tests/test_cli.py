@@ -657,6 +657,23 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "message, reason",
+    [("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type "
+      "float64", None), ("", "MemoryError")],
+    ids=["numpy-message", "bare"],
+)
+def test_cli_out_of_memory_is_a_guard_rejection(monkeypatch, capsys, message, reason):
+    # expected_tvd's per-sigma array at --sigmas 10^12 is one such allocation
+    def exhaust(*_):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(hardness, "expected_tvd", exhaust)
+    assert run_cli(["hardness", "--named", "parity", "--t", "2", "--check", "tvd", "--n", "4",
+                    "--sigmas", "1000000000000"]) == 2
+    assert capsys.readouterr() == ("", f"guard rejection: {reason or message}\n")
+
+
+@pytest.mark.parametrize(
     "args, work",
     [(["run-classical", "--named", "majority", "--t", "3", "--n", "24", "--out", "{bad}"],
       "run_protocol_trials"),
@@ -679,22 +696,22 @@ def test_cli_unwritable_path_is_refused_before_the_work(monkeypatch, tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "check, n, t, reason",
-    [("kkl", 16, 2, "capped at n <= 14"),
-     ("kkl", 20, 2, "capped at n <= 14"),
-     ("tvd", 18, 2, "capped at n <= 16"),
-     ("tvd", 20, 2, "capped at n <= 16"),
-     ("rhat", 14, 2, "closed-form sum capped at n <= 12, t <= 4"),
-     ("rhat", 20, 2, "closed-form sum capped at n <= 12, t <= 4"),
-     ("rhat", 10, 5, "closed-form sum capped at n <= 12, t <= 4")],
+    "check, n, t",
+    [*((check, n, t) for check, cap in hardness.CHECK_CAPS.items()
+       for n, t in ((cap + 1, 1), (64, 2))), ("rhat", 10, 5)],
 )
 def test_cli_hardness_cap_is_refused_before_the_message_set_is_drawn(
-        monkeypatch, capsys, check, n, t, reason):
-    draws = []
-    monkeypatch.setattr(hardness, "draw_message_set", lambda *args: draws.append(args))
+        monkeypatch, capsys, check, n, t):
+    # the refusal comes before any stream, message set or permutation is drawn
+    def refuse(*_):
+        raise AssertionError("drawn before the cap was checked")
+
+    for name in ("stream", "draw_message_set", "fisher_yates"):
+        monkeypatch.setattr(hardness, name, refuse)
     args = ["hardness", "--named", "parity", "--t", str(t), "--check", check, "--n", str(n)]
     assert run_cli(args) == 2
-    assert draws == []
+    arity = ", t <= 4" if check == "rhat" else ""
+    reason = f"{check} is capped at n <= {hardness.CHECK_CAPS[check]}{arity}"
     assert capsys.readouterr() == ("", f"guard rejection: {reason}\n")
 
 

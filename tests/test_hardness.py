@@ -11,13 +11,12 @@ from hiddenpartition.boolfn import BooleanFunction, and_fn, majority, parity
 from hiddenpartition.hardness import (
     MAX_MESSAGE_BITS,
     MessageSet,
+    draw_message_set,
     expected_tvd,
-    full_cube,
     induced_distributions,
     kkl_check,
     r_hat_bruteforce,
     r_hat_formula,
-    random_message_set,
     run_check,
     tvd,
     u_bruteforce,
@@ -88,15 +87,22 @@ def test_message_set_members_equal_np_unique(n, kind, data):
 
 
 def test_message_sets_over_the_cap_are_refused_before_drawing():
-    with pytest.raises(ValueError):
-        random_message_set(MAX_MESSAGE_BITS + 1, 1, stream(0, "ms"))
-    with pytest.raises(ValueError):
-        full_cube(MAX_MESSAGE_BITS + 1)
+    n = MAX_MESSAGE_BITS + 1
+    for size in (1, 2**n):  # a random set, and the full cube
+        with pytest.raises(ValueError, match="message sets are capped at n <= 20"):
+            draw_message_set(n, size, stream(0, "ms"))
+
+
+def test_full_size_message_set_is_the_cube_and_draws_nothing():
+    cube = draw_message_set(4, 2**4, _NoDraws())
+    assert cube.members.tolist() == list(range(16))
+    with pytest.raises(ValueError, match="size out of range"):
+        draw_message_set(4, 2**4 + 1, _NoDraws())
 
 
 class _NoDraws:
-    def choice(self, *args, **kwargs):
-        raise AssertionError("a message set over the cap was drawn")
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used over a cap")
 
 
 def test_library_message_set_caps_refuse_n21_before_any_allocation(monkeypatch):
@@ -111,9 +117,10 @@ def test_library_message_set_caps_refuse_n21_before_any_allocation(monkeypatch):
 
     monkeypatch.setattr(hardness, "promise_masks", no_masks)
     refusals = {
-        "random_message_set": (lambda: random_message_set(n, 1, _NoDraws()),
-                               "message sets are capped at n <= 20"),
-        "full_cube": (lambda: full_cube(n), "message sets are capped at n <= 20"),
+        "draw_message_set-random": (lambda: draw_message_set(n, 1, _NoDraws()),
+                                    "message sets are capped at n <= 20"),
+        "draw_message_set-cube": (lambda: draw_message_set(n, 2**n, _NoDraws()),
+                                  "message sets are capped at n <= 20"),
         "induced_distributions": (
             lambda: induced_distributions(parity(1), MessageSet(n, [0, 5]), range(1, n + 1),
                                           params),
@@ -130,12 +137,32 @@ def test_library_message_set_caps_refuse_n21_before_any_allocation(monkeypatch):
         assert peak < cube_bytes // 64, name
 
 
+@pytest.mark.parametrize("check, n, t", [*((check, cap + 1, 1) for check, cap in
+                                           hardness.CHECK_CAPS.items()), ("rhat", 10, 5)])
+def test_each_routine_refuses_above_its_check_cap(monkeypatch, check, n, t):
+    def no_masks(*args, **kwargs):
+        raise AssertionError("promise masks computed over the cap")
+
+    monkeypatch.setattr(hardness, "promise_masks", no_masks)
+    f, params = parity(t), PartitionParams(n, t, Fraction(1))
+    sigma, ms = range(1, n + 1), MessageSet(n, [0, 5])
+    routine = {
+        "tvd": lambda: expected_tvd(f, ms, params, 1, _NoDraws()),
+        "rhat": lambda: r_hat_formula(f, ms, sigma, params),
+        "u": lambda: u_bruteforce(f, sigma, [1] * params.active_blocks, 0, params),
+        "kkl": lambda: kkl_check(ms, [0.5]),
+    }[check]
+    reason = f"{check} is capped at n <= {hardness.CHECK_CAPS[check]}"
+    with pytest.raises(ValueError, match=f"^{reason}{', t <= 4' if check == 'rhat' else ''}$"):
+        routine()
+
+
 def test_characteristic_spectrum_parseval():
     # for a 0/1 indicator, sum of squared coefficients equals |A|/2^n
     rng = stream(0, "ms")
     for _ in range(20):
         n = 6
-        ms = random_message_set(n, int(rng.integers(1, 65)), rng)
+        ms = draw_message_set(n, int(rng.integers(1, 65)), rng)
         spectrum = ms.characteristic_spectrum()
         assert np.sum(spectrum**2) == pytest.approx(len(ms) / 2**n, abs=1e-12)
 
@@ -164,7 +191,8 @@ def test_two_element_example():
 
 
 def test_full_cube_distributions_coincide():
-    counts = induced_distributions(parity(2), full_cube(4), IDENTITY_4, PARAMS_4)
+    cube = MessageSet(4, np.arange(2**4))
+    counts = induced_distributions(parity(2), cube, IDENTITY_4, PARAMS_4)
     assert np.array_equal(counts, counts[::-1])
     assert tvd(counts / 16, counts[::-1] / 16) == 0.0
 
@@ -173,7 +201,7 @@ def test_full_cube_distributions_coincide():
 def test_induced_counts_are_int64_and_sum_to_the_set_size(seed):
     rng = stream(seed, "c")
     params = PartitionParams(6, 2, Fraction(2, 3))
-    ms = random_message_set(6, int(rng.integers(1, 65)), rng)
+    ms = draw_message_set(6, int(rng.integers(1, 65)), rng)
     counts = induced_distributions(parity(2), ms, random_sigma(6, rng), params)
     assert counts.dtype == np.int64
     assert counts.shape == (2**params.active_blocks,)
@@ -186,7 +214,7 @@ def test_complement_relation(seed):
     rng = stream(seed, "c")
     params = PartitionParams(6, 2, Fraction(2, 3))
     f = random_table(2, rng)
-    ms = random_message_set(6, int(rng.integers(1, 65)), rng)
+    ms = draw_message_set(6, int(rng.integers(1, 65)), rng)
     sigma = random_sigma(6, rng)
     counts = induced_distributions(f, ms, sigma, params)
     full = 2**params.active_blocks - 1
@@ -204,7 +232,7 @@ def test_packed_promise_masks_match_points_oracle(n, t, alpha):
     for case in range(4):
         rng = stream(case, "packed", n, t)
         f = random_table(t, rng)
-        ms = random_message_set(n, int(rng.integers(1, min(2**n, 3000) + 1)), rng)
+        ms = draw_message_set(n, int(rng.integers(1, min(2**n, 3000) + 1)), rng)
         sigma = fisher_yates(n, rng)
         masks = promise_masks(f, ms.members, sigma, params)
         assert masks.dtype == np.int64
@@ -233,7 +261,7 @@ def test_table_promise_masks_match_points_oracle(case):
     params = PartitionParams(n, t, alpha)
     rng = stream(seed, "tables", n, t)
     f = random_table(t, rng)
-    ms = random_message_set(n, int(rng.integers(1, min(2**n, 2000) + 1)), rng)
+    ms = draw_message_set(n, int(rng.integers(1, min(2**n, 2000) + 1)), rng)
     sigma = fisher_yates(n, rng)
     masks = promise_masks(f, ms.members, sigma, params)
     assert masks.dtype == np.int64
@@ -254,7 +282,7 @@ def test_tvd_bounds_and_mismatch():
 
 def test_expected_tvd_endpoints():
     rng = stream(1, "tvd")
-    est = expected_tvd(parity(2), full_cube(4), PARAMS_4, 10, rng)
+    est = expected_tvd(parity(2), MessageSet(4, np.arange(2**4)), PARAMS_4, 10, rng)
     assert est.mean == 0.0 and est.stderr == 0.0
     singleton = MessageSet(4, frozenset({3}))
     est = expected_tvd(parity(2), singleton, PARAMS_4, 10, rng)
@@ -270,8 +298,8 @@ def test_expected_tvd_trend_with_set_size():
     wins = 0
     for seed in range(10):
         rng = stream(seed, "trend")
-        small = random_message_set(10, 2**3, rng)
-        large = random_message_set(10, 2**8, rng)
+        small = draw_message_set(10, 2**3, rng)
+        large = draw_message_set(10, 2**8, rng)
         small_est = expected_tvd(parity(2), small, params, 20, rng)
         large_est = expected_tvd(parity(2), large, params, 20, rng)
         wins += int(large_est.mean < small_est.mean)
@@ -283,7 +311,7 @@ def test_expected_tvd_trend_with_set_size():
 
 def test_r_hat_even_sets_are_zero():
     rng = stream(2, "rhat")
-    ms = random_message_set(4, 5, rng)
+    ms = draw_message_set(4, 5, rng)
     formula = r_hat_formula(parity(2), ms, IDENTITY_4, PARAMS_4)
     assert formula[0b00] == 0.0
     assert formula[0b11] == 0.0
@@ -312,7 +340,7 @@ def test_r_hat_formula_matches_bruteforce(seed, function):
         f = parity(2) if function == "parity2" else and_fn(2)
         params = PartitionParams(8, 2, Fraction(1))
     n = params.n
-    ms = random_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
+    ms = draw_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
     sigma = random_sigma(n, rng)
     v_mask = int(rng.integers(1, 2**params.active_blocks))
     formula = r_hat_formula(f, ms, sigma, params)
@@ -412,7 +440,7 @@ def test_u_sign_matches_bruteforce_on_constructed_case():
 
 
 def test_kkl_full_cube_equality():
-    report = kkl_check(full_cube(6), [0.1, 0.5, 0.9])
+    report = kkl_check(MessageSet(6, np.arange(2**6)), [0.1, 0.5, 0.9])
     assert report.violations == 0
     for lhs, rhs in zip(report.lhs, report.rhs):
         assert lhs == pytest.approx(1.0, abs=1e-12)
@@ -433,7 +461,7 @@ def test_kkl_singleton_closed_form():
 def test_kkl_never_violated(seed):
     rng = stream(seed, "kkl")
     n = int(rng.integers(4, 11))
-    ms = random_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
+    ms = draw_message_set(n, int(rng.integers(1, 2**n + 1)), rng)
     report = kkl_check(ms, [0.1 * k for k in range(1, 10)])
     assert report.violations == 0
 

@@ -1,6 +1,6 @@
 """The benchmark's tracer wraps package functions by name; every name it
 lists must still exist in the package.  And the package ships only what
-runs: every top-level function and class is used by other code."""
+runs: every top-level function, class and constant is used by other code."""
 
 import ast
 import importlib
@@ -47,11 +47,20 @@ def referenced_names(tree: ast.AST) -> set:
     return names
 
 
+def assigned_names(node: ast.Assign) -> list:
+    """The non-dunder names a top-level assignment binds: its Name targets
+    and the Names inside its Tuple targets."""
+    items = [item for target in node.targets
+             for item in (target.elts if isinstance(target, ast.Tuple) else [target])]
+    return [item.id for item in items if isinstance(item, ast.Name) and not item.id.startswith("__")]
+
+
 def test_every_top_level_definition_is_used():
-    # a top-level function or class counts as used when code other than its
-    # own body names it (in src or scripts), when it is public API (__all__),
-    # or when the tracer wraps it; a method other than a dunder, when code
-    # other than its own body names it; an import alone is not a use
+    # a top-level function, class or constant counts as used when code other
+    # than its own body or assignment names it (in src or scripts), when it is
+    # public API (__all__), or when the tracer wraps it; a method other than a
+    # dunder, when code other than its own body names it; an import alone is
+    # not a use
     package = sorted((ROOT / "src" / "hiddenpartition").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in [*package, *sorted((ROOT / "scripts").glob("*.py"))]}
@@ -63,11 +72,14 @@ def test_every_top_level_definition_is_used():
         node_uses = [referenced_names(node) for node in body]
         elsewhere = set().union(*(uses for other, uses in file_uses.items() if other != path))
         for k, node in enumerate(body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = assigned_names(node)
+            else:
                 continue
             here = set().union(*node_uses[:k], *node_uses[k + 1 :])
-            if node.name not in kept | here | elsewhere:
-                unused.append(f"{path.name}:{node.name}")
+            unused += [f"{path.name}:{name}" for name in names if name not in kept | here | elsewhere]
             if isinstance(node, ast.ClassDef):
                 member_uses = [referenced_names(member) for member in node.body]
                 for j, member in enumerate(node.body):
