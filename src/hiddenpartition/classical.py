@@ -24,6 +24,7 @@ trials whole and return one (guess, statistic) per trial.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -58,13 +59,14 @@ def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
 
 
 def decide_rows(
-    statistics: np.ndarray, tie_rngs: list[np.random.Generator]
+    statistics: np.ndarray, tie_rngs: Sequence[np.random.Generator]
 ) -> list[tuple[int, float]]:
     """(sgn X, X) for each row's statistic X, as Python numbers; a fair
-    coin from that row's tie_rng where X = 0, the only draw it takes."""
+    coin from that row's tie_rng where X = 0, the only draw it takes and
+    the only row whose tie_rng it indexes."""
     return [
-        (1 if x > 0 else -1 if x < 0 else coin(tie_rng), x)
-        for x, tie_rng in zip(statistics.tolist(), tie_rngs)
+        (1 if x > 0 else -1 if x < 0 else coin(tie_rngs[row]), x)
+        for row, x in enumerate(statistics.tolist())
     ]
 
 
@@ -105,7 +107,7 @@ def bob_decide(
     ws: np.ndarray,
     poly: SignPolynomial,
     params: PartitionParams,
-    tie_rngs: list[np.random.Generator],
+    tie_rngs: Sequence[np.random.Generator],
 ) -> list[tuple[int, float]]:
     """Fold each row's sampled bits (``alice_sample``'s (T, m) arrays) into
     its X and return (sgn X, X) per row, as ``decide_rows``."""
@@ -128,7 +130,7 @@ def run_classical(
     poly: SignPolynomial,
     m: int,
     rngs: list[np.random.Generator],
-    tie_rngs: list[np.random.Generator],
+    tie_rngs: Sequence[np.random.Generator],
 ) -> list[tuple[int, float]]:
     """Sampled-bits runs on a chunk of instances (``generate_instances``)
     from a degree-1 witness, the one ``best_sign_polynomial(f, 1)``
@@ -160,7 +162,7 @@ def run_uniform_phd1(
     ws: np.ndarray,
     slots: np.ndarray,
     subsets: np.ndarray,
-    tie_rngs: list[np.random.Generator],
+    tie_rngs: Sequence[np.random.Generator],
 ) -> list[tuple[int, float]]:
     """Uniform-distribution sender for phdeg(f) <= 1 on a chunk of
     instances (``generate_instances``), decoding from the nonzero level-1

@@ -19,16 +19,19 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import functools
 import gc
+import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import boolfn
 from .boolfn import BooleanFunction
-from .experiments import SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_trials, write_csv, write_jsonl
+from .experiments import PROTOCOLS, SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_trials
+from .experiments import write_csv, write_jsonl
 from .hardness import CHECK_CAPS, run_check
 from .instances import PartitionParams, exact_fraction
 from .quantum import block_multilinear_matrix, matrix_audit_record
@@ -41,67 +44,6 @@ CSV_COLUMNS_HELP = (
     f"{', '.join(SUMMARY_FIELDS)} for the summary row. "
     "JSON-lines output mirrors the same fields."
 )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hiddenpartition",
-        description=__doc__,
-        epilog=CSV_COLUMNS_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_function_args(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--function", metavar="FILE", help="JSON function spec file")
-        group.add_argument("--named", choices=boolfn.NAMED_FUNCTIONS, help="named function")
-        p.add_argument("--t", type=int, help="arity for --named")
-
-    def add_run_args(p: argparse.ArgumentParser) -> None:
-        add_function_args(p)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-
-    p_analyze = sub.add_parser("analyze", help="Fourier/threshold analysis of a function")
-    add_function_args(p_analyze)
-    p_analyze.add_argument("--out", default=None)
-
-    for name, needs_epsilon in (("run-classical", True), ("run-quantum", True), ("run-uniform", False)):
-        p_run = sub.add_parser(name, help=f"Monte-Carlo {name[4:]} protocol trials")
-        add_run_args(p_run)
-        if needs_epsilon:
-            p_run.add_argument("--epsilon", type=float, default=0.1)
-        else:
-            p_run.add_argument("--samples", type=int, required=True, help="subset size |I|")
-        if name == "run-quantum":
-            p_run.add_argument(
-                "--dump-matrix", default=None, metavar="FILE",
-                help="write the bilinear-lift matrix, its norm, and the dilation as JSON",
-            )
-
-    p_reduce = sub.add_parser("reduce", help="verify the parity-pair reduction for a symmetric function")
-    add_function_args(p_reduce)
-    p_reduce.add_argument("--n", type=int, default=8, help="parity-instance size for exhaustive check")
-    p_reduce.add_argument("--sigmas", type=int, default=20)
-    p_reduce.add_argument("--seed", type=int, default=0)
-    p_reduce.add_argument("--out", default=None)
-
-    p_hard = sub.add_parser("hardness", help="brute-force-verified hardness quantities")
-    add_function_args(p_hard)
-    p_hard.add_argument("--check", choices=tuple(CHECK_CAPS), required=True)
-    p_hard.add_argument("--n", type=int, required=True)
-    p_hard.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
-    p_hard.add_argument("--cases", type=int, default=50)
-    p_hard.add_argument("--set-size", type=int, default=None, help="message-set size (tvd/rhat/kkl)")
-    p_hard.add_argument("--sigmas", type=int, default=50, help="permutation samples per tvd estimate")
-    p_hard.add_argument("--seed", type=int, default=0)
-    p_hard.add_argument("--out", default=None)
-    return parser
 
 
 def load_function(args) -> tuple[BooleanFunction, str]:
@@ -169,8 +111,6 @@ def cmd_analyze(args) -> int:
 
 
 def _table_digest(f: BooleanFunction) -> str:
-    import hashlib
-
     minus = (f.table < 0).tobytes()  # one byte per row, 1 where f is -1
     return hashlib.sha256(minus).hexdigest()[:16]
 
@@ -222,6 +162,88 @@ def cmd_hardness(args) -> int:
     return 0
 
 
+def _add_function_args(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--function", metavar="FILE", help="JSON function spec file")
+    group.add_argument("--named", choices=boolfn.NAMED_FUNCTIONS, help="named function")
+    p.add_argument("--t", type=int, help="arity for --named")
+
+
+def _add_run_args(p: argparse.ArgumentParser, protocol: str) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    if protocol == "uniform":
+        p.add_argument("--samples", type=int, required=True, help="subset size |I|")
+    else:
+        p.add_argument("--epsilon", type=float, default=0.1)
+    if protocol == "quantum":
+        p.add_argument(
+            "--dump-matrix", default=None, metavar="FILE",
+            help="write the bilinear-lift matrix, its norm, and the dilation as JSON",
+        )
+
+
+def _add_reduce_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=8, help="parity-instance size for exhaustive check")
+    p.add_argument("--sigmas", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+
+
+def _add_hardness_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--check", choices=tuple(CHECK_CAPS), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
+    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--set-size", type=int, default=None, help="message-set size (tvd/rhat/kkl)")
+    p.add_argument("--sigmas", type=int, default=50, help="permutation samples per tvd estimate")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+
+
+# The subcommands, in the order --help lists them: name -> (help, the
+# function that adds its arguments after the function's, the command it runs).
+COMMANDS = {
+    "analyze": ("Fourier/threshold analysis of a function",
+                lambda p: p.add_argument("--out", default=None), cmd_analyze),
+    **{f"run-{protocol}": (f"Monte-Carlo {protocol} protocol trials",
+                           functools.partial(_add_run_args, protocol=protocol),
+                           functools.partial(cmd_run, protocol=protocol))
+       for protocol in PROTOCOLS},
+    "reduce": ("verify the parity-pair reduction for a symmetric function", _add_reduce_args,
+               cmd_reduce),
+    "hardness": ("brute-force-verified hardness quantities", _add_hardness_args, cmd_hardness),
+}
+
+
+def build_parser(names: Iterable[str] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subparsers of the COMMANDS ``names``, all of
+    them by default."""
+    names = tuple(names)
+    parser = argparse.ArgumentParser(
+        prog="hiddenpartition",
+        description=__doc__,
+        epilog=CSV_COLUMNS_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    # argparse's usage line lists the subparsers built, so a parser of fewer
+    # commands lists them all as a metavar, and its errors read the same; the
+    # full parser keeps none, as its errors about the command name it by it
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if names == tuple(COMMANDS) else every)
+    for name in names:
+        help_text, add_arguments, _ = COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_text)
+        _add_function_args(command_parser)
+        add_arguments(command_parser)
+    return parser
+
+
 def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
     """command(args), or exit code 2 with one "guard rejection: <reason>"
     line on stderr when it raises ValueError, OSError or MemoryError (a
@@ -269,6 +291,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``); return its
     exit code.
 
+    It first moves everything alive, the numpy import graph above all, to
+    the collector's permanent generation (``gc.freeze``), so no collection
+    while the parser is built walks it.  A command line whose first word
+    is a command builds that command's parser alone; any other builds all
+    of them.  Either way it parses and prints the same.
+
     Called with ``argv=None`` it owns the process, so once the command has
     returned it arms one atexit hook.  At exit that hook flushes stdout and
     stderr and calls ``os._exit`` with the returned code: the modules of
@@ -282,21 +310,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     ``--help`` and usage errors leave through argparse's ``SystemExit``;
     called with ``argv=None``, main arms the hook with that exit's code
     before passing it on."""
+    gc.freeze()
+    words = sys.argv[1:] if argv is None else argv
+    names = words[:1] if words and words[0] in COMMANDS else COMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(names).parse_args(words)
     except SystemExit as exc:
         if argv is None and isinstance(exc.code, int):
             atexit.register(_exit_without_teardown, exc.code)
         raise
-    commands = {
-        "analyze": cmd_analyze,
-        "run-classical": lambda a: cmd_run(a, "classical"),
-        "run-quantum": lambda a: cmd_run(a, "quantum"),
-        "run-uniform": lambda a: cmd_run(a, "uniform"),
-        "reduce": cmd_reduce,
-        "hardness": cmd_hardness,
-    }
-    code = run_guarded(commands[args.command], args)
+    code = run_guarded(COMMANDS[args.command][2], args)
     if argv is None:
         atexit.register(_exit_without_teardown, code)
     return code

@@ -134,7 +134,7 @@ def run_protocol_trials(
         decisions = runner(
             *generate_instances(f, params, bs, inst_rngs),
             [stream(seed, "protocol", trial) for trial in numbers],
-            [stream(seed, "tiebreak", trial) for trial in numbers],
+            _TieStreams(seed, numbers),
         )
         for trial, b, (guess, statistic) in zip(numbers, bs, decisions):
             records.append(TrialRecord(trial, b, guess, guess == b, statistic, cost_bits))
@@ -160,6 +160,23 @@ def run_protocol_trials(
         seed=seed,
     )
     return records, summary
+
+
+class _TieStreams:
+    """The "tiebreak" streams of the trials ``numbers`` (a range), each
+    built only when it is indexed: a protocol draws from a trial's stream
+    only where its statistic is 0 (``classical.decide_rows``)."""
+
+    def __init__(self, seed: int, numbers: range) -> None:
+        self.seed, self.numbers = seed, numbers
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return _TieStreams(self.seed, self.numbers[key])
+        return stream(self.seed, "tiebreak", self.numbers[key])
 
 
 def _make_runner(

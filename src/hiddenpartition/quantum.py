@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def run_quantum(
     probs: np.ndarray,
     m: int,
     rngs: list[np.random.Generator],
-    tie_rngs: list[np.random.Generator],
+    tie_rngs: Sequence[np.random.Generator],
 ) -> list[tuple[int, float]]:
     """Protocol runs on a chunk of instances (``generate_instances``) with
     m copies each; returns one (guess, statistic) per row, as

@@ -1,4 +1,6 @@
+import argparse
 import atexit
+import contextlib
 import gc
 import hashlib
 import io
@@ -123,16 +125,86 @@ def test_cli_guard_rejection_exit_code(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_cli_command_runs_with_the_import_graph_frozen(tmp_path):
-    # run_guarded moves what is alive before the command (numpy, scipy) to the
-    # permanent generation, so no collection walks it again, at exit included
+def test_cli_command_runs_with_the_import_graph_frozen(monkeypatch, tmp_path):
+    # main moves what is alive before it builds the parser (numpy, scipy) to
+    # the permanent generation, so no collection walks it again, at exit included
+    frozen = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda names: frozen.append(gc.get_freeze_count()) or build(names))
     gc.unfreeze()
     try:
         assert run_cli(["analyze", "--named", "majority", "--t", "3",
                         "--out", str(tmp_path / "a.json")]) == 0
+        assert len(frozen) == 1 and frozen[0] > 0
         assert gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
+
+
+VALID_ARGS = {
+    "analyze": ["--named", "majority", "--t", "3", "--out", "a.json"],
+    "run-classical": ["--named", "majority", "--t", "3", "--n", "60", "--alpha", "1/2",
+                      "--epsilon", "0.2", "--format", "jsonl"],
+    "run-quantum": ["--function", "f.json", "--n", "60", "--trials", "7",
+                    "--dump-matrix", "m.json"],
+    "run-uniform": ["--named", "dictator", "--t", "2", "--n", "60", "--samples", "5"],
+    "reduce": ["--named", "nae", "--t", "4", "--n", "4", "--sigmas", "3", "--seed", "9"],
+    "hardness": ["--named", "parity", "--t", "2", "--check", "u", "--n", "8", "--set-size", "4"],
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """The namespace parsed, or the code argparse exits with; and what it printed."""
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["valid", "help", "unrecognized", "missing"])
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_parses_and_prints_as_the_full_one(monkeypatch, capsys, name, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = {"valid": [name, *VALID_ARGS[name]], "help": [name, "--help"],
+            "unrecognized": [name, *VALID_ARGS[name], "--bogus"], "missing": [name]}[case]
+    one = parse_outcome(cli.build_parser([name]), argv, capsys)
+    assert one == parse_outcome(cli.build_parser(), argv, capsys)
+    outcome, printed = one
+    if case == "valid":
+        assert (outcome.command, printed.out, printed.err) == (name, "", "")
+    elif case == "help":
+        assert (outcome, printed.err) == (0, "")
+        assert printed.out.startswith(f"usage: hiddenpartition {name} [-h]")
+    elif case == "unrecognized":
+        # reported with the top-level usage, which names every command
+        assert (outcome, printed.out) == (2, "")
+        assert printed.err.startswith("usage: hiddenpartition [-h]")
+        assert "{" + ",".join(cli.COMMANDS) + "}" in printed.err
+    else:
+        assert (outcome, printed.out) == (2, "")
+        assert printed.err.startswith(f"usage: hiddenpartition {name} [-h]")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["analyze", "--named", "majority", "--t", "3"], ["analyze"]),
+    (["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "4", "--cases", "2"],
+     ["hardness"]),
+    (["--help"], list(cli.COMMANDS)),
+    (["-h", "analyze"], list(cli.COMMANDS)),
+    (["--", "analyze"], list(cli.COMMANDS)),
+    (["ana"], list(cli.COMMANDS)),
+    ([], list(cli.COMMANDS)),
+])
+def test_cli_command_line_builds_only_its_own_subparser(monkeypatch, capsys, argv, built):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert added == built
 
 
 def run_python(*argv):
@@ -560,6 +632,36 @@ def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, opti
     params = PartitionParams(24, f.t, Fraction(1, 2))
     run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
     assert rows == [20]
+
+
+@pytest.mark.parametrize(
+    "protocol, f, options, ties",
+    [("classical", dictator(2), {"epsilon": 0.45}, True),  # m = 2
+     ("classical", majority(3), {"epsilon": 0.1}, False),
+     ("quantum", parity(2), {"epsilon": 0.45}, True),
+     ("uniform", dictator(4), {"sample_count": 1}, True)],
+)
+def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f, options, ties):
+    # a trial's tie-break stream is built only where its statistic is 0,
+    # also when chunks of 7 are decided in slices of 3
+    built = []
+    build = experiments.stream
+
+    def counted(seed, label, trial):
+        if label == "tiebreak":
+            built.append(trial)
+        return build(seed, label, trial)
+
+    monkeypatch.setattr(experiments, "stream", counted)
+    params = PartitionParams(24, f.t, Fraction(1))
+    _, m, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
+                                       options.get("sample_count"))
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * 8 * experiments.CHUNK_ARRAYS * params.n)
+    monkeypatch.setattr(experiments, "SLICE_BYTES",
+                        3 * 8 * experiments.MESSAGE_ARRAYS * (m or options["sample_count"]))
+    records, _ = run_protocol_trials(protocol, f, "f", params, 60, 5, **options)
+    assert built == [record.trial for record in records if record.statistic == 0]
+    assert bool(built) == ties
 
 
 @pytest.mark.parametrize("protocol, f", [("classical", majority(3)), ("quantum", parity(2))])
