@@ -18,19 +18,18 @@ Two senders are implemented:
 
 A run's message (m sampled bits, or |I| indices) is fixed before Alice
 sees x and costs m * (ceil(log2 n) + 1) bits.  The runs take a chunk of
-trials whole and return one (guess, statistic) per trial.
+trials whole and return Bob's statistic per trial; the guess is its sign
+(``experiments.run_protocol_trials``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier_transform, pure_high_degree
 from .instances import PartitionParams
-from .rng import coin
 from .signpoly import SignPolynomial
 
 
@@ -56,18 +55,6 @@ def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
     value = (t / (alpha * beta)) ** 2 * math.log(1 / epsilon) / 2
     # tiny slack so float noise cannot bump an exact integer to its successor
     return max(1, math.ceil(value - 1e-9))
-
-
-def decide_rows(
-    statistics: np.ndarray, tie_rngs: Sequence[np.random.Generator]
-) -> list[tuple[int, float]]:
-    """(sgn X, X) for each row's statistic X, as Python numbers; a fair
-    coin from that row's tie_rng where X = 0, the only draw it takes and
-    the only row whose tie_rng it indexes."""
-    return [
-        (1 if x > 0 else -1 if x < 0 else coin(tie_rngs[row]), x)
-        for row, x in enumerate(statistics.tolist())
-    ]
 
 
 def alice_sample(
@@ -107,10 +94,9 @@ def bob_decide(
     ws: np.ndarray,
     poly: SignPolynomial,
     params: PartitionParams,
-    tie_rngs: Sequence[np.random.Generator],
-) -> list[tuple[int, float]]:
+) -> np.ndarray:
     """Fold each row's sampled bits (``alice_sample``'s (T, m) arrays) into
-    its X and return (sgn X, X) per row, as ``decide_rows``."""
+    its statistic X; the (T,) float64 array of them."""
     if poly.degree > 1:
         raise ValueError("decision statistic needs a degree <= 1 polynomial")
     t = params.t
@@ -119,7 +105,7 @@ def bob_decide(
 
     slots, active, weights = _locate(indices, sigmas, ws, params)
     terms = np.where(active, (linear[slots] * bits + alpha0 / t) * weights, 0.0)
-    return decide_rows(terms.sum(axis=1), tie_rngs)
+    return terms.sum(axis=1)
 
 
 def run_classical(
@@ -130,13 +116,12 @@ def run_classical(
     poly: SignPolynomial,
     m: int,
     rngs: list[np.random.Generator],
-    tie_rngs: Sequence[np.random.Generator],
-) -> list[tuple[int, float]]:
+) -> np.ndarray:
     """Sampled-bits runs on a chunk of instances (``generate_instances``)
     from a degree-1 witness, the one ``best_sign_polynomial(f, 1)``
     returns when sdeg(f) <= 1, each sending m bits (``required_samples``)."""
     indices, bits = alice_sample(xs, m, rngs)
-    return bob_decide(indices, bits, sigmas, ws, poly, params, tie_rngs)
+    return bob_decide(indices, bits, sigmas, ws, poly, params)
 
 
 def level_one_slots(f: BooleanFunction) -> np.ndarray:
@@ -162,8 +147,7 @@ def run_uniform_phd1(
     ws: np.ndarray,
     slots: np.ndarray,
     subsets: np.ndarray,
-    tie_rngs: Sequence[np.random.Generator],
-) -> list[tuple[int, float]]:
+) -> np.ndarray:
     """Uniform-distribution sender for phdeg(f) <= 1 on a chunk of
     instances (``generate_instances``), decoding from the nonzero level-1
     coefficients ``level_one_slots(f)`` returns.
@@ -171,9 +155,9 @@ def run_uniform_phd1(
     Row r's Alice sends ``subsets[r]``, a uniform index subset (1-based
     indices in the order drawn, e.g. the first columns of
     ``fisher_yates_rows``); Bob takes the first index whose slot carries a
-    nonzero level-1 coefficient inside an active block and returns (guess,
-    statistic) with statistic sgn(level-1 coefficient) * x_i * w_{j(i)};
-    a fair coin if no index qualifies.
+    nonzero level-1 coefficient inside an active block; the statistic
+    is sgn(level-1 coefficient) * x_i * w_{j(i)}, or 0 (a coin flip) if no
+    index qualifies.  Returns the (T,) float64 array of statistics.
     """
     if not 1 <= subsets.shape[1] <= params.n:
         raise ValueError("subset size must lie in [1, n]")
@@ -183,4 +167,4 @@ def run_uniform_phd1(
     bits = np.take_along_axis(xs, subsets - 1, axis=1)
     candidates = np.where(hits, np.sign(coeffs) * bits * weights, 0.0)
     first = hits.argmax(axis=1)[:, None]  # column 0, a +0.0 candidate, where no index hits
-    return decide_rows(np.take_along_axis(candidates, first, axis=1)[:, 0], tie_rngs)
+    return np.take_along_axis(candidates, first, axis=1)[:, 0]

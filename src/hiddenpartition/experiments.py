@@ -6,12 +6,18 @@ sender/decider), and "tiebreak" (zero-statistic coin flips).  Records are
 written in trial order, so identical configurations produce byte-identical
 output.
 
+Every protocol ends the same way: Bob outputs the sign of the statistic.
+The protocol runs return the statistic per trial, and
+``run_protocol_trials`` turns it into the guess, flipping the trial's
+tie-break coin where the statistic is 0; only those trials build their
+"tiebreak" stream.
+
 A run is set up once: its witness, message size and cost are fixed before
 the first trial (a bad epsilon draws no instance).
 
 Trials run in chunks: a chunk's instances are generated together, their
 shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
-index subsets; protocol calls then decide the chunk in row slices.  Since
+index subsets; protocol calls then run the chunk in row slices.  Since
 every trial draws only from its own streams, the output does not depend
 on where the chunks or the slices are cut.
 """
@@ -24,6 +30,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
+
+import numpy as np
 
 from .boolfn import BooleanFunction, all_points
 from .classical import level_one_slots, message_cost_bits, required_samples
@@ -89,7 +97,10 @@ SUMMARY_FIELDS = ("record", *(field.name for field in fields(RunSummary)))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, clamped so that
+    0 <= low <= p-hat <= high <= 1: at p-hat 0 or 1 the float formula can
+    put an end just outside [0, 1] or just short of p-hat (5/5 gives a high
+    of 1.0000000000000002, 300/300 one of 0.9999999999999998)."""
     z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
@@ -97,7 +108,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1 + z**2 / trials
     centre = phat + z**2 / (2 * trials)
     spread = z * math.sqrt(phat * (1 - phat) / trials + z**2 / (4 * trials**2))
-    return (centre - spread) / denom, (centre + spread) / denom
+    low, high = (centre - spread) / denom, (centre + spread) / denom
+    return max(0.0, min(low, phat)), min(1.0, max(high, phat))
 
 
 def run_protocol_trials(
@@ -131,13 +143,13 @@ def run_protocol_trials(
         numbers = range(start, min(start + chunk, trials))
         inst_rngs = [stream(seed, "instance", trial) for trial in numbers]
         bs = [coin(rng) for rng in inst_rngs]
-        decisions = runner(
+        statistics = runner(
             *generate_instances(f, params, bs, inst_rngs),
             [stream(seed, "protocol", trial) for trial in numbers],
-            _TieStreams(seed, numbers),
         )
-        for trial, b, (guess, statistic) in zip(numbers, bs, decisions):
-            records.append(TrialRecord(trial, b, guess, guess == b, statistic, cost_bits))
+        for trial, b, x in zip(numbers, bs, statistics.tolist()):
+            guess = 1 if x > 0 else -1 if x < 0 else coin(stream(seed, "tiebreak", trial))
+            records.append(TrialRecord(trial, b, guess, guess == b, x, cost_bits))
 
     successes = sum(record.correct for record in records)
     low, high = wilson_interval(successes, trials)
@@ -162,23 +174,6 @@ def run_protocol_trials(
     return records, summary
 
 
-class _TieStreams:
-    """The "tiebreak" streams of the trials ``numbers`` (a range), each
-    built only when it is indexed: a protocol draws from a trial's stream
-    only where its statistic is 0 (``classical.decide_rows``)."""
-
-    def __init__(self, seed: int, numbers: range) -> None:
-        self.seed, self.numbers = seed, numbers
-
-    def __len__(self) -> int:
-        return len(self.numbers)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return _TieStreams(self.seed, self.numbers[key])
-        return stream(self.seed, "tiebreak", self.numbers[key])
-
-
 def _make_runner(
     protocol: str,
     f: BooleanFunction,
@@ -187,8 +182,8 @@ def _make_runner(
     sample_count: Optional[int],
 ) -> tuple[Callable, Optional[int], int]:
     """The protocol's run over a chunk (the instances' xs, sigmas and ws,
-    then their protocol and tie-break streams in; (guess, statistic) per
-    trial out), its message size m (None for run-uniform) and cost in
+    then their protocol streams in; the statistic per trial out, a (T,)
+    float64 array), its message size m (None for run-uniform) and cost in
     bits."""
     if protocol == "uniform":
         if sample_count is None:
@@ -196,14 +191,14 @@ def _make_runner(
         slots = level_one_slots(f)
         if not 1 <= sample_count <= params.n:
             raise ValueError("subset size must lie in [1, n]")
-        decide = _in_slices(sample_count, lambda xs, sigmas, ws, subsets, tie_rngs:
-                            run_uniform_phd1(params, xs, sigmas, ws, slots, subsets, tie_rngs))
+        decide = _in_slices(sample_count, lambda xs, sigmas, ws, subsets:
+                            run_uniform_phd1(params, xs, sigmas, ws, slots, subsets))
 
-        def run_uniform(xs, sigmas, ws, rngs, tie_rngs):
+        def run_uniform(xs, sigmas, ws, rngs):
             # one lockstep shuffle per chunk: its per-position loop costs the
             # same for any number of rows, so only the decision is sliced
             subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count]
-            return decide(xs, sigmas, ws, subsets, tie_rngs)
+            return decide(xs, sigmas, ws, subsets)
 
         return run_uniform, None, message_cost_bits(sample_count, params.n)
     if epsilon is None:
@@ -211,28 +206,28 @@ def _make_runner(
     if protocol == "classical":
         poly = best_sign_polynomial(f, 1)
         m = required_samples(params.t, params.alpha, poly.bias, epsilon)
-        run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:
-                         run_classical(params, xs, sigmas, ws, poly, m, rngs, tie_rngs))
+        run = _in_slices(m, lambda xs, sigmas, ws, rngs:
+                         run_classical(params, xs, sigmas, ws, poly, m, rngs))
         return run, m, message_cost_bits(m, params.n)
     poly = best_sign_polynomial(f, 2)
     matrix = block_multilinear_matrix(poly)
     m = required_copies(params, poly.bias, matrix, epsilon)
     probs = hadamard_test_probs(matrix, all_points(params.t))  # one per block value
-    run = _in_slices(m, lambda xs, sigmas, ws, rngs, tie_rngs:
-                     run_quantum(params, xs, sigmas, ws, probs, m, rngs, tie_rngs))
+    run = _in_slices(m, lambda xs, sigmas, ws, rngs:
+                     run_quantum(params, xs, sigmas, ws, probs, m, rngs))
     return run, m, m * qubits_per_copy(params)
 
 
 def _in_slices(message_len: int, decide: Callable) -> Callable:
     """decide run on consecutive row slices of a chunk (each argument holds
     one entry per trial), as many rows at a time as keep MESSAGE_ARRAYS
-    length-message_len arrays per row within SLICE_BYTES; the decisions in
-    trial order."""
+    length-message_len arrays per row within SLICE_BYTES; the statistics
+    of the slices concatenated, one per trial in trial order."""
     rows = max(1, SLICE_BYTES // (8 * MESSAGE_ARRAYS * message_len))
 
     def run(*per_trial):
-        return [decision for start in range(0, len(per_trial[0]), rows)
-                for decision in decide(*(arg[start:start + rows] for arg in per_trial))]
+        return np.concatenate([decide(*(arg[start:start + rows] for arg in per_trial))
+                               for start in range(0, len(per_trial[0]), rows)])
 
     return run
 

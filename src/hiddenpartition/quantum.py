@@ -12,8 +12,8 @@ returns outcome 0 with probability
 
 for block value z, which the simulator samples from the exact closed form.
 A run's copy count m is fixed by ``required_copies`` before Alice sees x;
-``run_quantum`` takes a chunk of trials whole and returns one (guess,
-statistic) per trial.
+``run_quantum`` takes a chunk of trials whole and returns Bob's statistic
+per trial.
 A dense state-vector simulation of the same circuit in
 ``tests/oracles.py`` cross-checks that closed form at small arity.
 
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .boolfn import all_points
-from .classical import decide_rows, required_samples
+from .classical import required_samples
 from .instances import PartitionParams, blocks_to_rows, permute_rows
 from .signpoly import SignPolynomial
 
@@ -143,12 +142,11 @@ def run_quantum(
     probs: np.ndarray,
     m: int,
     rngs: list[np.random.Generator],
-    tie_rngs: Sequence[np.random.Generator],
-) -> list[tuple[int, float]]:
+) -> np.ndarray:
     """Protocol runs on a chunk of instances (``generate_instances``) with
-    m copies each; returns one (guess, statistic) per row, as
-    ``decide_rows``.  probs is the Hadamard test's outcome-0 probability
-    for each of the 2^t block values, indexed by row code:
+    m copies each; returns the (T,) float64 array of statistics.  probs
+    is the Hadamard test's outcome-0 probability for each of the 2^t block
+    values, indexed by row code:
     ``hadamard_test_probs(matrix, all_points(t))`` for the
     ``block_multilinear_matrix`` of a degree-2 witness
     (``best_sign_polynomial(f, 2)``, which exists when sdeg(f) <= 2).
@@ -172,7 +170,7 @@ def run_quantum(
     outcome_signs = np.where(uniforms < np.take_along_axis(probs0, js, axis=1), 1.0, -1.0)
     weights = np.take_along_axis(ws, np.minimum(js, ws.shape[1] - 1), axis=1)
     contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
-    return decide_rows(contributions.sum(axis=1), tie_rngs)
+    return contributions.sum(axis=1)
 
 
 def matrix_audit_record(a: BlockMatrix) -> dict:

@@ -17,7 +17,7 @@ from hiddenpartition.classical import (
 )
 from hiddenpartition.experiments import run_protocol_trials
 from hiddenpartition.instances import PartitionParams, generate_instances
-from hiddenpartition.rng import fisher_yates, stream
+from hiddenpartition.rng import fisher_yates, fisher_yates_rows, stream
 from hiddenpartition.signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial
 
 from conftest import poly_from_terms
@@ -66,40 +66,56 @@ def dictator_poly(t: int) -> SignPolynomial:
     return poly_from_terms(t, {1: 1.0}, 1.0)
 
 
+def test_protocol_runs_return_one_float64_statistic_per_row():
+    # Bob's statistic per trial; run_protocol_trials takes its sign as the guess
+    f = majority(3)
+    params = PartitionParams(30, 3, Fraction(1, 5))
+    trials = range(5)
+    xs, sigmas, ws = generate_instances(
+        f, params, [1, -1, 1, -1, 1], [stream(3, "instance", trial) for trial in trials])
+    poly = best_sign_polynomial(f, 1)
+    indices, bits = alice_sample(xs, 4, [stream(3, "protocol", trial) for trial in trials])
+    subsets = fisher_yates_rows(30, [stream(3, "protocol", trial) for trial in trials])[:, :6]
+    for statistics in (
+        bob_decide(indices, bits, sigmas, ws, poly, params),
+        run_classical(params, xs, sigmas, ws, poly, 4,
+                      [stream(3, "protocol", trial) for trial in trials]),
+        run_uniform_phd1(params, xs, sigmas, ws, level_one_slots(f), subsets),
+    ):
+        assert isinstance(statistics, np.ndarray)
+        assert (statistics.dtype, statistics.shape) == (np.float64, (5,))
+
+
 def test_bob_decide_dictator_single_hit():
     # one sampled index whose permuted position is slot 1 of block 1
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([1, 2, 3, 4])
-    [(guess, statistic)] = bob_decide(
+    [statistic] = bob_decide(
         np.array([[1]]), np.array([[1]]), sigma[None], np.array([[1, 1]]), dictator_poly(2),
-        params, [stream(0, "tie")],
+        params,
     )
     assert statistic == pytest.approx(1.0)
-    assert guess == 1
 
 
 def test_bob_decide_zero_coefficient_slot():
     params = PartitionParams(4, 2, Fraction(1))
     sigma = np.array([2, 1, 3, 4])  # index 1 lands on slot 2, coefficient 0
-    [(_, statistic)] = bob_decide(
+    [statistic] = bob_decide(
         np.array([[1]]), np.array([[1]]), sigma[None], np.array([[1, 1]]), dictator_poly(2),
-        params, [stream(0, "tie")],
+        params,
     )
     assert statistic == 0.0
 
 
 def test_bob_decide_inactive_indices_random_tie():
+    # a zero statistic, which run_protocol_trials decides with the trial's coin
     params = PartitionParams(4, 2, Fraction(1, 2))
     sigma = np.array([3, 4, 1, 2])  # indices 1,2 land outside the active prefix
     indices, bits = np.array([[1, 2]]), np.array([[1, -1]])
-    guesses = set()
-    for i in range(32):
-        [(guess, statistic)] = bob_decide(
-            indices, bits, sigma[None], np.array([[1]]), dictator_poly(2), params, [stream(9, i)]
-        )
-        assert statistic == 0.0
-        guesses.add(guess)
-    assert guesses == {-1, 1}
+    [statistic] = bob_decide(
+        indices, bits, sigma[None], np.array([[1]]), dictator_poly(2), params
+    )
+    assert statistic == 0.0
 
 
 def test_bob_decide_order_invariant():
@@ -110,8 +126,8 @@ def test_bob_decide_order_invariant():
     shuffled = (np.array([[5, 1, 3]]), np.array([[-1, 1, -1]]))
     poly = dictator_poly(2)
     assert (
-        bob_decide(*msg, sigma, w, poly, params, [stream(0, "tie")])[0][1]
-        == bob_decide(*shuffled, sigma, w, poly, params, [stream(0, "tie")])[0][1]
+        bob_decide(*msg, sigma, w, poly, params)[0]
+        == bob_decide(*shuffled, sigma, w, poly, params)[0]
     )
 
 
@@ -121,7 +137,7 @@ def test_bob_decide_rejects_quadratic():
     with pytest.raises(ValueError):
         bob_decide(
             np.array([[1]]), np.array([[1]]), np.array([[1, 2, 3, 4]]), np.array([[1, 1]]), quad,
-            params, [stream(0, "tie")],
+            params,
         )
 
 
@@ -131,7 +147,7 @@ def test_bob_decide_rejects_indices_outside_one_to_n():
         with pytest.raises(ValueError, match=r"indices must lie in \[1, n\]"):
             bob_decide(
                 np.array([[index]]), np.array([[1]]), np.array([[1, 2, 3, 4]]),
-                np.array([[1, 1]]), dictator_poly(2), params, [stream(0, "tie")],
+                np.array([[1, 1]]), dictator_poly(2), params,
             )
 
 
@@ -167,13 +183,11 @@ def test_expected_statistic_sign_and_magnitude():
     for start in range(0, 12000, 2000):  # the same draws as one trial at a time
         trials = range(start, start + 2000)
         rngs = [stream(77, "instance", trial) for trial in trials]
-        for _, statistic in run_classical(
+        stats.append(run_classical(
             params, *generate_instances(f, params, [1] * 2000, rngs), poly, m,
             [stream(77, "protocol", trial) for trial in trials],
-            [stream(77, "tiebreak", trial) for trial in trials],
-        ):
-            stats.append(statistic)
-    stats = np.asarray(stats)
+        ))
+    stats = np.concatenate(stats)
     lower = float(params.alpha) * poly.bias * m / params.t
     stderr = stats.std(ddof=1) / math.sqrt(len(stats))
     assert stats.mean() > 0
@@ -192,12 +206,12 @@ def test_run_uniform_dictator_exact_on_hit():
     for trial in range(200):
         rng = stream(5, "instance", trial)
         b = 1 if trial % 2 else -1
-        [(guess, statistic)] = run_uniform_phd1(
+        [statistic] = run_uniform_phd1(
             params, *generate_instances(f, params, [b], [rng]), slots,
-            fisher_yates(40, stream(5, "protocol", trial))[None, :40], [stream(5, "tie", trial)],
+            fisher_yates(40, stream(5, "protocol", trial))[None, :40],
         )
         if statistic != 0.0:
-            assert guess == b
+            assert np.sign(statistic) == b
 
 
 def test_run_uniform_majority_conditional_success():
@@ -208,13 +222,13 @@ def test_run_uniform_majority_conditional_success():
     hits = correct_hits = 0
     for trial in range(4000):
         rng = stream(13, "instance", trial)
-        [(guess, statistic)] = run_uniform_phd1(
+        [statistic] = run_uniform_phd1(
             params, *generate_instances(f, params, [1], [rng]), slots,
-            fisher_yates(30, stream(13, "protocol", trial))[None, :10], [stream(13, "tie", trial)],
+            fisher_yates(30, stream(13, "protocol", trial))[None, :10],
         )
         if statistic != 0.0:
             hits += 1
-            correct_hits += int(guess == 1)
+            correct_hits += int(np.sign(statistic) == 1)
     assert hits > 3000
     assert correct_hits / hits == pytest.approx(0.75, abs=0.03)
 
@@ -227,9 +241,7 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
         for trial in range(100):
             xs, sigmas, ws = generate_instances(f, params, [1], [stream(21, "instance", trial)])
             subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
-            [(_, statistic)] = run_uniform_phd1(
-                params, xs, sigmas, ws, slots, subset[None], [stream(21, "tie", trial)],
-            )
+            [statistic] = run_uniform_phd1(params, xs, sigmas, ws, slots, subset[None])
             assert statistic == uniform_statistic_by_scan(
                 params, xs[0], sigmas[0], ws[0], slots, subset
             )
@@ -251,5 +263,5 @@ def test_run_uniform_rejects_subsets_outside_one_to_n():
         with pytest.raises(ValueError):
             run_uniform_phd1(
                 params, *rows, level_one_slots(f),
-                np.array(subset, dtype=np.int64)[None], [stream(0, "tie")],
+                np.array(subset, dtype=np.int64)[None],
             )

@@ -25,6 +25,7 @@ from hiddenpartition.experiments import (
 )
 from hiddenpartition.boolfn import and_fn, dictator, majority, parity
 from hiddenpartition.instances import PartitionParams
+from hiddenpartition.rng import coin, stream
 
 from conftest import random_table
 
@@ -41,6 +42,21 @@ def test_wilson_interval_basic():
     low, high = wilson_interval(90, 100)
     assert 0.8 < low < 0.9 < high < 0.96
     assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+def test_wilson_interval_holds_phat_inside_the_unit_interval():
+    # exhaustive over trials <= 2000: at successes 0 or trials the float
+    # formula can put an end outside [0, 1] (5/5: a high of
+    # 1.0000000000000002) or short of p-hat (300/300: 0.9999999999999998)
+    wrong = []
+    for trials in range(1, 2001):
+        for successes in range(trials + 1):
+            low, high = wilson_interval(successes, trials)
+            if not 0 <= low <= successes / trials <= high <= 1:
+                wrong.append((successes, trials))
+    assert not wrong
+    assert wilson_interval(5, 5)[1] == wilson_interval(300, 300)[1] == 1.0
+    assert wilson_interval(0, 300)[0] == 0.0
 
 
 def test_summary_counts_match_records():
@@ -564,10 +580,10 @@ BENCH_RUN_ARGS = ("--n", "3000", "--alpha", "1/2", "--trials", "300", "--seed", 
     "args, digest",
     [
         (["run-classical", "--named", "majority", "--t", "3", "--epsilon", "0.1"],
-         "26ef5fd9ce1c5f9e9897d3ef5f46deb8492c8ba41280f46fc0e9d7ed22e4c835"),
+         "fa7d18c22d4ddbb20378863113c1a29ee381611d34969fd7153d40e18fad73ab"),
         (["run-quantum", "--named", "parity", "--t", "2", "--epsilon", "0.1",
           "--format", "jsonl"],
-         "0a31575aeeb366a280e8b7948d53edd4d73e0c9b5b32427ab33d43584753a73f"),
+         "04820ca1095399ae72dd69fe0e54f79d1d495a3082bb9a98fe233c5d649b4ffb"),
         (["run-uniform", "--named", "dictator", "--t", "4", "--samples", "32"],
          "6b1595292bfd0cd6ac6f0c01ef99a80ef281472d93581e44d3beb4114624b48f"),
     ],
@@ -662,6 +678,31 @@ def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f
     records, _ = run_protocol_trials(protocol, f, "f", params, 60, 5, **options)
     assert built == [record.trial for record in records if record.statistic == 0]
     assert bool(built) == ties
+
+
+def test_a_zero_statistic_is_decided_by_the_trials_coin(monkeypatch):
+    # the guess is the statistic's sign; +0.0 and -0.0 flip the trial's
+    # tie-break coin (at seed 2 those of trials 0 and 1 are -1 and +1, the
+    # reverse of the zeros' signs) and build only those two streams
+    statistics = np.array([0.0, -0.0, 5e-324, -5e-324])
+    monkeypatch.setattr(experiments, "_make_runner",
+                        lambda *a: (lambda xs, sigmas, ws, rngs: statistics, 1, 3))
+    built = []
+    build = experiments.stream
+
+    def counted(seed, label, trial):
+        if label == "tiebreak":
+            built.append(trial)
+        return build(seed, label, trial)
+
+    monkeypatch.setattr(experiments, "stream", counted)
+    params = PartitionParams(24, 3, Fraction(1))
+    records, _ = run_protocol_trials("classical", majority(3), "f", params, 4, 2, epsilon=0.1)
+    coins = [coin(stream(2, "tiebreak", trial)) for trial in (0, 1)]
+    assert coins == [-1, 1]
+    assert [record.guess for record in records] == [*coins, 1, -1]
+    assert built == [0, 1]
+    assert [math.copysign(1, record.statistic) for record in records] == [1, -1, 1, -1]
 
 
 @pytest.mark.parametrize("protocol, f", [("classical", majority(3)), ("quantum", parity(2))])

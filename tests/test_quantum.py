@@ -20,6 +20,7 @@ from hiddenpartition.quantum import (
     matrix_audit_record,
     qubits_per_copy,
     required_copies,
+    run_quantum,
     unitary_dilation,
 )
 from hiddenpartition.rng import stream
@@ -203,12 +204,25 @@ def test_run_quantum_statistics_match_the_per_block_oracle(f):
     trials = range(40)
     xs, sigmas, ws = generate_instances(
         f, params, [1] * len(trials), [stream(trial, "instance") for trial in trials])
-    decisions = run(xs, sigmas, ws, [stream(trial, "protocol") for trial in trials],
-                    [stream(trial, "tiebreak") for trial in trials])
+    statistics = run(xs, sigmas, ws, [stream(trial, "protocol") for trial in trials])
     a = block_multilinear_matrix(best_sign_polynomial(f, 2))
     expected = quantum_statistics_by_blocks(params, xs, sigmas, ws, a, m,
                                             [stream(trial, "protocol") for trial in trials])
-    assert [statistic for _, statistic in decisions] == expected
+    assert statistics.tolist() == expected
+
+
+def test_run_quantum_returns_one_float64_statistic_per_row():
+    # Bob's statistic per trial; run_protocol_trials takes its sign as the guess
+    f = parity(2)
+    params = PartitionParams(24, 2, Fraction(1, 2))
+    a = block_multilinear_matrix(best_sign_polynomial(f, 2))
+    trials = range(3)
+    xs, sigmas, ws = generate_instances(
+        f, params, [1, -1, 1], [stream(trial, "instance") for trial in trials])
+    statistics = run_quantum(params, xs, sigmas, ws, hadamard_test_probs(a, all_points(2)), 5,
+                             [stream(trial, "protocol") for trial in trials])
+    assert isinstance(statistics, np.ndarray)
+    assert (statistics.dtype, statistics.shape) == (np.float64, (3,))
 
 
 # --- measurement accounting --------------------------------------------------

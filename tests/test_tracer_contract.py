@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps package functions by name; every name it
 lists must still exist in the package.  And the package ships only what
-runs: every top-level function, class and constant is used by other code."""
+runs: every top-level function, class and constant is used by other code,
+and every parameter is read by its function."""
 
 import ast
 import importlib
@@ -88,3 +89,23 @@ def test_every_top_level_definition_is_used():
                         if member.name not in around | elsewhere:
                             unused.append(f"{path.name}:{node.name}.{member.name}")
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_every_parameter_is_read():
+    # a parameter of a function or lambda counts as read when its body
+    # (nested functions included) loads the name; one that is only passed
+    # along a chain of calls and never read is dead weight on every caller
+    unread = []
+    for path in sorted((ROOT / "src" / "hiddenpartition").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(arg for arg in (args.vararg, args.kwarg) if arg is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {name.id for statement in body for name in ast.walk(statement)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}:{getattr(node, 'name', 'lambda')}({param.arg})"
+                       for param in params if param.arg not in loaded]
+    assert not unread, f"parameters never read: {unread}"
