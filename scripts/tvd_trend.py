@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from hiddenpartition import boolfn
 from hiddenpartition.cli import output, run_guarded
-from hiddenpartition.hardness import draw_message_set, expected_tvd
+from hiddenpartition.hardness import check_cap, draw_message_set, expected_tvd
 from hiddenpartition.instances import PartitionParams, exact_fraction
 from hiddenpartition.rng import stream
 
@@ -40,6 +40,7 @@ def main() -> int:
 def trend(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be at least 2 (message sets of 2^2 and up), got {args.n}")
+    check_cap("tvd", args.n)  # before any message set is drawn
     f = boolfn.named_function(args.named, args.t)
     params = PartitionParams(args.n, args.t, args.alpha)
 

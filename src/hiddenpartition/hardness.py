@@ -84,7 +84,7 @@ class MessageSet:
         return walsh_hadamard(indicator) / 2**self.n
 
 
-def _check_cap(check: str, n: int, t: int = 1) -> None:
+def check_cap(check: str, n: int, t: int = 1) -> None:
     """Refuse an n over the check's CHECK_CAPS row (for rhat, also a t over MAX_RHAT_ARITY)."""
     arity = f", t <= {MAX_RHAT_ARITY}" if check == "rhat" else ""
     if n > CHECK_CAPS[check] or (arity and t > MAX_RHAT_ARITY):
@@ -120,15 +120,6 @@ def induced_distributions(
     return np.bincount(masks, minlength=2**params.active_blocks)
 
 
-def tvd(d1: np.ndarray, d2: np.ndarray) -> float:
-    """Total variation distance, sum |d1 - d2| (range [0, 2])."""
-    d1 = np.asarray(d1, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
-    if d1.shape != d2.shape:
-        raise ValueError("distributions must share a support")
-    return float(np.abs(d1 - d2).sum())
-
-
 @dataclass(frozen=True)
 class TvdEstimate:
     mean: float
@@ -143,17 +134,21 @@ def expected_tvd(
     rng: np.random.Generator,
 ) -> TvdEstimate:
     """Monte-Carlo estimate of the permutation-averaged distance between
-    the induced distributions.  Larger message sets drive this toward 0."""
-    _check_cap("tvd", params.n)
+    the induced distributions.  Larger message sets drive this toward 0.
+
+    Each sigma's distance is kept as the integer sum |(|A| p) - (|A| q)|,
+    |A| times the distance; the mean is their total over |A| * sigmas,
+    rounded once."""
+    check_cap("tvd", params.n)
     if sigma_samples < 1:
         raise ValueError(f"--sigmas must be at least 1, got {sigma_samples}")
-    values = np.empty(sigma_samples)
+    distances = np.empty(sigma_samples, dtype=np.int64)
     for i in range(sigma_samples):
-        sigma = fisher_yates(params.n, rng)
-        counts = induced_distributions(f, message_set, sigma, params)
-        values[i] = tvd(counts / len(message_set), counts[::-1] / len(message_set))
+        counts = induced_distributions(f, message_set, fisher_yates(params.n, rng), params)
+        distances[i] = np.abs(counts - counts[::-1]).sum()
+    values = distances / len(message_set)
     stderr = float(values.std(ddof=1) / math.sqrt(sigma_samples)) if sigma_samples > 1 else 0.0
-    return TvdEstimate(float(values.mean()), stderr)
+    return TvdEstimate(int(distances.sum()) / (len(message_set) * sigma_samples), stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def r_hat_formula(
     zero for even |V|; otherwise, with the integers F = 2^t f^ and G = 2^n g^,
     2/(|A| 2^len 2^(t|V|)) * sum over subset tuples (T_v)_{v in V} of
     prod F(T_v) * G(sigma^-1(V bullet T))."""
-    _check_cap("rhat", params.n, params.t)
+    check_cap("rhat", params.n, params.t)
     n, t, length = params.n, params.t, params.active_blocks
     fhat = walsh_hadamard(f.table).astype(np.int64).tolist()  # F = 2^t f^
     support = [(mask, c) for mask, c in enumerate(fhat) if c != 0]
@@ -234,7 +229,7 @@ def u_bruteforce(
     """Definitional sum over all strings:
     (1/2) sum_x p_x p_sigma chi_S(x) (1[B_f = w] - 1[B_f = complement]),
     an integer sum over 2^(n+1) n!."""
-    _check_cap("u", params.n)
+    check_cap("u", params.n)
     n = params.n
     _check_positions(s_mask, n)
 
@@ -298,7 +293,7 @@ def kkl_check(message_set: MessageSet, deltas: Sequence[float]) -> KklReport:
     """Evaluate sum_S delta^|S| g^(S)^2 <= (|A|/2^n)^(2/(1+delta)) for the
     0/1 characteristic function of the set, over a grid of deltas."""
     n = message_set.n
-    _check_cap("kkl", n)
+    check_cap("kkl", n)
     spectrum = message_set.characteristic_spectrum()
     weights = np.bincount(row_weights(n), weights=spectrum**2, minlength=n + 1)
     density = len(message_set) / 2**n
@@ -328,7 +323,7 @@ def run_check(check: str, f: BooleanFunction, params: PartitionParams, cases: in
     count every value where a closed form and its brute force differ as a
     violation; ``max_discrepancy`` is the largest absolute difference.  A
     set size of None is 2^(n-1), or random per kkl case."""
-    _check_cap(check, params.n, params.t)
+    check_cap(check, params.n, params.t)
     for flag, count in (("--cases", cases), ("--sigmas", sigmas), ("--set-size", set_size)):
         if count is not None and count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")

@@ -51,14 +51,6 @@ class ReductionGadget:
             raise ValueError("gadget must satisfy a >= 1, b >= 0, 2a+b <= t")
 
 
-def _satisfies_conditions(profile: Sequence[int], a: int, b: int, sign: int) -> bool:
-    return (
-        profile[b] == sign
-        and profile[a + b] == -sign
-        and profile[2 * a + b] == sign
-    )
-
-
 def find_gadget(spec: SymmetricSpec) -> ReductionGadget:
     """Smallest (a, b) in lexicographic order satisfying the three weight
     conditions, preferring the unflipped orientation.
@@ -74,7 +66,7 @@ def find_gadget(spec: SymmetricSpec) -> ReductionGadget:
         sign = -1 if flipped else 1
         for a in range(1, t // 2 + 1):
             for b in range(0, t - 2 * a + 1):
-                if _satisfies_conditions(profile, a, b, sign):
+                if (profile[b], profile[a + b], profile[2 * a + b]) == (sign, -sign, sign):
                     return ReductionGadget(a, b, t, flipped)
     # Exhaustion is only possible for the excluded family.
     th = spec.thresholds
@@ -114,27 +106,22 @@ def extended_string_rows(xs: np.ndarray, gadget: ReductionGadget) -> np.ndarray:
 def extended_permutation(sigma: Sequence[int], gadget: ReductionGadget) -> np.ndarray:
     """Extend a permutation of [n] (pair blocks) to one of [n*t/2]
     (size-t blocks): block j collects the a copies of its original pair
-    followed by its t-2a padding positions, one from each padding band."""
+    followed by its t-2a padding positions, one from each padding band.
+
+    Row j-1 of ``members`` lists block j's 1-based positions in x_f in
+    that order, so one scatter sends them to slots (j-1)*t + 1 .. j*t."""
     sigma = np.asarray(sigma, dtype=np.int64)
     n = len(sigma)
     if n % 2 != 0:
         raise ValueError("parity instances need even n")
-    half = n // 2
-    t = gadget.t
-    inverse = inverse_permutation(sigma)
+    half, a, length = n // 2, gadget.a, n * gadget.t // 2
+    pairs = inverse_permutation(sigma).reshape(half, 1, 2)
+    copies = (pairs + n * np.arange(a).reshape(1, a, 1)).reshape(half, 2 * a)
+    padding = a * n + np.arange(1, half + 1)[:, None] + half * np.arange(gadget.t - 2 * a)
+    members = np.hstack([copies, padding])
 
-    sigma_f = np.empty(n * t // 2, dtype=np.int64)
-    for j in range(1, half + 1):
-        first, second = inverse[2 * j - 2], inverse[2 * j - 1]
-        members = []
-        for c in range(gadget.a):
-            members.append(c * n + first)
-            members.append(c * n + second)
-        for c in range(t - 2 * gadget.a):
-            members.append(gadget.a * n + j + c * half)
-        base = (j - 1) * t
-        for k, position in enumerate(members, start=1):
-            sigma_f[position - 1] = base + k
+    sigma_f = np.empty(length, dtype=np.int64)
+    sigma_f[members.ravel() - 1] = np.arange(1, length + 1)
     return sigma_f
 
 

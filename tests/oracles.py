@@ -24,7 +24,7 @@ from hiddenpartition.boolfn import (
     walsh_hadamard,
     weight_profile,
 )
-from hiddenpartition.instances import PartitionParams, b_map_rows
+from hiddenpartition.instances import PartitionParams, b_map_rows, inverse_permutation
 from hiddenpartition.quantum import hadamard_test_probs, unitary_dilation
 from hiddenpartition.reduction import (
     ReductionGadget,
@@ -305,6 +305,28 @@ def closed_form_gadget(spec):
             flipped = profile[th[k] + 1] == 1
             return ReductionGadget(a, b, spec.t, flipped)
     return None
+
+
+def extended_permutation_by_blocks(sigma, gadget: ReductionGadget) -> np.ndarray:
+    """extended_permutation block by block: block j lists the a copies of
+    its pair (sigma^-1(2j-1), sigma^-1(2j)), shifted by c*n for copy c,
+    then position a*n + j + c*n/2 of each padding band c, and gives them
+    the slots (j-1)*t + 1, (j-1)*t + 2, ... in that order."""
+    n, t = len(sigma), gadget.t
+    half = n // 2
+    inverse = inverse_permutation(sigma)
+    sigma_f = np.empty(n * t // 2, dtype=np.int64)
+    for j in range(1, half + 1):
+        first, second = inverse[2 * j - 2], inverse[2 * j - 1]
+        members = []
+        for c in range(gadget.a):
+            members.append(c * n + first)
+            members.append(c * n + second)
+        for c in range(t - 2 * gadget.a):
+            members.append(gadget.a * n + j + c * half)
+        for k, position in enumerate(members, start=1):
+            sigma_f[position - 1] = (j - 1) * t + k
+    return sigma_f
 
 
 def reduce_instance(params, x, sigma, w, b, gadget: ReductionGadget) -> tuple:

@@ -595,6 +595,41 @@ def test_cli_run_at_benchmark_scale_matches_digest(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the stdout of each hardness-lab call at the benchmark's scale;
+# the reduce spec is t = 8 with four sign changes, read from a relative path
+# so that the record's "function" field is fixed
+LAB_SPEC = {"kind": "symmetric", "t": 8, "thresholds": [1, 3, 4, 6], "leading_sign": 1}
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["hardness", "--named", "parity", "--t", "2", "--check", "tvd", "--n", "16",
+          "--sigmas", "50"],
+         "fa1828eaa44c56eaffbcd70789961876e9e906ec37badbc94cf6f5b9a091eb0c"),
+        (["hardness", "--named", "parity", "--t", "2", "--check", "rhat", "--n", "12",
+          "--cases", "10"],
+         "f5b2b135a8a0a333d007233ec99ce8e487e6b2bbf9b250ee29cd912ad34f7b06"),
+        (["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "12",
+          "--cases", "200"],
+         "8c88f483466b5a6351e82a13df918a46ab16ccf6a8fe19e6d308684f1f95182d"),
+        (["hardness", "--named", "parity", "--t", "2", "--check", "kkl", "--n", "14",
+          "--cases", "50"],
+         "d8a76df2327289267873cf987c389675e5d6eff1ab714ce01a009d0d4ec90fd1"),
+        (["reduce", "--named", "nae", "--t", "4", "--n", "10", "--sigmas", "20"],
+         "51ffa19daaad4b140bff0040101c4499d29a134ba564e245bd250dc6cb6d7998"),
+        (["reduce", "--function", "spec8.json", "--n", "10", "--sigmas", "20"],
+         "153b0050839da2ee98d09fe5250405e59528d5793428c0bf2fa0e4886bb6aea9"),
+    ],
+    ids=["tvd", "rhat", "u", "kkl", "reduce-nae", "reduce-spec"],
+)
+def test_cli_lab_at_benchmark_scale_matches_digest(monkeypatch, tmp_path, args, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec8.json").write_text(json.dumps(LAB_SPEC))
+    assert run_cli([*args, "--seed", "7", "--out", "lab.out"]) == 0
+    assert hashlib.sha256((tmp_path / "lab.out").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "protocol, f, options",
     [("classical", majority(3), {"epsilon": 0.1}),
@@ -802,7 +837,7 @@ def test_cli_invalid_input_is_a_guard_rejection(tmp_path, capsys, args):
 @pytest.mark.parametrize(
     "message, reason",
     [("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type "
-      "float64", None), ("", "MemoryError")],
+      "int64", None), ("", "MemoryError")],
     ids=["numpy-message", "bare"],
 )
 def test_cli_out_of_memory_is_a_guard_rejection(monkeypatch, capsys, message, reason):

@@ -15,6 +15,7 @@ from hiddenpartition.boolfn import (
 )
 from hiddenpartition.instances import PartitionParams, generate_instance
 from hiddenpartition.reduction import (
+    PARITY_SIZES,
     NoGadgetError,
     ReductionGadget,
     blockwise_identity_counterexamples,
@@ -30,6 +31,7 @@ from conftest import all_symmetric_specs
 from oracles import (
     apply_permutation,
     closed_form_gadget,
+    extended_permutation_by_blocks,
     hamming_weight,
     promise_bit,
     reduce_instance,
@@ -135,6 +137,18 @@ def test_extended_permutation_is_bijection():
         sigma = fisher_yates(n, rng)
         sigma_f = extended_permutation(sigma, gadget)
         assert sorted(sigma_f) == list(range(1, n * t_target // 2 + 1))
+
+
+def test_extended_permutation_matches_the_block_by_block_oracle():
+    # every gadget (a, b) at t <= 16, five seeded sigma at each parity size
+    gadgets = [ReductionGadget(a, b, t, False) for t in range(2, 17)
+               for a in range(1, t // 2 + 1) for b in range(t - 2 * a + 1)]
+    for n in PARITY_SIZES:
+        rng = stream(5, "extend", n)
+        for sigma in [fisher_yates(n, rng) for _ in range(5)]:
+            for gadget in gadgets:
+                assert np.array_equal(extended_permutation(sigma, gadget),
+                                      extended_permutation_by_blocks(sigma, gadget)), (gadget, n)
 
 
 def test_weight_identity():

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from hiddenpartition.hardness import CHECK_CAPS
+
 ROOT = Path(__file__).resolve().parents[1]
+TVD_CAP_REFUSAL = f"guard rejection: tvd is capped at n <= {CHECK_CAPS['tvd']}\n"
 
 
 def run_script(name, *args, check=True):
@@ -83,6 +86,22 @@ def test_script_bad_input_is_a_guard_rejection(name, args):
     assert result.stderr.count("guard rejection: ") == 1
     assert result.stderr.startswith("guard rejection: ")
     assert "Traceback" not in result.stderr
+    if args == ("--n", "30"):
+        assert result.stderr == TVD_CAP_REFUSAL
+
+
+@pytest.mark.parametrize("n", ["18", "22"])  # over tvd's cap; 22 is over the message sets' too
+def test_tvd_trend_over_the_cap_is_refused_before_any_draw(monkeypatch, capsys, n):
+    script = load_script("tvd_trend.py")
+
+    def refuse(*_, **__):
+        raise AssertionError("drew before the cap was checked")
+
+    monkeypatch.setattr(script, "stream", refuse)
+    monkeypatch.setattr(script, "draw_message_set", refuse)
+    monkeypatch.setattr(sys, "argv", ["tvd_trend.py", "--n", n])
+    assert script.main() == 2
+    assert capsys.readouterr() == ("", TVD_CAP_REFUSAL)
 
 
 @pytest.mark.parametrize(
