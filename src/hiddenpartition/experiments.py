@@ -44,13 +44,16 @@ from .signpoly import best_sign_polynomial
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
-# Bound on a chunk's length-n arrays: CHUNK_ARRAYS int64 arrays per trial
-# (x, sigma (the shuffle's (n, T) array), the shuffle's swap indices,
-# b_map_rows' permuted string, and run-uniform's subset shuffle or
-# run-quantum's permuted string and block values).
-CHUNK_BYTES = 16 * 2**20
-CHUNK_ARRAYS = 6
-# A trial whose CHUNK_ARRAYS length-n and MESSAGE_ARRAYS length-m arrays exceed it is refused.
+# Bound on a chunk's length-n arrays.  CHUNK_ARRAYS is the bytes they take
+# per trial and position at their most: x (int8) and sigma (int32), with
+# run-quantum's permuted string (int8), its block signs (bool) and its
+# int64 block codes (n/t of them, so at most 8 bytes a position), which
+# is more than run-uniform's subset shuffle (int32 swap draws and images)
+# or the block map (the same three arrays, on the active blocks only).
+CHUNK_BYTES = 5 * 2**20
+CHUNK_ARRAYS = 1 + 4 + (1 + 1 + 8)
+# A trial whose length-n arrays (CHUNK_ARRAYS bytes a position) and
+# MESSAGE_ARRAYS 8-byte length-m arrays exceed it is refused.
 MAX_TRIAL_BYTES = 2**31
 # Cache-sized bound on a slice's length-m arrays: MESSAGE_ARRAYS per trial
 # (the message and the statistic's terms).  A message much longer than n
@@ -132,11 +135,11 @@ def run_protocol_trials(
     if trials < 1:
         raise ValueError("trial count must be positive")
     runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
-    trial_bytes = 8 * (CHUNK_ARRAYS * params.n + MESSAGE_ARRAYS * (m or sample_count))
+    trial_bytes = CHUNK_ARRAYS * params.n + 8 * MESSAGE_ARRAYS * (m or sample_count)
     if trial_bytes > MAX_TRIAL_BYTES:
         raise ValueError(f"one trial at n = {params.n} needs {trial_bytes / 2**30:.1f} GiB of "
                          f"arrays, over the {MAX_TRIAL_BYTES // 2**30} GiB limit")
-    chunk = max(1, CHUNK_BYTES // (8 * CHUNK_ARRAYS * params.n))
+    chunk = max(1, CHUNK_BYTES // (CHUNK_ARRAYS * params.n))
 
     records: list[TrialRecord] = []
     for start in range(0, trials, chunk):

@@ -9,8 +9,10 @@ promise is z o w = b^(alpha*n/t) for a hidden bit b.
 Blocks are 1-indexed and contiguous in the permuted string; the partition
 fraction alpha is stored as an exact rational so the promise length is an
 integer by construction.  ``generate_instances`` draws a chunk of trials
-as (x, sigma, w) int64 arrays, which the protocol runs take whole; that
-triple of rows is the one form of an instance.
+as (x, sigma, w) arrays, which the protocol runs take whole; that triple
+of rows is the one form of an instance.  Each is stored in the narrowest
+dtype that holds its values: the +-1 strings x and w as int8, sigma's
+1-based images as int32.
 """
 
 from __future__ import annotations
@@ -79,17 +81,19 @@ def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
 
 def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sigma(x) for a stack of strings (rows of xs), under one sigma
-    (shape (n,)) or one sigma per row (shape (N, n)).  The 1-based images
-    index a buffer one column wider, whose unused column 0 the returned
-    view drops."""
+    (shape (n,)) or one sigma per row (shape (N, n)), in the dtype of xs.
+    The 1-based images index a buffer one column wider, whose unused
+    column 0 the returned view drops."""
     out = np.empty((xs.shape[0], xs.shape[1] + 1), dtype=xs.dtype)
     out[np.arange(xs.shape[0])[:, None], sigma] = xs
     return out[:, 1:]
 
 
 def blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
-    """Row-encoding indices for a (..., t) array of +-1 block values."""
-    return (blocks < 0) @ (1 << np.arange(blocks.shape[-1], dtype=np.int64))
+    """Row-encoding indices for a (..., t) array of +-1 block values.  The
+    sum runs in einsum, which casts the signs to int64 in buffered pieces
+    (matmul would make an int64 copy of them whole)."""
+    return np.einsum("...i,i->...", blocks < 0, 1 << np.arange(blocks.shape[-1], dtype=np.int64))
 
 
 def b_map_rows(
@@ -99,7 +103,7 @@ def b_map_rows(
     under one sigma or one per string (as ``permute_rows``)."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
-    permuted = permute_rows(np.asarray(sigma), np.asarray(xs, dtype=np.int64))
+    permuted = permute_rows(np.asarray(sigma), np.asarray(xs))
     active = permuted[:, : params.active_len]
     blocks = active.reshape(active.shape[0], params.active_blocks, params.t)
     return f.table[blocks_to_rows(blocks)]
@@ -147,20 +151,22 @@ def generate_instances(
     bs: Sequence[int],
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One instance per (b, rng), as int64 arrays xs, sigmas (both
-    (len(bs), n)) and ws ((len(bs), active_blocks)): x uniform, then sigma
-    uniform (Fisher-Yates), both drawn from that rng, and w = b * B_f(x,
-    sigma) so the promise holds with hidden bit b.  The shuffles run in
-    lockstep (``fisher_yates_rows``) and B_f is one gather for all of them."""
+    """One instance per (b, rng), as arrays xs ((len(bs), n) int8), sigmas
+    ((len(bs), n) int32) and ws ((len(bs), active_blocks) int8): x uniform,
+    then sigma uniform (Fisher-Yates), both drawn from that rng, and w = b *
+    B_f(x, sigma) so the promise holds with hidden bit b.  The shuffles run
+    in lockstep (``fisher_yates_rows``) and B_f is one gather for all of
+    them."""
     if len(bs) != len(rngs):
         raise ValueError("one hidden bit per generator")
     if any(b not in (-1, 1) for b in bs):
         raise ValueError("b must be +-1")
-    xs = np.empty((len(rngs), params.n), dtype=np.int64)
+    xs = np.empty((len(rngs), params.n), dtype=np.int8)
     for row, rng in zip(xs, rngs):
         row[:] = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
     sigmas = fisher_yates_rows(params.n, rngs)
-    ws = np.asarray(bs, dtype=np.int64)[:, None] * b_map_rows(f, xs, sigmas, params)
+    ws = b_map_rows(f, xs, sigmas, params).astype(np.int8)
+    ws *= np.asarray(bs, dtype=np.int8)[:, None]
     return xs, sigmas, ws
 
 

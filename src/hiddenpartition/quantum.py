@@ -160,14 +160,14 @@ def run_quantum(
     """
     count = len(rngs)
     blocks = permute_rows(sigmas, xs).reshape(count, params.num_blocks, params.t)
-    probs0 = probs[blocks_to_rows(blocks)]
+    codes = blocks_to_rows(blocks)
 
     js = np.empty((count, m), dtype=np.int64)
     uniforms = np.empty((count, m))
     for j, uniform, rng in zip(js, uniforms, rngs):
         j[:] = rng.integers(0, params.num_blocks, size=m)
         uniform[:] = rng.random(m)
-    outcome_signs = np.where(uniforms < np.take_along_axis(probs0, js, axis=1), 1.0, -1.0)
+    outcome_signs = np.where(uniforms < probs[np.take_along_axis(codes, js, axis=1)], 1.0, -1.0)
     weights = np.take_along_axis(ws, np.minimum(js, ws.shape[1] - 1), axis=1)
     contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
     return contributions.sum(axis=1)

@@ -3,11 +3,11 @@
 Each one is the straightforward or per-point form of a package routine,
 or a second construction of what it computes; the tests check that the
 package still gives exactly what these give.  An instance here is what
-the package draws, the int64 rows ``(x, sigma, w)``, with its
-``PartitionParams`` and hidden bit ``b`` beside them.  ``promise_bit``,
-the instance JSON helpers and ``reduce_instance`` are tools only the
-tests use: they check the promise, pin ``generate_instance``'s draws and
-check the reduction on whole instances.
+the package draws, the rows ``(x, sigma, w)`` (int8, int32 and int8),
+with its ``PartitionParams`` and hidden bit ``b`` beside them.
+``promise_bit``, the instance JSON helpers and ``reduce_instance`` are
+tools only the tests use: they check the promise, pin
+``generate_instance``'s draws and check the reduction on whole instances.
 """
 
 import math
@@ -208,14 +208,15 @@ def instance_to_json(params, x, sigma, w, b) -> dict:
 
 
 def instance_from_json(doc: dict) -> tuple:
-    """Inverse of ``instance_to_json``: (params, x, sigma, w, b), the strings
-    as int64 arrays and b None when the document has none."""
+    """Inverse of ``instance_to_json``: (params, x, sigma, w, b), the rows
+    in the package's dtypes and b None when the document has none."""
     params = PartitionParams(
         int(doc["n"]),
         int(doc["t"]),
         Fraction(int(doc["alpha_num"]), int(doc["alpha_den"])),
     )
-    x, sigma, w = (np.asarray(doc[key], dtype=np.int64) for key in ("x", "sigma", "w"))
+    x, sigma, w = (np.asarray(doc[key], dtype=dtype)
+                   for key, dtype in (("x", np.int8), ("sigma", np.int32), ("w", np.int8)))
     return params, x, sigma, w, int(doc["b"]) if "b" in doc else None
 
 
@@ -359,6 +360,33 @@ def list_fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
         i = n - 1 - k
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
+
+
+def int64_lockstep_shuffle(n: int, rngs) -> np.ndarray:
+    """``fisher_yates_rows`` with every array int64: each generator's swap
+    draws in one call, then all rows swapped in lockstep, one position at
+    a time, with the flat indices of every draw made at once."""
+    count = len(rngs)
+    flat = np.empty((n - 1, count), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        flat[:, r] = rng.integers(0, np.arange(n, 1, -1))
+    flat = flat * count + np.arange(count)
+    perm = np.repeat(np.arange(1, n + 1, dtype=np.int64)[:, None], count, axis=1)
+    cells = perm.reshape(-1)
+    for i, targets in zip(range(n - 1, 0, -1), flat):
+        drawn = cells[targets]
+        cells[targets] = perm[i]
+        perm[i] = drawn
+    return perm.T
+
+
+def int64_instances(f, params, bs, rngs) -> tuple:
+    """``generate_instances`` with every array int64: x drawn row by row,
+    sigma from ``int64_lockstep_shuffle``, w = b * B_f(x, sigma)."""
+    xs = np.array([1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64) for rng in rngs])
+    sigmas = int64_lockstep_shuffle(params.n, rngs)
+    ws = np.asarray(bs, dtype=np.int64)[:, None] * b_map_rows(f, xs, sigmas, params)
+    return xs, sigmas, ws
 
 
 # --- hardness lab ------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -661,7 +662,7 @@ def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
     assert chunks == [20]
     assert slices == ([1] * 20 if message_len == 20061 else [20])
     # chunks of 7 from the length-n bound, each decided in slices of 3 from the length-m one
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * 8 * experiments.CHUNK_ARRAYS * params.n)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.CHUNK_ARRAYS * params.n)
     monkeypatch.setattr(experiments, "SLICE_BYTES",
                         3 * 8 * experiments.MESSAGE_ARRAYS * message_len)
     assert run()[0] == whole
@@ -683,6 +684,31 @@ def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, opti
     params = PartitionParams(24, f.t, Fraction(1, 2))
     run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
     assert rows == [20]
+
+
+def test_a_run_quantum_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch):
+    # a chunk at n = 3000 is 116 trials, and one of run-quantum's
+    # (parity(2), alpha = 1/2) traces a peak of about 4 MB: int8 strings,
+    # an int32 shuffle and no int64 copy of them (with int64 arrays, 13.7 MB)
+    params = PartitionParams(3000, 2, Fraction(1, 2))
+    chunks = []
+    generate = experiments.generate_instances
+    monkeypatch.setattr(experiments, "generate_instances",
+                        lambda *a: chunks.append(len(a[2])) or generate(*a))
+    run_protocol_trials("quantum", parity(2), "parity:2", params, 117, 0, epsilon=0.1)
+    assert chunks == [116, 1]
+
+    runner, _, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
+    instance_rngs = [stream(0, "instance", trial) for trial in range(116)]
+    bs = [coin(rng) for rng in instance_rngs]
+    protocol_rngs = [stream(0, "protocol", trial) for trial in range(116)]
+    tracemalloc.start()
+    try:
+        runner(*generate(parity(2), params, bs, instance_rngs), protocol_rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize(
@@ -707,7 +733,7 @@ def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f
     params = PartitionParams(24, f.t, Fraction(1))
     _, m, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
                                        options.get("sample_count"))
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * 8 * experiments.CHUNK_ARRAYS * params.n)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.CHUNK_ARRAYS * params.n)
     monkeypatch.setattr(experiments, "SLICE_BYTES",
                         3 * 8 * experiments.MESSAGE_ARRAYS * (m or options["sample_count"]))
     records, _ = run_protocol_trials(protocol, f, "f", params, 60, 5, **options)

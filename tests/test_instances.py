@@ -13,9 +13,15 @@ from hiddenpartition.instances import (
     generate_instance,
     generate_instances,
 )
-from hiddenpartition.rng import fisher_yates, stream
+from hiddenpartition.rng import SHUFFLE_BLOCK, coin, fisher_yates, stream
 
-from oracles import apply_permutation, instance_from_json, instance_to_json, promise_bit
+from oracles import (
+    apply_permutation,
+    instance_from_json,
+    instance_to_json,
+    int64_instances,
+    promise_bit,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,8 +137,9 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
     f = majority(3)
     bs = [1, -1, -1, 1, 1]
     xs, sigmas, ws = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
-    for array, width in ((xs, n), (sigmas, n), (ws, params.active_blocks)):
-        assert array.dtype == np.int64 and array.shape == (len(bs), width)
+    for array, dtype, width in ((xs, np.int8, n), (sigmas, np.int32, n),
+                                (ws, np.int8, params.active_blocks)):
+        assert array.dtype == dtype and array.shape == (len(bs), width)
     assert (np.sort(sigmas, axis=1) == np.arange(1, n + 1)).all()
     assert np.all(np.abs(xs) == 1) and np.all(np.abs(ws) == 1)
     for k, (b, x, sigma, w) in enumerate(zip(bs, xs, sigmas, ws)):
@@ -140,6 +147,33 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
         for row, single_row in zip((x, sigma, w), single):
             assert np.array_equal(row, single_row)
         assert promise_bit(f, x, sigma, w, params) == b
+
+
+@pytest.mark.parametrize(
+    "n, t, alpha",
+    [(1, 1, Fraction(1)), (2, 2, Fraction(1)), (3, 3, Fraction(1)),
+     (SHUFFLE_BLOCK - 1, 1, Fraction(1)), (SHUFFLE_BLOCK + 1, 1, Fraction(1)),
+     (3000, 3, Fraction(1, 2))],
+)
+@pytest.mark.parametrize("count", [1, 3, 116])
+def test_generate_instances_match_the_int64_builder(n, t, alpha, count):
+    # the int8/int32 chunk holds exactly the int64 builder's values, and
+    # leaves every generator where the int64 builder leaves it
+    params = PartitionParams(n, t, alpha)
+    f = majority(t) if t % 2 else parity(t)
+    seeds = range(count)
+
+    def streams():
+        rngs = [stream(seed, "instance", n) for seed in seeds]
+        return rngs, [coin(rng) for rng in rngs]
+
+    rngs, bs = streams()
+    oracle_rngs, oracle_bs = streams()
+    for got, expected in zip(generate_instances(f, params, bs, rngs),
+                             int64_instances(f, params, oracle_bs, oracle_rngs)):
+        assert np.array_equal(got, expected)
+    for rng, oracle_rng in zip(rngs, oracle_rngs):
+        assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
 
 
 def test_generate_instances_reject_bad_bits_before_drawing():
@@ -188,7 +222,7 @@ def assert_same_instance(got, expected):
     params, *rows, b = expected
     assert got_params == params and got_b == b
     for got_row, row in zip(got_rows, rows):
-        assert got_row.dtype == np.int64 and np.array_equal(got_row, row)
+        assert got_row.dtype == row.dtype and np.array_equal(got_row, row)
 
 
 def test_json_round_trip():
@@ -200,6 +234,6 @@ def test_json_round_trip():
 
 def test_json_round_trip_without_b():
     params = PartitionParams(4, 2, Fraction(1))
-    rows = ((1, 1, -1, 1), (2, 1, 4, 3), (1, -1))
-    instance = (params, *(np.array(row, dtype=np.int64) for row in rows), None)
+    rows = (((1, 1, -1, 1), np.int8), ((2, 1, 4, 3), np.int32), ((1, -1), np.int8))
+    instance = (params, *(np.array(row, dtype=dtype) for row, dtype in rows), None)
     assert_same_instance(instance_from_json(instance_to_json(*instance)), instance)

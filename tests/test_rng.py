@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hiddenpartition.rng import coin, fisher_yates, fisher_yates_rows, stream
+from hiddenpartition.rng import SHUFFLE_BLOCK, coin, fisher_yates, fisher_yates_rows, stream
 
-from oracles import list_fisher_yates
+from oracles import int64_lockstep_shuffle, list_fisher_yates
 
 
 def test_same_key_reproduces():
@@ -41,8 +41,8 @@ def test_fisher_yates_uniform_smoke():
 
 def test_fisher_yates_pinned_at_n3000():
     perm = fisher_yates(3000, stream(1, "fy"))
-    assert perm.dtype == np.int64
-    assert hashlib.sha256(perm.tobytes()).hexdigest() == (
+    assert perm.dtype == np.int32
+    assert hashlib.sha256(perm.astype(np.int64).tobytes()).hexdigest() == (
         "6eeca32e02198ec627ee3f39d87d3a506ba9ffdf6d8c95c1eb29ab6ea55786ae"
     )
 
@@ -72,11 +72,24 @@ def test_lockstep_rows_match_list_shuffle(n, seeds):
     rngs = _instance_streams(seeds, n)
     rows = fisher_yates_rows(n, rngs)
     assert rows.shape == (len(seeds), n)
-    assert rows.dtype == np.int64
+    assert rows.dtype == np.int32
     oracle_rngs = _instance_streams(seeds, n)
     for row, oracle_rng in zip(rows, oracle_rngs):
         assert np.array_equal(row, list_fisher_yates(n, oracle_rng))
     # every generator is left exactly where a shuffle of its own leaves it
+    for rng, oracle_rng in zip(rngs, oracle_rngs):
+        assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, SHUFFLE_BLOCK - 1, SHUFFLE_BLOCK + 1, 3000])
+@pytest.mark.parametrize("count", [1, 3, 116])
+def test_lockstep_rows_match_the_int64_shuffle(n, count):
+    # the int32 draws, made intp a block of positions at a time, give the
+    # int64 shuffle's rows and leave every generator where it leaves it
+    seeds = range(count)
+    rngs = _instance_streams(seeds, n)
+    oracle_rngs = _instance_streams(seeds, n)
+    assert np.array_equal(fisher_yates_rows(n, rngs), int64_lockstep_shuffle(n, oracle_rngs))
     for rng, oracle_rng in zip(rngs, oracle_rngs):
         assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
 
@@ -92,3 +105,10 @@ def test_single_shuffle_matches_list_shuffle(n):
 def test_lockstep_rows_reject_nonpositive():
     with pytest.raises(ValueError):
         fisher_yates_rows(0, [stream(0), stream(1)])
+
+
+def test_lockstep_rows_reject_sizes_past_int32_before_drawing():
+    rng = stream(0)
+    with pytest.raises(ValueError, match="below 2"):
+        fisher_yates_rows(2**31, [rng])
+    assert rng.integers(0, 2**62) == stream(0).integers(0, 2**62)
