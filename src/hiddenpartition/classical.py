@@ -53,6 +53,8 @@ def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     value = (t / (alpha * beta)) ** 2 * math.log(1 / epsilon) / 2
+    if not math.isfinite(value):
+        raise ValueError(f"no finite sample count reaches epsilon = {epsilon!r} at bias {beta!r}")
     # tiny slack so float noise cannot bump an exact integer to its successor
     return max(1, math.ceil(value - 1e-9))
 

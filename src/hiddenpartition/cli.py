@@ -250,18 +250,21 @@ def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Nam
     guard rejection, an invalid parameter, an unusable path or an array
     too large for memory).  The output paths in args (--out, and
     --dump-matrix where there is one) are opened for appending first, so
-    an unwritable one is refused before any work, and a file keeps what
-    it holds until the command writes it.
+    an unwritable one, or two naming one file, are refused before any
+    work, and a file keeps what it holds until the command writes it.
 
     Everything alive before the command runs, the numpy import graph
     above all, is moved to the collector's permanent generation
     (``gc.freeze``): it lives until exit anyway, and the full collections
     during the command and at interpreter exit then skip it."""
     try:
-        for path in (args.out, getattr(args, "dump_matrix", None)):
-            if path is not None:
-                with open(path, "a", encoding="utf-8"):
-                    pass
+        paths = [args.out, getattr(args, "dump_matrix", None)]
+        paths = [path for path in paths if path is not None]
+        for path in paths:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        if len(paths) == 2 and os.path.samefile(*paths):
+            raise ValueError(f"--out and --dump-matrix name one file, {paths[1]!r}")
         gc.freeze()
         return command(args)
     except (ValueError, OSError, MemoryError) as exc:

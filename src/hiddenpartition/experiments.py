@@ -44,22 +44,23 @@ from .signpoly import best_sign_polynomial
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
-# Bound on a chunk's length-n arrays.  CHUNK_ARRAYS is the bytes they take
-# per trial and position at their most: x (int8) and sigma (int32), with
-# run-quantum's permuted string (int8), its block signs (bool) and its
-# int64 block codes (n/t of them, so at most 8 bytes a position), which
-# is more than run-uniform's subset shuffle (int32 swap draws and images)
-# or the block map (the same three arrays, on the active blocks only).
+# Bound on a chunk's length-n arrays.  POSITION_BYTES is the bytes they
+# take per trial and position at their most, in every run while w is
+# drawn: x (int8) and sigma (int32), with the block map's permuted string
+# (int8), its block signs (bool) and its int64 block codes (one a position
+# at t = 1).  Run-uniform's subset shuffle (int32 swap draws and images)
+# takes less, and run-quantum codes only its m sampled blocks.
 CHUNK_BYTES = 5 * 2**20
-CHUNK_ARRAYS = 1 + 4 + (1 + 1 + 8)
-# A trial whose length-n arrays (CHUNK_ARRAYS bytes a position) and
-# MESSAGE_ARRAYS 8-byte length-m arrays exceed it is refused.
+POSITION_BYTES = 1 + 4 + (1 + 1 + 8)
+# A trial whose length-n arrays (POSITION_BYTES a position) and length-m
+# arrays (MESSAGE_BYTES a sample) exceed it is refused.
 MAX_TRIAL_BYTES = 2**31
-# Cache-sized bound on a slice's length-m arrays: MESSAGE_ARRAYS per trial
-# (the message and the statistic's terms).  A message much longer than n
-# cuts the decision into slices, not the instance draw into chunks.
+# Cache-sized bound on a slice's length-m arrays: MESSAGE_BYTES per trial
+# and sample, seven 8-byte arrays (the message and the statistic's terms).
+# A message much longer than n cuts the decision into slices, not the
+# instance draw into chunks.
 SLICE_BYTES = 2**20
-MESSAGE_ARRAYS = 7
+MESSAGE_BYTES = 7 * 8
 
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
 
@@ -135,11 +136,11 @@ def run_protocol_trials(
     if trials < 1:
         raise ValueError("trial count must be positive")
     runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
-    trial_bytes = CHUNK_ARRAYS * params.n + 8 * MESSAGE_ARRAYS * (m or sample_count)
+    trial_bytes = POSITION_BYTES * params.n + MESSAGE_BYTES * (m or sample_count)
     if trial_bytes > MAX_TRIAL_BYTES:
         raise ValueError(f"one trial at n = {params.n} needs {trial_bytes / 2**30:.1f} GiB of "
                          f"arrays, over the {MAX_TRIAL_BYTES // 2**30} GiB limit")
-    chunk = max(1, CHUNK_BYTES // (CHUNK_ARRAYS * params.n))
+    chunk = max(1, CHUNK_BYTES // (POSITION_BYTES * params.n))
 
     records: list[TrialRecord] = []
     for start in range(0, trials, chunk):
@@ -223,10 +224,10 @@ def _make_runner(
 
 def _in_slices(message_len: int, decide: Callable) -> Callable:
     """decide run on consecutive row slices of a chunk (each argument holds
-    one entry per trial), as many rows at a time as keep MESSAGE_ARRAYS
-    length-message_len arrays per row within SLICE_BYTES; the statistics
+    one entry per trial), as many rows at a time as keep their
+    MESSAGE_BYTES * message_len bytes within SLICE_BYTES; the statistics
     of the slices concatenated, one per trial in trial order."""
-    rows = max(1, SLICE_BYTES // (8 * MESSAGE_ARRAYS * message_len))
+    rows = max(1, SLICE_BYTES // (MESSAGE_BYTES * message_len))
 
     def run(*per_trial):
         return np.concatenate([decide(*(arg[start:start + rows] for arg in per_trial))

@@ -8,7 +8,9 @@ promise is z o w = b^(alpha*n/t) for a hidden bit b.
 
 Blocks are 1-indexed and contiguous in the permuted string; the partition
 fraction alpha is stored as an exact rational so the promise length is an
-integer by construction.  ``generate_instances`` draws a chunk of trials
+integer by construction.  ``active_blocks`` is the one view of sigma(x)'s
+active blocks, which the block map and the quantum run both read.
+``generate_instances`` draws a chunk of trials
 as (x, sigma, w) arrays, which the protocol runs take whole; that triple
 of rows is the one form of an instance.  Each is stored in the narrowest
 dtype that holds its values: the +-1 strings x and w as int8, sigma's
@@ -79,14 +81,14 @@ def inverse_permutation(sigma: Sequence[int]) -> np.ndarray:
     return inverse
 
 
-def permute_rows(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sigma(x) for a stack of strings (rows of xs), under one sigma
-    (shape (n,)) or one sigma per row (shape (N, n)), in the dtype of xs.
-    The 1-based images index a buffer one column wider, whose unused
-    column 0 the returned view drops."""
+def active_blocks(xs: np.ndarray, sigma: np.ndarray, params: PartitionParams) -> np.ndarray:
+    """The (N, active_blocks, t) blocks of sigma(x)'s active prefix for a
+    stack of strings (rows of xs), under one sigma (shape (n,)) or one
+    sigma per row (shape (N, n)), in the dtype of xs.  The 1-based images
+    index a buffer one column wider, whose unused column 0 the view drops."""
     out = np.empty((xs.shape[0], xs.shape[1] + 1), dtype=xs.dtype)
     out[np.arange(xs.shape[0])[:, None], sigma] = xs
-    return out[:, 1:]
+    return out[:, 1:params.active_len + 1].reshape(len(xs), params.active_blocks, params.t)
 
 
 def blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
@@ -100,13 +102,10 @@ def b_map_rows(
     f: BooleanFunction, xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
     """Vectorised block map: (N, n) strings -> (N, active_blocks) values,
-    under one sigma or one per string (as ``permute_rows``)."""
+    under one sigma or one per string (as ``active_blocks``)."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
-    permuted = permute_rows(np.asarray(sigma), np.asarray(xs))
-    active = permuted[:, : params.active_len]
-    blocks = active.reshape(active.shape[0], params.active_blocks, params.t)
-    return f.table[blocks_to_rows(blocks)]
+    return f.table[blocks_to_rows(active_blocks(np.asarray(xs), np.asarray(sigma), params))]
 
 
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # row v: the 8 bits of v

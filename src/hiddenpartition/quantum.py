@@ -32,7 +32,7 @@ import numpy as np
 
 from .boolfn import all_points
 from .classical import required_samples
-from .instances import PartitionParams, blocks_to_rows, permute_rows
+from .instances import PartitionParams, active_blocks, blocks_to_rows
 from .signpoly import SignPolynomial
 
 IDENTITY_TOL = 1e-10
@@ -156,19 +156,20 @@ def run_quantum(
     permuted coordinates plus its marker state), the Hadamard-test
     outcome is drawn from its exact closed-form probability, and active
     blocks contribute (-1)^outcome * w_j to the statistic.  Row r draws
-    its m block indices, then its m uniforms, from rngs[r].
+    its m block indices, then its m uniforms, from rngs[r].  Only the m
+    sampled blocks of each row's ``active_blocks`` view are coded; a draw
+    past the active prefix reads its last block and adds 0.
     """
     count = len(rngs)
-    blocks = permute_rows(sigmas, xs).reshape(count, params.num_blocks, params.t)
-    codes = blocks_to_rows(blocks)
-
     js = np.empty((count, m), dtype=np.int64)
     uniforms = np.empty((count, m))
     for j, uniform, rng in zip(js, uniforms, rngs):
         j[:] = rng.integers(0, params.num_blocks, size=m)
         uniform[:] = rng.random(m)
-    outcome_signs = np.where(uniforms < probs[np.take_along_axis(codes, js, axis=1)], 1.0, -1.0)
-    weights = np.take_along_axis(ws, np.minimum(js, ws.shape[1] - 1), axis=1)
+    read = np.minimum(js, params.active_blocks - 1)
+    blocks = np.take_along_axis(active_blocks(xs, sigmas, params), read[:, :, None], axis=1)
+    outcome_signs = np.where(uniforms < probs[blocks_to_rows(blocks)], 1.0, -1.0)
+    weights = np.take_along_axis(ws, read, axis=1)
     contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
     return contributions.sum(axis=1)
 

@@ -168,7 +168,7 @@ def dense_sign_degree(f: BooleanFunction):
 
 def apply_permutation(sigma, x) -> tuple:
     """Permuted string y with y_i = x at sigma^-1(i), position by position;
-    the reference for ``permute_rows``."""
+    the reference for ``active_blocks``, whose view is y's active prefix."""
     n = len(x)
     if len(sigma) != n:
         raise ValueError("length mismatch")

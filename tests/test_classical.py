@@ -37,6 +37,8 @@ def test_required_samples_guards():
         required_samples(2, 1, 1.0, 0.6)
     with pytest.raises(ValueError):
         required_samples(2, 0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="no finite sample count"):  # ln(1/epsilon) = inf
+        required_samples(2, 1, 1.0, 5e-324)
 
 
 def test_alice_sample_guards_and_constants():

@@ -662,9 +662,9 @@ def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
     assert chunks == [20]
     assert slices == ([1] * 20 if message_len == 20061 else [20])
     # chunks of 7 from the length-n bound, each decided in slices of 3 from the length-m one
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.CHUNK_ARRAYS * params.n)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
     monkeypatch.setattr(experiments, "SLICE_BYTES",
-                        3 * 8 * experiments.MESSAGE_ARRAYS * message_len)
+                        3 * experiments.MESSAGE_BYTES * message_len)
     assert run()[0] == whole
     assert chunks == [7, 7, 6]
     assert slices == [3, 3, 1, 3, 3, 1, 3, 3]
@@ -711,6 +711,26 @@ def test_a_run_quantum_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch):
     assert peak < 8e6
 
 
+def test_a_run_quantum_call_codes_only_its_sampled_blocks():
+    # on a pre-drawn 116-trial chunk (parity(2), n = 3000, alpha = 1/2,
+    # m = 42) the protocol call traces about 0.7 MB: the scattered int8
+    # strings and (116, 42) arrays, no (116, 1500) int64 code table (2.2 MB)
+    params = PartitionParams(3000, 2, Fraction(1, 2))
+    runner, m, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
+    assert m == 42
+    instance_rngs = [stream(0, "instance", trial) for trial in range(116)]
+    bs = [coin(rng) for rng in instance_rngs]
+    chunk = experiments.generate_instances(parity(2), params, bs, instance_rngs)
+    protocol_rngs = [stream(0, "protocol", trial) for trial in range(116)]
+    tracemalloc.start()
+    try:
+        runner(*chunk, protocol_rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+
+
 @pytest.mark.parametrize(
     "protocol, f, options, ties",
     [("classical", dictator(2), {"epsilon": 0.45}, True),  # m = 2
@@ -733,9 +753,9 @@ def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f
     params = PartitionParams(24, f.t, Fraction(1))
     _, m, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
                                        options.get("sample_count"))
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.CHUNK_ARRAYS * params.n)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
     monkeypatch.setattr(experiments, "SLICE_BYTES",
-                        3 * 8 * experiments.MESSAGE_ARRAYS * (m or options["sample_count"]))
+                        3 * experiments.MESSAGE_BYTES * (m or options["sample_count"]))
     records, _ = run_protocol_trials(protocol, f, "f", params, 60, 5, **options)
     assert built == [record.trial for record in records if record.statistic == 0]
     assert bool(built) == ties
@@ -811,6 +831,12 @@ MALFORMED_SPECS = {
                      id="run-n-not-multiple-of-t"),
         pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "24",
                       "--epsilon", "0.7"], id="epsilon-out-of-range"),
+        pytest.param(["run-classical", "--named", "majority", "--t", "3", "--n", "30",
+                      "--epsilon", "1e-320"], id="classical-epsilon-without-finite-m"),
+        pytest.param(["run-quantum", "--named", "parity", "--t", "2", "--n", "30",
+                      "--epsilon", "1e-320"], id="quantum-epsilon-without-finite-m"),
+        pytest.param(["run-quantum", "--named", "parity", "--t", "2", "--n", "24",
+                      "--dump-matrix", "{tmp}/out"], id="dump-matrix-is-out"),
         pytest.param(["run-uniform", "--named", "dictator", "--t", "4", "--n", "24",
                       "--samples", "0"], id="zero-samples"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "7"],

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hiddenpartition.boolfn import BooleanFunction, majority, parity
 from hiddenpartition.instances import (
     PartitionParams,
+    active_blocks,
     b_map_rows,
     generate_instance,
     generate_instances,
@@ -72,6 +73,22 @@ def test_apply_permutation_errors():
         apply_permutation((1, 2), (1, -1, 1))
     with pytest.raises(ValueError):
         apply_permutation((1, 1, 3), (1, -1, 1))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-sigma", "sigma-per-row"])
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 3)])
+def test_active_blocks_are_the_permuted_prefix(alpha, shared):
+    # sigma(x)'s first alpha*n/t blocks, as the reference permutes x, in x's dtype
+    params = PartitionParams(12, 2, alpha)
+    rng = np.random.default_rng(7)
+    xs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(4, 12))
+    sigmas = np.array([rng.permutation(12) + 1 for _ in xs], dtype=np.int32)
+    view = active_blocks(xs, sigmas[0] if shared else sigmas, params)
+    assert view.dtype == np.int8
+    assert view.shape == (4, params.active_blocks, 2)
+    for x, sigma, blocks in zip(xs, sigmas[[0] * 4] if shared else sigmas, view):
+        permuted = apply_permutation(sigma.tolist(), x.tolist())
+        assert blocks.ravel().tolist() == list(permuted[: params.active_len])
 
 
 def test_b_map_parity_blocks():

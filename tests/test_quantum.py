@@ -10,7 +10,7 @@ from hiddenpartition.boolfn import (
 )
 from hiddenpartition.experiments import _make_runner, run_protocol_trials
 from hiddenpartition.instances import (
-    PartitionParams, blocks_to_rows, generate_instances, permute_rows,
+    PartitionParams, active_blocks, blocks_to_rows, generate_instances,
 )
 from hiddenpartition.quantum import (
     BlockMatrix,
@@ -187,19 +187,25 @@ def test_tabulated_probs_equal_the_closed_form_on_every_block(f):
     params = PartitionParams(960, f.t, Fraction(1, 2))
     rngs = [stream(row, "tabulated", f.t) for row in range(100)]
     xs, sigmas, _ = generate_instances(f, params, [1] * len(rngs), rngs)
-    blocks = permute_rows(sigmas, xs).reshape(-1, f.t)
+    blocks = active_blocks(xs, sigmas, params).reshape(-1, f.t)
     rows = blocks_to_rows(blocks)
     assert np.array_equal(np.unique(rows), np.arange(2**f.t))  # every value occurs
     table = hadamard_test_probs(a, all_points(f.t))
     assert np.array_equal(table[rows], hadamard_test_probs(a, blocks))
 
 
-@pytest.mark.parametrize("f", [and_fn(3), random_table(4, np.random.default_rng([4, 1]))],
-                         ids=["and3", "dense4-1"])
-def test_run_quantum_statistics_match_the_per_block_oracle(f):
+@pytest.mark.parametrize(
+    "f, alpha",
+    [pytest.param(f, alpha, id=name + suffix)
+     for name, f in [("and3", and_fn(3)),
+                     ("dense4-1", random_table(4, np.random.default_rng([4, 1])))]
+     for alpha, suffix in [(Fraction(1, 2), ""), (Fraction(1), "-all-active"),
+                           (Fraction(1, 4), "-quarter-active")]],
+)
+def test_run_quantum_statistics_match_the_per_block_oracle(f, alpha):
     # the quantum runner tabulates the closed form once per run; its
     # statistics must be those of the closed form on each block of each trial
-    params = PartitionParams(48, f.t, Fraction(1, 2))
+    params = PartitionParams(48, f.t, alpha)
     run, m, _ = _make_runner("quantum", f, params, 0.4, None)
     trials = range(40)
     xs, sigmas, ws = generate_instances(
