@@ -18,13 +18,13 @@ from fractions import Fraction
 
 from hiddenpartition import boolfn
 from hiddenpartition.cli import output, run_guarded
-from hiddenpartition.experiments import run_protocol_trials
+from hiddenpartition.experiments import PROTOCOLS, run_protocol_trials
 from hiddenpartition.instances import PartitionParams, exact_fraction
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--protocol", choices=("classical", "quantum", "uniform"), required=True)
+    parser.add_argument("--protocol", choices=PROTOCOLS, required=True)
     parser.add_argument("--named", required=True, choices=boolfn.NAMED_FUNCTIONS)
     parser.add_argument("--t", type=int, required=True)
     parser.add_argument("--alpha", type=exact_fraction, default=Fraction(1))

@@ -17,7 +17,6 @@ Submodules:
 
 from .boolfn import (
     BooleanFunction,
-    FourierSpectrum,
     SymmetricSpec,
     fourier_l1,
     fourier_transform,
@@ -32,7 +31,6 @@ from .signpoly import SignPolynomial, best_sign_polynomial, sign_degree
 
 __all__ = [
     "BooleanFunction",
-    "FourierSpectrum",
     "SymmetricSpec",
     "PartitionParams",
     "SignPolynomial",

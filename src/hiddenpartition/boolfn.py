@@ -94,66 +94,46 @@ class BooleanFunction:
         return bool(np.all(self.table == self.table[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class FourierSpectrum:
-    """Dense Fourier spectrum of a function on {-1,+1}^t.
-
-    ``values[S]`` is the coefficient of chi_S, with S a subset bitmask, as
-    a read-only float64 copy.  For a +-1-valued source these are exact
-    integer multiples of 2^-t.
-    """
-
-    t: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != (2**self.t,):
-            raise ValueError("spectrum length must be 2^t")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FourierSpectrum):
-            return NotImplemented
-        return self.t == other.t and np.array_equal(self.values, other.values)
-
-    def support(self) -> dict[int, float]:
-        """Nonzero coefficients as {subset mask: value}."""
-        return {int(m): float(v) for m, v in enumerate(self.values) if v != 0.0}
+def fourier_transform(f: BooleanFunction) -> np.ndarray:
+    """Exact spectrum: coeff[S] = 2^-t sum_x f(x) chi_S(x) at index S, a
+    subset bitmask, as a fresh read-only float64 array.  For a +-1 table
+    these are exact integer multiples of 2^-t."""
+    spectrum = walsh_hadamard(f.table) / 2**f.t
+    spectrum.setflags(write=False)
+    return spectrum
 
 
-def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
-    """Exact spectrum: coeff[S] = 2^-t sum_x f(x) chi_S(x)."""
-    return FourierSpectrum(f.t, walsh_hadamard(f.table) / 2**f.t)
+def support(spectrum: np.ndarray) -> dict[int, float]:
+    """Nonzero coefficients as {subset mask: value}, in mask order."""
+    return {int(m): float(spectrum[m]) for m in np.flatnonzero(spectrum)}
 
 
-def pure_high_degree(spec: FourierSpectrum) -> int:
+def pure_high_degree(spectrum: np.ndarray) -> int:
     """Largest d such that every level below d vanishes.
 
     Equivalently the minimum |S| with a nonzero coefficient; 0 for
     constant functions (and any function with nonzero mean).
     """
-    nonzero = spec.values != 0.0
+    nonzero = spectrum != 0.0
     if not nonzero.any():
         return 0
-    return int(row_weights(spec.t)[nonzero].min())
+    return int(row_weights(spectrum.size.bit_length() - 1)[nonzero].min())
 
 
-def fourier_l1(spec: FourierSpectrum) -> float:
+def fourier_l1(spectrum: np.ndarray) -> float:
     """Sum of absolute Fourier coefficients."""
-    return float(np.abs(spec.values).sum())
+    return float(np.abs(spectrum).sum())
 
 
-def alpha_upper_bound(spec: FourierSpectrum) -> Optional[float]:
+def alpha_upper_bound(spectrum: np.ndarray) -> Optional[float]:
     """Partition-fraction bound min(1/2, (t/2d) * l1^(-2/d)) for the
-    function with spectrum ``spec``, d its pure high degree; None when
-    d = 0 (the bound is vacuous there)."""
-    d = pure_high_degree(spec)
+    function with this spectrum, d its pure high degree; None when d = 0
+    (the bound is vacuous there)."""
+    d = pure_high_degree(spectrum)
     if d == 0:
         return None
-    l1 = fourier_l1(spec)
-    return min(0.5, (spec.t / (2 * d)) * l1 ** (-2 / d))
+    t = spectrum.size.bit_length() - 1
+    return min(0.5, (t / (2 * d)) * fourier_l1(spectrum) ** (-2 / d))
 
 
 # ---------------------------------------------------------------------------

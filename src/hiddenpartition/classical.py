@@ -136,7 +136,7 @@ def level_one_slots(f: BooleanFunction) -> np.ndarray:
     spec = fourier_transform(f)
     if pure_high_degree(spec) >= 2:
         raise UnsupportedFunctionError("phdeg(f) >= 2")
-    level1 = spec.values[1 << np.arange(f.t)]
+    level1 = spec[1 << np.arange(f.t)]
     if not level1.any():
         raise UnsupportedFunctionError("no level-1 Fourier mass to decode from")
     return level1

@@ -84,7 +84,7 @@ def cmd_analyze(args) -> int:
         "function": label,
         "t": f.t,
         "table_digest": _table_digest(f),
-        "spectrum": {format(m, "b").zfill(f.t): v for m, v in sorted(spec.support().items())},
+        "spectrum": {format(m, "b").zfill(f.t): v for m, v in boolfn.support(spec).items()},
         "pure_high_degree": phdeg,
         "sign_degree": sdeg,
         "bias_at_sign_degree": witness.bias,

@@ -190,6 +190,8 @@ def _make_runner(
     float64 array), its message size m (None for run-uniform) and cost in
     bits."""
     if protocol == "uniform":
+        if epsilon is not None:
+            raise ValueError("uniform protocol takes a sample count, not epsilon")
         if sample_count is None:
             raise ValueError("uniform protocol needs a sample count")
         slots = level_one_slots(f)
@@ -205,6 +207,8 @@ def _make_runner(
             return decide(xs, sigmas, ws, subsets)
 
         return run_uniform, None, message_cost_bits(sample_count, params.n)
+    if sample_count is not None:
+        raise ValueError(f"{protocol} protocol takes epsilon, not a sample count")
     if epsilon is None:
         raise ValueError(f"{protocol} protocol needs epsilon")
     if protocol == "classical":

@@ -102,10 +102,12 @@ def b_map_rows(
     f: BooleanFunction, xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
     """Vectorised block map: (N, n) strings -> (N, active_blocks) values,
-    under one sigma or one per string (as ``active_blocks``)."""
+    under one sigma or one per string (as ``active_blocks``), in the dtype
+    of the strings."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
-    return f.table[blocks_to_rows(active_blocks(np.asarray(xs), np.asarray(sigma), params))]
+    xs = np.asarray(xs)
+    return f.table.astype(xs.dtype)[blocks_to_rows(active_blocks(xs, np.asarray(sigma), params))]
 
 
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # row v: the 8 bits of v
@@ -164,7 +166,7 @@ def generate_instances(
     for row, rng in zip(xs, rngs):
         row[:] = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
     sigmas = fisher_yates_rows(params.n, rngs)
-    ws = b_map_rows(f, xs, sigmas, params).astype(np.int8)
+    ws = b_map_rows(f, xs, sigmas, params)
     ws *= np.asarray(bs, dtype=np.int8)[:, None]
     return xs, sigmas, ws
 

@@ -89,9 +89,9 @@ class SignPolynomial:
     """Normalised multilinear polynomial with certified bias.
 
     ``coeffs[S]`` is the coefficient of chi_S, with S a subset bitmask: a
-    read-only float64 copy, of length 2^t, of the certified vector, as
-    FourierSpectrum.values.  ``degree`` is the largest |S| with a nonzero
-    coefficient; ``bias`` is the exhaustively certified min_x |p(x)|.
+    read-only float64 copy, of length 2^t, of the certified vector, indexed
+    as fourier_transform's spectrum.  ``degree`` is the largest |S| with a
+    nonzero coefficient; ``bias`` is the exhaustively certified min_x |p(x)|.
     """
 
     t: int
@@ -215,6 +215,7 @@ def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     reduction = _reduce(f)
     if reduction is not None:
         k = len(reduction.sym.thresholds)
+        _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
         return k, _reduced_witness(f, reduction, k)
     # psi = f is a dual certificate at phdeg: f_hat(S) = 0 for |S| < phdeg
     for d in range(pure_high_degree(fourier_transform(f)), f.t + 1):
@@ -368,14 +369,15 @@ def _reduced_lp(sym: SymmetricSpec, degree: int) -> exactlp.Optimum:
 
 def _reduced_witness(f: BooleanFunction, reduction: _Reduction, degree: int) -> SignPolynomial:
     """The exact max-bias LP of g at degree min(degree, m), each level
-    coefficient rounded to the nearest float, lifted to f and certified,
-    after g's lifted divided-difference dual has proven sdeg(f) >= k, g's
-    number of sign changes.  Raises BelowSignDegreeError, before any LP,
-    when degree < k, and LpSolverError when a check fails or the exact
-    optimum at degree >= k is 0."""
+    coefficient rounded to the nearest float, lifted to f and certified.
+    Raises BelowSignDegreeError, before any LP, when degree < k, g's number
+    of sign changes, once g's lifted divided-difference dual has proven
+    sdeg(f) >= k (sign_degree checks that dual for its lower side; a witness
+    at degree >= k rests on its certification alone), and LpSolverError
+    when a check fails or the exact optimum at degree >= k is 0."""
     k = len(reduction.sym.thresholds)
-    _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
     if degree < k:
+        _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
         raise BelowSignDegreeError(f"sdeg(f) = {k} > {degree}")
     degree = min(degree, reduction.sym.t)
     optimum = _reduced_lp(reduction.sym, degree)

@@ -19,7 +19,6 @@ from scipy.optimize import linprog
 from hiddenpartition import signpoly
 from hiddenpartition.boolfn import (
     BooleanFunction,
-    FourierSpectrum,
     all_points,
     walsh_hadamard,
     weight_profile,
@@ -80,13 +79,14 @@ def stacked_walsh_hadamard(values) -> np.ndarray:
     return a
 
 
-def inverse_fourier(spec: FourierSpectrum) -> BooleanFunction:
-    """Reconstruct the truth table; exact round-trip for +-1 functions."""
-    table = walsh_hadamard(spec.values)
+def inverse_fourier(spec: np.ndarray) -> BooleanFunction:
+    """Reconstruct the truth table from a spectrum; exact round-trip for
+    +-1 functions."""
+    table = walsh_hadamard(spec)
     rounded = np.rint(table).astype(np.int64)
     if np.max(np.abs(table - rounded)) > 1e-9 or not np.all(np.abs(rounded) == 1):
         raise ValueError("spectrum does not describe a +-1-valued function")
-    return BooleanFunction(spec.t, rounded)
+    return BooleanFunction(spec.size.bit_length() - 1, rounded)
 
 
 # --- sign-degree -------------------------------------------------------------

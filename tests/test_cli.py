@@ -800,6 +800,27 @@ def test_bad_epsilon_refused_before_any_instance(monkeypatch, protocol, f):
 
 
 @pytest.mark.parametrize(
+    "protocol, f, unread",
+    [("uniform", majority(3), "epsilon"), ("classical", majority(3), "a sample count"),
+     ("quantum", parity(2), "a sample count")],
+    ids=["uniform", "classical", "quantum"],
+)
+def test_a_budget_the_protocol_does_not_read_is_refused_before_any_stream(
+    monkeypatch, protocol, f, unread
+):
+    # run-uniform reads only its sample count, the others only epsilon; a
+    # run given both would record a budget it never used
+    def refuse(*args):
+        raise AssertionError("stream built or instance drawn before the budget was checked")
+
+    for name in ("stream", "generate_instances", "fisher_yates_rows"):
+        monkeypatch.setattr(experiments, name, refuse)
+    with pytest.raises(ValueError, match=f"not {unread}"):
+        run_protocol_trials(protocol, f, "f", PartitionParams(24, f.t, Fraction(1, 2)), 10, 5,
+                            epsilon=0.1, sample_count=8)
+
+
+@pytest.mark.parametrize(
     "check, n, flag, count",
     [("rhat", 8, "--cases", 5), ("u", 8, "--cases", 50),
      ("tvd", 8, "--sigmas", 10), ("kkl", 8, "--cases", 10)],

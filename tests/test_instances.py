@@ -109,6 +109,16 @@ def test_b_map_majority():
     assert z.tolist() == [-1, 1]
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_b_map_values_take_the_dtype_of_the_strings(dtype):
+    # int8 strings (a trial chunk's) give int8 values, with no int64 gather
+    params = PartitionParams(6, 3, Fraction(1))
+    xs = np.array([[-1, -1, 1, 1, 1, -1], [1, 1, -1, 1, -1, -1]], dtype=dtype)
+    z = b_map_rows(majority(3), xs, np.arange(1, 7), params)
+    assert z.dtype == dtype
+    assert z.tolist() == [[-1, 1], [1, -1]]
+
+
 def test_b_map_arity_guard():
     params = PartitionParams(4, 2, Fraction(1))
     with pytest.raises(ValueError):

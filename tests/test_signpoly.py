@@ -484,6 +484,21 @@ def test_reduced_guard_is_refused_from_its_certificate_with_no_lp(monkeypatch):
         run_protocol_trials("classical", parity(2), "parity:2", params, 4, 0, epsilon=0.1)
 
 
+def test_the_lifted_dual_is_checked_only_where_a_lower_bound_rests_on_it(monkeypatch):
+    # a witness at d >= k stands on its own certification; only sign_degree's
+    # lower side and a refusal at d < k read psi
+    checks = counting(monkeypatch, "_check_dual")
+    best_sign_polynomial(majority(5), 1)
+    assert len(checks) == 0
+    sign_degree(majority(5))
+    assert len(checks) == 1
+    monkeypatch.setattr(exactlp, "minimise", must_not_run)
+    monkeypatch.setattr(signpoly, "_max_bias_lp", must_not_run)
+    with pytest.raises(BelowSignDegreeError):
+        best_sign_polynomial(parity(3), 2)
+    assert len(checks) == 2
+
+
 def test_dense_guard_solves_exactly_one_lp(monkeypatch):
     import scipy.optimize
 

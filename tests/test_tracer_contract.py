@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps package functions by name; every name it
 lists must still exist in the package.  And the package ships only what
 runs: every top-level function, class and constant is used by other code,
-and every parameter is read by its function."""
+and every parameter, in the package or its scripts, is read by its
+function."""
 
 import ast
 import importlib
@@ -94,9 +95,12 @@ def test_every_top_level_definition_is_used():
 def test_every_parameter_is_read():
     # a parameter of a function or lambda counts as read when its body
     # (nested functions included) loads the name; one that is only passed
-    # along a chain of calls and never read is dead weight on every caller
+    # along a chain of calls and never read is dead weight on every caller;
+    # the scripts are held to the same rule as the package
     unread = []
-    for path in sorted((ROOT / "src" / "hiddenpartition").glob("*.py")):
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    for path in [*sorted((ROOT / "src" / "hiddenpartition").glob("*.py")), *scripts]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
