@@ -34,7 +34,7 @@ from .experiments import PROTOCOLS, SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_t
 from .experiments import write_csv, write_jsonl
 from .hardness import CHECK_CAPS, run_check
 from .instances import PartitionParams, exact_fraction
-from .quantum import block_multilinear_matrix, matrix_audit_record
+from .quantum import block_multilinear_matrix, matrix_audit_record, spectral_norm
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import stream
 from .signpoly import best_sign_polynomial, sign_degree
@@ -94,12 +94,12 @@ def cmd_analyze(args) -> int:
     if sdeg <= 2:
         # the witness run-quantum decides from, solved once
         poly = witness if sdeg == min(2, f.t) else best_sign_polynomial(f, 2)
-        report["block_matrix_norm"] = block_multilinear_matrix(poly).spectral_norm
+        report["block_matrix_norm"] = spectral_norm(block_multilinear_matrix(poly))
     else:
         report["block_matrix_norm"] = None
     if sym is None:
         report["reduction"] = "not symmetric: no reduction"
-    elif boolfn.sign_changes(sym) < 2:
+    elif sdeg < 2:
         report["reduction"] = "sdeg < 2: protocols are efficient, no reduction needed"
     else:
         try:
@@ -137,17 +137,8 @@ def cmd_run(args, protocol: str) -> int:
 
 def cmd_reduce(args) -> int:
     f, label = load_function(args)
-    sym = boolfn.symmetric_spec_of(f)
-    if sym is None:
-        raise ValueError("function is not symmetric")
-    report = verify_reduction(sym, args.n, args.sigmas, stream(args.seed, "reduce"))
-    doc = {
-        "function": label,
-        "status": report.status,
-        "gadget": None if report.gadget is None else gadget_to_json(report.gadget),
-        "cases": report.cases,
-        "counterexample": report.counterexample,
-    }
+    doc = verify_reduction(f, args.n, args.sigmas, stream(args.seed, "reduce"))
+    doc["function"] = label
     _write_json(args.out, doc)
     return 0
 

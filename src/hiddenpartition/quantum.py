@@ -26,7 +26,6 @@ cross-check uses this fixed order too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +37,6 @@ from .signpoly import SignPolynomial
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Symmetric matrix of the degree-2 bilinear lift of a polynomial."""
-
-    t: int
-    entries: np.ndarray
-    spectral_norm: float
-
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "BlockMatrix":
-        entries = np.asarray(entries, dtype=np.float64).copy()
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be square")
-        entries.setflags(write=False)
-        norm = float(np.linalg.norm(entries, 2))
-        return cls(entries.shape[0] - 1, entries, norm)
-
-    @property
-    def dim(self) -> int:
-        return self.t + 1
-
-
 def _lifted_forms(entries: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """z~^T A z~ for each row z of zs, with z~ = (1, z_1, ..., z_t)."""
     lifted = np.ones((zs.shape[0], zs.shape[1] + 1))
@@ -67,8 +44,14 @@ def _lifted_forms(entries: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.einsum("ri,ij,rj->r", lifted, entries, lifted)
 
 
-def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
-    """Symmetric splitting of a degree <= 2 polynomial into a bilinear form.
+def spectral_norm(a: np.ndarray) -> float:
+    """||A||, the largest singular value of the square array a."""
+    return float(np.linalg.norm(a, 2))
+
+
+def block_multilinear_matrix(p: SignPolynomial) -> np.ndarray:
+    """Symmetric splitting of a degree <= 2 polynomial into a bilinear form:
+    the read-only (t+1, t+1) float64 array A.
 
     The constant lands on the (0,0) entry; linear and quadratic
     coefficients are halved across the symmetric pair of entries, the
@@ -87,8 +70,8 @@ def block_multilinear_matrix(p: SignPolynomial) -> BlockMatrix:
     reproduced = _lifted_forms(a, all_points(t))
     if np.max(np.abs(reproduced - p.evaluate_all())) > IDENTITY_TOL:
         raise RuntimeError("bilinear lift failed to reproduce the polynomial")
-
-    return BlockMatrix.from_entries(a)
+    a.setflags(write=False)
+    return a
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -97,27 +80,28 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
 
 
-def unitary_dilation(a: BlockMatrix) -> np.ndarray:
-    """Halmos dilation of B = A/||A||, a read-only (2 dim, 2 dim)
-    orthogonal array whose top-left block is B:
+def unitary_dilation(a: np.ndarray) -> np.ndarray:
+    """Halmos dilation of B = A/||A||, for the square array A, a read-only
+    (2 len(A), 2 len(A)) orthogonal array whose top-left block is B:
 
         U = [[B, (I - B B^T)^(1/2)], [(I - B^T B)^(1/2), -B^T]].
 
     It is a function of A (no SVD basis to choose when singular values
     repeat), so nearby matrices get nearby dilations.
     """
-    if a.spectral_norm <= 0:
+    norm = spectral_norm(a)
+    if norm <= 0:
         raise ValueError("cannot dilate the zero matrix")
-    b = a.entries / a.spectral_norm
-    eye = np.eye(a.dim)
+    b = a / norm
+    eye = np.eye(len(a))
     u = np.block([[b, _psd_sqrt(eye - b @ b.T)], [_psd_sqrt(eye - b.T @ b), -b.T]])
     u.setflags(write=False)
     return u
 
 
-def hadamard_test_probs(a: BlockMatrix, zs: np.ndarray) -> np.ndarray:
+def hadamard_test_probs(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Vectorised closed form over a stack of block values (rows of zs)."""
-    return 0.5 + _lifted_forms(a.entries, zs) / (2 * a.spectral_norm * (a.t + 1))
+    return 0.5 + _lifted_forms(a, zs) / (2 * spectral_norm(a) * len(a))
 
 
 def qubits_per_copy(params: PartitionParams) -> int:
@@ -126,11 +110,11 @@ def qubits_per_copy(params: PartitionParams) -> int:
 
 
 def required_copies(
-    params: PartitionParams, bias: float, matrix: BlockMatrix, epsilon: float
+    params: PartitionParams, bias: float, matrix: np.ndarray, epsilon: float
 ) -> int:
     """Copies a run sends: the Chernoff sample count at the statistic's
     expectation scale bias / (||A|| (t+1)), ``qubits_per_copy`` each."""
-    effective_bias = bias / (matrix.spectral_norm * (matrix.t + 1))
+    effective_bias = bias / (spectral_norm(matrix) * len(matrix))
     return required_samples(params.t, params.alpha, effective_bias, epsilon)
 
 
@@ -174,11 +158,11 @@ def run_quantum(
     return contributions.sum(axis=1)
 
 
-def matrix_audit_record(a: BlockMatrix) -> dict:
+def matrix_audit_record(a: np.ndarray) -> dict:
     """JSON-ready dump of A, ||A|| and its unitary dilation U for audit."""
     return {
-        "dim": a.dim,
-        "entries": [[float(v) for v in row] for row in a.entries],
-        "spectral_norm": a.spectral_norm,
+        "dim": len(a),
+        "entries": [[float(v) for v in row] for row in a],
+        "spectral_norm": spectral_norm(a),
         "dilation": [[float(v) for v in row] for row in unitary_dilation(a)],
     }

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfn import (
-    BooleanFunction, SymmetricSpec, all_points, make_symmetric, parity, sign_changes, weight_profile
+    BooleanFunction, SymmetricSpec, all_points, parity, sign_changes, symmetric_spec_of,
+    weight_profile,
 )
 from .instances import PartitionParams, b_map_rows, inverse_permutation
 from .rng import fisher_yates
@@ -125,14 +126,6 @@ def extended_permutation(sigma: Sequence[int], gadget: ReductionGadget) -> np.nd
     return sigma_f
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    status: str  # "pass" | "fail" | "no-gadget"
-    gadget: Optional[ReductionGadget]
-    cases: int
-    counterexample: Optional[dict]
-
-
 def blockwise_identity_counterexamples(
     f: BooleanFunction,
     gadget: ReductionGadget,
@@ -162,36 +155,41 @@ def blockwise_identity_counterexamples(
 
 
 def verify_reduction(
-    spec: SymmetricSpec,
+    f: BooleanFunction,
     n_small: int,
     sigma_samples: int,
     rng: np.random.Generator,
-) -> ReductionReport:
-    """Exhaustive desk-scale check of the reduction.
+) -> dict:
+    """Exhaustive desk-scale check of the reduction for the symmetric f:
+    every x in {-1,+1}^n_small under ``sigma_samples`` permutations (the
+    identity, then sigma_samples - 1 drawn from rng), up to the first sigma
+    at which a transformed promise block differs from its pair's parity.
 
-    Runs over every x in {-1,+1}^n_small and ``sigma_samples``
-    permutations (the identity, then sigma_samples - 1 drawn from rng) and
-    compares the transformed instance's promise blocks against the
-    original parities.
+    Returns the record ``reduce`` prints: ``status`` ("pass", "fail" or
+    "no-gadget"), ``gadget`` (``gadget_to_json``), ``cases`` (the x
+    checked, 2^n_small per sigma) and the first ``counterexample``.
+    Raises ValueError for a non-symmetric f, then for a bad n_small or
+    sigma_samples, then (``find_gadget``) for fewer than two sign changes.
     """
+    sym = symmetric_spec_of(f)
+    if sym is None:
+        raise ValueError("function is not symmetric")
     if n_small not in PARITY_SIZES:
         raise ValueError(f"parity-instance size n must be one of "
                          f"{', '.join(map(str, PARITY_SIZES))}, got {n_small}")
     if sigma_samples < 1:
         raise ValueError("sigma_samples must be at least 1")
     try:
-        gadget = find_gadget(spec)
+        gadget = find_gadget(sym)
     except NoGadgetError:
-        return ReductionReport("no-gadget", None, 0, None)
+        return {"status": "no-gadget", "gadget": None, "cases": 0, "counterexample": None}
 
-    f = make_symmetric(spec)
     xs = all_points(n_small)
-
-    cases = 0
     for k in range(sigma_samples):
         sigma = fisher_yates(n_small, rng) if k else np.arange(1, n_small + 1, dtype=np.int64)
         counterexample = blockwise_identity_counterexamples(f, gadget, sigma, xs)
-        cases += xs.shape[0]
         if counterexample is not None:
-            return ReductionReport("fail", gadget, cases, counterexample)
-    return ReductionReport("pass", gadget, cases, None)
+            break
+    status = "pass" if counterexample is None else "fail"
+    return {"status": status, "gadget": gadget_to_json(gadget), "cases": (k + 1) * len(xs),
+            "counterexample": counterexample}

@@ -214,8 +214,7 @@ def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     """
     reduction = _reduce(f)
     if reduction is not None:
-        k = len(reduction.sym.thresholds)
-        _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
+        k = reduction.proven_sign_degree(f.table)
         return k, _reduced_witness(f, reduction, k)
     # psi = f is a dual certificate at phdeg: f_hat(S) = 0 for |S| < phdeg
     for d in range(pure_high_degree(fourier_transform(f)), f.t + 1):
@@ -246,6 +245,13 @@ class _Reduction:
         signs = 1 - 2 * (np.bitwise_count(masks & self.negated) & 1).astype(np.int64)
         inside = (masks & ~np.uint64(self.relevant)) == 0
         return np.where(inside, signs * levels[np.bitwise_count(masks)], 0.0)
+
+    def proven_sign_degree(self, fvals: np.ndarray) -> int:
+        """k, g's number of sign changes, once g's dual (_symmetric_dual)
+        lifted to f's table ``fvals`` has proven sdeg(f) >= k (_check_dual)."""
+        k = len(self.sym.thresholds)
+        _check_dual(fvals, _symmetric_dual(self.sym)[self.weights], k)
+        return k
 
 
 def _reduce(f: BooleanFunction) -> Optional[_Reduction]:
@@ -377,7 +383,7 @@ def _reduced_witness(f: BooleanFunction, reduction: _Reduction, degree: int) -> 
     when a check fails or the exact optimum at degree >= k is 0."""
     k = len(reduction.sym.thresholds)
     if degree < k:
-        _check_dual(f.table, _symmetric_dual(reduction.sym)[reduction.weights], k)
+        reduction.proven_sign_degree(f.table)
         raise BelowSignDegreeError(f"sdeg(f) = {k} > {degree}")
     degree = min(degree, reduction.sym.t)
     optimum = _reduced_lp(reduction.sym, degree)

@@ -232,7 +232,7 @@ def statevector_oracle(a, z) -> float:
     direct amplitude computation.  Must agree with ``hadamard_test_probs``
     to within 1e-9.
     """
-    t = a.t
+    t = len(a) - 1
     if t > STATEVECTOR_MAX_ARITY:
         raise ValueError(f"state-vector oracle supports t <= {STATEVECTOR_MAX_ARITY}")
     if len(z) != t:

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiddenpartition import cli, experiments, hardness
+from hiddenpartition import cli, experiments, hardness, reduction
 from hiddenpartition.cli import main
 from hiddenpartition.experiments import (
     run_protocol_trials,
@@ -24,11 +26,15 @@ from hiddenpartition.experiments import (
     write_csv,
     write_jsonl,
 )
-from hiddenpartition.boolfn import and_fn, dictator, majority, parity
+from hiddenpartition.boolfn import (
+    SymmetricSpec, all_points, and_fn, dictator, majority, parity, weight_profile,
+)
 from hiddenpartition.instances import PartitionParams
-from hiddenpartition.rng import coin, stream
+from hiddenpartition.reduction import ReductionGadget
+from hiddenpartition.rng import coin, fisher_yates, stream
 
 from conftest import random_table
+from oracles import apply_permutation, hamming_weight
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -478,6 +484,60 @@ def test_cli_reduce(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["status"] == "pass"
     assert doc["gadget"] == {"a": 2, "b": 0, "flipped": False}
+
+
+@pytest.mark.parametrize("passed", [0, 2], ids=["at-the-identity", "at-the-third-sigma"])
+def test_cli_reduce_prints_the_fail_record(monkeypatch, tmp_path, capsys, passed):
+    # a gadget one copy short breaks the identity at every sigma; with the
+    # check patched to pass the first `passed` sigmas, the record names the next
+    spec = SymmetricSpec(4, (1, 3), 1)
+    good = reduction.find_gadget(spec)
+    bad = ReductionGadget(good.a - 1, good.b, good.t, good.flipped)
+    check = reduction.blockwise_identity_counterexamples
+    sigmas = []
+
+    def patched(f, gadget, sigma, xs):
+        sigmas.append(sigma)
+        return None if len(sigmas) <= passed else check(f, gadget, sigma, xs)
+
+    monkeypatch.setattr(reduction, "find_gadget", lambda _: bad)
+    monkeypatch.setattr(reduction, "blockwise_identity_counterexamples", patched)
+    spec_file = tmp_path / "sym.json"
+    spec_file.write_text(
+        json.dumps({"kind": "symmetric", "t": 4, "thresholds": [1, 3], "leading_sign": 1})
+    )
+    n, seed = 6, 3
+    assert run_cli(["reduce", "--function", str(spec_file), "--n", str(n), "--sigmas", "5",
+                    "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+
+    rng = stream(seed, "reduce")
+    expected_sigmas = [list(range(1, n + 1))]
+    expected_sigmas += [fisher_yates(n, rng).tolist() for _ in range(passed)]
+    assert [sigma.tolist() for sigma in sigmas] == expected_sigmas
+    # the first (x, block), in row then block order, whose transformed block
+    # weight a |pair| + b gives sign * f a value other than the pair's parity
+    profile, sign = weight_profile(spec), -1 if bad.flipped else 1
+    first = next(
+        {"x": x.tolist(), "sigma": expected_sigmas[-1], "block": j + 1}
+        for x in all_points(n)
+        for j, pair in enumerate(np.reshape(apply_permutation(expected_sigmas[-1], x), (-1, 2)))
+        if sign * profile[bad.a * hamming_weight(pair) + bad.b] != pair[0] * pair[1]
+    )
+    assert doc == {"function": str(spec_file), "status": "fail",
+                   "gadget": {"a": bad.a, "b": bad.b, "flipped": bad.flipped},
+                   "cases": (passed + 1) * 2**n, "counterexample": first}
+
+
+def test_readme_command_examples_parse():
+    # every `hiddenpartition ...` line of the README, its `\`-continued
+    # lines joined, must parse, so a renamed or dropped flag fails here
+    text = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")
+    lines = re.sub(r"\\\n\s*", " ", text).splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("hiddenpartition ")]
+    assert len(examples) >= 8
+    for words in examples:
+        assert cli.build_parser().parse_args(words).command == words[0]
 
 
 def test_cli_reduce_nae(tmp_path):

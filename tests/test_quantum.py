@@ -13,7 +13,6 @@ from hiddenpartition.instances import (
     PartitionParams, active_blocks, blocks_to_rows, generate_instances,
 )
 from hiddenpartition.quantum import (
-    BlockMatrix,
     _lifted_forms,
     block_multilinear_matrix,
     hadamard_test_probs,
@@ -21,6 +20,7 @@ from hiddenpartition.quantum import (
     qubits_per_copy,
     required_copies,
     run_quantum,
+    spectral_norm,
     unitary_dilation,
 )
 from hiddenpartition.rng import stream
@@ -39,16 +39,17 @@ def test_parity2_matrix():
     a = block_multilinear_matrix(best_sign_polynomial(parity(2), 2))
     expected = np.zeros((3, 3))
     expected[1, 2] = expected[2, 1] = 0.5
-    assert np.allclose(a.entries, expected, atol=1e-9)
-    assert a.spectral_norm == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(a, expected, atol=1e-9)
+    assert spectral_norm(a) == pytest.approx(0.5, abs=1e-12)
+    assert a.dtype == np.float64 and not a.flags.writeable
 
 
 def test_linear_matrix():
     p = poly_from_terms(1, {0b1: 1.0}, 1.0)
     a = block_multilinear_matrix(p)
-    assert a.entries[0, 1] == pytest.approx(0.5)
-    assert a.entries[1, 0] == pytest.approx(0.5)
-    forms = _lifted_forms(a.entries, all_points(1))
+    assert a[0, 1] == pytest.approx(0.5)
+    assert a[1, 0] == pytest.approx(0.5)
+    forms = _lifted_forms(a, all_points(1))
     for z, form in zip(all_points(1), forms):
         assert form == pytest.approx(z[0])
 
@@ -56,8 +57,8 @@ def test_linear_matrix():
 def test_constant_matrix():
     p = poly_from_terms(2, {0: 0.5}, 0.5)
     a = block_multilinear_matrix(p)
-    assert a.entries[0, 0] == pytest.approx(0.5)
-    assert a.spectral_norm == pytest.approx(0.5)
+    assert a[0, 0] == pytest.approx(0.5)
+    assert spectral_norm(a) == pytest.approx(0.5)
 
 
 def test_degree_guard():
@@ -71,7 +72,7 @@ def test_degree_guard():
 def test_quadratic_form_reproduces_polynomial(t, seed):
     poly = random_degree2_poly(t, np.random.default_rng(seed))
     a = block_multilinear_matrix(poly)
-    forms = _lifted_forms(a.entries, all_points(t))
+    forms = _lifted_forms(a, all_points(t))
     for point, form in zip(all_points(t), forms):
         assert form == pytest.approx(poly_value(poly, tuple(point)), abs=1e-10)
 
@@ -80,16 +81,15 @@ def test_spectral_norm_matches_eigen_recomputation():
     rng = np.random.default_rng(5)
     for _ in range(50):
         a = block_multilinear_matrix(random_degree2_poly(3, rng))
-        eig = float(np.abs(np.linalg.eigvalsh(a.entries)).max())
-        assert abs(a.spectral_norm - eig) <= 1e-10
+        eig = float(np.abs(np.linalg.eigvalsh(a)).max())
+        assert abs(spectral_norm(a) - eig) <= 1e-10
 
 
 # --- dilation ----------------------------------------------------------------
 
 
 def test_dilation_identity_scaled():
-    a = BlockMatrix.from_entries(np.eye(3) / 2)
-    u = unitary_dilation(a)
+    u = unitary_dilation(np.eye(3) / 2)
     assert np.allclose(u[:3, :3], np.eye(3), atol=1e-12)
 
 
@@ -97,28 +97,27 @@ def test_dilation_parity2():
     a = block_multilinear_matrix(best_sign_polynomial(parity(2), 2))
     u = unitary_dilation(a)
     assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-10
-    assert np.abs(u[:3, :3] - 2 * a.entries).max() <= 1e-10
+    assert np.abs(u[:3, :3] - 2 * a).max() <= 1e-10
 
 
 def test_dilation_rank_deficient():
     entries = np.zeros((4, 4))
     entries[1, 2] = 0.3
-    a = BlockMatrix.from_entries(entries)
-    u = unitary_dilation(a)
+    u = unitary_dilation(entries)
     assert np.abs(u.T @ u - np.eye(8)).max() <= 1e-10
-    assert np.abs(u[:4, :4] - entries / a.spectral_norm).max() <= 1e-10
+    assert np.abs(u[:4, :4] - entries / spectral_norm(entries)).max() <= 1e-10
 
 
 def test_dilation_zero_matrix_rejected():
     with pytest.raises(ValueError):
-        unitary_dilation(BlockMatrix.from_entries(np.zeros((3, 3))))
+        unitary_dilation(np.zeros((3, 3)))
 
 
 def test_dilation_is_a_function_of_the_matrix():
     # and(4)'s lift repeats the singular value 1/16 three times; a 1-ulp
     # nudge of every entry must not move the dilation (an SVD basis would)
     a = block_multilinear_matrix(best_sign_polynomial(named_function("and", 4), 2))
-    nudged = BlockMatrix.from_entries(np.nextafter(a.entries, np.inf))
+    nudged = np.nextafter(a, np.inf)
     assert np.abs(unitary_dilation(nudged) - unitary_dilation(a)).max() <= 1e-6
 
 
@@ -127,9 +126,9 @@ def test_dilation_is_a_function_of_the_matrix():
 def test_dilation_invariants_random(t, seed):
     a = block_multilinear_matrix(random_degree2_poly(t, np.random.default_rng(seed)))
     u = unitary_dilation(a)
-    dim = a.dim
+    dim = len(a)
     assert np.abs(u.T @ u - np.eye(2 * dim)).max() <= 1e-10
-    assert np.abs(u[:dim, :dim] - a.entries / a.spectral_norm).max() <= 1e-10
+    assert np.abs(u[:dim, :dim] - a / spectral_norm(a)).max() <= 1e-10
 
 
 # --- Hadamard test -----------------------------------------------------------
@@ -171,7 +170,7 @@ def test_statevector_matches_closed_form_random(t, seed):
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))
 def test_hadamard_prob_deviation_bound(t, seed):
     a = block_multilinear_matrix(random_degree2_poly(t, np.random.default_rng(seed)))
-    bound = 1 / (2 * a.spectral_norm * (t + 1))
+    bound = 1 / (2 * spectral_norm(a) * (t + 1))
     for closed in hadamard_test_probs(a, all_points(t)):
         assert abs(closed - 0.5) <= bound + 1e-12
 

@@ -278,10 +278,10 @@ def test_reduce_requires_pair_blocks():
 
 
 def test_verify_reduction_passes():
-    report = verify_reduction(SymmetricSpec(4, (1, 3), 1), 8, 6, stream(10, "v"))
-    assert report.status == "pass"
-    assert report.counterexample is None
-    assert report.cases == 6 * 2**8
+    record = verify_reduction(make_symmetric(SymmetricSpec(4, (1, 3), 1)), 8, 6, stream(10, "v"))
+    assert record["status"] == "pass"
+    assert record["counterexample"] is None
+    assert record["cases"] == 6 * 2**8
 
 
 def test_verify_reduction_negative_control():
@@ -296,13 +296,13 @@ def test_verify_reduction_negative_control():
 
 
 def test_verify_reduction_nae_odd_status():
-    report = verify_reduction(SymmetricSpec(3, (0, 2), -1), 6, 4, stream(11, "v"))
-    assert report.status == "no-gadget"
-    assert report.gadget is None
+    record = verify_reduction(make_symmetric(SymmetricSpec(3, (0, 2), -1)), 6, 4, stream(11, "v"))
+    assert record["status"] == "no-gadget"
+    assert record["gadget"] is None
 
 
 def test_verify_reduction_guards():
     with pytest.raises(ValueError):
-        verify_reduction(SymmetricSpec(4, (1, 3), 1), 12, 20, stream(12, "v"))
+        verify_reduction(make_symmetric(SymmetricSpec(4, (1, 3), 1)), 12, 20, stream(12, "v"))
     with pytest.raises(ValueError):
-        verify_reduction(SymmetricSpec(4, (1, 3), 1), 7, 20, stream(12, "v"))
+        verify_reduction(make_symmetric(SymmetricSpec(4, (1, 3), 1)), 7, 20, stream(12, "v"))
