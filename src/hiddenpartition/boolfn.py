@@ -51,19 +51,22 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     Output index S receives sum_r values[r] * (-1)^popcount(r & S).  The
     transform is its own inverse up to a factor 2^t.  All arithmetic is
     exact in float64 for the magnitudes this package produces.
+
+    Constant geometry: each of the t passes writes the sums of adjacent
+    pairs into the first half of a second buffer and their differences
+    into the second half, then swaps the buffers.  Pass i so forms
+    (bit i of the input index clear) +- (bit i set), the stride-2^i
+    butterfly, and after t passes the index order is back.
     """
-    a = np.array(values, dtype=np.float64, order="C")  # a fresh copy, transformed in place
+    a = np.array(values, dtype=np.float64, order="C")  # a fresh copy: the second pass writes it
     n = a.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        pairs = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top, bot = pairs[..., 0, :], pairs[..., 1, :]
-        difference = top - bot
-        top += bot
-        bot[...] = difference
-        h *= 2
+    out = np.empty_like(a)
+    for _ in range(n.bit_length() - 1):
+        np.add(a[..., 0::2], a[..., 1::2], out=out[..., : n // 2])
+        np.subtract(a[..., 0::2], a[..., 1::2], out=out[..., n // 2 :])
+        a, out = out, a
     return a
 
 

@@ -15,18 +15,16 @@ its duals are a function of (A, b, c) alone.  Nothing is rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     """An optimal basis of ``minimise``'s LP, as integers over ``den``.
 
     ``value / den`` is the optimum c.x and ``duals[i] / den`` the
     multiplier of row i: pi = c_B B^-1, so pi.b is the optimum and
     c - pi A >= 0.  ``den`` > 0 is the determinant of the optimal basis
-    matrix."""
+    matrix.  A read-only tuple."""
 
     den: int
     value: int

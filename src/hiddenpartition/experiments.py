@@ -28,8 +28,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,8 +64,8 @@ MESSAGE_BYTES = 7 * 8
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
+    """One trial's output row, read-only; its fields are the CSV columns in order."""
     trial: int
     b: int
     guess: int
@@ -75,8 +74,8 @@ class TrialRecord:
     cost_bits: int
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
+    """A run's summary row, read-only; its fields are the CSV columns in order."""
     protocol: str
     function: str
     n: int
@@ -96,8 +95,8 @@ class RunSummary:
 
 
 # Output columns: a row's kind, "trial" or "summary", then its record's fields.
-TRIAL_FIELDS = ("record", *(field.name for field in fields(TrialRecord)))
-SUMMARY_FIELDS = ("record", *(field.name for field in fields(RunSummary)))
+TRIAL_FIELDS = ("record", *TrialRecord._fields)
+SUMMARY_FIELDS = ("record", *RunSummary._fields)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -247,8 +246,8 @@ def _in_slices(message_len: int, decide: Callable) -> Callable:
 
 def _rows(records: list[TrialRecord], summary: RunSummary):
     """The output rows: each record's fields after its kind, "trial" or "summary"."""
-    yield from ({"record": "trial", **vars(record)} for record in records)
-    yield {"record": "summary", **vars(summary)}
+    yield from ({"record": "trial", **record._asdict()} for record in records)
+    yield {"record": "summary", **summary._asdict()}
 
 
 def write_jsonl(out: io.TextIOBase, records: list[TrialRecord], summary: RunSummary) -> None:

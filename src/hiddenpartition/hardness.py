@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,8 +120,8 @@ def induced_distributions(
     return np.bincount(masks, minlength=2**params.active_blocks)
 
 
-@dataclass(frozen=True)
-class TvdEstimate:
+class TvdEstimate(NamedTuple):
+    """expected_tvd's mean over the sigmas and its standard error (a read-only tuple)."""
     mean: float
     stderr: float
 
@@ -280,8 +280,8 @@ def u_formula(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KklReport:
+class KklReport(NamedTuple):
+    """kkl_check's sides and margin (right - left) per delta; violations: margins < -KKL_TOL."""
     deltas: tuple[float, ...]
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb, lcm, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -225,12 +225,12 @@ def sign_degree(f: BooleanFunction) -> tuple[int, SignPolynomial]:
     raise LpSolverError("no representation found up to full degree")  # pragma: no cover
 
 
-@dataclass(frozen=True, eq=False)
-class _Reduction:
+class _Reduction(NamedTuple):
     """f(x) = g(|x_U xor a|): g the symmetric function that ``sym``
     describes, on the m = sym.t inputs in the bitmask ``relevant`` (U),
     after negating those in the bitmask ``negated`` (a, a subset of U).
-    ``weights`` holds |x_U xor a| at every row of the cube."""
+    ``weights`` holds |x_U xor a| at every row of the cube.  A read-only
+    tuple, never compared or hashed (its array makes == meaningless)."""
 
     sym: SymmetricSpec
     relevant: int

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiddenpartition import cli, experiments, hardness, reduction
+from hiddenpartition import cli, exactlp, experiments, hardness, reduction, signpoly
 from hiddenpartition.cli import main
 from hiddenpartition.experiments import (
     run_protocol_trials,
@@ -93,6 +93,42 @@ def test_record_writers_are_consistent(tmp_path):
     rows = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
     assert [r["record"] for r in rows] == ["trial"] * 5 + ["summary"]
     assert rows[-1]["successes"] == summary.successes
+
+
+def test_plain_records_are_read_only():
+    # one of each plain record type, from the call that returns it
+    params = PartitionParams(40, 2, Fraction(1))
+    records, summary = run_protocol_trials(
+        "classical", dictator(2), "dictator:2", params, trials=2, seed=3, epsilon=0.1
+    )
+    full_cube = hardness.MessageSet(4, np.arange(2**4))
+    tvd = hardness.expected_tvd(parity(2), full_cube, PartitionParams(4, 2, Fraction(1, 2)), 2,
+                                np.random.default_rng(0))
+    fields = [
+        (exactlp.minimise([[1, 2, 1, 0], [3, 1, 0, 1]], [4, 6], [-1, -1, 0, 0]), "den"),
+        (records[0], "guess"),
+        (summary, "successes"),
+        (tvd, "mean"),
+        (hardness.kkl_check(full_cube, [0.5]), "violations"),
+        (signpoly._reduce(majority(3)), "relevant"),
+    ]
+    assert [type(record).__name__ for record, _ in fields] == [
+        "Optimum", "TrialRecord", "RunSummary", "TvdEstimate", "KklReport", "_Reduction"]
+    for record, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_cli_help_names_the_output_columns(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert (
+        "CSV columns: record, trial, b, guess, correct, statistic, cost_bits for per-trial rows; "
+        "record, protocol, function, n, t, alpha, epsilon, per_run_guarantee, m, samples, "
+        "trials, successes, success_rate, wilson_low, wilson_high, mean_cost_bits, seed "
+        "for the summary row."
+    ) in capsys.readouterr().out
 
 
 def test_cli_analyze_named(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps package functions by name; every name it
 lists must still exist in the package.  And the package ships only what
 runs: every top-level function, class and constant is used by other code,
-and every parameter, in the package or its scripts, is read by its
-function."""
+every parameter, in the package or its scripts, is read by its
+function, and every dataclass checks its input."""
 
 import ast
 import importlib
@@ -90,6 +90,23 @@ def test_every_top_level_definition_is_used():
                         if member.name not in around | elsewhere:
                             unused.append(f"{path.name}:{node.name}.{member.name}")
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_every_dataclass_validates_its_input():
+    # @dataclass generates and compiles its methods in every process; a
+    # type earns it only by checking or normalising its fields in
+    # __post_init__, and a record that only carries values is a NamedTuple
+    plain = []
+    for path in sorted((ROOT / "src" / "hiddenpartition").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in referenced_names(decorator) for decorator in node.decorator_list
+            ):
+                continue
+            methods = {member.name for member in node.body if isinstance(member, ast.FunctionDef)}
+            if "__post_init__" not in methods:
+                plain.append(f"{path.name}:{node.name}")
+    assert not plain, f"dataclasses that check nothing: {plain}"
 
 
 def test_every_parameter_is_read():
