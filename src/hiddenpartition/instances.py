@@ -14,7 +14,7 @@ active blocks, which the block map and the quantum run both read.
 as (x, sigma, w) arrays, which the protocol runs take whole; that triple
 of rows is the one form of an instance.  Each is stored in the narrowest
 dtype that holds its values: the +-1 strings x and w as int8, sigma's
-1-based images as int32.
+1-based images in the narrowest unsigned type that holds n.
 """
 
 from __future__ import annotations
@@ -153,11 +153,11 @@ def generate_instances(
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One instance per (b, rng), as arrays xs ((len(bs), n) int8), sigmas
-    ((len(bs), n) int32) and ws ((len(bs), active_blocks) int8): x uniform,
-    then sigma uniform (Fisher-Yates), both drawn from that rng, and w = b *
-    B_f(x, sigma) so the promise holds with hidden bit b.  The shuffles run
-    in lockstep (``fisher_yates_rows``) and B_f is one gather for all of
-    them."""
+    ((len(bs), n) in ``np.min_scalar_type(n)``) and ws ((len(bs),
+    active_blocks) int8): x uniform, then sigma uniform (Fisher-Yates),
+    both drawn from that rng, and w = b * B_f(x, sigma) so the promise
+    holds with hidden bit b.  The shuffles run in lockstep
+    (``fisher_yates_rows``) and B_f is one gather for all of them."""
     if len(bs) != len(rngs):
         raise ValueError("one hidden bit per generator")
     if any(b not in (-1, 1) for b in bs):

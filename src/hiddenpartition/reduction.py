@@ -185,8 +185,9 @@ def verify_reduction(
         return {"status": "no-gadget", "gadget": None, "cases": 0, "counterexample": None}
 
     xs = all_points(n_small)
+    identity = np.arange(1, n_small + 1, dtype=np.min_scalar_type(n_small))  # typed as drawn ones
     for k in range(sigma_samples):
-        sigma = fisher_yates(n_small, rng) if k else np.arange(1, n_small + 1, dtype=np.int64)
+        sigma = fisher_yates(n_small, rng) if k else identity
         counterexample = blockwise_identity_counterexamples(f, gadget, sigma, xs)
         if counterexample is not None:
             break

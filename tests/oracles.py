@@ -3,11 +3,12 @@
 Each one is the straightforward or per-point form of a package routine,
 or a second construction of what it computes; the tests check that the
 package still gives exactly what these give.  An instance here is what
-the package draws, the rows ``(x, sigma, w)`` (int8, int32 and int8),
-with its ``PartitionParams`` and hidden bit ``b`` beside them.
-``promise_bit``, the instance JSON helpers and ``reduce_instance`` are
-tools only the tests use: they check the promise, pin
-``generate_instance``'s draws and check the reduction on whole instances.
+the package draws, the rows ``(x, sigma, w)`` (int8, the narrowest
+unsigned type that holds n, and int8), with its ``PartitionParams`` and
+hidden bit ``b`` beside them.  ``promise_bit``, the instance JSON helpers
+and ``reduce_instance`` are tools only the tests use: they check the
+promise, pin ``generate_instance``'s draws and check the reduction on
+whole instances.
 """
 
 import math
@@ -216,7 +217,8 @@ def instance_from_json(doc: dict) -> tuple:
         Fraction(int(doc["alpha_num"]), int(doc["alpha_den"])),
     )
     x, sigma, w = (np.asarray(doc[key], dtype=dtype)
-                   for key, dtype in (("x", np.int8), ("sigma", np.int32), ("w", np.int8)))
+                   for key, dtype in (("x", np.int8), ("sigma", np.min_scalar_type(params.n)),
+                                      ("w", np.int8)))
     return params, x, sigma, w, int(doc["b"]) if "b" in doc else None
 
 

@@ -782,29 +782,39 @@ def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, opti
     assert rows == [20]
 
 
-def test_a_run_quantum_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch):
-    # a chunk at n = 3000 is 116 trials, and one of run-quantum's
-    # (parity(2), alpha = 1/2) traces a peak of about 4 MB: int8 strings,
-    # an int32 shuffle and no int64 copy of them (with int64 arrays, 13.7 MB)
-    params = PartitionParams(3000, 2, Fraction(1, 2))
+@pytest.mark.parametrize(
+    "protocol, f, options, bound",
+    [("quantum", parity(2), {"epsilon": 0.1}, 3.0e6),
+     ("classical", majority(3), {"epsilon": 0.1}, 3.0e6),
+     ("uniform", dictator(4), {"sample_count": 32}, 3.6e6)],
+    ids=["quantum", "classical", "uniform"],
+)
+def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protocol, f, options,
+                                                              bound):
+    # a chunk at n = 3000 (alpha = 1/2, the benchmark's runs) is 116 trials,
+    # and drawing and deciding one traces a peak of about 2.3 MB (uniform,
+    # which shuffles twice: 3.05 MB): int8 strings, a uint16 shuffle and no
+    # int64 copy of them (with an int32 shuffle, 3.7 and 5.1 MB)
+    params = PartitionParams(3000, f.t, Fraction(1, 2))
     chunks = []
     generate = experiments.generate_instances
     monkeypatch.setattr(experiments, "generate_instances",
                         lambda *a: chunks.append(len(a[2])) or generate(*a))
-    run_protocol_trials("quantum", parity(2), "parity:2", params, 117, 0, epsilon=0.1)
+    run_protocol_trials(protocol, f, "f", params, 117, 0, **options)
     assert chunks == [116, 1]
 
-    runner, _, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
+    runner, _, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
+                                            options.get("sample_count"))
     instance_rngs = [stream(0, "instance", trial) for trial in range(116)]
     bs = [coin(rng) for rng in instance_rngs]
     protocol_rngs = [stream(0, "protocol", trial) for trial in range(116)]
     tracemalloc.start()
     try:
-        runner(*generate(parity(2), params, bs, instance_rngs), protocol_rngs)
+        runner(*generate(f, params, bs, instance_rngs), protocol_rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < bound
 
 
 def test_a_run_quantum_call_codes_only_its_sampled_blocks():

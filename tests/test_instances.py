@@ -164,7 +164,8 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
     f = majority(3)
     bs = [1, -1, -1, 1, 1]
     xs, sigmas, ws = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
-    for array, dtype, width in ((xs, np.int8, n), (sigmas, np.int32, n),
+    sigma_type = np.uint8 if n <= 255 else np.uint16
+    for array, dtype, width in ((xs, np.int8, n), (sigmas, sigma_type, n),
                                 (ws, np.int8, params.active_blocks)):
         assert array.dtype == dtype and array.shape == (len(bs), width)
     assert (np.sort(sigmas, axis=1) == np.arange(1, n + 1)).all()
@@ -184,7 +185,7 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
 )
 @pytest.mark.parametrize("count", [1, 3, 116])
 def test_generate_instances_match_the_int64_builder(n, t, alpha, count):
-    # the int8/int32 chunk holds exactly the int64 builder's values, and
+    # the int8/unsigned chunk holds exactly the int64 builder's values, and
     # leaves every generator where the int64 builder leaves it
     params = PartitionParams(n, t, alpha)
     f = majority(t) if t % 2 else parity(t)
@@ -261,6 +262,6 @@ def test_json_round_trip():
 
 def test_json_round_trip_without_b():
     params = PartitionParams(4, 2, Fraction(1))
-    rows = (((1, 1, -1, 1), np.int8), ((2, 1, 4, 3), np.int32), ((1, -1), np.int8))
+    rows = (((1, 1, -1, 1), np.int8), ((2, 1, 4, 3), np.uint8), ((1, -1), np.int8))
     instance = (params, *(np.array(row, dtype=dtype) for row, dtype in rows), None)
     assert_same_instance(instance_from_json(instance_to_json(*instance)), instance)

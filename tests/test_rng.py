@@ -41,7 +41,7 @@ def test_fisher_yates_uniform_smoke():
 
 def test_fisher_yates_pinned_at_n3000():
     perm = fisher_yates(3000, stream(1, "fy"))
-    assert perm.dtype == np.int32
+    assert perm.dtype == np.uint16
     assert hashlib.sha256(perm.astype(np.int64).tobytes()).hexdigest() == (
         "6eeca32e02198ec627ee3f39d87d3a506ba9ffdf6d8c95c1eb29ab6ea55786ae"
     )
@@ -66,13 +66,18 @@ def _instance_streams(seeds, n):
     return rngs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 24, 3000])
+# n -> the narrowest unsigned type that holds the images 1..n
+IMAGE_TYPES = {1: np.uint8, 2: np.uint8, 3: np.uint8, 10: np.uint8, 24: np.uint8, 255: np.uint8,
+               256: np.uint16, 3000: np.uint16, 65535: np.uint16, 65536: np.uint32}
+
+
+@pytest.mark.parametrize("n", list(IMAGE_TYPES))
 @pytest.mark.parametrize("seeds", [[5], [0, 1, 2], list(range(10, 30))], ids=["T1", "T3", "T20"])
 def test_lockstep_rows_match_list_shuffle(n, seeds):
     rngs = _instance_streams(seeds, n)
     rows = fisher_yates_rows(n, rngs)
     assert rows.shape == (len(seeds), n)
-    assert rows.dtype == np.int32
+    assert rows.dtype == IMAGE_TYPES[n]
     oracle_rngs = _instance_streams(seeds, n)
     for row, oracle_rng in zip(rows, oracle_rngs):
         assert np.array_equal(row, list_fisher_yates(n, oracle_rng))
@@ -84,8 +89,8 @@ def test_lockstep_rows_match_list_shuffle(n, seeds):
 @pytest.mark.parametrize("n", [1, 2, 3, SHUFFLE_BLOCK - 1, SHUFFLE_BLOCK + 1, 3000])
 @pytest.mark.parametrize("count", [1, 3, 116])
 def test_lockstep_rows_match_the_int64_shuffle(n, count):
-    # the int32 draws, made intp a block of positions at a time, give the
-    # int64 shuffle's rows and leave every generator where it leaves it
+    # the narrow unsigned draws, made intp a block of positions at a time,
+    # give the int64 shuffle's rows and leave every generator where it leaves it
     seeds = range(count)
     rngs = _instance_streams(seeds, n)
     oracle_rngs = _instance_streams(seeds, n)
