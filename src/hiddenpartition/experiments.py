@@ -48,9 +48,11 @@ PROTOCOLS = ("classical", "quantum", "uniform")
 # drawn: x (int8), sigma (4 bytes), the block map's permuted string
 # (int8), its block signs (bool) and its int64 block codes (one a position
 # at t = 1).  It stays a worst case: sigma and the shuffle's swap draws
-# take np.min_scalar_type(n), 4 bytes only past n = 65535 (2 at n = 3000).
-# Run-uniform's subset shuffle takes less, and run-quantum codes only its
-# m sampled blocks.
+# take np.min_scalar_type(n), 4 bytes only past n = 65535 (2 at n = 3000),
+# and the block map's three arrays are bounded by its row slice
+# (instances.MAP_SLICE_BYTES), not by the chunk, as are the shuffle's intp
+# swap indices (rng.SHUFFLE_BLOCK positions).  Run-uniform's subset
+# shuffle takes less, and run-quantum codes only its m sampled blocks.
 CHUNK_BYTES = 5 * 2**20
 POSITION_BYTES = 1 + 4 + (1 + 1 + 8)
 # A trial whose length-n arrays (POSITION_BYTES a position) and length-m

@@ -15,6 +15,8 @@ as (x, sigma, w) arrays, which the protocol runs take whole; that triple
 of rows is the one form of an instance.  Each is stored in the narrowest
 dtype that holds its values: the +-1 strings x and w as int8, sigma's
 1-based images in the narrowest unsigned type that holds n.
+``b_map_rows`` scatters, signs and codes the strings a row slice at a
+time, so a chunk holds no wider copy of them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .rng import fisher_yates_rows
+
+# Bound on the temporaries of one row slice of the block map: its
+# scattered strings, their block signs and their int64 codes.  It is in
+# bytes, not rows, so a 116-trial chunk at n = 3000 takes about ten slices
+# while many short strings (the reduction's) take one or two.
+MAP_SLICE_BYTES = 2**17
 
 
 def exact_fraction(text: str) -> Fraction:
@@ -103,11 +111,24 @@ def b_map_rows(
 ) -> np.ndarray:
     """Vectorised block map: (N, n) strings -> (N, active_blocks) values,
     under one sigma or one per string (as ``active_blocks``), in the dtype
-    of the strings."""
+    of the strings.
+
+    Runs over row slices, as many rows at a time as keep a slice's
+    temporaries (the scattered string, its block signs and their int64
+    codes) within MAP_SLICE_BYTES, and writes each into the one result."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
     xs = np.asarray(xs)
-    return f.table.astype(xs.dtype)[blocks_to_rows(active_blocks(xs, np.asarray(sigma), params))]
+    sigma = np.asarray(sigma)
+    table = f.table.astype(xs.dtype)
+    values = np.empty((len(xs), params.active_blocks), dtype=xs.dtype)
+    row_bytes = (xs.shape[1] + 1) * xs.itemsize + params.active_len + 8 * params.active_blocks
+    rows = max(1, MAP_SLICE_BYTES // row_bytes)
+    for start in range(0, len(xs), rows):
+        part = slice(start, start + rows)
+        blocks = active_blocks(xs[part], sigma if sigma.ndim == 1 else sigma[part], params)
+        values[part] = table[blocks_to_rows(blocks)]
+    return values
 
 
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # row v: the 8 bits of v

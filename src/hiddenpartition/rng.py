@@ -10,7 +10,8 @@ chunk of trials in lockstep: every generator still gives exactly the draws
 a shuffle of its own would take from it.  The shuffles keep their draws
 and return their permutations in the narrowest unsigned type that holds
 their values (``np.min_scalar_type``): uint16 at n = 3000, a quarter of
-the bytes of int64.
+the bytes of int64.  Only SHUFFLE_BLOCK positions of draws at a time are
+widened to intp swap indices, so a shuffle holds no intp copy of them all.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-SHUFFLE_BLOCK = 256  # positions of a lockstep shuffle whose swap indices are made intp at once
+# Positions of a lockstep shuffle whose swap indices are made intp at once:
+# about 30 KB at 116 rows.  The swaps cost one numpy call per position
+# whatever the block, so a small one costs no measurable time.
+SHUFFLE_BLOCK = 32
 
 
 def stream(seed: int, *labels: object) -> np.random.Generator:

@@ -29,9 +29,9 @@ from hiddenpartition.experiments import (
 from hiddenpartition.boolfn import (
     SymmetricSpec, all_points, and_fn, dictator, majority, parity, weight_profile,
 )
-from hiddenpartition.instances import PartitionParams
+from hiddenpartition.instances import PartitionParams, b_map_rows, generate_instances
 from hiddenpartition.reduction import ReductionGadget
-from hiddenpartition.rng import coin, fisher_yates, stream
+from hiddenpartition.rng import coin, fisher_yates, fisher_yates_rows, stream
 
 from conftest import random_table
 from oracles import apply_permutation, hamming_weight
@@ -412,29 +412,51 @@ def test_importing_the_cli_imports_no_scipy_module():
     assert [name for name in names if name.split(".")[0] == "scipy"] == []
 
 
-NO_SCIPY_AFTER_MAIN = """
+# The modules of one package (argv[2]) in sys.modules after the import and
+# after each command line of argv[1] in turn, printed as the last line
+MODULES_AFTER_MAIN = """
 import json, sys
 from hiddenpartition.cli import main
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+package = sys.argv[2]
 
-loaded = {"import": scipy_modules()}
+def modules():
+    return sorted(name for name in sys.modules
+                  if name == package or name.startswith(package + "."))
+
+loaded = {"import": modules()}
 for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, argv
-    loaded[" ".join(argv)] = scipy_modules()
+    try:
+        assert main(argv) == 0, argv
+    except SystemExit as exc:  # --help
+        assert exc.code == 0, argv
+    loaded[" ".join(argv)] = modules()
 print(json.dumps(loaded))
 """
+
+
+def modules_after_main(package: str, argvs: list) -> dict:
+    done = run_python("-c", MODULES_AFTER_MAIN, json.dumps(argvs), package)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert len(loaded) == 1 + len(argvs)
+    return loaded
+
+
+def write_junta_spec(path: Path) -> str:
+    """A signed-symmetric junta's truth table, written to path: majority
+    of x1, -x3 and x5 at t = 5."""
+    rows = np.arange(2**5)
+    weights = sum(((rows ^ 0b00100) >> i) & 1 for i in (0, 2, 4))
+    table = np.where(weights >= 2, -1, 1)
+    path.write_text(json.dumps({"kind": "truth_table", "t": 5, "values": table.tolist()}))
+    return str(path)
 
 
 def test_cli_commands_on_reducible_functions_import_no_scipy(tmp_path):
     # every command line of the benchmark's kinds on a symmetric function or
     # a signed-symmetric junta runs without scipy in sys.modules
-    rows = np.arange(2**5)
-    weights = sum(((rows ^ 0b00100) >> i) & 1 for i in (0, 2, 4))
-    table = np.where(weights >= 2, -1, 1)  # majority of x1, -x3 and x5
-    spec = tmp_path / "junta.json"
-    spec.write_text(json.dumps({"kind": "truth_table", "t": 5, "values": table.tolist()}))
+    spec = write_junta_spec(tmp_path / "junta.json")
     run = ["--n", "24", "--alpha", "1/2", "--trials", "5", "--seed", "7"]
     argvs = [
         ["analyze", "--named", "majority", "--t", "9"],
@@ -447,11 +469,29 @@ def test_cli_commands_on_reducible_functions_import_no_scipy(tmp_path):
          "--cases", "5"],
     ]
     argvs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
-    done = run_python("-c", NO_SCIPY_AFTER_MAIN, json.dumps(argvs))
-    assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    assert len(loaded) == 1 + len(argvs)
+    loaded = modules_after_main("scipy", argvs)
     assert all(names == [] for names in loaded.values()), loaded
+
+
+def test_only_a_command_that_draws_imports_numpy_random(tmp_path):
+    # numpy.random costs about 1.9 MiB of RSS: --help and analyze, of a
+    # symmetric spec or a truth table, leave it out of sys.modules, and a
+    # protocol run, which draws, loads it
+    symmetric = tmp_path / "symmetric.json"
+    symmetric.write_text(json.dumps({"kind": "symmetric", "t": 6, "thresholds": [1, 3, 4],
+                                     "leading_sign": -1}))
+    argvs = [
+        ["--help"],
+        ["analyze", "--function", str(symmetric), "--out", str(tmp_path / "out0")],
+        ["analyze", "--function", write_junta_spec(tmp_path / "junta.json"),
+         "--out", str(tmp_path / "out1")],
+        ["run-classical", "--named", "majority", "--t", "3", "--n", "24", "--alpha", "1/2",
+         "--trials", "5", "--seed", "7", "--out", str(tmp_path / "out2")],
+    ]
+    loaded = modules_after_main("numpy.random", argvs)
+    *before, run = loaded.values()
+    assert all(names == [] for names in before), loaded
+    assert "numpy.random" in run
 
 
 def test_cli_run_deterministic_output(tmp_path):
@@ -782,20 +822,41 @@ def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, opti
     assert rows == [20]
 
 
+def traced_peak(call) -> int:
+    """The peak of the memory traced while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def chunk_at_n3000(f):
+    """The params, instance streams, hidden bits and protocol streams of
+    the first 116-trial chunk at n = 3000, alpha = 1/2 and seed 0."""
+    params = PartitionParams(3000, f.t, Fraction(1, 2))
+    instance_rngs = [stream(0, "instance", trial) for trial in range(116)]
+    bs = [coin(rng) for rng in instance_rngs]
+    protocol_rngs = [stream(0, "protocol", trial) for trial in range(116)]
+    return params, instance_rngs, bs, protocol_rngs
+
+
 @pytest.mark.parametrize(
     "protocol, f, options, bound",
-    [("quantum", parity(2), {"epsilon": 0.1}, 3.0e6),
-     ("classical", majority(3), {"epsilon": 0.1}, 3.0e6),
-     ("uniform", dictator(4), {"sample_count": 32}, 3.6e6)],
+    [("quantum", parity(2), {"epsilon": 0.1}, 2.1e6),
+     ("classical", majority(3), {"epsilon": 0.1}, 2.1e6),
+     ("uniform", dictator(4), {"sample_count": 32}, 2.8e6)],
     ids=["quantum", "classical", "uniform"],
 )
 def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protocol, f, options,
                                                               bound):
     # a chunk at n = 3000 (alpha = 1/2, the benchmark's runs) is 116 trials,
-    # and drawing and deciding one traces a peak of about 2.3 MB (uniform,
-    # which shuffles twice: 3.05 MB): int8 strings, a uint16 shuffle and no
-    # int64 copy of them (with an int32 shuffle, 3.7 and 5.1 MB)
-    params = PartitionParams(3000, f.t, Fraction(1, 2))
+    # and drawing and deciding one traces a peak of about 1.86 MB (uniform,
+    # which shuffles twice: 2.6 MB): int8 strings, a uint16 shuffle that
+    # widens 32 positions at a time and a block map in row slices (with a
+    # whole-chunk block map and 256-position blocks, 2.33 and 3.05 MB)
+    params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(f)
     chunks = []
     generate = experiments.generate_instances
     monkeypatch.setattr(experiments, "generate_instances",
@@ -805,36 +866,32 @@ def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protoc
 
     runner, _, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
                                             options.get("sample_count"))
-    instance_rngs = [stream(0, "instance", trial) for trial in range(116)]
-    bs = [coin(rng) for rng in instance_rngs]
-    protocol_rngs = [stream(0, "protocol", trial) for trial in range(116)]
-    tracemalloc.start()
-    try:
-        runner(*generate(f, params, bs, instance_rngs), protocol_rngs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    assert traced_peak(lambda: runner(*generate(f, params, bs, instance_rngs),
+                                      protocol_rngs)) < bound
+
+
+@pytest.mark.parametrize("stage, bound", [("b_map_rows", 0.4e6), ("fisher_yates_rows", 1.6e6)])
+def test_each_peak_of_a_trial_chunk_at_n3000_stays_cut(stage, bound):
+    # the chunk's two peaks, each on its own (parity(2), as run-quantum):
+    # the block map traces about 0.28 MB in row slices (1.29 MB whole), and
+    # the shuffle 1.51 MB, its uint16 draws and images and 32 positions of
+    # intp indices (1.96 MB at 256 positions)
+    params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
+    xs, sigmas, _ = generate_instances(parity(2), params, bs, instance_rngs)
+    stages = {"b_map_rows": lambda: b_map_rows(parity(2), xs, sigmas, params),
+              "fisher_yates_rows": lambda: fisher_yates_rows(params.n, protocol_rngs)}
+    assert traced_peak(stages[stage]) < bound
 
 
 def test_a_run_quantum_call_codes_only_its_sampled_blocks():
     # on a pre-drawn 116-trial chunk (parity(2), n = 3000, alpha = 1/2,
     # m = 42) the protocol call traces about 0.7 MB: the scattered int8
     # strings and (116, 42) arrays, no (116, 1500) int64 code table (2.2 MB)
-    params = PartitionParams(3000, 2, Fraction(1, 2))
+    params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
     runner, m, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
     assert m == 42
-    instance_rngs = [stream(0, "instance", trial) for trial in range(116)]
-    bs = [coin(rng) for rng in instance_rngs]
-    chunk = experiments.generate_instances(parity(2), params, bs, instance_rngs)
-    protocol_rngs = [stream(0, "protocol", trial) for trial in range(116)]
-    tracemalloc.start()
-    try:
-        runner(*chunk, protocol_rngs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.2e6
+    chunk = generate_instances(parity(2), params, bs, instance_rngs)
+    assert traced_peak(lambda: runner(*chunk, protocol_rngs)) < 1.2e6
 
 
 @pytest.mark.parametrize(

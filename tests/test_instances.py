@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hiddenpartition import instances
 from hiddenpartition.boolfn import BooleanFunction, majority, parity
 from hiddenpartition.instances import (
     PartitionParams,
@@ -14,7 +15,7 @@ from hiddenpartition.instances import (
     generate_instance,
     generate_instances,
 )
-from hiddenpartition.rng import SHUFFLE_BLOCK, coin, fisher_yates, stream
+from hiddenpartition.rng import SHUFFLE_BLOCK, coin, fisher_yates, fisher_yates_rows, stream
 
 from oracles import (
     apply_permutation,
@@ -117,6 +118,28 @@ def test_b_map_values_take_the_dtype_of_the_strings(dtype):
     z = b_map_rows(majority(3), xs, np.arange(1, 7), params)
     assert z.dtype == dtype
     assert z.tolist() == [[-1, 1], [1, -1]]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("shared", [True, False], ids=["one-sigma", "sigma-per-row"])
+@pytest.mark.parametrize("f", [parity(2), majority(3)], ids=["t2", "t3"])
+def test_b_map_row_slices_give_the_row_by_row_values(monkeypatch, f, shared, dtype):
+    # a 300-byte slice bound cuts 10 strings into slices of 2 to 8 rows;
+    # the values are those of one call per string, in the strings' dtype
+    params = PartitionParams(12, f.t, Fraction(1, 2))
+    xs = (1 - 2 * stream(f.t, "map-slices").integers(0, 2, size=(10, 12))).astype(dtype)
+    sigmas = fisher_yates_rows(12, [stream(seed, "map-slices") for seed in range(10)])
+    rows = [b_map_rows(f, x[None], sigmas[0] if shared else sigma, params)[0]
+            for x, sigma in zip(xs, sigmas)]
+    sizes = []
+    view = instances.active_blocks
+    monkeypatch.setattr(instances, "active_blocks",
+                        lambda part, *args: sizes.append(len(part)) or view(part, *args))
+    monkeypatch.setattr(instances, "MAP_SLICE_BYTES", 300)
+    values = b_map_rows(f, xs, sigmas[0] if shared else sigmas, params)
+    assert len(sizes) > 1 and min(sizes[:-1]) > 1 and sum(sizes) == 10
+    assert values.dtype == dtype
+    assert np.array_equal(values, np.array(rows))
 
 
 def test_b_map_arity_guard():
