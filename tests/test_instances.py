@@ -203,8 +203,8 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
 @pytest.mark.parametrize(
     "n, t, alpha",
     [(1, 1, Fraction(1)), (2, 2, Fraction(1)), (3, 3, Fraction(1)),
-     (SHUFFLE_BLOCK - 1, 1, Fraction(1)), (SHUFFLE_BLOCK + 1, 1, Fraction(1)),
-     (3000, 3, Fraction(1, 2))],
+     (255, 1, Fraction(1)), (257, 1, Fraction(1)), (3000, 3, Fraction(1, 2)),
+     (SHUFFLE_BLOCK - 1, 1, Fraction(1)), (SHUFFLE_BLOCK + 1, 1, Fraction(1))],
 )
 @pytest.mark.parametrize("count", [1, 3, 116])
 def test_generate_instances_match_the_int64_builder(n, t, alpha, count):

@@ -86,7 +86,7 @@ def test_lockstep_rows_match_list_shuffle(n, seeds):
         assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, SHUFFLE_BLOCK - 1, SHUFFLE_BLOCK + 1, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3, SHUFFLE_BLOCK - 1, SHUFFLE_BLOCK + 1, 255, 257, 3000])
 @pytest.mark.parametrize("count", [1, 3, 116])
 def test_lockstep_rows_match_the_int64_shuffle(n, count):
     # the narrow unsigned draws, made intp a block of positions at a time,
