@@ -17,9 +17,11 @@ the first trial (a bad epsilon draws no instance).
 
 Trials run in chunks: a chunk's instances are generated together, their
 shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
-index subsets; protocol calls then run the chunk in row slices.  Since
-every trial draws only from its own streams, the output does not depend
-on where the chunks or the slices are cut.
+index subsets, which are drawn first, before the chunk's instances exist;
+protocol calls then run the chunk in row slices, and run-classical and
+run-quantum draw inside them.  Since every trial draws only from its own
+streams, the output does not depend on where the chunks or the slices
+are cut, nor on which of a chunk's streams draws first.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ PROTOCOLS = ("classical", "quantum", "uniform")
 # take np.min_scalar_type(n), 4 bytes only past n = 65535 (2 at n = 3000),
 # and the block map's three arrays are bounded by its row slice
 # (instances.MAP_SLICE_BYTES), not by the chunk, as are the shuffle's intp
-# swap indices (rng.SHUFFLE_BLOCK positions).  Run-uniform's subset
-# shuffle takes less, and run-quantum codes only its m sampled blocks.
+# swap indices (rng.SHUFFLE_BLOCK positions) and run-quantum's gather.
+# What peaks together is the shuffle of sigma: its swap draws and images
+# beside x's packed bits (n/8 bytes a trial).  Run-uniform's subset
+# shuffle, the same size, ends before the chunk's instances are drawn;
+# only a decision slice's length-m arrays (SLICE_BYTES) can reach higher.
 CHUNK_BYTES = 5 * 2**20
 POSITION_BYTES = 1 + 4 + (1 + 1 + 8)
 # A trial whose length-n arrays (POSITION_BYTES a position) and length-m
@@ -148,12 +153,10 @@ def run_protocol_trials(
     records: list[TrialRecord] = []
     for start in range(0, trials, chunk):
         numbers = range(start, min(start + chunk, trials))
+        decide = runner([stream(seed, "protocol", trial) for trial in numbers])
         inst_rngs = [stream(seed, "instance", trial) for trial in numbers]
         bs = [coin(rng) for rng in inst_rngs]
-        statistics = runner(
-            *generate_instances(f, params, bs, inst_rngs),
-            [stream(seed, "protocol", trial) for trial in numbers],
-        )
+        statistics = decide(*generate_instances(f, params, bs, inst_rngs))
         for trial, b, x in zip(numbers, bs, statistics.tolist()):
             guess = 1 if x > 0 else -1 if x < 0 else coin(stream(seed, "tiebreak", trial))
             records.append(TrialRecord(trial, b, guess, guess == b, x, cost_bits))
@@ -188,10 +191,13 @@ def _make_runner(
     epsilon: Optional[float],
     sample_count: Optional[int],
 ) -> tuple[Callable, Optional[int], int]:
-    """The protocol's run over a chunk (the instances' xs, sigmas and ws,
-    then their protocol streams in; the statistic per trial out, a (T,)
-    float64 array), its message size m (None for run-uniform) and cost in
-    bits."""
+    """The protocol's run over a chunk, its message size m (None for
+    run-uniform) and cost in bits.  The run takes the chunk's protocol
+    streams and returns its decision: a call on the instances' xs,
+    sigmas and ws that gives the statistic per trial, a (T,) float64
+    array.  run-uniform shuffles its subsets when given the streams,
+    before the chunk's instances exist; the other two draw inside the
+    decision."""
     if protocol == "uniform":
         if epsilon is not None:
             raise ValueError("uniform protocol takes a sample count, not epsilon")
@@ -203,11 +209,12 @@ def _make_runner(
         decide = _in_slices(sample_count, lambda xs, sigmas, ws, subsets:
                             run_uniform_phd1(params, xs, sigmas, ws, slots, subsets))
 
-        def run_uniform(xs, sigmas, ws, rngs):
+        def run_uniform(rngs):
             # one lockstep shuffle per chunk: its per-position loop costs the
-            # same for any number of rows, so only the decision is sliced
-            subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count]
-            return decide(xs, sigmas, ws, subsets)
+            # same for any number of rows, so only the decision is sliced; the
+            # copy keeps the subsets, not the whole permutations
+            subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count].copy()
+            return lambda xs, sigmas, ws: decide(xs, sigmas, ws, subsets)
 
         return run_uniform, None, message_cost_bits(sample_count, params.n)
     if sample_count is not None:
@@ -217,16 +224,18 @@ def _make_runner(
     if protocol == "classical":
         poly = best_sign_polynomial(f, 1)
         m = required_samples(params.t, params.alpha, poly.bias, epsilon)
-        run = _in_slices(m, lambda xs, sigmas, ws, rngs:
-                         run_classical(params, xs, sigmas, ws, poly, m, rngs))
-        return run, m, message_cost_bits(m, params.n)
-    poly = best_sign_polynomial(f, 2)
-    matrix = block_multilinear_matrix(poly)
-    m = required_copies(params, poly.bias, matrix, epsilon)
-    probs = hadamard_test_probs(matrix, all_points(params.t))  # one per block value
-    run = _in_slices(m, lambda xs, sigmas, ws, rngs:
-                     run_quantum(params, xs, sigmas, ws, probs, m, rngs))
-    return run, m, m * qubits_per_copy(params)
+        decide = _in_slices(m, lambda xs, sigmas, ws, rngs:
+                            run_classical(params, xs, sigmas, ws, poly, m, rngs))
+        cost_bits = message_cost_bits(m, params.n)
+    else:
+        poly = best_sign_polynomial(f, 2)
+        matrix = block_multilinear_matrix(poly)
+        m = required_copies(params, poly.bias, matrix, epsilon)
+        probs = hadamard_test_probs(matrix, all_points(params.t))  # one per block value
+        decide = _in_slices(m, lambda xs, sigmas, ws, rngs:
+                            run_quantum(params, xs, sigmas, ws, probs, m, rngs))
+        cost_bits = m * qubits_per_copy(params)
+    return (lambda rngs: lambda xs, sigmas, ws: decide(xs, sigmas, ws, rngs)), m, cost_bits
 
 
 def _in_slices(message_len: int, decide: Callable) -> Callable:

@@ -9,21 +9,23 @@ promise is z o w = b^(alpha*n/t) for a hidden bit b.
 Blocks are 1-indexed and contiguous in the permuted string; the partition
 fraction alpha is stored as an exact rational so the promise length is an
 integer by construction.  ``active_blocks`` is the one view of sigma(x)'s
-active blocks, which the block map and the quantum run both read.
+active blocks, and ``block_slices`` the one way to take it a row slice
+at a time, which the block map and the quantum run's gather both use,
+so a chunk holds no wider copy of the strings than one slice's.
 ``generate_instances`` draws a chunk of trials
 as (x, sigma, w) arrays, which the protocol runs take whole; that triple
 of rows is the one form of an instance.  Each is stored in the narrowest
 dtype that holds its values: the +-1 strings x and w as int8, sigma's
-1-based images in the narrowest unsigned type that holds n.
-``b_map_rows`` scatters, signs and codes the strings a row slice at a
-time, so a chunk holds no wider copy of them.
+1-based images in the narrowest unsigned type that holds n.  While the
+chunk's shuffle draws sigma, x is held as packed bits (n/8 bytes a row),
+so the shuffle, the chunk's one peak, holds no int8 x beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from .rng import fisher_yates_rows
 # Bound on the temporaries of one row slice of the block map: its
 # scattered strings, their block signs and their int64 codes.  It is in
 # bytes, not rows, so a 116-trial chunk at n = 3000 takes about ten slices
-# while many short strings (the reduction's) take one or two.
+# while many short strings (the reduction's) take one or two.  run-quantum
+# gathers its sampled blocks in the same slices.
 MAP_SLICE_BYTES = 2**17
 
 
@@ -106,6 +109,22 @@ def blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("...i,i->...", blocks < 0, 1 << np.arange(blocks.shape[-1], dtype=np.int64))
 
 
+def block_slices(
+    xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (part, blocks) for consecutive row slices of xs: the slice
+    and its ``active_blocks`` view, under one sigma or one per row.  A
+    slice has as many rows as keep the block map's temporaries for them
+    (the scattered strings, their block signs and int64 codes) within
+    MAP_SLICE_BYTES."""
+    sigma = np.asarray(sigma)
+    row_bytes = (xs.shape[1] + 1) * xs.itemsize + params.active_len + 8 * params.active_blocks
+    rows = max(1, MAP_SLICE_BYTES // row_bytes)
+    for start in range(0, len(xs), rows):
+        part = slice(start, start + rows)
+        yield part, active_blocks(xs[part], sigma if sigma.ndim == 1 else sigma[part], params)
+
+
 def b_map_rows(
     f: BooleanFunction, xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
@@ -113,20 +132,14 @@ def b_map_rows(
     under one sigma or one per string (as ``active_blocks``), in the dtype
     of the strings.
 
-    Runs over row slices, as many rows at a time as keep a slice's
-    temporaries (the scattered string, its block signs and their int64
-    codes) within MAP_SLICE_BYTES, and writes each into the one result."""
+    Runs over ``block_slices`` and writes each slice's values into the
+    one result."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
     xs = np.asarray(xs)
-    sigma = np.asarray(sigma)
     table = f.table.astype(xs.dtype)
     values = np.empty((len(xs), params.active_blocks), dtype=xs.dtype)
-    row_bytes = (xs.shape[1] + 1) * xs.itemsize + params.active_len + 8 * params.active_blocks
-    rows = max(1, MAP_SLICE_BYTES // row_bytes)
-    for start in range(0, len(xs), rows):
-        part = slice(start, start + rows)
-        blocks = active_blocks(xs[part], sigma if sigma.ndim == 1 else sigma[part], params)
+    for part, blocks in block_slices(xs, sigma, params):
         values[part] = table[blocks_to_rows(blocks)]
     return values
 
@@ -178,15 +191,20 @@ def generate_instances(
     active_blocks) int8): x uniform, then sigma uniform (Fisher-Yates),
     both drawn from that rng, and w = b * B_f(x, sigma) so the promise
     holds with hidden bit b.  The shuffles run in lockstep
-    (``fisher_yates_rows``) and B_f is one gather for all of them."""
+    (``fisher_yates_rows``) while each x is held as packed bits, unpacked
+    to int8 afterwards, and B_f is one gather for all of them."""
     if len(bs) != len(rngs):
         raise ValueError("one hidden bit per generator")
     if any(b not in (-1, 1) for b in bs):
         raise ValueError("b must be +-1")
-    xs = np.empty((len(rngs), params.n), dtype=np.int8)
-    for row, rng in zip(xs, rngs):
-        row[:] = 1 - 2 * rng.integers(0, 2, size=params.n, dtype=np.int64)
+    # x is held as packed bits, set where x_i = -1, while the shuffle runs
+    bits = np.empty((len(rngs), -(-params.n // 8)), dtype=np.uint8)
+    for row, rng in zip(bits, rngs):
+        row[:] = np.packbits(rng.integers(0, 2, size=params.n, dtype=np.int64))
     sigmas = fisher_yates_rows(params.n, rngs)
+    xs = np.unpackbits(bits, axis=1, count=params.n).view(np.int8)
+    xs *= -2  # 0 -> +1 and 1 -> -1 in place, so no second (T, n) array sits beside x
+    xs += 1
     ws = b_map_rows(f, xs, sigmas, params)
     ws *= np.asarray(bs, dtype=np.int8)[:, None]
     return xs, sigmas, ws

@@ -31,7 +31,7 @@ import numpy as np
 
 from .boolfn import all_points
 from .classical import required_samples
-from .instances import PartitionParams, active_blocks, blocks_to_rows
+from .instances import PartitionParams, block_slices, blocks_to_rows
 from .signpoly import SignPolynomial
 
 IDENTITY_TOL = 1e-10
@@ -141,8 +141,9 @@ def run_quantum(
     outcome is drawn from its exact closed-form probability, and active
     blocks contribute (-1)^outcome * w_j to the statistic.  Row r draws
     its m block indices, then its m uniforms, from rngs[r].  Only the m
-    sampled blocks of each row's ``active_blocks`` view are coded; a draw
-    past the active prefix reads its last block and adds 0.
+    sampled blocks of each row's ``active_blocks`` view are gathered and
+    coded, one row slice of the strings at a time (``block_slices``); a
+    draw past the active prefix reads its last block and adds 0.
     """
     count = len(rngs)
     js = np.empty((count, m), dtype=np.int64)
@@ -151,8 +152,10 @@ def run_quantum(
         j[:] = rng.integers(0, params.num_blocks, size=m)
         uniform[:] = rng.random(m)
     read = np.minimum(js, params.active_blocks - 1)
-    blocks = np.take_along_axis(active_blocks(xs, sigmas, params), read[:, :, None], axis=1)
-    outcome_signs = np.where(uniforms < probs[blocks_to_rows(blocks)], 1.0, -1.0)
+    codes = np.empty((count, m), dtype=np.int64)
+    for part, blocks in block_slices(xs, sigmas, params):
+        codes[part] = blocks_to_rows(np.take_along_axis(blocks, read[part, :, None], axis=1))
+    outcome_signs = np.where(uniforms < probs[codes], 1.0, -1.0)
     weights = np.take_along_axis(ws, read, axis=1)
     contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
     return contributions.sum(axis=1)

@@ -12,6 +12,10 @@ and return their permutations in the narrowest unsigned type that holds
 their values (``np.min_scalar_type``): uint16 at n = 3000, a quarter of
 the bytes of int64.  Only SHUFFLE_BLOCK positions of draws at a time are
 widened to intp swap indices, so a shuffle holds no intp copy of them all.
+A trial chunk's memory peaks in its shuffle of sigma, beside nothing
+wider than x's packed bits: ``generate_instances`` holds x as bits while
+it shuffles, and run-uniform's subset shuffle ends before the chunk's
+instances are drawn.
 """
 
 from __future__ import annotations

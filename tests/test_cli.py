@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiddenpartition import cli, exactlp, experiments, hardness, reduction, signpoly
+from hiddenpartition import cli, exactlp, experiments, hardness, instances, reduction, signpoly
 from hiddenpartition.cli import main
 from hiddenpartition.experiments import (
     run_protocol_trials,
@@ -797,10 +797,13 @@ def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
     # the default bounds: one chunk, decided whole unless the message is long
     assert chunks == [20]
     assert slices == ([1] * 20 if message_len == 20061 else [20])
-    # chunks of 7 from the length-n bound, each decided in slices of 3 from the length-m one
+    # chunks of 7 from the length-n bound, each decided in slices of 3 from
+    # the length-m one; a 200-byte map slice cuts the block map, and
+    # run-quantum's gather in each decision slice, into slices of 2 or 3 rows
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
     monkeypatch.setattr(experiments, "SLICE_BYTES",
                         3 * experiments.MESSAGE_BYTES * message_len)
+    monkeypatch.setattr(instances, "MAP_SLICE_BYTES", 200)
     assert run()[0] == whole
     assert chunks == [7, 7, 6]
     assert slices == [3, 3, 1, 3, 3, 1, 3, 3]
@@ -844,18 +847,19 @@ def chunk_at_n3000(f):
 
 @pytest.mark.parametrize(
     "protocol, f, options, bound",
-    [("quantum", parity(2), {"epsilon": 0.1}, 2.1e6),
-     ("classical", majority(3), {"epsilon": 0.1}, 2.1e6),
-     ("uniform", dictator(4), {"sample_count": 32}, 2.8e6)],
+    [("quantum", parity(2), {"epsilon": 0.1}, 1.7e6),
+     ("classical", majority(3), {"epsilon": 0.1}, 1.9e6),
+     ("uniform", dictator(4), {"sample_count": 32}, 1.7e6)],
     ids=["quantum", "classical", "uniform"],
 )
 def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protocol, f, options,
                                                               bound):
     # a chunk at n = 3000 (alpha = 1/2, the benchmark's runs) is 116 trials,
-    # and drawing and deciding one traces a peak of about 1.86 MB (uniform,
-    # which shuffles twice: 2.6 MB): int8 strings, a uint16 shuffle that
-    # widens 32 positions at a time and a block map in row slices (with a
-    # whole-chunk block map and 256-position blocks, 2.33 and 3.05 MB)
+    # and drawing and deciding one traces a peak of about 1.55 MB at the
+    # instances' shuffle, which holds x as packed bits (uniform shuffles its
+    # subsets first, 1.56 MB; classical peaks deciding, 1.72 MB); with an
+    # int8 x beside the shuffle and uniform's subsets shuffled beside the
+    # instances, 1.86, 1.86 and 2.60 MB
     params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(f)
     chunks = []
     generate = experiments.generate_instances
@@ -866,32 +870,38 @@ def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protoc
 
     runner, _, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
                                             options.get("sample_count"))
-    assert traced_peak(lambda: runner(*generate(f, params, bs, instance_rngs),
-                                      protocol_rngs)) < bound
+    assert traced_peak(lambda: runner(protocol_rngs)(*generate(f, params, bs,
+                                                               instance_rngs))) < bound
 
 
-@pytest.mark.parametrize("stage, bound", [("b_map_rows", 0.4e6), ("fisher_yates_rows", 1.6e6)])
+@pytest.mark.parametrize("stage, bound", [("b_map_rows", 0.4e6), ("fisher_yates_rows", 1.6e6),
+                                          ("generate_instances", 1.7e6)])
 def test_each_peak_of_a_trial_chunk_at_n3000_stays_cut(stage, bound):
-    # the chunk's two peaks, each on its own (parity(2), as run-quantum):
-    # the block map traces about 0.28 MB in row slices (1.29 MB whole), and
-    # the shuffle 1.51 MB, its uint16 draws and images and 32 positions of
-    # intp indices (1.96 MB at 256 positions)
+    # the chunk's stages, each on its own (parity(2), as run-quantum): the
+    # block map traces about 0.28 MB in row slices (1.29 MB whole), the
+    # shuffle 1.51 MB, its uint16 draws and images and 32 positions of intp
+    # indices (1.96 MB at 256 positions), and the whole instance draw
+    # 1.55 MB, the shuffle beside x's packed bits (1.86 MB beside int8 x)
     params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
     xs, sigmas, _ = generate_instances(parity(2), params, bs, instance_rngs)
+    instance_rngs = chunk_at_n3000(parity(2))[1]  # fresh streams that have drawn their coins
     stages = {"b_map_rows": lambda: b_map_rows(parity(2), xs, sigmas, params),
-              "fisher_yates_rows": lambda: fisher_yates_rows(params.n, protocol_rngs)}
+              "fisher_yates_rows": lambda: fisher_yates_rows(params.n, protocol_rngs),
+              "generate_instances": lambda: generate_instances(parity(2), params, bs,
+                                                               instance_rngs)}
     assert traced_peak(stages[stage]) < bound
 
 
 def test_a_run_quantum_call_codes_only_its_sampled_blocks():
     # on a pre-drawn 116-trial chunk (parity(2), n = 3000, alpha = 1/2,
-    # m = 42) the protocol call traces about 0.7 MB: the scattered int8
-    # strings and (116, 42) arrays, no (116, 1500) int64 code table (2.2 MB)
+    # m = 42) the protocol call traces about 0.33 MB: (116, 42) arrays and
+    # the int8 strings of one map slice scattered at a time (0.68 MB with
+    # the whole chunk's), no (116, 1500) int64 code table (2.2 MB)
     params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
     runner, m, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
     assert m == 42
     chunk = generate_instances(parity(2), params, bs, instance_rngs)
-    assert traced_peak(lambda: runner(*chunk, protocol_rngs)) < 1.2e6
+    assert traced_peak(lambda: runner(protocol_rngs)(*chunk)) < 0.37e6
 
 
 @pytest.mark.parametrize(
@@ -903,7 +913,8 @@ def test_a_run_quantum_call_codes_only_its_sampled_blocks():
 )
 def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f, options, ties):
     # a trial's tie-break stream is built only where its statistic is 0,
-    # also when chunks of 7 are decided in slices of 3
+    # also when chunks of 7 are decided in slices of 3 and mapped in
+    # slices of 1 or 2 rows
     built = []
     build = experiments.stream
 
@@ -919,9 +930,46 @@ def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
     monkeypatch.setattr(experiments, "SLICE_BYTES",
                         3 * experiments.MESSAGE_BYTES * (m or options["sample_count"]))
+    monkeypatch.setattr(instances, "MAP_SLICE_BYTES", 200)
     records, _ = run_protocol_trials(protocol, f, "f", params, 60, 5, **options)
     assert built == [record.trial for record in records if record.statistic == 0]
     assert bool(built) == ties
+
+
+@pytest.mark.parametrize(
+    "protocol, f, options",
+    [("classical", dictator(2), {"epsilon": 0.45}),
+     ("classical", majority(3), {"epsilon": 0.1}),
+     ("quantum", parity(2), {"epsilon": 0.45}),
+     ("uniform", dictator(4), {"sample_count": 1})],
+)
+def test_a_chunk_builds_two_streams_a_trial_and_shuffles_subsets_first(monkeypatch, protocol, f,
+                                                                        options):
+    # per chunk of 7: the protocol streams, run-uniform's subset shuffle,
+    # the instance streams and the instances, then one tie-break stream
+    # per zero statistic and nothing else, so the subsets are drawn before
+    # the chunk's x, sigma and w exist
+    events = []
+    build, shuffle, generate = (experiments.stream, experiments.fisher_yates_rows,
+                                experiments.generate_instances)
+    monkeypatch.setattr(experiments, "stream", lambda seed, label, trial:
+                        events.append((label, trial)) or build(seed, label, trial))
+    monkeypatch.setattr(experiments, "fisher_yates_rows", lambda n, rngs:
+                        events.append(("subsets", len(rngs))) or shuffle(n, rngs))
+    monkeypatch.setattr(experiments, "generate_instances", lambda *a:
+                        events.append(("instances", len(a[2]))) or generate(*a))
+    params = PartitionParams(24, f.t, Fraction(1))
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
+    records, _ = run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
+    ties = {record.trial for record in records if record.statistic == 0}
+    expected = []
+    for numbers in (range(0, 7), range(7, 14), range(14, 20)):
+        expected += [("protocol", trial) for trial in numbers]
+        expected += [("subsets", len(numbers))] * (protocol == "uniform")
+        expected += [("instance", trial) for trial in numbers]
+        expected += [("instances", len(numbers))]
+        expected += [("tiebreak", trial) for trial in numbers if trial in ties]
+    assert events == expected
 
 
 def test_a_zero_statistic_is_decided_by_the_trials_coin(monkeypatch):
@@ -930,7 +978,7 @@ def test_a_zero_statistic_is_decided_by_the_trials_coin(monkeypatch):
     # reverse of the zeros' signs) and build only those two streams
     statistics = np.array([0.0, -0.0, 5e-324, -5e-324])
     monkeypatch.setattr(experiments, "_make_runner",
-                        lambda *a: (lambda xs, sigmas, ws, rngs: statistics, 1, 3))
+                        lambda *a: (lambda rngs: lambda xs, sigmas, ws: statistics, 1, 3))
     built = []
     build = experiments.stream
 

@@ -209,7 +209,7 @@ def test_run_quantum_statistics_match_the_per_block_oracle(f, alpha):
     trials = range(40)
     xs, sigmas, ws = generate_instances(
         f, params, [1] * len(trials), [stream(trial, "instance") for trial in trials])
-    statistics = run(xs, sigmas, ws, [stream(trial, "protocol") for trial in trials])
+    statistics = run([stream(trial, "protocol") for trial in trials])(xs, sigmas, ws)
     a = block_multilinear_matrix(best_sign_polynomial(f, 2))
     expected = quantum_statistics_by_blocks(params, xs, sigmas, ws, a, m,
                                             [stream(trial, "protocol") for trial in trials])
