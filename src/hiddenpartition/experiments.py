@@ -15,13 +15,14 @@ tie-break coin where the statistic is 0; only those trials build their
 A run is set up once: its witness, message size and cost are fixed before
 the first trial (a bad epsilon draws no instance).
 
-Trials run in chunks: a chunk's instances are generated together, their
-shuffles in lockstep (``rng.fisher_yates_rows``), and so are run-uniform's
-index subsets, which are drawn first, before the chunk's instances exist;
-protocol calls then run the chunk in row slices, and run-classical and
-run-quantum draw inside them.  Since every trial draws only from its own
-streams, the output does not depend on where the chunks or the slices
-are cut, nor on which of a chunk's streams draws first.
+Trials run in chunks, in one loop for every protocol: its ``prepare``
+takes the chunk's protocol streams (run-uniform shuffles its subsets
+there, before the chunk's instances exist), the chunk's instances are
+generated together, their shuffles in lockstep (``rng.fisher_yates_rows``),
+and its ``decide`` runs over the chunk's ``instances.row_slices``, in
+which run-classical and run-quantum draw.  Since every trial draws only
+from its own streams, the output does not depend on where the chunks or
+the slices are cut, nor on which of a chunk's streams draws first.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .boolfn import BooleanFunction, all_points
 from .classical import level_one_slots, message_cost_bits, required_samples
 from .classical import run_classical, run_uniform_phd1
-from .instances import PartitionParams, generate_instances
+from .instances import PartitionParams, generate_instances, row_slices
 from .quantum import block_multilinear_matrix, hadamard_test_probs, qubits_per_copy
 from .quantum import required_copies, run_quantum
 from .rng import coin, fisher_yates_rows, stream
@@ -45,29 +46,24 @@ from .signpoly import best_sign_polynomial
 
 PROTOCOLS = ("classical", "quantum", "uniform")
 
-# Bound on a chunk's length-n arrays.  POSITION_BYTES is the bytes they
-# take per trial and position at their most, in every run while w is
-# drawn: x (int8), sigma (4 bytes), the block map's permuted string
-# (int8), its block signs (bool) and its int64 block codes (one a position
-# at t = 1).  It stays a worst case: sigma and the shuffle's swap draws
-# take np.min_scalar_type(n), 4 bytes only past n = 65535 (2 at n = 3000),
-# and the block map's three arrays are bounded by its row slice
-# (instances.MAP_SLICE_BYTES), not by the chunk, as are the shuffle's intp
-# swap indices (rng.SHUFFLE_BLOCK positions) and run-quantum's gather.
+# Bound on a chunk's length-n arrays, counted at POSITION_BYTES per trial
+# and position: x (int8), sigma (4 bytes), and the bytes the block map's
+# permuted string (int8), block signs (bool) and int64 codes (one a
+# position at t = 1) would take chunk-wide.  It is a worst case: the map
+# runs in row slices, and sigma and the shuffle's swap draws take
+# np.min_scalar_type(n), 4 bytes only past n = 65535 (2 at n = 3000).
 # What peaks together is the shuffle of sigma: its swap draws and images
 # beside x's packed bits (n/8 bytes a trial).  Run-uniform's subset
-# shuffle, the same size, ends before the chunk's instances are drawn;
-# only a decision slice's length-m arrays (SLICE_BYTES) can reach higher.
+# shuffle, the same size, ends before the chunk's instances are drawn,
+# and every row slice (instances.SLICE_BYTES) stays far below it.
 CHUNK_BYTES = 5 * 2**20
 POSITION_BYTES = 1 + 4 + (1 + 1 + 8)
 # A trial whose length-n arrays (POSITION_BYTES a position) and length-m
 # arrays (MESSAGE_BYTES a sample) exceed it is refused.
 MAX_TRIAL_BYTES = 2**31
-# Cache-sized bound on a slice's length-m arrays: MESSAGE_BYTES per trial
-# and sample, seven 8-byte arrays (the message and the statistic's terms).
-# A message much longer than n cuts the decision into slices, not the
-# instance draw into chunks.
-SLICE_BYTES = 2**20
+# A decision row's bytes per sample: seven 8-byte arrays (the message and
+# the statistic's terms).  A message much longer than n cuts the decision
+# into row slices, not the instance draw into chunks.
 MESSAGE_BYTES = 7 * 8
 
 WILSON_Z = 1.96  # normal quantile of the summary's 95% Wilson interval
@@ -143,8 +139,9 @@ def run_protocol_trials(
         raise ValueError(f"unknown protocol {protocol!r}")
     if trials < 1:
         raise ValueError("trial count must be positive")
-    runner, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
-    trial_bytes = POSITION_BYTES * params.n + MESSAGE_BYTES * (m or sample_count)
+    prepare, decide, m, cost_bits = _make_runner(protocol, f, params, epsilon, sample_count)
+    row_bytes = MESSAGE_BYTES * (m or sample_count)
+    trial_bytes = POSITION_BYTES * params.n + row_bytes
     if trial_bytes > MAX_TRIAL_BYTES:
         raise ValueError(f"one trial at n = {params.n} needs {trial_bytes / 2**30:.1f} GiB of "
                          f"arrays, over the {MAX_TRIAL_BYTES // 2**30} GiB limit")
@@ -153,10 +150,13 @@ def run_protocol_trials(
     records: list[TrialRecord] = []
     for start in range(0, trials, chunk):
         numbers = range(start, min(start + chunk, trials))
-        decide = runner([stream(seed, "protocol", trial) for trial in numbers])
+        inputs = prepare([stream(seed, "protocol", trial) for trial in numbers])
         inst_rngs = [stream(seed, "instance", trial) for trial in numbers]
         bs = [coin(rng) for rng in inst_rngs]
-        statistics = decide(*generate_instances(f, params, bs, inst_rngs))
+        xs, sigmas, ws = generate_instances(f, params, bs, inst_rngs)
+        statistics = np.concatenate([decide(xs[part], sigmas[part], ws[part], inputs[part])
+                                     for part in row_slices(len(bs), row_bytes)])
+        del xs, sigmas, ws  # so the next chunk's shuffle does not peak beside them
         for trial, b, x in zip(numbers, bs, statistics.tolist()):
             guess = 1 if x > 0 else -1 if x < 0 else coin(stream(seed, "tiebreak", trial))
             records.append(TrialRecord(trial, b, guess, guess == b, x, cost_bits))
@@ -190,14 +190,14 @@ def _make_runner(
     params: PartitionParams,
     epsilon: Optional[float],
     sample_count: Optional[int],
-) -> tuple[Callable, Optional[int], int]:
-    """The protocol's run over a chunk, its message size m (None for
-    run-uniform) and cost in bits.  The run takes the chunk's protocol
-    streams and returns its decision: a call on the instances' xs,
-    sigmas and ws that gives the statistic per trial, a (T,) float64
-    array.  run-uniform shuffles its subsets when given the streams,
-    before the chunk's instances exist; the other two draw inside the
-    decision."""
+) -> tuple[Callable, Callable, Optional[int], int]:
+    """The protocol's two steps over a chunk, its message size m (None for
+    run-uniform) and cost in bits.  prepare takes the chunk's protocol
+    streams and gives what the decision reads for each trial: run-uniform
+    shuffles its subsets there, before the chunk's instances exist; the
+    other two take the streams themselves and draw inside the decision.
+    decide(xs, sigmas, ws, inputs), on any rows of the chunk and of what
+    prepare gave, returns the statistic per row, a (T,) float64 array."""
     if protocol == "uniform":
         if epsilon is not None:
             raise ValueError("uniform protocol takes a sample count, not epsilon")
@@ -206,17 +206,17 @@ def _make_runner(
         slots = level_one_slots(f)
         if not 1 <= sample_count <= params.n:
             raise ValueError("subset size must lie in [1, n]")
-        decide = _in_slices(sample_count, lambda xs, sigmas, ws, subsets:
-                            run_uniform_phd1(params, xs, sigmas, ws, slots, subsets))
 
-        def run_uniform(rngs):
+        def shuffle_subsets(rngs):
             # one lockstep shuffle per chunk: its per-position loop costs the
             # same for any number of rows, so only the decision is sliced; the
             # copy keeps the subsets, not the whole permutations
-            subsets = fisher_yates_rows(params.n, rngs)[:, :sample_count].copy()
-            return lambda xs, sigmas, ws: decide(xs, sigmas, ws, subsets)
+            return fisher_yates_rows(params.n, rngs)[:, :sample_count].copy()
 
-        return run_uniform, None, message_cost_bits(sample_count, params.n)
+        return (shuffle_subsets,
+                lambda xs, sigmas, ws, subsets:
+                run_uniform_phd1(params, xs, sigmas, ws, slots, subsets),
+                None, message_cost_bits(sample_count, params.n))
     if sample_count is not None:
         raise ValueError(f"{protocol} protocol takes epsilon, not a sample count")
     if epsilon is None:
@@ -224,32 +224,16 @@ def _make_runner(
     if protocol == "classical":
         poly = best_sign_polynomial(f, 1)
         m = required_samples(params.t, params.alpha, poly.bias, epsilon)
-        decide = _in_slices(m, lambda xs, sigmas, ws, rngs:
-                            run_classical(params, xs, sigmas, ws, poly, m, rngs))
-        cost_bits = message_cost_bits(m, params.n)
-    else:
-        poly = best_sign_polynomial(f, 2)
-        matrix = block_multilinear_matrix(poly)
-        m = required_copies(params, poly.bias, matrix, epsilon)
-        probs = hadamard_test_probs(matrix, all_points(params.t))  # one per block value
-        decide = _in_slices(m, lambda xs, sigmas, ws, rngs:
-                            run_quantum(params, xs, sigmas, ws, probs, m, rngs))
-        cost_bits = m * qubits_per_copy(params)
-    return (lambda rngs: lambda xs, sigmas, ws: decide(xs, sigmas, ws, rngs)), m, cost_bits
-
-
-def _in_slices(message_len: int, decide: Callable) -> Callable:
-    """decide run on consecutive row slices of a chunk (each argument holds
-    one entry per trial), as many rows at a time as keep their
-    MESSAGE_BYTES * message_len bytes within SLICE_BYTES; the statistics
-    of the slices concatenated, one per trial in trial order."""
-    rows = max(1, SLICE_BYTES // (MESSAGE_BYTES * message_len))
-
-    def run(*per_trial):
-        return np.concatenate([decide(*(arg[start:start + rows] for arg in per_trial))
-                               for start in range(0, len(per_trial[0]), rows)])
-
-    return run
+        return (lambda rngs: rngs, lambda xs, sigmas, ws, rngs:
+                run_classical(params, xs, sigmas, ws, poly, m, rngs),
+                m, message_cost_bits(m, params.n))
+    poly = best_sign_polynomial(f, 2)
+    matrix = block_multilinear_matrix(poly)
+    m = required_copies(params, poly.bias, matrix, epsilon)
+    probs = hadamard_test_probs(matrix, all_points(params.t))  # one per block value
+    return (lambda rngs: rngs, lambda xs, sigmas, ws, rngs:
+            run_quantum(params, xs, sigmas, ws, probs, m, rngs),
+            m, m * qubits_per_copy(params))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ integer by construction.  ``active_blocks`` is the one view of sigma(x)'s
 active blocks, and ``block_slices`` the one way to take it a row slice
 at a time, which the block map and the quantum run's gather both use,
 so a chunk holds no wider copy of the strings than one slice's.
+``row_slices`` cuts every row slice, those of a trial chunk's decision
+too, under the one budget SLICE_BYTES.
 ``generate_instances`` draws a chunk of trials
 as (x, sigma, w) arrays, which the protocol runs take whole; that triple
 of rows is the one form of an instance.  Each is stored in the narrowest
@@ -32,12 +34,12 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .rng import fisher_yates_rows
 
-# Bound on the temporaries of one row slice of the block map: its
-# scattered strings, their block signs and their int64 codes.  It is in
-# bytes, not rows, so a 116-trial chunk at n = 3000 takes about ten slices
-# while many short strings (the reduction's) take one or two.  run-quantum
-# gathers its sampled blocks in the same slices.
-MAP_SLICE_BYTES = 2**17
+# Bound on the temporaries of one row slice: the block map's scattered
+# strings, block signs and int64 codes, or a protocol decision's length-m
+# arrays.  It is in bytes, not rows, so a 116-trial chunk at n = 3000
+# takes about ten map slices while many short strings (the reduction's)
+# take one or two.  run-quantum gathers its sampled blocks in map slices.
+SLICE_BYTES = 2**17
 
 
 def exact_fraction(text: str) -> Fraction:
@@ -109,19 +111,23 @@ def blocks_to_rows(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("...i,i->...", blocks < 0, 1 << np.arange(blocks.shape[-1], dtype=np.int64))
 
 
+def row_slices(count: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of count rows, each of as many rows (at least
+    one) as keep row_bytes a row within SLICE_BYTES."""
+    rows = max(1, SLICE_BYTES // row_bytes)
+    return (slice(start, start + rows) for start in range(0, count, rows))
+
+
 def block_slices(
     xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (part, blocks) for consecutive row slices of xs: the slice
-    and its ``active_blocks`` view, under one sigma or one per row.  A
-    slice has as many rows as keep the block map's temporaries for them
-    (the scattered strings, their block signs and int64 codes) within
-    MAP_SLICE_BYTES."""
+    """Yield (part, blocks) for the ``row_slices`` of xs: the slice and
+    its ``active_blocks`` view, under one sigma or one per row.  A row's
+    bytes are the block map's temporaries for it: the scattered string,
+    its block signs and int64 codes."""
     sigma = np.asarray(sigma)
     row_bytes = (xs.shape[1] + 1) * xs.itemsize + params.active_len + 8 * params.active_blocks
-    rows = max(1, MAP_SLICE_BYTES // row_bytes)
-    for start in range(0, len(xs), rows):
-        part = slice(start, start + rows)
+    for part in row_slices(len(xs), row_bytes):
         yield part, active_blocks(xs[part], sigma if sigma.ndim == 1 else sigma[part], params)
 
 

@@ -772,7 +772,7 @@ def test_cli_lab_at_benchmark_scale_matches_digest(monkeypatch, tmp_path, args, 
     [("classical", majority(3), {"epsilon": 0.1}),
      ("quantum", parity(2), {"epsilon": 0.1}),
      ("uniform", dictator(4), {"sample_count": 8}),
-     ("classical", and_fn(6), {"epsilon": 0.1})],  # m = 20061 > n: the slice bound cuts
+     ("classical", and_fn(6), {"epsilon": 0.1})],  # m = 20061 > n: one row a slice
 )
 def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
     params = PartitionParams(24, f.t, Fraction(1, 2))
@@ -794,19 +794,22 @@ def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
         return out.getvalue(), summary.m or summary.samples
 
     whole, message_len = run()
-    # the default bounds: one chunk, decided whole unless the message is long
+    # the default bounds: one chunk, decided whole unless the message is
+    # long (m = 374 takes 6 rows a slice, m = 20061 one)
     assert chunks == [20]
-    assert slices == ([1] * 20 if message_len == 20061 else [20])
+    assert slices == {374: [6, 6, 6, 2], 20061: [1] * 20}.get(message_len, [20])
     # chunks of 7 from the length-n bound, each decided in slices of 3 from
-    # the length-m one; a 200-byte map slice cuts the block map, and
-    # run-quantum's gather in each decision slice, into slices of 2 or 3 rows
+    # the row-slice budget
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
-    monkeypatch.setattr(experiments, "SLICE_BYTES",
-                        3 * experiments.MESSAGE_BYTES * message_len)
-    monkeypatch.setattr(instances, "MAP_SLICE_BYTES", 200)
+    monkeypatch.setattr(instances, "SLICE_BYTES", 3 * experiments.MESSAGE_BYTES * message_len)
     assert run()[0] == whole
     assert chunks == [7, 7, 6]
     assert slices == [3, 3, 1, 3, 3, 1, 3, 3]
+    # a 200-byte budget decides one row at a time and cuts the block map
+    # into slices of 2 or 3 rows
+    monkeypatch.setattr(instances, "SLICE_BYTES", 200)
+    assert run()[0] == whole
+    assert slices == [1] * 20
 
 
 @pytest.mark.parametrize(
@@ -816,13 +819,15 @@ def test_trials_do_not_depend_on_chunking(monkeypatch, protocol, f, options):
      ("uniform", dictator(4), {"sample_count": 8}, "run_uniform_phd1")],
 )
 def test_each_protocol_call_decides_a_whole_chunk(monkeypatch, protocol, f, options, name):
-    # 20 trials fit one chunk: one call takes all 20 rows, not one call per trial
+    # 20 trials fit one chunk: one call takes all 20 rows, not one call per
+    # trial, unless the row-slice budget cuts a long message (classical's
+    # m = 374 into 6 rows a call)
     rows = []
     run = getattr(experiments, name)
     monkeypatch.setattr(experiments, name, lambda *a, **k: rows.append(len(a[1])) or run(*a, **k))
     params = PartitionParams(24, f.t, Fraction(1, 2))
     run_protocol_trials(protocol, f, "f", params, 20, 5, **options)
-    assert rows == [20]
+    assert rows == ([6, 6, 6, 2] if protocol == "classical" else [20])
 
 
 def traced_peak(call) -> int:
@@ -848,19 +853,22 @@ def chunk_at_n3000(f):
 @pytest.mark.parametrize(
     "protocol, f, options, bound",
     [("quantum", parity(2), {"epsilon": 0.1}, 1.7e6),
-     ("classical", majority(3), {"epsilon": 0.1}, 1.9e6),
+     ("classical", majority(3), {"epsilon": 0.1}, 1.7e6),
      ("uniform", dictator(4), {"sample_count": 32}, 1.7e6)],
     ids=["quantum", "classical", "uniform"],
 )
 def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protocol, f, options,
                                                               bound):
     # a chunk at n = 3000 (alpha = 1/2, the benchmark's runs) is 116 trials,
-    # and drawing and deciding one traces a peak of about 1.55 MB at the
-    # instances' shuffle, which holds x as packed bits (uniform shuffles its
-    # subsets first, 1.56 MB; classical peaks deciding, 1.72 MB); with an
-    # int8 x beside the shuffle and uniform's subsets shuffled beside the
-    # instances, 1.86, 1.86 and 2.60 MB
-    params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(f)
+    # and a run of two traces a peak of about 1.57 MB at the instances'
+    # shuffle, which holds x as packed bits: uniform shuffles its subsets
+    # first, every decision slice stays under the row-slice budget, and
+    # the second chunk's shuffle holds none of the first chunk's arrays
+    # (2.7 MB if it does).  With classical's m = 374 decided 50 rows a
+    # slice, its chunk peaked deciding, at 1.72 MB; with an int8 x beside
+    # the shuffle and uniform's subsets shuffled beside the instances, the
+    # three were 1.86, 1.86 and 2.60 MB
+    params, instance_rngs, bs, _ = chunk_at_n3000(f)
     chunks = []
     generate = experiments.generate_instances
     monkeypatch.setattr(experiments, "generate_instances",
@@ -868,10 +876,16 @@ def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protoc
     run_protocol_trials(protocol, f, "f", params, 117, 0, **options)
     assert chunks == [116, 1]
 
-    runner, _, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
-                                            options.get("sample_count"))
-    assert traced_peak(lambda: runner(protocol_rngs)(*generate(f, params, bs,
-                                                               instance_rngs))) < bound
+    alone = traced_peak(lambda: generate(f, params, bs, instance_rngs))
+    # the run's own streams, built before the trace (tie-break ones inside)
+    built = {label: [stream(0, label, trial) for trial in range(232)]
+             for label in ("instance", "protocol")}
+    build = experiments.stream
+    monkeypatch.setattr(experiments, "stream", lambda seed, label, trial:
+                        built[label][trial] if label in built else build(seed, label, trial))
+    peak = traced_peak(lambda: run_protocol_trials(protocol, f, "f", params, 232, 0, **options))
+    assert peak < bound
+    assert peak < alone + 0.05e6
 
 
 @pytest.mark.parametrize("stage, bound", [("b_map_rows", 0.4e6), ("fisher_yates_rows", 1.6e6),
@@ -898,10 +912,10 @@ def test_a_run_quantum_call_codes_only_its_sampled_blocks():
     # the int8 strings of one map slice scattered at a time (0.68 MB with
     # the whole chunk's), no (116, 1500) int64 code table (2.2 MB)
     params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
-    runner, m, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
+    prepare, decide, m, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
     assert m == 42
     chunk = generate_instances(parity(2), params, bs, instance_rngs)
-    assert traced_peak(lambda: runner(protocol_rngs)(*chunk)) < 0.37e6
+    assert traced_peak(lambda: decide(*chunk, prepare(protocol_rngs))) < 0.37e6
 
 
 @pytest.mark.parametrize(
@@ -913,8 +927,7 @@ def test_a_run_quantum_call_codes_only_its_sampled_blocks():
 )
 def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f, options, ties):
     # a trial's tie-break stream is built only where its statistic is 0,
-    # also when chunks of 7 are decided in slices of 3 and mapped in
-    # slices of 1 or 2 rows
+    # also when chunks of 7 are decided in slices of 3
     built = []
     build = experiments.stream
 
@@ -925,12 +938,11 @@ def test_tie_streams_are_built_only_for_zero_statistics(monkeypatch, protocol, f
 
     monkeypatch.setattr(experiments, "stream", counted)
     params = PartitionParams(24, f.t, Fraction(1))
-    _, m, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
-                                       options.get("sample_count"))
+    _, _, m, _ = experiments._make_runner(protocol, f, params, options.get("epsilon"),
+                                          options.get("sample_count"))
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 7 * experiments.POSITION_BYTES * params.n)
-    monkeypatch.setattr(experiments, "SLICE_BYTES",
+    monkeypatch.setattr(instances, "SLICE_BYTES",
                         3 * experiments.MESSAGE_BYTES * (m or options["sample_count"]))
-    monkeypatch.setattr(instances, "MAP_SLICE_BYTES", 200)
     records, _ = run_protocol_trials(protocol, f, "f", params, 60, 5, **options)
     assert built == [record.trial for record in records if record.statistic == 0]
     assert bool(built) == ties
@@ -978,7 +990,7 @@ def test_a_zero_statistic_is_decided_by_the_trials_coin(monkeypatch):
     # reverse of the zeros' signs) and build only those two streams
     statistics = np.array([0.0, -0.0, 5e-324, -5e-324])
     monkeypatch.setattr(experiments, "_make_runner",
-                        lambda *a: (lambda rngs: lambda xs, sigmas, ws: statistics, 1, 3))
+                        lambda *a: (lambda rngs: rngs, lambda *per_trial: statistics, 1, 3))
     built = []
     build = experiments.stream
 

@@ -135,7 +135,7 @@ def test_b_map_row_slices_give_the_row_by_row_values(monkeypatch, f, shared, dty
     view = instances.active_blocks
     monkeypatch.setattr(instances, "active_blocks",
                         lambda part, *args: sizes.append(len(part)) or view(part, *args))
-    monkeypatch.setattr(instances, "MAP_SLICE_BYTES", 300)
+    monkeypatch.setattr(instances, "SLICE_BYTES", 300)
     values = b_map_rows(f, xs, sigmas[0] if shared else sigmas, params)
     assert len(sizes) > 1 and min(sizes[:-1]) > 1 and sum(sizes) == 10
     assert values.dtype == dtype

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiddenpartition import instances
 from hiddenpartition.boolfn import (
     SymmetricSpec, all_points, and_fn, dictator, majority, make_symmetric, named_function, parity,
 )
@@ -205,15 +206,37 @@ def test_run_quantum_statistics_match_the_per_block_oracle(f, alpha):
     # the quantum runner tabulates the closed form once per run; its
     # statistics must be those of the closed form on each block of each trial
     params = PartitionParams(48, f.t, alpha)
-    run, m, _ = _make_runner("quantum", f, params, 0.4, None)
+    prepare, decide, m, _ = _make_runner("quantum", f, params, 0.4, None)
     trials = range(40)
     xs, sigmas, ws = generate_instances(
         f, params, [1] * len(trials), [stream(trial, "instance") for trial in trials])
-    statistics = run([stream(trial, "protocol") for trial in trials])(xs, sigmas, ws)
+    statistics = decide(xs, sigmas, ws, prepare([stream(trial, "protocol") for trial in trials]))
     a = block_multilinear_matrix(best_sign_polynomial(f, 2))
     expected = quantum_statistics_by_blocks(params, xs, sigmas, ws, a, m,
                                             [stream(trial, "protocol") for trial in trials])
     assert statistics.tolist() == expected
+
+
+def test_run_quantum_gathers_the_same_blocks_a_row_slice_at_a_time(monkeypatch):
+    # a 300-byte row-slice budget gathers 40 rows' sampled blocks 2 rows at
+    # a time; each slice must read its own rows' draws
+    f = and_fn(3)
+    params = PartitionParams(48, 3, Fraction(1, 2))
+    prepare, decide, _, _ = _make_runner("quantum", f, params, 0.4, None)
+    xs, sigmas, ws = generate_instances(
+        f, params, [1] * 40, [stream(trial, "instance") for trial in range(40)])
+
+    def statistics():
+        return decide(xs, sigmas, ws, prepare([stream(trial, "protocol") for trial in range(40)]))
+
+    whole = statistics()
+    sizes = []
+    view = instances.active_blocks
+    monkeypatch.setattr(instances, "active_blocks",
+                        lambda part, *args: sizes.append(len(part)) or view(part, *args))
+    monkeypatch.setattr(instances, "SLICE_BYTES", 300)
+    assert statistics().tolist() == whole.tolist()
+    assert sizes == [2] * 20
 
 
 def test_run_quantum_returns_one_float64_statistic_per_row():
