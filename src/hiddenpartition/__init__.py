@@ -8,7 +8,7 @@ Submodules:
   rng          named seeded streams and the Fisher-Yates shuffle
   instances    problem sizes, (x, sigma, w) instance rows and the block map
   classical    sampled-bits and uniform-distribution senders
-  quantum      bilinear lift, unitary dilation, Hadamard-test simulation
+  quantum      bilinear lift and Hadamard-test simulation
   reduction    parity-pair to symmetric-function instance transformation
   hardness     brute-force-verified Fourier quantities behind the lower bounds
   experiments  seeded protocol trials and their CSV / JSON-lines records

@@ -8,6 +8,10 @@ the requested protocol) or an invalid parameter (a file that cannot be read
 or written included); either is reported as one "guard rejection: ..." line
 on stderr; the experiment scripts report theirs the same way (``run_guarded``).
 
+Each subcommand writes one output, to stdout or --out.  ``analyze``
+prints the bilinear lift A that run-quantum decides from, and ||A||,
+when the sign-degree is at most 2.
+
 Run as a program, the process ends with ``os._exit`` once the command has
 returned and stdout and stderr are flushed, skipping the interpreter's
 module teardown; after an uncaught exception, under a tracer or profiler,
@@ -34,7 +38,7 @@ from .experiments import PROTOCOLS, SUMMARY_FIELDS, TRIAL_FIELDS, run_protocol_t
 from .experiments import write_csv, write_jsonl
 from .hardness import CHECK_CAPS, run_check
 from .instances import PartitionParams, exact_fraction
-from .quantum import block_multilinear_matrix, matrix_audit_record, spectral_norm
+from .quantum import block_multilinear_matrix, spectral_norm
 from .reduction import NoGadgetError, find_gadget, gadget_to_json, verify_reduction
 from .rng import stream
 from .signpoly import best_sign_polynomial, sign_degree
@@ -94,9 +98,11 @@ def cmd_analyze(args) -> int:
     if sdeg <= 2:
         # the witness run-quantum decides from, solved once
         poly = witness if sdeg == min(2, f.t) else best_sign_polynomial(f, 2)
-        report["block_matrix_norm"] = spectral_norm(block_multilinear_matrix(poly))
+        matrix = block_multilinear_matrix(poly)
+        report["block_matrix"] = matrix.tolist()
+        report["block_matrix_norm"] = spectral_norm(matrix)
     else:
-        report["block_matrix_norm"] = None
+        report["block_matrix"] = report["block_matrix_norm"] = None
     if sym is None:
         report["reduction"] = "not symmetric: no reduction"
     elif sdeg < 2:
@@ -126,9 +132,6 @@ def cmd_run(args, protocol: str) -> int:
     records, summary = run_protocol_trials(
         protocol, f, label, params, args.trials, args.seed, **kwargs
     )
-    if protocol == "quantum" and args.dump_matrix:
-        matrix = block_multilinear_matrix(best_sign_polynomial(f, 2))
-        _write_json(args.dump_matrix, matrix_audit_record(matrix))
     write = write_csv if args.format == "csv" else write_jsonl
     with output(args.out) as out:
         write(out, records, summary)
@@ -171,11 +174,6 @@ def _add_run_args(p: argparse.ArgumentParser, protocol: str) -> None:
         p.add_argument("--samples", type=int, required=True, help="subset size |I|")
     else:
         p.add_argument("--epsilon", type=float, default=0.1)
-    if protocol == "quantum":
-        p.add_argument(
-            "--dump-matrix", default=None, metavar="FILE",
-            help="write the bilinear-lift matrix, its norm, and the dilation as JSON",
-        )
 
 
 def _add_reduce_args(p: argparse.ArgumentParser) -> None:
@@ -239,23 +237,18 @@ def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Nam
     """command(args), or exit code 2 with one "guard rejection: <reason>"
     line on stderr when it raises ValueError, OSError or MemoryError (a
     guard rejection, an invalid parameter, an unusable path or an array
-    too large for memory).  The output paths in args (--out, and
-    --dump-matrix where there is one) are opened for appending first, so
-    an unwritable one, or two naming one file, are refused before any
-    work, and a file keeps what it holds until the command writes it.
+    too large for memory).  The output path in args.out, if any, is
+    opened for appending first, so an unwritable one is refused before
+    any work, and a file keeps what it holds until the command writes it.
 
     Everything alive before the command runs, the numpy import graph
     above all, is moved to the collector's permanent generation
     (``gc.freeze``): it lives until exit anyway, and the full collections
     during the command and at interpreter exit then skip it."""
     try:
-        paths = [args.out, getattr(args, "dump_matrix", None)]
-        paths = [path for path in paths if path is not None]
-        for path in paths:
-            with open(path, "a", encoding="utf-8"):
+        if args.out is not None:
+            with open(args.out, "a", encoding="utf-8"):
                 pass
-        if len(paths) == 2 and os.path.samefile(*paths):
-            raise ValueError(f"--out and --dump-matrix name one file, {paths[1]!r}")
         gc.freeze()
         return command(args)
     except (ValueError, OSError, MemoryError) as exc:

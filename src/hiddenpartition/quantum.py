@@ -15,7 +15,8 @@ A run's copy count m is fixed by ``required_copies`` before Alice sees x;
 ``run_quantum`` takes a chunk of trials whole and returns Bob's statistic
 per trial.
 A dense state-vector simulation of the same circuit in
-``tests/oracles.py`` cross-checks that closed form at small arity.
+``tests/oracles.py``, which builds the dilation itself, cross-checks
+that closed form at small arity.
 
 Basis convention: index 0 of A (and of the test state) is the lifted
 constant coordinate, indices 1..t are x_1..x_t.  A relabelling of basis
@@ -72,31 +73,6 @@ def block_multilinear_matrix(p: SignPolynomial) -> np.ndarray:
         raise RuntimeError("bilinear lift failed to reproduce the polynomial")
     a.setflags(write=False)
     return a
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a symmetric PSD matrix, eigenvalues clipped at 0."""
-    values, vectors = np.linalg.eigh(m)
-    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-
-
-def unitary_dilation(a: np.ndarray) -> np.ndarray:
-    """Halmos dilation of B = A/||A||, for the square array A, a read-only
-    (2 len(A), 2 len(A)) orthogonal array whose top-left block is B:
-
-        U = [[B, (I - B B^T)^(1/2)], [(I - B^T B)^(1/2), -B^T]].
-
-    It is a function of A (no SVD basis to choose when singular values
-    repeat), so nearby matrices get nearby dilations.
-    """
-    norm = spectral_norm(a)
-    if norm <= 0:
-        raise ValueError("cannot dilate the zero matrix")
-    b = a / norm
-    eye = np.eye(len(a))
-    u = np.block([[b, _psd_sqrt(eye - b @ b.T)], [_psd_sqrt(eye - b.T @ b), -b.T]])
-    u.setflags(write=False)
-    return u
 
 
 def hadamard_test_probs(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -160,12 +136,3 @@ def run_quantum(
     contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
     return contributions.sum(axis=1)
 
-
-def matrix_audit_record(a: np.ndarray) -> dict:
-    """JSON-ready dump of A, ||A|| and its unitary dilation U for audit."""
-    return {
-        "dim": len(a),
-        "entries": [[float(v) for v in row] for row in a],
-        "spectral_norm": spectral_norm(a),
-        "dilation": [[float(v) for v in row] for row in unitary_dilation(a)],
-    }

@@ -5,10 +5,11 @@ or a second construction of what it computes; the tests check that the
 package still gives exactly what these give.  An instance here is what
 the package draws, the rows ``(x, sigma, w)`` (int8, the narrowest
 unsigned type that holds n, and int8), with its ``PartitionParams`` and
-hidden bit ``b`` beside them.  ``promise_bit``, the instance JSON helpers
-and ``reduce_instance`` are tools only the tests use: they check the
-promise, pin ``generate_instance``'s draws and check the reduction on
-whole instances.
+hidden bit ``b`` beside them.  ``promise_bit``, the instance JSON helpers,
+``unitary_dilation`` and ``reduce_instance`` are tools only the tests
+use: they check the promise, pin ``generate_instance``'s draws, build the
+circuit the quantum protocol's closed form stands for and check the
+reduction on whole instances.
 """
 
 import math
@@ -25,7 +26,7 @@ from hiddenpartition.boolfn import (
     weight_profile,
 )
 from hiddenpartition.instances import PartitionParams, b_map_rows, inverse_permutation
-from hiddenpartition.quantum import hadamard_test_probs, unitary_dilation
+from hiddenpartition.quantum import hadamard_test_probs, spectral_norm
 from hiddenpartition.reduction import (
     ReductionGadget,
     extended_permutation,
@@ -223,6 +224,31 @@ def instance_from_json(doc: dict) -> tuple:
 
 
 # --- quantum protocol --------------------------------------------------------
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a symmetric PSD matrix, eigenvalues clipped at 0."""
+    values, vectors = np.linalg.eigh(m)
+    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+
+
+def unitary_dilation(a: np.ndarray) -> np.ndarray:
+    """Halmos dilation of B = A/||A||, for the square array A, a read-only
+    (2 len(A), 2 len(A)) orthogonal array whose top-left block is B:
+
+        U = [[B, (I - B B^T)^(1/2)], [(I - B^T B)^(1/2), -B^T]].
+
+    It is a function of A (no SVD basis to choose when singular values
+    repeat), so nearby matrices get nearby dilations.
+    """
+    norm = spectral_norm(a)
+    if norm <= 0:
+        raise ValueError("cannot dilate the zero matrix")
+    b = a / norm
+    eye = np.eye(len(a))
+    u = np.block([[b, _psd_sqrt(eye - b @ b.T)], [_psd_sqrt(eye - b.T @ b), -b.T]])
+    u.setflags(write=False)
+    return u
 
 
 def statevector_oracle(a, z) -> float:

@@ -40,7 +40,6 @@ from hiddenpartition.quantum import (
     hadamard_test_probs,
     qubits_per_copy,
     spectral_norm,
-    unitary_dilation,
 )
 from hiddenpartition.reduction import (
     NoGadgetError,
@@ -52,7 +51,7 @@ from hiddenpartition.rng import fisher_yates, stream
 from hiddenpartition.signpoly import best_sign_polynomial, sign_degree
 
 from conftest import all_symmetric_specs, random_degree2_poly, random_table
-from oracles import inverse_fourier, statevector_oracle
+from oracles import inverse_fourier, statevector_oracle, unitary_dilation
 
 
 def report(criterion: str, detail: str) -> None:

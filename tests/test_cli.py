@@ -1,4 +1,5 @@
 import argparse
+import ast
 import atexit
 import contextlib
 import gc
@@ -205,8 +206,7 @@ VALID_ARGS = {
     "analyze": ["--named", "majority", "--t", "3", "--out", "a.json"],
     "run-classical": ["--named", "majority", "--t", "3", "--n", "60", "--alpha", "1/2",
                       "--epsilon", "0.2", "--format", "jsonl"],
-    "run-quantum": ["--function", "f.json", "--n", "60", "--trials", "7",
-                    "--dump-matrix", "m.json"],
+    "run-quantum": ["--function", "f.json", "--n", "60", "--trials", "7"],
     "run-uniform": ["--named", "dictator", "--t", "2", "--n", "60", "--samples", "5"],
     "reduce": ["--named", "nae", "--t", "4", "--n", "4", "--sigmas", "3", "--seed", "9"],
     "hardness": ["--named", "parity", "--t", "2", "--check", "u", "--n", "8", "--set-size", "4"],
@@ -530,20 +530,60 @@ def test_cli_function_file(tmp_path):
     assert json.loads(out.read_text())["sign_degree"] == 2
 
 
-def test_cli_quantum_matrix_dump(tmp_path):
-    dump = tmp_path / "matrix.json"
-    code = run_cli(
-        [
-            "run-quantum", "--named", "parity", "--t", "2",
-            "--n", "8", "--epsilon", "0.1", "--trials", "2", "--seed", "0",
-            "--out", str(tmp_path / "o.csv"), "--dump-matrix", str(dump),
-        ]
-    )
-    assert code == 0
-    record = json.loads(dump.read_text())
-    assert record["spectral_norm"] == pytest.approx(0.5, abs=1e-9)
-    assert len(record["entries"]) == 3
-    assert len(record["dilation"]) == 6
+def test_cli_analyze_prints_the_block_matrix(tmp_path):
+    out = tmp_path / "a.json"
+    assert run_cli(["analyze", "--named", "parity", "--t", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["block_matrix_norm"] == pytest.approx(0.5, abs=1e-9)
+    assert [len(row) for row in report["block_matrix"]] == [3, 3, 3]
+    # no lift above sign-degree 2
+    assert run_cli(["analyze", "--named", "parity", "--t", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["block_matrix"] is None and report["block_matrix_norm"] is None
+
+
+def lift_function_args(tmp_path, function):
+    """The function arguments for "name:t", or a spec file holding the
+    random table of ``default_rng([t, seed])`` for "table:t:seed"."""
+    name, *numbers = function.split(":")
+    if name != "table":
+        return ["--named", name, "--t", *numbers]
+    t, seed = map(int, numbers)
+    table = random_table(t, np.random.default_rng([t, seed])).table
+    spec_file = tmp_path / "f.json"
+    spec_file.write_text(json.dumps({"kind": "truth_table", "t": t, "values": table.tolist()}))
+    return ["--function", str(spec_file)]
+
+
+# sdeg = min(2, t) for parity:2, nae:3, dictator:1 and table:4:0; sdeg 1 < 2 for
+# dictator:2 and table:3:1, so analyze solves the degree-2 LP a second time
+@pytest.mark.parametrize("function", ["parity:2", "nae:3", "dictator:1", "dictator:2",
+                                      "table:3:1", "table:4:0"])
+def test_analyze_block_matrix_is_the_matrix_run_quantum_decides_from(
+        monkeypatch, tmp_path, function):
+    decided = []
+    build = experiments.block_multilinear_matrix
+    monkeypatch.setattr(experiments, "block_multilinear_matrix",
+                        lambda poly: decided.append(build(poly)) or decided[-1])
+    args = lift_function_args(tmp_path, function)
+    assert run_cli(["run-quantum", *args, "--n", "12", "--trials", "2",
+                    "--out", str(tmp_path / "o.csv")]) == 0
+    out = tmp_path / "a.json"
+    assert run_cli(["analyze", *args, "--out", str(out)]) == 0
+    [matrix] = decided
+    assert json.loads(out.read_text())["block_matrix"] == matrix.tolist()
+
+
+def test_run_quantum_dump_matrix_is_a_usage_error(tmp_path, capsys):
+    dump = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run-quantum", "--named", "parity", "--t", "2", "--n", "24",
+                 "--dump-matrix", str(dump)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --dump-matrix" in captured.err
+    assert not dump.exists()
 
 
 def test_cli_reduce(tmp_path):
@@ -614,6 +654,16 @@ def test_readme_command_examples_parse():
     assert len(examples) >= 8
     for words in examples:
         assert cli.build_parser().parse_args(words).command == words[0]
+    # and every --flag it names, in prose too, is one the CLI or a script
+    # defines, so docs left behind by a removed flag fail here
+    defined = {"--help"}
+    for path in [SRC_DIR / "hiddenpartition" / "cli.py",
+                 *sorted((SRC_DIR.parent / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                defined.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    assert named - defined == set()
 
 
 def test_cli_reduce_nae(tmp_path):
@@ -1079,8 +1129,6 @@ MALFORMED_SPECS = {
                       "--epsilon", "1e-320"], id="classical-epsilon-without-finite-m"),
         pytest.param(["run-quantum", "--named", "parity", "--t", "2", "--n", "30",
                       "--epsilon", "1e-320"], id="quantum-epsilon-without-finite-m"),
-        pytest.param(["run-quantum", "--named", "parity", "--t", "2", "--n", "24",
-                      "--dump-matrix", "{tmp}/out"], id="dump-matrix-is-out"),
         pytest.param(["run-uniform", "--named", "dictator", "--t", "4", "--n", "24",
                       "--samples", "0"], id="zero-samples"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "u", "--n", "7"],
@@ -1151,13 +1199,11 @@ def test_cli_out_of_memory_is_a_guard_rejection(monkeypatch, capsys, message, re
     "args, work",
     [(["run-classical", "--named", "majority", "--t", "3", "--n", "24", "--out", "{bad}"],
       "run_protocol_trials"),
-     (["run-quantum", "--named", "parity", "--t", "2", "--n", "24", "--dump-matrix", "{bad}"],
-      "run_protocol_trials"),
      (["hardness", "--named", "parity", "--t", "2", "--check", "tvd", "--n", "8",
        "--out", "{bad}"], "run_check"),
      (["reduce", "--named", "nae", "--t", "4", "--out", "{bad}"], "verify_reduction"),
      (["analyze", "--named", "majority", "--t", "3", "--out", "{bad}"], "sign_degree")],
-    ids=["run-out", "run-dump-matrix", "hardness", "reduce", "analyze"],
+    ids=["run-out", "hardness", "reduce", "analyze"],
 )
 def test_cli_unwritable_path_is_refused_before_the_work(monkeypatch, tmp_path, capsys, args, work):
     def refuse(*_):
@@ -1224,7 +1270,7 @@ def test_trial_cap_admits_and16_at_the_default_epsilon(monkeypatch):
                             trials=1, seed=0, epsilon=0.1)
 
 
-@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("flag", ["--out"])
 def test_cli_rejected_input_keeps_an_existing_output_file(tmp_path, capsys, flag):
     kept = tmp_path / "kept"
     kept.write_text("earlier contents\n")

@@ -17,12 +17,10 @@ from hiddenpartition.quantum import (
     _lifted_forms,
     block_multilinear_matrix,
     hadamard_test_probs,
-    matrix_audit_record,
     qubits_per_copy,
     required_copies,
     run_quantum,
     spectral_norm,
-    unitary_dilation,
 )
 from hiddenpartition.rng import stream
 from hiddenpartition.signpoly import BelowSignDegreeError, best_sign_polynomial
@@ -30,6 +28,7 @@ from hiddenpartition.signpoly import BelowSignDegreeError, best_sign_polynomial
 from conftest import poly_from_terms, poly_value, random_degree2_poly, random_table
 from oracles import (
     povm_block_distribution, quantum_statistics_by_blocks, row_of_point, statevector_oracle,
+    unitary_dilation,
 )
 
 
@@ -313,11 +312,3 @@ def test_run_quantum_dictator_consistent_with_classical():
     assert qsummary.success_rate >= 1 - 2 * 0.1 - 0.05
     assert csummary.success_rate >= 1 - 2 * 0.1 - 0.05
 
-
-def test_matrix_audit_record():
-    a = block_multilinear_matrix(best_sign_polynomial(parity(2), 2))
-    record = matrix_audit_record(a)
-    assert record["dim"] == 3
-    assert record["spectral_norm"] == pytest.approx(0.5)
-    assert len(record["dilation"]) == 6
-    assert np.array_equal(record["dilation"], unitary_dilation(a))
