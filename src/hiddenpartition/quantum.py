@@ -135,4 +135,3 @@ def run_quantum(
     weights = np.take_along_axis(ws, read, axis=1)
     contributions = np.where(js < params.active_blocks, outcome_signs * weights, 0.0)
     return contributions.sum(axis=1)
-

@@ -563,8 +563,12 @@ def test_analyze_block_matrix_is_the_matrix_run_quantum_decides_from(
         monkeypatch, tmp_path, function):
     decided = []
     build = experiments.block_multilinear_matrix
-    monkeypatch.setattr(experiments, "block_multilinear_matrix",
-                        lambda poly: decided.append(build(poly)) or decided[-1])
+
+    def spy(poly):
+        decided.append(build(poly))
+        return decided[-1]
+
+    monkeypatch.setattr(experiments, "block_multilinear_matrix", spy)
     args = lift_function_args(tmp_path, function)
     assert run_cli(["run-quantum", *args, "--n", "12", "--trials", "2",
                     "--out", str(tmp_path / "o.csv")]) == 0

@@ -311,4 +311,3 @@ def test_run_quantum_dictator_consistent_with_classical():
     )
     assert qsummary.success_rate >= 1 - 2 * 0.1 - 0.05
     assert csummary.success_rate >= 1 - 2 * 0.1 - 0.05
-
