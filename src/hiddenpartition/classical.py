@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier_transform, pure_high_degree
-from .instances import PartitionParams
+from .instances import PartitionParams, string_values
 from .signpoly import SignPolynomial
 
 
@@ -60,16 +60,17 @@ def required_samples(t: int, alpha, beta: float, epsilon: float) -> int:
 
 
 def alice_sample(
-    xs: np.ndarray, m: int, rngs: list[np.random.Generator]
+    xs: np.ndarray, n: int, m: int, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of xs, m i.i.d. uniform 1-based indices drawn with replacement
-    from that row's rng, and the bits at them, as (T, m) int64 arrays."""
+    """Per packed row of xs (``generate_instances``' x, of length n), m
+    i.i.d. uniform 1-based indices drawn with replacement from that row's
+    rng, and the bits at them: (T, m) int64 indices and int8 bits."""
     if m < 1:
         raise ValueError("sample count must be positive")
     indices = np.empty((len(rngs), m), dtype=np.int64)
     for row, rng in zip(indices, rngs):
-        row[:] = rng.integers(1, xs.shape[1] + 1, size=m)
-    return indices, np.take_along_axis(xs, indices - 1, axis=1)
+        row[:] = rng.integers(1, n + 1, size=m)
+    return indices, string_values(xs, indices)
 
 
 def message_cost_bits(m: int, n: int) -> int:
@@ -119,10 +120,11 @@ def run_classical(
     m: int,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Sampled-bits runs on a chunk of instances (``generate_instances``)
-    from a degree-1 witness, the one ``best_sign_polynomial(f, 1)``
-    returns when sdeg(f) <= 1, each sending m bits (``required_samples``)."""
-    indices, bits = alice_sample(xs, m, rngs)
+    """Sampled-bits runs on a chunk of instances (``generate_instances``,
+    x as packed bits) from a degree-1 witness, the one
+    ``best_sign_polynomial(f, 1)`` returns when sdeg(f) <= 1, each sending
+    m bits (``required_samples``)."""
+    indices, bits = alice_sample(xs, params.n, m, rngs)
     return bob_decide(indices, bits, sigmas, ws, poly, params)
 
 
@@ -151,8 +153,8 @@ def run_uniform_phd1(
     subsets: np.ndarray,
 ) -> np.ndarray:
     """Uniform-distribution sender for phdeg(f) <= 1 on a chunk of
-    instances (``generate_instances``), decoding from the nonzero level-1
-    coefficients ``level_one_slots(f)`` returns.
+    instances (``generate_instances``, x as packed bits), decoding from
+    the nonzero level-1 coefficients ``level_one_slots(f)`` returns.
 
     Row r's Alice sends ``subsets[r]``, a uniform index subset (1-based
     indices in the order drawn, e.g. the first columns of
@@ -166,7 +168,7 @@ def run_uniform_phd1(
     subset_slots, active, weights = _locate(subsets, sigmas, ws, params)
     coeffs = slots[subset_slots]
     hits = active & (coeffs != 0)
-    bits = np.take_along_axis(xs, subsets - 1, axis=1)
+    bits = string_values(xs, subsets)
     candidates = np.where(hits, np.sign(coeffs) * bits * weights, 0.0)
     first = hits.argmax(axis=1)[:, None]  # column 0, a +0.0 candidate, where no index hits
     return np.take_along_axis(candidates, first, axis=1)[:, 0]

@@ -147,9 +147,17 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_hardness(args) -> int:
+    # the budgets each check reads; one it does not read is refused, not ignored
+    reads = {"tvd": ("sigmas", "set_size"), "rhat": ("cases", "set_size"),
+             "kkl": ("cases", "set_size"), "u": ("cases",)}[args.check]
+    for name in ("cases", "set_size", "sigmas"):
+        if name not in reads and getattr(args, name) is not None:
+            raise ValueError(f"the {args.check} check does not read --{name.replace('_', '-')}")
     f, label = load_function(args)
     params = PartitionParams(args.n, f.t, args.alpha)
-    doc = run_check(args.check, f, params, args.cases, args.set_size, args.sigmas, args.seed)
+    cases = 50 if args.cases is None else args.cases
+    sigmas = 50 if args.sigmas is None else args.sigmas
+    doc = run_check(args.check, f, params, cases, args.set_size, sigmas, args.seed)
     doc["function"] = label
     doc["params"] = {"n": params.n, "t": params.t, "alpha": str(params.alpha)}
     _write_json(args.out, doc)
@@ -187,9 +195,10 @@ def _add_hardness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check", choices=tuple(CHECK_CAPS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=exact_fraction, default=Fraction(1), metavar="P/Q")
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=int, default=None, help="cases checked (rhat/u/kkl; default 50)")
     p.add_argument("--set-size", type=int, default=None, help="message-set size (tvd/rhat/kkl)")
-    p.add_argument("--sigmas", type=int, default=50, help="permutation samples per tvd estimate")
+    p.add_argument("--sigmas", type=int, default=None,
+                   help="permutation samples per estimate (tvd; default 50)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 

@@ -18,11 +18,12 @@ the first trial (a bad epsilon draws no instance).
 Trials run in chunks, in one loop for every protocol: its ``prepare``
 takes the chunk's protocol streams (run-uniform shuffles its subsets
 there, before the chunk's instances exist), the chunk's instances are
-generated together, their shuffles in lockstep (``rng.fisher_yates_rows``),
-and its ``decide`` runs over the chunk's ``instances.row_slices``, in
-which run-classical and run-quantum draw.  Since every trial draws only
-from its own streams, the output does not depend on where the chunks or
-the slices are cut, nor on which of a chunk's streams draws first.
+generated together, their shuffles in lockstep (``rng.fisher_yates_rows``)
+and x as packed bits, and its ``decide`` runs over the chunk's
+``instances.row_slices``, in which run-classical and run-quantum draw.
+Since every trial draws only from its own streams, the output does not
+depend on where the chunks or the slices are cut, nor on which of a
+chunk's streams draws first.
 """
 
 from __future__ import annotations
@@ -47,15 +48,17 @@ from .signpoly import best_sign_polynomial
 PROTOCOLS = ("classical", "quantum", "uniform")
 
 # Bound on a chunk's length-n arrays, counted at POSITION_BYTES per trial
-# and position: x (int8), sigma (4 bytes), and the bytes the block map's
+# and position: x (1 byte), sigma (4 bytes), and the bytes the block map's
 # permuted string (int8), block signs (bool) and int64 codes (one a
-# position at t = 1) would take chunk-wide.  It is a worst case: the map
-# runs in row slices, and sigma and the shuffle's swap draws take
-# np.min_scalar_type(n), 4 bytes only past n = 65535 (2 at n = 3000).
-# What peaks together is the shuffle of sigma: its swap draws and images
-# beside x's packed bits (n/8 bytes a trial).  Run-uniform's subset
-# shuffle, the same size, ends before the chunk's instances are drawn,
-# and every row slice (instances.SLICE_BYTES) stays far below it.
+# position at t = 1) would take chunk-wide.  It is a worst case: x is
+# held as packed bits (an eighth of a byte), the map runs in row slices,
+# and sigma and the shuffle's swap draws take np.min_scalar_type(n),
+# 4 bytes only past n = 65535 (2 at n = 3000).  What a chunk holds at its
+# peak is the shuffle of sigma: its images and one half of its swap
+# draws (2 and 1 bytes a position at n = 3000), beside x's packed bits.
+# Run-uniform's subset shuffle, the same size, ends before the chunk's
+# instances are drawn, and every row slice (instances.SLICE_BYTES), the
+# decision's too, stays far below it.
 CHUNK_BYTES = 5 * 2**20
 POSITION_BYTES = 1 + 4 + (1 + 1 + 8)
 # A trial whose length-n arrays (POSITION_BYTES a position) and length-m
@@ -156,7 +159,8 @@ def run_protocol_trials(
         xs, sigmas, ws = generate_instances(f, params, bs, inst_rngs)
         statistics = np.concatenate([decide(xs[part], sigmas[part], ws[part], inputs[part])
                                      for part in row_slices(len(bs), row_bytes)])
-        del xs, sigmas, ws  # so the next chunk's shuffle does not peak beside them
+        # so the next chunk's streams and shuffle do not peak beside this chunk's
+        del inputs, inst_rngs, xs, sigmas, ws
         for trial, b, x in zip(numbers, bs, statistics.tolist()):
             guess = 1 if x > 0 else -1 if x < 0 else coin(stream(seed, "tiebreak", trial))
             records.append(TrialRecord(trial, b, guess, guess == b, x, cost_bits))

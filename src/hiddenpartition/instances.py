@@ -16,11 +16,13 @@ so a chunk holds no wider copy of the strings than one slice's.
 too, under the one budget SLICE_BYTES.
 ``generate_instances`` draws a chunk of trials
 as (x, sigma, w) arrays, which the protocol runs take whole; that triple
-of rows is the one form of an instance.  Each is stored in the narrowest
-dtype that holds its values: the +-1 strings x and w as int8, sigma's
-1-based images in the narrowest unsigned type that holds n.  While the
-chunk's shuffle draws sigma, x is held as packed bits (n/8 bytes a row),
-so the shuffle, the chunk's one peak, holds no int8 x beside it.
+of rows is the one form of an instance.  Each is stored in as few bytes
+as hold its values: x as packed bits (``np.packbits``, a bit set where
+x_i = -1, n/8 bytes a row), w as int8 and sigma's 1-based images in the
+narrowest unsigned type that holds n.  The packed bits are x's only form
+in a chunk: ``block_slices`` unpacks them one row slice at a time
+(``unpack_strings``), and the classical senders read them at their
+sampled indices (``string_values``).
 """
 
 from __future__ import annotations
@@ -118,33 +120,64 @@ def row_slices(count: int, row_bytes: int) -> Iterator[slice]:
     return (slice(start, start + rows) for start in range(0, count, rows))
 
 
+def unpack_strings(bits: np.ndarray, n: int) -> np.ndarray:
+    """The int8 +-1 strings of x's packed bits (``np.packbits`` along the
+    last axis, a bit set where x_i = -1), of length n."""
+    xs = np.unpackbits(bits, axis=-1, count=n).view(np.int8)
+    xs *= -2  # 0 -> +1 and 1 -> -1 in place, so no second array sits beside x
+    xs += 1
+    return xs
+
+
+def string_values(bits: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """x_i of each row of x's packed bits (as ``unpack_strings`` reads
+    them) at that row of 1-based indices (shape (T, k)), as int8 +-1."""
+    positions = indices - 1
+    shifts = 7 - (positions & 7)  # np.packbits puts a byte's first position in its top bit
+    minus = (np.take_along_axis(bits, positions >> 3, axis=1) >> shifts) & 1
+    return 1 - 2 * minus.astype(np.int8)
+
+
 def block_slices(
     xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (part, blocks) for the ``row_slices`` of xs: the slice and
-    its ``active_blocks`` view, under one sigma or one per row.  A row's
-    bytes are the block map's temporaries for it: the scattered string,
-    its block signs and int64 codes."""
+    its ``active_blocks`` view, under one sigma or one per row.  Rows of
+    uint8 are x's packed bits (``generate_instances``' xs), unpacked a
+    slice at a time; any other rows are the +-1 strings themselves.  A
+    row's bytes are the block map's temporaries for it: the unpacked
+    string, if any, the scattered one, its block signs and int64 codes.
+    The unpacked slice is freed once scattered, before the signs and
+    codes exist."""
     sigma = np.asarray(sigma)
-    row_bytes = (xs.shape[1] + 1) * xs.itemsize + params.active_len + 8 * params.active_blocks
+    packed = xs.dtype == np.uint8
+    width, itemsize = (params.n, 1) if packed else (xs.shape[1], xs.itemsize)
+    row_bytes = (width + 1) * itemsize + params.active_len + 8 * params.active_blocks
+    if packed:
+        row_bytes += width  # the unpacked slice, alive while it is scattered
     for part in row_slices(len(xs), row_bytes):
-        yield part, active_blocks(xs[part], sigma if sigma.ndim == 1 else sigma[part], params)
+        strings = unpack_strings(xs[part], width) if packed else xs[part]
+        blocks = active_blocks(strings, sigma if sigma.ndim == 1 else sigma[part], params)
+        del strings
+        yield part, blocks
 
 
 def b_map_rows(
     f: BooleanFunction, xs: np.ndarray, sigma: Sequence[int], params: PartitionParams
 ) -> np.ndarray:
-    """Vectorised block map: (N, n) strings -> (N, active_blocks) values,
-    under one sigma or one per string (as ``active_blocks``), in the dtype
-    of the strings.
+    """Vectorised block map: (N, n) strings, or N rows of their packed
+    bits, -> (N, active_blocks) values, under one sigma or one per string
+    (as ``active_blocks``), in the dtype of the strings (int8 for packed
+    bits).
 
     Runs over ``block_slices`` and writes each slice's values into the
     one result."""
     if f.t != params.t:
         raise ValueError(f"function arity {f.t} != block size {params.t}")
     xs = np.asarray(xs)
-    table = f.table.astype(xs.dtype)
-    values = np.empty((len(xs), params.active_blocks), dtype=xs.dtype)
+    dtype = np.int8 if xs.dtype == np.uint8 else xs.dtype
+    table = f.table.astype(dtype)
+    values = np.empty((len(xs), params.active_blocks), dtype=dtype)
     for part, blocks in block_slices(xs, sigma, params):
         values[part] = table[blocks_to_rows(blocks)]
     return values
@@ -192,25 +225,22 @@ def generate_instances(
     bs: Sequence[int],
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One instance per (b, rng), as arrays xs ((len(bs), n) int8), sigmas
-    ((len(bs), n) in ``np.min_scalar_type(n)``) and ws ((len(bs),
-    active_blocks) int8): x uniform, then sigma uniform (Fisher-Yates),
-    both drawn from that rng, and w = b * B_f(x, sigma) so the promise
-    holds with hidden bit b.  The shuffles run in lockstep
-    (``fisher_yates_rows``) while each x is held as packed bits, unpacked
-    to int8 afterwards, and B_f is one gather for all of them."""
+    """One instance per (b, rng), as arrays xs ((len(bs), ceil(n/8))
+    uint8: x's packed bits, set where x_i = -1), sigmas ((len(bs), n) in
+    ``np.min_scalar_type(n)``) and ws ((len(bs), active_blocks) int8): x
+    uniform, then sigma uniform (Fisher-Yates), both drawn from that rng,
+    and w = b * B_f(x, sigma) so the promise holds with hidden bit b.
+    The shuffles run in lockstep (``fisher_yates_rows``), and B_f is one
+    block map of all of them (``b_map_rows``, which unpacks x a row
+    slice at a time); ``unpack_strings`` gives the +-1 strings."""
     if len(bs) != len(rngs):
         raise ValueError("one hidden bit per generator")
     if any(b not in (-1, 1) for b in bs):
         raise ValueError("b must be +-1")
-    # x is held as packed bits, set where x_i = -1, while the shuffle runs
-    bits = np.empty((len(rngs), -(-params.n // 8)), dtype=np.uint8)
-    for row, rng in zip(bits, rngs):
+    xs = np.empty((len(rngs), -(-params.n // 8)), dtype=np.uint8)
+    for row, rng in zip(xs, rngs):
         row[:] = np.packbits(rng.integers(0, 2, size=params.n, dtype=np.int64))
     sigmas = fisher_yates_rows(params.n, rngs)
-    xs = np.unpackbits(bits, axis=1, count=params.n).view(np.int8)
-    xs *= -2  # 0 -> +1 and 1 -> -1 in place, so no second (T, n) array sits beside x
-    xs += 1
     ws = b_map_rows(f, xs, sigmas, params)
     ws *= np.asarray(bs, dtype=np.int8)[:, None]
     return xs, sigmas, ws
@@ -223,6 +253,6 @@ def generate_instance(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``generate_instances`` for a single (b, rng): its one row, as
-    (x, sigma, w)."""
+    (x, sigma, w), with x as packed bits."""
     xs, sigmas, ws = generate_instances(f, params, [b], [rng])
     return xs[0], sigmas[0], ws[0]

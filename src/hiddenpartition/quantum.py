@@ -118,8 +118,9 @@ def run_quantum(
     blocks contribute (-1)^outcome * w_j to the statistic.  Row r draws
     its m block indices, then its m uniforms, from rngs[r].  Only the m
     sampled blocks of each row's ``active_blocks`` view are gathered and
-    coded, one row slice of the strings at a time (``block_slices``); a
-    draw past the active prefix reads its last block and adds 0.
+    coded, one row slice of x's packed bits unpacked at a time
+    (``block_slices``); a draw past the active prefix reads its last
+    block and adds 0.
     """
     count = len(rngs)
     js = np.empty((count, m), dtype=np.int64)

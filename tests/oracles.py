@@ -3,9 +3,10 @@
 Each one is the straightforward or per-point form of a package routine,
 or a second construction of what it computes; the tests check that the
 package still gives exactly what these give.  An instance here is what
-the package draws, the rows ``(x, sigma, w)`` (int8, the narrowest
-unsigned type that holds n, and int8), with its ``PartitionParams`` and
-hidden bit ``b`` beside them.  ``promise_bit``, the instance JSON helpers,
+the package draws with x unpacked (``instances.unpack_strings``), the
+rows ``(x, sigma, w)`` (int8, the narrowest unsigned type that holds n,
+and int8), with its ``PartitionParams`` and hidden bit ``b`` beside
+them.  ``promise_bit``, the instance JSON helpers,
 ``unitary_dilation`` and ``reduce_instance`` are tools only the tests
 use: they check the promise, pin ``generate_instance``'s draws, build the
 circuit the quantum protocol's closed form stands for and check the

@@ -16,7 +16,7 @@ from hiddenpartition.classical import (
     run_uniform_phd1,
 )
 from hiddenpartition.experiments import run_protocol_trials
-from hiddenpartition.instances import PartitionParams, generate_instances
+from hiddenpartition.instances import PartitionParams, generate_instances, unpack_strings
 from hiddenpartition.rng import fisher_yates, fisher_yates_rows, stream
 from hiddenpartition.signpoly import BelowSignDegreeError, SignPolynomial, best_sign_polynomial
 
@@ -43,17 +43,18 @@ def test_required_samples_guards():
 
 def test_alice_sample_guards_and_constants():
     with pytest.raises(ValueError):
-        alice_sample(np.ones((1, 2), dtype=np.int64), 0, [stream(0)])
-    indices, bits = alice_sample(np.ones((1, 10), dtype=np.int64), 5, [stream(1)])
+        alice_sample(np.zeros((1, 1), dtype=np.uint8), 2, 0, [stream(0)])
+    # packed bits of x = (1, ..., 1) at n = 10: no bit set
+    indices, bits = alice_sample(np.zeros((1, 2), dtype=np.uint8), 10, 5, [stream(1)])
     assert tuple(bits[0]) == (1, 1, 1, 1, 1)
     assert all(1 <= i <= 10 for i in indices[0])
 
 
 def test_alice_sample_deterministic_golden():
-    xs = np.ones((1, 16), dtype=np.int64)
-    indices, bits = alice_sample(xs, 6, [stream(42, "protocol", 0)])
+    xs = np.zeros((1, 2), dtype=np.uint8)
+    indices, bits = alice_sample(xs, 16, 6, [stream(42, "protocol", 0)])
     assert tuple(indices[0]) == (10, 16, 9, 8, 5, 7)
-    again = alice_sample(xs, 6, [stream(42, "protocol", 0)])
+    again = alice_sample(xs, 16, 6, [stream(42, "protocol", 0)])
     assert np.array_equal(indices, again[0]) and np.array_equal(bits, again[1])
 
 
@@ -76,7 +77,7 @@ def test_protocol_runs_return_one_float64_statistic_per_row():
     xs, sigmas, ws = generate_instances(
         f, params, [1, -1, 1, -1, 1], [stream(3, "instance", trial) for trial in trials])
     poly = best_sign_polynomial(f, 1)
-    indices, bits = alice_sample(xs, 4, [stream(3, "protocol", trial) for trial in trials])
+    indices, bits = alice_sample(xs, 30, 4, [stream(3, "protocol", trial) for trial in trials])
     subsets = fisher_yates_rows(30, [stream(3, "protocol", trial) for trial in trials])[:, :6]
     for statistics in (
         bob_decide(indices, bits, sigmas, ws, poly, params),
@@ -245,7 +246,7 @@ def test_run_uniform_scan_matches_index_by_index_oracle():
             subset = fisher_yates(n, stream(21, "protocol", trial))[: 1 + trial % 12]
             [statistic] = run_uniform_phd1(params, xs, sigmas, ws, slots, subset[None])
             assert statistic == uniform_statistic_by_scan(
-                params, xs[0], sigmas[0], ws[0], slots, subset
+                params, unpack_strings(xs[0], n), sigmas[0], ws[0], slots, subset
             )
         # the message is fixed per run: |I| indices, the same cost in every trial
         for sample_count in (1, 7, 12):

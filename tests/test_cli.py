@@ -906,22 +906,23 @@ def chunk_at_n3000(f):
 
 @pytest.mark.parametrize(
     "protocol, f, options, bound",
-    [("quantum", parity(2), {"epsilon": 0.1}, 1.7e6),
-     ("classical", majority(3), {"epsilon": 0.1}, 1.7e6),
-     ("uniform", dictator(4), {"sample_count": 32}, 1.7e6)],
+    [("quantum", parity(2), {"epsilon": 0.1}, 1.3e6),
+     ("classical", majority(3), {"epsilon": 0.1}, 1.3e6),
+     ("uniform", dictator(4), {"sample_count": 32}, 1.3e6)],
     ids=["quantum", "classical", "uniform"],
 )
 def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protocol, f, options,
                                                               bound):
     # a chunk at n = 3000 (alpha = 1/2, the benchmark's runs) is 116 trials,
-    # and a run of two traces a peak of about 1.57 MB at the instances'
-    # shuffle, which holds x as packed bits: uniform shuffles its subsets
-    # first, every decision slice stays under the row-slice budget, and
-    # the second chunk's shuffle holds none of the first chunk's arrays
-    # (2.7 MB if it does).  With classical's m = 374 decided 50 rows a
-    # slice, its chunk peaked deciding, at 1.72 MB; with an int8 x beside
-    # the shuffle and uniform's subsets shuffled beside the instances, the
-    # three were 1.86, 1.86 and 2.60 MB
+    # and a run of two traces a peak of about 1.23 MB at the instances'
+    # shuffle, which draws its swaps in halves beside x's packed bits:
+    # uniform shuffles its subsets first, every decision slice stays under
+    # the row-slice budget, and the second chunk's shuffle holds none of
+    # the first chunk's arrays.  With the draws taken whole it was about
+    # 1.58 MB; with classical's m = 374 decided 50 rows a slice, its chunk
+    # peaked deciding, at 1.72 MB; with an int8 x beside the shuffle and
+    # uniform's subsets shuffled beside the instances, the three were 1.86,
+    # 1.86 and 2.60 MB
     params, instance_rngs, bs, _ = chunk_at_n3000(f)
     chunks = []
     generate = experiments.generate_instances
@@ -942,14 +943,15 @@ def test_a_trial_chunk_at_n3000_stays_under_its_memory_bound(monkeypatch, protoc
     assert peak < alone + 0.05e6
 
 
-@pytest.mark.parametrize("stage, bound", [("b_map_rows", 0.4e6), ("fisher_yates_rows", 1.6e6),
-                                          ("generate_instances", 1.7e6)])
+@pytest.mark.parametrize("stage, bound", [("b_map_rows", 0.4e6), ("fisher_yates_rows", 1.25e6),
+                                          ("generate_instances", 1.3e6)])
 def test_each_peak_of_a_trial_chunk_at_n3000_stays_cut(stage, bound):
     # the chunk's stages, each on its own (parity(2), as run-quantum): the
-    # block map traces about 0.28 MB in row slices (1.29 MB whole), the
-    # shuffle 1.51 MB, its uint16 draws and images and 32 positions of intp
-    # indices (1.96 MB at 256 positions), and the whole instance draw
-    # 1.55 MB, the shuffle beside x's packed bits (1.86 MB beside int8 x)
+    # block map traces about 0.27 MB in row slices of x's packed bits
+    # (1.29 MB whole), the shuffle 1.16 MB, its uint16 images, one half's
+    # uint16 draws and 32 positions of intp indices (1.51 MB with all the
+    # draws, 1.96 MB at 256 positions), and the whole instance draw
+    # 1.20 MB, the shuffle beside x's packed bits (1.86 MB beside int8 x)
     params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
     xs, sigmas, _ = generate_instances(parity(2), params, bs, instance_rngs)
     instance_rngs = chunk_at_n3000(parity(2))[1]  # fresh streams that have drawn their coins
@@ -962,9 +964,10 @@ def test_each_peak_of_a_trial_chunk_at_n3000_stays_cut(stage, bound):
 
 def test_a_run_quantum_call_codes_only_its_sampled_blocks():
     # on a pre-drawn 116-trial chunk (parity(2), n = 3000, alpha = 1/2,
-    # m = 42) the protocol call traces about 0.33 MB: (116, 42) arrays and
-    # the int8 strings of one map slice scattered at a time (0.68 MB with
-    # the whole chunk's), no (116, 1500) int64 code table (2.2 MB)
+    # m = 42) the protocol call traces about 0.34 MB: (116, 42) arrays and
+    # the int8 strings of one map slice unpacked and scattered at a time
+    # (0.68 MB with the whole chunk's), no (116, 1500) int64 code table
+    # (2.2 MB)
     params, instance_rngs, bs, protocol_rngs = chunk_at_n3000(parity(2))
     prepare, decide, m, _ = experiments._make_runner("quantum", parity(2), params, 0.1, None)
     assert m == 42
@@ -1097,6 +1100,24 @@ def test_a_budget_the_protocol_does_not_read_is_refused_before_any_stream(
                             epsilon=0.1, sample_count=8)
 
 
+@pytest.mark.parametrize("check, flag", [("tvd", "--cases"), ("u", "--set-size"),
+                                         ("u", "--sigmas"), ("rhat", "--sigmas"),
+                                         ("kkl", "--sigmas")])
+def test_a_budget_the_hardness_check_does_not_read_is_refused_before_any_stream(
+    monkeypatch, capsys, check, flag
+):
+    # tvd reads --sigmas and --set-size, rhat and kkl --cases and --set-size,
+    # u --cases alone; a record never rests on a budget its check ignored
+    def refuse(*args):
+        raise AssertionError("stream built before the budgets were checked")
+
+    monkeypatch.setattr(cli, "run_check", refuse)
+    monkeypatch.setattr(hardness, "stream", refuse)
+    assert run_cli(["hardness", "--named", "parity", "--t", "2", "--check", check, "--n", "8",
+                    flag, "3"]) == 2
+    assert capsys.readouterr() == ("", f"guard rejection: the {check} check does not read {flag}\n")
+
+
 @pytest.mark.parametrize(
     "check, n, flag, count",
     [("rhat", 8, "--cases", 5), ("u", 8, "--cases", 50),
@@ -1161,6 +1182,10 @@ MALFORMED_SPECS = {
                       "--n", "8", "--set-size", "0"], id="zero-set-size"),
         pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
                       "--n", "8", "--set-size", "100000"], id="set-size-over-cube"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "tvd",
+                      "--n", "8", "--cases", "7"], id="tvd-with-cases"),
+        pytest.param(["hardness", "--named", "parity", "--t", "2", "--check", "u",
+                      "--n", "8", "--set-size", "5", "--sigmas", "9"], id="u-with-set-size"),
         pytest.param(["reduce", "--named", "nae", "--t", "4", "--n", "8", "--sigmas", "0"],
                      id="reduce-zero-sigmas"),
         pytest.param(["reduce", "--named", "nae", "--t", "4", "--n", "8", "--sigmas", "-3"],

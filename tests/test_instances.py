@@ -14,6 +14,8 @@ from hiddenpartition.instances import (
     b_map_rows,
     generate_instance,
     generate_instances,
+    string_values,
+    unpack_strings,
 )
 from hiddenpartition.rng import SHUFFLE_BLOCK, coin, fisher_yates, fisher_yates_rows, stream
 
@@ -181,6 +183,21 @@ def test_b_map_equivariant_under_relabelling(seed, data):
     )
 
 
+@pytest.mark.parametrize("n", [12, 3001], ids=["whole-bytes", "partial-last-byte"])
+def test_string_values_read_the_unpacked_strings_at_every_index(n):
+    # x's packed bits, read at every index of every row, are the +-1 strings
+    # unpacking them gives, and those are 1 - 2 * the drawn bits
+    drawn = stream(n, "values").integers(0, 2, size=(3, n))
+    bits = np.packbits(drawn, axis=1)
+    strings = unpack_strings(bits, n)
+    assert strings.dtype == np.int8 and np.array_equal(strings, 1 - 2 * drawn)
+    every = np.tile(np.arange(1, n + 1), (3, 1))
+    values = string_values(bits, every)
+    assert values.dtype == np.int8 and np.array_equal(values, strings)
+    backwards = every[:, ::-1].astype(np.uint16)  # as run-uniform's subsets
+    assert np.array_equal(string_values(bits, backwards), strings[:, ::-1])
+
+
 @pytest.mark.parametrize("n, t, alpha", [(12, 3, Fraction(1, 2)), (3000, 3, Fraction(1, 2))])
 def test_generate_instances_match_one_at_a_time(n, t, alpha):
     params = PartitionParams(n, t, alpha)
@@ -188,16 +205,17 @@ def test_generate_instances_match_one_at_a_time(n, t, alpha):
     bs = [1, -1, -1, 1, 1]
     xs, sigmas, ws = generate_instances(f, params, bs, [stream(4, "instance", k) for k in range(5)])
     sigma_type = np.uint8 if n <= 255 else np.uint16
-    for array, dtype, width in ((xs, np.int8, n), (sigmas, sigma_type, n),
+    for array, dtype, width in ((xs, np.uint8, -(-n // 8)), (sigmas, sigma_type, n),
                                 (ws, np.int8, params.active_blocks)):
         assert array.dtype == dtype and array.shape == (len(bs), width)
     assert (np.sort(sigmas, axis=1) == np.arange(1, n + 1)).all()
-    assert np.all(np.abs(xs) == 1) and np.all(np.abs(ws) == 1)
+    strings = unpack_strings(xs, n)
+    assert np.all(np.abs(strings) == 1) and np.all(np.abs(ws) == 1)
     for k, (b, x, sigma, w) in enumerate(zip(bs, xs, sigmas, ws)):
         single = generate_instance(f, params, b, stream(4, "instance", k))
         for row, single_row in zip((x, sigma, w), single):
             assert np.array_equal(row, single_row)
-        assert promise_bit(f, x, sigma, w, params) == b
+        assert promise_bit(f, strings[k], sigma, w, params) == b
 
 
 @pytest.mark.parametrize(
@@ -220,9 +238,10 @@ def test_generate_instances_match_the_int64_builder(n, t, alpha, count):
 
     rngs, bs = streams()
     oracle_rngs, oracle_bs = streams()
-    for got, expected in zip(generate_instances(f, params, bs, rngs),
-                             int64_instances(f, params, oracle_bs, oracle_rngs)):
-        assert np.array_equal(got, expected)
+    xs, sigmas, ws = generate_instances(f, params, bs, rngs)
+    got = (unpack_strings(xs, n), sigmas, ws)
+    for got_rows, expected in zip(got, int64_instances(f, params, oracle_bs, oracle_rngs)):
+        assert np.array_equal(got_rows, expected)
     for rng, oracle_rng in zip(rngs, oracle_rngs):
         assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
 
@@ -244,7 +263,7 @@ def test_generated_instance_promise(b, seed):
     params = PartitionParams(12, 3, Fraction(1, 2))
     f = majority(3)
     x, sigma, w = generate_instance(f, params, b, stream(seed, "gen"))
-    assert promise_bit(f, x, sigma, w, params) == b
+    assert promise_bit(f, unpack_strings(x, params.n), sigma, w, params) == b
 
 
 def test_promise_violation_detected():
@@ -252,7 +271,7 @@ def test_promise_violation_detected():
     f = parity(2)
     x, sigma, w = generate_instance(f, params, 1, stream(3, "gen"))
     w[0] = -w[0]
-    assert promise_bit(f, x, sigma, w, params) is None
+    assert promise_bit(f, unpack_strings(x, params.n), sigma, w, params) is None
 
 
 def test_verify_promise_direct_example():
@@ -262,10 +281,12 @@ def test_verify_promise_direct_example():
 
 def test_generation_is_deterministic_golden():
     params = PartitionParams(8, 2, Fraction(1))
-    instance = generate_instance(parity(2), params, 1, stream(42, "instance", 0))
-    again = generate_instance(parity(2), params, 1, stream(42, "instance", 0))
+    docs = []
+    for _ in range(2):
+        x, sigma, w = generate_instance(parity(2), params, 1, stream(42, "instance", 0))
+        docs.append(instance_to_json(params, unpack_strings(x, params.n), sigma, w, 1))
     golden = json.loads((GOLDEN / "instance_seed42.json").read_text())
-    assert instance_to_json(params, *instance, 1) == instance_to_json(params, *again, 1) == golden
+    assert docs[0] == docs[1] == golden
 
 
 def assert_same_instance(got, expected):
@@ -278,7 +299,8 @@ def assert_same_instance(got, expected):
 
 def test_json_round_trip():
     params = PartitionParams(8, 2, Fraction(1, 2))
-    instance = (params, *generate_instance(parity(2), params, -1, stream(7, "instance", 1)), -1)
+    x, sigma, w = generate_instance(parity(2), params, -1, stream(7, "instance", 1))
+    instance = (params, unpack_strings(x, params.n), sigma, w, -1)
     doc = json.loads(json.dumps(instance_to_json(*instance)))
     assert_same_instance(instance_from_json(doc), instance)
 

@@ -11,7 +11,7 @@ from hiddenpartition.boolfn import (
 )
 from hiddenpartition.experiments import _make_runner, run_protocol_trials
 from hiddenpartition.instances import (
-    PartitionParams, active_blocks, blocks_to_rows, generate_instances,
+    PartitionParams, active_blocks, blocks_to_rows, generate_instances, unpack_strings,
 )
 from hiddenpartition.quantum import (
     _lifted_forms,
@@ -186,7 +186,7 @@ def test_tabulated_probs_equal_the_closed_form_on_every_block(f):
     params = PartitionParams(960, f.t, Fraction(1, 2))
     rngs = [stream(row, "tabulated", f.t) for row in range(100)]
     xs, sigmas, _ = generate_instances(f, params, [1] * len(rngs), rngs)
-    blocks = active_blocks(xs, sigmas, params).reshape(-1, f.t)
+    blocks = active_blocks(unpack_strings(xs, params.n), sigmas, params).reshape(-1, f.t)
     rows = blocks_to_rows(blocks)
     assert np.array_equal(np.unique(rows), np.arange(2**f.t))  # every value occurs
     table = hadamard_test_probs(a, all_points(f.t))
@@ -211,14 +211,16 @@ def test_run_quantum_statistics_match_the_per_block_oracle(f, alpha):
         f, params, [1] * len(trials), [stream(trial, "instance") for trial in trials])
     statistics = decide(xs, sigmas, ws, prepare([stream(trial, "protocol") for trial in trials]))
     a = block_multilinear_matrix(best_sign_polynomial(f, 2))
-    expected = quantum_statistics_by_blocks(params, xs, sigmas, ws, a, m,
+    strings = unpack_strings(xs, params.n)
+    expected = quantum_statistics_by_blocks(params, strings, sigmas, ws, a, m,
                                             [stream(trial, "protocol") for trial in trials])
     assert statistics.tolist() == expected
 
 
 def test_run_quantum_gathers_the_same_blocks_a_row_slice_at_a_time(monkeypatch):
-    # a 300-byte row-slice budget gathers 40 rows' sampled blocks 2 rows at
-    # a time; each slice must read its own rows' draws
+    # a 370-byte row-slice budget gathers 40 rows' sampled blocks 2 rows at
+    # a time (185 bytes a row: the unpacked string and the block map's
+    # temporaries); each slice must read its own rows' draws
     f = and_fn(3)
     params = PartitionParams(48, 3, Fraction(1, 2))
     prepare, decide, _, _ = _make_runner("quantum", f, params, 0.4, None)
@@ -233,7 +235,7 @@ def test_run_quantum_gathers_the_same_blocks_a_row_slice_at_a_time(monkeypatch):
     view = instances.active_blocks
     monkeypatch.setattr(instances, "active_blocks",
                         lambda part, *args: sizes.append(len(part)) or view(part, *args))
-    monkeypatch.setattr(instances, "SLICE_BYTES", 300)
+    monkeypatch.setattr(instances, "SLICE_BYTES", 370)
     assert statistics().tolist() == whole.tolist()
     assert sizes == [2] * 20
 

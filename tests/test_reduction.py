@@ -13,7 +13,7 @@ from hiddenpartition.boolfn import (
     sign_changes,
     weight_profile,
 )
-from hiddenpartition.instances import PartitionParams, generate_instance
+from hiddenpartition.instances import PartitionParams, generate_instance, unpack_strings
 from hiddenpartition.reduction import (
     PARITY_SIZES,
     NoGadgetError,
@@ -236,6 +236,7 @@ def test_reduced_instance_preserves_promise():
         b = 1 if trial % 2 else -1
         params = PartitionParams(8, 2, Fraction(1, 2))
         x, sigma, w = generate_instance(parity(2), params, b, stream(6, "inst", trial))
+        x = unpack_strings(x, params.n)
         reduced_params, *reduced, reduced_b = reduce_instance(params, x, sigma, w, b, gadget)
         assert reduced_params.n == 16
         assert reduced_params.t == 4
@@ -259,6 +260,7 @@ def test_reduced_instance_preserves_promise_flipped_gadget():
     params = PartitionParams(8, 2, Fraction(1))
     for b in (1, -1):
         x, sigma, w = generate_instance(parity(2), params, b, stream(8, "inst", b))
+        x = unpack_strings(x, params.n)
         reduced_params, *reduced, _ = reduce_instance(params, x, sigma, w, b, gadget)
         assert promise_bit(f_target, *reduced, reduced_params) == b
 
@@ -270,6 +272,7 @@ def test_reduce_requires_pair_blocks():
     from hiddenpartition.boolfn import majority
 
     x, sigma, w = generate_instance(majority(3), params, 1, stream(1, "x"))
+    x = unpack_strings(x, params.n)
     with pytest.raises(ValueError):
         reduce_instance(params, x, sigma, w, 1, gadget)
 

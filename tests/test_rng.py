@@ -15,6 +15,22 @@ def test_same_key_reproduces():
     assert np.array_equal(a, b)
 
 
+def test_streams_match_philox_keyed_by_the_label_digest():
+    # the key handed to Philox as its seed sequence gives the draws and the
+    # state of Philox(key=...) keyed by the first half of the label's sha256
+    for label in range(200):
+        digest = hashlib.sha256(f"7/instance/{label}".encode("utf-8")).digest()
+        keyed = np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], np.uint64)))
+        rng = stream(7, "instance", label)
+        assert np.array_equal(rng.integers(0, 2**62, size=64), keyed.integers(0, 2**62, size=64))
+        state, keyed_state = rng.bit_generator.state, keyed.bit_generator.state
+        for key in ("counter", "key"):
+            assert np.array_equal(state["state"][key], keyed_state["state"][key])
+        assert np.array_equal(state.pop("buffer"), keyed_state.pop("buffer"))
+        del state["state"], keyed_state["state"]
+        assert state == keyed_state
+
+
 def test_distinct_labels_differ():
     a = stream(42, "instance", 0).integers(0, 2**30, size=8)
     b = stream(42, "instance", 1).integers(0, 2**30, size=8)
@@ -66,9 +82,12 @@ def _instance_streams(seeds, n):
     return rngs
 
 
-# n -> the narrowest unsigned type that holds the images 1..n
-IMAGE_TYPES = {1: np.uint8, 2: np.uint8, 3: np.uint8, 10: np.uint8, 24: np.uint8, 255: np.uint8,
-               256: np.uint16, 3000: np.uint16, 65535: np.uint16, 65536: np.uint32}
+# n -> the narrowest unsigned type that holds the images 1..n; at n = 2 the
+# second half of the draws is empty, and at n = 66 and 67 (n - 1 odd and
+# even) the halves meet inside the second SHUFFLE_BLOCK
+IMAGE_TYPES = {1: np.uint8, 2: np.uint8, 3: np.uint8, 10: np.uint8, 24: np.uint8, 66: np.uint8,
+               67: np.uint8, 255: np.uint8, 256: np.uint16, 3000: np.uint16, 65535: np.uint16,
+               65536: np.uint32}
 
 
 @pytest.mark.parametrize("n", list(IMAGE_TYPES))
@@ -86,11 +105,13 @@ def test_lockstep_rows_match_list_shuffle(n, seeds):
         assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, SHUFFLE_BLOCK - 1, SHUFFLE_BLOCK + 1, 255, 257, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3, SHUFFLE_BLOCK - 1, SHUFFLE_BLOCK + 1, 255, 257, 3000,
+                               66, 67])
 @pytest.mark.parametrize("count", [1, 3, 116])
 def test_lockstep_rows_match_the_int64_shuffle(n, count):
-    # the narrow unsigned draws, made intp a block of positions at a time,
-    # give the int64 shuffle's rows and leave every generator where it leaves it
+    # the narrow unsigned draws, taken in two halves and made intp a block of
+    # positions at a time, give the int64 shuffle's rows and leave every
+    # generator where it leaves it (n = 66 and 67: the halves meet inside a block)
     seeds = range(count)
     rngs = _instance_streams(seeds, n)
     oracle_rngs = _instance_streams(seeds, n)
